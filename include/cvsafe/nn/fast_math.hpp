@@ -9,16 +9,30 @@
 
 namespace cvsafe::nn {
 
+/// 2^k for an integral \p k in [-1022, 1023], built from bits alone. k is
+/// read from the low mantissa bits of k + 1.5 * 2^52 (exact: the ulp is 1
+/// there) rather than through a double->int64 conversion, which AVX2 has
+/// no packed form of; the shift then drops the constant's high bits and
+/// leaves (k + 1023) << 52, the biased exponent of 2^k.
+inline double pow2_integral(double k) noexcept {
+  const std::uint64_t kbits = std::bit_cast<std::uint64_t>(k + 0x1.8p52);
+  return std::bit_cast<double>((kbits + 1023) << 52);
+}
+
 /// Double-precision tanh built for auto-vectorization: no data-dependent
 /// branches (selects only), explicit std::fma so the vector body and the
 /// scalar remainder of a vectorized loop round identically, and a
-/// bit-manipulated 2^k scaling instead of libm calls.
+/// bit-manipulated 2^k scaling instead of libm calls. The selects only
+/// if-convert when the caller is compiled with -fno-trapping-math, as the
+/// activation kernels are (src/nn/CMakeLists.txt).
 ///
 /// Accuracy: computed as expm1(2|x|) / (expm1(2|x|) + 2) with a degree-13
 /// Taylor kernel on |r| <= ln(2)/2; observed error vs. std::tanh is a few
 /// ulp (see nn_fast_math_test.cpp, which sweeps dense and random inputs).
-/// Within one binary, every call site evaluates the same arithmetic, so
-/// all inference/training paths that share it remain mutually bit-exact.
+/// Every call site evaluates the same correctly rounded operations in the
+/// same order, so all inference/training paths that share it are mutually
+/// bit-exact, in the baseline and the x86-64-v3 kernel clones alike
+/// (src/nn/isa_dispatch.hpp).
 ///
 /// Special values follow std::tanh: NaN -> NaN, +/-inf -> +/-1,
 /// +/-0 -> +/-0, |x| >= 19.0625 saturates to +/-1 (the double-precision
@@ -60,8 +74,7 @@ inline double fast_tanh(double x) noexcept {
 
   // expm1(z) = 2^k * expm1(r) + (2^k - 1), assembled in one fma. The
   // shifted-exponent bit trick builds 2^k without ldexp.
-  const auto ki = static_cast<std::int64_t>(kd);
-  const double two_k = std::bit_cast<double>((ki + 1023) << 52);
+  const double two_k = pow2_integral(kd);
   const double em1 = std::fma(two_k, p, two_k - 1.0);
 
   // tanh(|x|) = expm1(2|x|) / (expm1(2|x|) + 2), then restore the sign.

@@ -16,7 +16,9 @@ namespace cvsafe::nn {
 /// in out activation, weight rows, bias row. Full hex doubles, lossless.
 void save_mlp(const Mlp& net, std::ostream& os);
 
-/// Convenience: saves to a file. Returns false on I/O failure.
+/// Convenience: saves to a file. Returns false on I/O failure. The write
+/// is atomic (temp file, then rename), so concurrent writers of the same
+/// path never leave a partial file behind.
 bool save_mlp_file(const Mlp& net, const std::string& path);
 
 /// Reads a network previously written by save_mlp.

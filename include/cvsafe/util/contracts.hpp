@@ -20,7 +20,7 @@
 /// The message argument is optional. Checks are active in every build type
 /// (Release included — the guarantee matters most in production) unless the
 /// translation unit is compiled with -DCVSAFE_NO_CONTRACTS, which compiles
-/// every check out to `(void)0` with zero residual cost.
+/// every check out to an unevaluated `sizeof` with zero residual cost.
 ///
 /// A violated contract aborts by default (printing kind, condition, file
 /// and line to stderr). Tests — and hosts that prefer to contain failures —
@@ -75,7 +75,11 @@ namespace detail {
 
 #if defined(CVSAFE_NO_CONTRACTS)
 
-#define CVSAFE_DETAIL_CONTRACT(kind, cond, ...) static_cast<void>(0)
+// The condition stays an unevaluated operand: it costs nothing at run time,
+// but names used only by a contract still count as used, so compiling the
+// checks out cannot trip -Wunused-variable / -Wunused-function.
+#define CVSAFE_DETAIL_CONTRACT(kind, cond, ...) \
+  static_cast<void>(sizeof((cond) ? 1 : 0))
 
 #else
 

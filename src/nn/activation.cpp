@@ -1,6 +1,7 @@
 #include "cvsafe/nn/activation.hpp"
 
 #include "cvsafe/nn/fast_math.hpp"
+#include "isa_dispatch.hpp"
 
 #include <cassert>
 #include <cmath>
@@ -20,6 +21,7 @@ Matrix apply_activation(Activation act, const Matrix& z) {
   return out;
 }
 
+CVSAFE_NN_KERNEL
 void apply_activation_inplace(Activation act, Matrix& z) {
   switch (act) {
     case Activation::kIdentity:
@@ -36,6 +38,7 @@ void apply_activation_inplace(Activation act, Matrix& z) {
   }
 }
 
+CVSAFE_NN_KERNEL
 void bias_activation_inplace(Activation act, const Matrix& bias, Matrix& z) {
   assert(bias.rows() == 1 && bias.cols() == z.cols());
   const std::size_t rows = z.rows();
@@ -66,6 +69,7 @@ void bias_activation_inplace(Activation act, const Matrix& bias, Matrix& z) {
   }
 }
 
+CVSAFE_NN_KERNEL
 Matrix activation_derivative(Activation act, const Matrix& z) {
   Matrix out = z;
   switch (act) {

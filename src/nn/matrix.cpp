@@ -1,5 +1,7 @@
 #include "cvsafe/nn/matrix.hpp"
 
+#include "isa_dispatch.hpp"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -103,6 +105,7 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
   data_.resize(rows * cols);
 }
 
+CVSAFE_NN_KERNEL
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols() == b.rows());
   assert(&out != &a && &out != &b);
@@ -149,6 +152,7 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   }
 }
 
+CVSAFE_NN_KERNEL
 void matmul_transposed_into(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols() == b.cols());
   assert(&out != &a && &out != &b);
@@ -209,6 +213,7 @@ Matrix Matrix::matmul_transposed(const Matrix& other) const {
   return out;
 }
 
+CVSAFE_NN_KERNEL
 Matrix Matrix::transposed_matmul(const Matrix& other) const {
   assert(rows_ == other.rows_);
   Matrix out(cols_, other.cols_);
@@ -281,6 +286,15 @@ double Matrix::max_abs() const {
   double m = 0.0;
   for (double x : data_) m = std::max(m, std::abs(x));
   return m;
+}
+
+const char* kernel_isa() noexcept {
+#if CVSAFE_NN_DISPATCH
+  // The predicate the target_clones resolver tests for the v3 clone.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("x86-64-v3")) return "x86-64-v3";
+#endif
+  return "default";
 }
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m) {

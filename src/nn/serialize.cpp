@@ -1,9 +1,14 @@
 #include "cvsafe/nn/serialize.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace cvsafe::nn {
 namespace {
@@ -35,10 +40,23 @@ void save_mlp(const Mlp& net, std::ostream& os) {
 }
 
 bool save_mlp_file(const Mlp& net, const std::string& path) {
-  std::ofstream out(path);
+  // Write a private temp file, then rename it over \p path: readers (and
+  // other processes training the same model-cache key) see either no
+  // file or a complete one, never a partial write.
+  static std::atomic<unsigned> counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(counter.fetch_add(1));
+  std::ofstream out(tmp);
   if (!out) return false;
   save_mlp(net, out);
-  return static_cast<bool>(out);
+  out.close();
+  std::error_code ec;
+  if (out) std::filesystem::rename(tmp, path, ec);
+  if (!out || ec) {
+    std::filesystem::remove(tmp, ec);
+    return false;
+  }
+  return true;
 }
 
 Mlp load_mlp(std::istream& is) {

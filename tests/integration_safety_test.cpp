@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "cvsafe/eval/batch.hpp"
 #include "cvsafe/eval/experiments.hpp"
 
@@ -18,12 +21,24 @@ SimConfig setting_config(CommSetting setting, double sweep) {
   return apply_setting(base, setting, sweep);
 }
 
+// CTest names each case after gtest's byte dump of its parameter
+// ("24-byte object <...>"), so SafetyCase has no implicit padding: padding
+// bytes are uninitialized, and the names they printed changed from one test
+// discovery to the next. `name_tag` fills the slot that padding held and
+// carries the bytes the suite's established case names show there; the
+// test itself never reads it.
 struct SafetyCase {
   CommSetting setting;
+  std::array<std::uint8_t, 4> name_tag;
   double sweep;
   bool aggressive_style;
   bool ultimate;
+  std::array<std::uint8_t, 6> tail;
 };
+static_assert(sizeof(SafetyCase) == 24, "SafetyCase must have no padding");
+
+constexpr std::array<std::uint8_t, 4> kNoTag{};
+constexpr std::array<std::uint8_t, 6> kNoTail{};
 
 class CompoundSafetyTest : public ::testing::TestWithParam<SafetyCase> {};
 
@@ -53,15 +68,20 @@ TEST_P(CompoundSafetyTest, NeverCollides) {
 INSTANTIATE_TEST_SUITE_P(
     AllSettings, CompoundSafetyTest,
     ::testing::Values(
-        SafetyCase{CommSetting::kNoDisturbance, 0.0, false, false},
-        SafetyCase{CommSetting::kNoDisturbance, 0.0, true, false},
-        SafetyCase{CommSetting::kNoDisturbance, 0.0, true, true},
-        SafetyCase{CommSetting::kDelayed, 0.5, false, true},
-        SafetyCase{CommSetting::kDelayed, 0.5, true, false},
-        SafetyCase{CommSetting::kDelayed, 0.95, true, true},
-        SafetyCase{CommSetting::kLost, 2.0, true, false},
-        SafetyCase{CommSetting::kLost, 4.8, true, true},
-        SafetyCase{CommSetting::kLost, 4.8, false, true}));
+        SafetyCase{CommSetting::kNoDisturbance, {0x65, 0x73, 0x74, 0x5F}, 0.0,
+                   false, false, kNoTail},
+        SafetyCase{CommSetting::kNoDisturbance, kNoTag, 0.0, true, false,
+                   kNoTail},
+        SafetyCase{CommSetting::kNoDisturbance, kNoTag, 0.0, true, true,
+                   kNoTail},
+        SafetyCase{CommSetting::kDelayed, kNoTag, 0.5, false, true, kNoTail},
+        SafetyCase{CommSetting::kDelayed, kNoTag, 0.5, true, false, kNoTail},
+        SafetyCase{CommSetting::kDelayed, {0x00, 0x00, 0xC0, 0xEF}, 0.95, true,
+                   true, kNoTail},
+        SafetyCase{CommSetting::kLost, kNoTag, 2.0, true, false, kNoTail},
+        SafetyCase{CommSetting::kLost, {0x00, 0x00, 0xD0, 0xCA}, 4.8, true,
+                   true, kNoTail},
+        SafetyCase{CommSetting::kLost, kNoTag, 4.8, false, true, kNoTail}));
 
 // The pure aggressive planner DOES collide (otherwise the guarantee above
 // would be vacuous): the workload genuinely stresses safety.

@@ -31,6 +31,14 @@ TEST(ContractsDisabled, ConditionIsNotEvaluated) {
   EXPECT_EQ(evaluations, 0);
 }
 
+TEST(ContractsDisabled, ContractOnlyNamesStayUsed) {
+  // `checked` is read only by the contract. Compiled out, the condition
+  // must still count as a use, or -Werror builds with contracts off break
+  // on -Wunused-variable.
+  const bool checked = true;
+  EXPECT_NO_THROW(CVSAFE_ASSERT(checked, "unevaluated"));
+}
+
 TEST(ContractsDisabled, HeaderInlineContractSitesCompileOut) {
   ScopedContractMode mode(ContractMode::kThrow);
   // These would throw in the enabled build (util_contracts_test.cpp); in

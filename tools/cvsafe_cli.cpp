@@ -13,7 +13,10 @@
 //
 // Common options:
 //   --scenario left-turn|lane-change|intersection|multi  (run/batch,
-//                            default left-turn)
+//                            default left-turn); the other scenarios
+//                            reject --trace, --profile, --metrics,
+//                            --flight-recorder, --telemetry, --engine and
+//                            --pool (exit 2)
 //   --cars N                 oncoming platoon size (multi) (default 2)
 //   --style cons|aggr        embedded NN planner style   (default cons)
 //   --variant pure|basic|ultimate                        (default ultimate)
@@ -309,6 +312,18 @@ int print_stats(const std::string& title, const sim::BatchStats& stats) {
 /// --variant flag onto its own compound/estimator switches.
 int run_other_scenario(const std::string& scenario, const Args& args,
                        bool batch) {
+  // These scenarios run without the trace, profile, metrics and fleet
+  // observability plumbing; refuse the flags rather than exit 0 without
+  // writing what they asked for.
+  for (const char* flag : {"trace", "profile", "metrics", "flight-recorder",
+                           "telemetry", "engine", "pool"}) {
+    if (args.values.count(flag) > 0 || args.has_flag(flag)) {
+      std::fprintf(stderr, "--%s requires --scenario left-turn (got %s)\n",
+                   flag, scenario.c_str());
+      return 2;
+    }
+  }
+
   const std::string variant = args.value("variant", "ultimate");
   const auto seed = static_cast<std::uint64_t>(args.number("seed", 1));
   const auto n = static_cast<std::size_t>(args.number("sims", 500));
