@@ -17,7 +17,7 @@ using namespace cvsafe;
 
 int main() {
   const std::size_t sims = bench::sims_per_cell(1000);
-  eval::SimConfig base = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig base = sim::LeftTurnSimConfig::paper_defaults();
 
   struct Variant {
     const char* name;
@@ -51,10 +51,10 @@ int main() {
   for (const auto& s : settings) {
     if (!first) table.add_separator();
     first = false;
-    const eval::SimConfig cfg =
+    const sim::LeftTurnSimConfig cfg =
         eval::apply_setting(base, s.setting, s.sweep_value);
     for (const auto& v : variants) {
-      eval::AgentBlueprint bp = eval::make_nn_blueprint(
+      sim::AgentBlueprint bp = eval::make_nn_blueprint(
           cfg, planners::PlannerStyle::kConservative,
           eval::PlannerVariant::kBasic);
       bp.config.use_info_filter = v.info_filter;

@@ -15,7 +15,7 @@ using namespace cvsafe;
 
 int main() {
   const std::size_t sims = bench::sims_per_cell(500);
-  eval::SimConfig base = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig base = sim::LeftTurnSimConfig::paper_defaults();
 
   util::Table table("Bursty vs i.i.d. message loss (conservative NN, " +
                     std::to_string(sims) + " sims/cell)");
@@ -27,7 +27,7 @@ int main() {
 
   for (double p : {0.2, 0.5, 0.8}) {
     for (const bool bursty : {false, true}) {
-      eval::SimConfig cfg = base;
+      sim::LeftTurnSimConfig cfg = base;
       cfg.comm = bursty
                      ? comm::CommConfig::bursty(p, /*mean_burst_len=*/8.0,
                                                 /*delay=*/0.25)

@@ -19,7 +19,7 @@ std::size_t threads() { return util::bench_threads(); }
 
 void run_planner_table(planners::PlannerStyle style, const std::string& title,
                        std::size_t sims) {
-  eval::SimConfig base = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig base = sim::LeftTurnSimConfig::paper_defaults();
 
   util::Table table(title);
   table.set_header({"settings", "planner type", "reaching time", "safe rate",
@@ -37,7 +37,7 @@ void run_planner_table(planners::PlannerStyle style, const std::string& title,
     if (!first_setting) table.add_separator();
     first_setting = false;
 
-    eval::BatchStats stats[3];
+    sim::BatchStats stats[3];
     for (int i = 0; i < 3; ++i) {
       const auto bp = eval::make_nn_blueprint(base, style, variants[i]);
       stats[i] = eval::run_setting(base, bp, setting, sims, 1, threads());
@@ -76,7 +76,7 @@ void run_planner_table(planners::PlannerStyle style, const std::string& title,
 void run_fig5_sweep(
     const std::string& title, const std::string& x_label,
     const std::vector<double>& xs,
-    const std::function<eval::SimConfig(double)>& make_config,
+    const std::function<sim::LeftTurnSimConfig(double)>& make_config,
     std::size_t sims, const std::string& csv_path) {
   const eval::PlannerVariant variants[] = {eval::PlannerVariant::kPureNn,
                                            eval::PlannerVariant::kBasic,
@@ -92,8 +92,8 @@ void run_fig5_sweep(
               "emerg_basic", "emerg_ultimate"});
 
   for (double x : xs) {
-    const eval::SimConfig cfg = make_config(x);
-    eval::BatchStats stats[3];
+    const sim::LeftTurnSimConfig cfg = make_config(x);
+    sim::BatchStats stats[3];
     for (int i = 0; i < 3; ++i) {
       const auto bp = eval::make_nn_blueprint(
           cfg, planners::PlannerStyle::kConservative, variants[i]);

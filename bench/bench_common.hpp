@@ -37,7 +37,7 @@ void run_planner_table(cvsafe::planners::PlannerStyle style,
 /// series at \p csv_path.
 void run_fig5_sweep(const std::string& title, const std::string& x_label,
                     const std::vector<double>& xs,
-                    const std::function<cvsafe::eval::SimConfig(double)>&
+                    const std::function<cvsafe::sim::LeftTurnSimConfig(double)>&
                         make_config,
                     std::size_t sims, const std::string& csv_path);
 

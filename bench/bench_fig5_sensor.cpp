@@ -12,7 +12,7 @@ int main() {
   const std::size_t sims = bench::sims_per_cell(400);
   const std::vector<double> deltas = cvsafe::eval::sensor_delta_grid();
 
-  cvsafe::eval::SimConfig base = cvsafe::eval::SimConfig::paper_defaults();
+  auto base = cvsafe::sim::LeftTurnSimConfig::paper_defaults();
   bench::run_fig5_sweep(
       "Fig. 5e/5f", "sensor delta", deltas,
       [&base](double d) {

@@ -16,8 +16,8 @@ int main() {
   bench::run_fig5_sweep(
       "Fig. 5a/5b", "dt_m = dt_s [s]", periods,
       [](double period) {
-        cvsafe::eval::SimConfig cfg =
-            cvsafe::eval::SimConfig::paper_defaults();
+        cvsafe::sim::LeftTurnSimConfig cfg =
+            cvsafe::sim::LeftTurnSimConfig::paper_defaults();
         cfg.comm = cvsafe::comm::CommConfig::no_disturbance(period);
         cfg.sensor = cvsafe::sensing::SensorConfig::uniform(1.0, period);
         return cfg;

@@ -97,7 +97,7 @@ void run_trajectory(std::uint64_t seed,
 
 int main() {
   const std::size_t trajectories = bench::sims_per_cell(200);
-  const eval::SimConfig config = eval::SimConfig::paper_defaults();
+  const auto config = sim::LeftTurnSimConfig::paper_defaults();
   const auto scn = config.make_scenario();
 
   util::CsvWriter csv("fig6b_window.csv");

@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cvsafe/eval/intersection_sim.hpp"
+#include "cvsafe/sim/intersection.hpp"
 #include "cvsafe/util/table.hpp"
 
 using namespace cvsafe;
@@ -33,13 +33,13 @@ int main() {
   for (const auto& s : settings) {
     if (!first) table.add_separator();
     first = false;
-    eval::IntersectionSimConfig cfg;
+    sim::IntersectionSimConfig cfg;
     cfg.comm = s.comm;
     cfg.sensor = sensing::SensorConfig::uniform(s.delta);
     const auto raw =
-        eval::run_intersection_batch(cfg, false, sims, 1, bench::threads());
+        sim::run_intersection_batch(cfg, false, sims, 1, bench::threads());
     const auto wrapped =
-        eval::run_intersection_batch(cfg, true, sims, 1, bench::threads());
+        sim::run_intersection_batch(cfg, true, sims, 1, bench::threads());
     table.add_row({s.name, "raw cruise",
                    util::Table::percent(1.0 - raw.safe_rate()),
                    util::Table::num(raw.mean_reach_time) + "s",

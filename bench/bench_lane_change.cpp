@@ -8,14 +8,14 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cvsafe/eval/lane_change_sim.hpp"
+#include "cvsafe/sim/lane_change.hpp"
 #include "cvsafe/util/table.hpp"
 
 using namespace cvsafe;
 
 int main() {
   const std::size_t sims = bench::sims_per_cell(1000);
-  eval::LaneChangeSimConfig base;
+  sim::LaneChangeSimConfig base;
 
   struct Setting {
     const char* name;
@@ -38,18 +38,18 @@ int main() {
   for (const auto& s : settings) {
     if (!first) table.add_separator();
     first = false;
-    eval::LaneChangeSimConfig cfg = base;
+    sim::LaneChangeSimConfig cfg = base;
     cfg.comm = s.comm;
     cfg.sensor = sensing::SensorConfig::uniform(s.delta);
 
-    eval::LaneChangePlannerConfig raw;
+    sim::LaneChangePlannerConfig raw;
     raw.use_compound = false;
-    eval::LaneChangePlannerConfig compound;
+    sim::LaneChangePlannerConfig compound;
     compound.use_compound = true;
 
     const auto raw_stats =
-        eval::run_lane_change_batch(cfg, raw, sims, 1, bench::threads());
-    const auto cmp_stats = eval::run_lane_change_batch(cfg, compound, sims,
+        sim::run_lane_change_batch(cfg, raw, sims, 1, bench::threads());
+    const auto cmp_stats = sim::run_lane_change_batch(cfg, compound, sims,
                                                        1, bench::threads());
     table.add_row({s.name, "raw cruise",
                    util::Table::percent(1.0 - raw_stats.safe_rate()),

@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "cvsafe/eval/experiments.hpp"
-#include "cvsafe/eval/simulation.hpp"
+#include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/filter/kalman.hpp"
 #include "cvsafe/filter/reachability.hpp"
 #include "cvsafe/planners/training.hpp"
@@ -19,8 +19,8 @@ using namespace cvsafe;
 
 namespace {
 
-const eval::SimConfig& config() {
-  static const eval::SimConfig cfg = eval::SimConfig::paper_defaults();
+const sim::LeftTurnSimConfig& config() {
+  static const auto cfg = sim::LeftTurnSimConfig::paper_defaults();
   return cfg;
 }
 
@@ -193,7 +193,7 @@ void BM_FullEpisode(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        eval::run_left_turn_simulation(config(), bp, seed++));
+        sim::run_left_turn_simulation(config(), bp, seed++));
   }
 }
 BENCHMARK(BM_FullEpisode);

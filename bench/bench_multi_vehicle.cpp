@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cvsafe/eval/multi_simulation.hpp"
+#include "cvsafe/sim/multi_vehicle.hpp"
 #include "cvsafe/util/csv.hpp"
 #include "cvsafe/util/table.hpp"
 
@@ -17,11 +17,11 @@ using namespace cvsafe;
 int main() {
   const std::size_t sims = bench::sims_per_cell(300);
 
-  eval::SimConfig config = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
   config.horizon = 60.0;
   config.comm = comm::CommConfig::delayed(0.3, 0.25);
 
-  eval::MultiAgentSetup setup;
+  sim::MultiAgentSetup setup;
   setup.scenario = config.make_scenario();
   setup.net = planners::cached_planner_network(
       *setup.scenario, planners::PlannerStyle::kAggressive);
@@ -36,9 +36,9 @@ int main() {
               "emergency_freq"});
 
   for (std::size_t n = 1; n <= 6; ++n) {
-    eval::MultiVehicleConfig multi;
+    sim::MultiVehicleConfig multi;
     multi.num_oncoming = n;
-    const auto stats = eval::run_multi_batch(config, multi, setup, sims, 1,
+    const auto stats = sim::run_multi_batch(config, multi, setup, sims, 1,
                                              bench::threads());
     table.add_row({std::to_string(n),
                    util::Table::percent(stats.safe_rate()),

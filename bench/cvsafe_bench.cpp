@@ -656,7 +656,7 @@ std::vector<Bench> build_registry() {
   // and signals sweeping across every rung threshold (the ladder-update +
   // monitor-gate hot path of a faulted episode).
   benches.push_back({"compound_step_degradation", [](const Options& o) {
-    const auto cfg = eval::SimConfig::paper_defaults();
+    const auto cfg = sim::LeftTurnSimConfig::paper_defaults();
     const auto scn = cfg.make_scenario();
     auto inner = std::make_shared<planners::ExpertPlanner>(
         scn, planners::ExpertParams::conservative(), "expert");
@@ -687,7 +687,7 @@ std::vector<Bench> build_registry() {
   // One op = one compound-planner step with no observability attached:
   // the untraced baseline the tracing-overhead gate compares against.
   benches.push_back({"compound_step", [](const Options& o) {
-    const auto cfg = eval::SimConfig::paper_defaults();
+    const auto cfg = sim::LeftTurnSimConfig::paper_defaults();
     const auto scn = cfg.make_scenario();
     auto inner = std::make_shared<planners::ExpertPlanner>(
         scn, planners::ExpertParams::conservative(), "expert");
@@ -717,7 +717,7 @@ std::vector<Bench> build_registry() {
   // Same fixture with a *disabled* recorder mounted: the null-sink fast
   // path whose cost the CI gate bounds at <= 5% of compound_step.
   benches.push_back({"compound_step_traced_off", [](const Options& o) {
-    const auto cfg = eval::SimConfig::paper_defaults();
+    const auto cfg = sim::LeftTurnSimConfig::paper_defaults();
     const auto scn = cfg.make_scenario();
     auto inner = std::make_shared<planners::ExpertPlanner>(
         scn, planners::ExpertParams::conservative(), "expert");
@@ -788,7 +788,7 @@ std::vector<Bench> build_registry() {
   }});
 
   benches.push_back({"run_batch_episodes8", [](const Options& o) {
-    const auto cfg = eval::SimConfig::paper_defaults();
+    const auto cfg = sim::LeftTurnSimConfig::paper_defaults();
     const auto bp = eval::make_nn_blueprint(
         cfg, planners::PlannerStyle::kConservative,
         eval::PlannerVariant::kUltimate);
@@ -809,7 +809,7 @@ std::vector<Bench> build_registry() {
   //   legacy_left_turn_episodes8 : run_batch_episodes8
   // in CI (per-step engine overhead must stay within a few percent).
   benches.push_back({"legacy_left_turn_episodes8", [](const Options& o) {
-    const auto cfg = eval::SimConfig::paper_defaults();
+    const auto cfg = sim::LeftTurnSimConfig::paper_defaults();
     const auto bp = eval::make_nn_blueprint(
         cfg, planners::PlannerStyle::kConservative,
         eval::PlannerVariant::kUltimate);
@@ -832,13 +832,13 @@ std::vector<Bench> build_registry() {
   // The fleet engine on the identical workload at three pool capacities,
   // at hardware concurrency (threads = 0) — the campaign deployment mode,
   // where work-stealing admission is the point. One op = 8 episodes
-  // (comparable to run_batch_episodes8, which is pinned at 1 thread); the
-  // whole batch runs as ONE fleet call so pool residency is real — under
-  // the growth loop n reaches thousands of episodes and the 8k pool keeps
-  // them all resident, which is exactly the mega-batched planning regime.
+  // (comparable to run_batch_episodes8: 8-episode fleet calls pinned at
+  // 1 thread); the whole batch runs as ONE fleet call so pool residency is
+  // real — under the growth loop n reaches thousands of episodes and the
+  // 8k pool keeps them all resident, the mega-batched planning regime.
   // CI gates (same binary, same host, so machine-independent):
   //   parallel-speedup run_batch_episodes8 -> fleet_pool8k_episodes8 >= 1
-  //     (pooled path >= per-episode path per hardware thread; skipped on
+  //     (one wide call >= 8-episode calls per hardware thread; skipped on
   //     1-thread runners, where it degenerates to serial-vs-serial), and
   //   max-ratio fleet_pool64_episodes8 / run_batch_episodes8
   //     (bounds single-thread pooling overhead; bites on 1-thread
@@ -866,7 +866,7 @@ std::vector<Bench> build_registry() {
     const std::size_t pool_cap = pb.pool_cap;
     const bool armed = pb.armed;
     benches.push_back({name, [name, pool_cap, armed](const Options& o) {
-      const auto cfg = eval::SimConfig::paper_defaults();
+      const auto cfg = sim::LeftTurnSimConfig::paper_defaults();
       const auto bp = eval::make_nn_blueprint(
           cfg, planners::PlannerStyle::kConservative,
           eval::PlannerVariant::kUltimate);
@@ -874,151 +874,69 @@ std::vector<Bench> build_registry() {
       sim::FleetObsSinks sinks;
       if (armed) sinks.dumps = &dumps;
       std::uint64_t seed = 1;
+      sim::FleetConfig fleet;
+      fleet.pool_capacity = pool_cap;
       return run_bench(name, o.min_time_s, [&](std::uint64_t n) {
-        const auto stats =
-            eval::run_batch_fleet(cfg, bp, 8 * n, seed, 0, pool_cap, sinks);
-        g_sink = stats.mean_eta;
+        const auto result =
+            sim::run_left_turn_fleet(cfg, bp, 8 * n, seed, fleet, sinks);
+        g_sink = result.stats.mean_eta;
         seed += 8 * n;
       });
     }});
   }
 
-  // One op = one steady-state fleet shard-step over 64 resident lanes:
-  // observe + monitor gate + one plan_batch spanning the pool + the SoA
-  // dynamics sweep + (empty) retire scan. The horizon and target are
-  // pushed out so no lane finishes during measurement — what remains is
-  // the per-step cost the fleet engine pays forever, and it is gated
-  // zero-alloc in CI (an allocation here multiplies by pool x steps).
-  benches.push_back({"fleet_steady_step", [](const Options& o) {
-    auto cfg = eval::SimConfig::paper_defaults();
-    // 80k steps of runway: enough for the growth loop + 3 reps at any
-    // sane --min-time; lanes never retire (target unreachable at 15 m/s
-    // x 4000 s) so the only allocations possible are warm-up growth.
-    cfg.horizon = 4000.0;
-    cfg.geometry.ego_target = 1.0e6;
-    const auto bp = eval::make_nn_blueprint(
-        cfg, planners::PlannerStyle::kConservative,
-        eval::PlannerVariant::kUltimate);
-    const sim::LeftTurnAdapter adapter(cfg, bp);
-    std::atomic<std::size_t> next{0};
-    std::vector<sim::FleetRecord> records(4096);
-    sim::EpisodePool<scenario::LeftTurnWorld> pool(
-        adapter, 64, 1, sim::SeedPolicy::kPaired, next, records.size());
-    planners::NnPlanner planner(bp.net, planners::InputEncoding{}, "nn");
-    std::vector<scenario::LeftTurnWorld> worlds;
-    std::vector<std::size_t> pending;
-    std::vector<double> plans;
-    const auto shard_step = [&] {
-      worlds.clear();
-      pending.clear();
-      for (std::size_t lane = 0; lane < pool.active(); ++lane) {
-        auto& runner = pool.runner(lane);
-        runner.observe();
-        if (const auto emergency = runner.monitor_gate()) {
-          pool.set_accel(lane, *emergency);
-        } else {
-          pending.push_back(lane);
-          worlds.push_back(runner.nn_world());
-        }
-      }
-      if (!pending.empty()) {
-        plans.resize(worlds.size());
-        planner.plan_batch(worlds, plans);
-        for (std::size_t j = 0; j < pending.size(); ++j) {
-          pool.set_accel(pending[j], plans[j]);
-        }
-      }
-      for (std::size_t lane = 0; lane < pool.active(); ++lane) {
-        pool.runner(lane).advance_begin(pool.accel(lane));
-        pool.stage_lane(lane);
-      }
-      pool.step_dynamics();
-      pool.retire_and_refill(records);
-      g_sink = pool.accel(0);
-    };
-    // Pre-warm past every one-time capacity growth (vector capacities,
-    // in-flight message queues, workspace tiles): measured, the last
-    // warm-up allocation happens before step ~70; 512 steps of margin
-    // keep the zero-alloc gate deterministic at any --min-time.
-    for (int i = 0; i < 512; ++i) shard_step();
-    return run_bench("fleet_steady_step", o.min_time_s,
-                     [&](std::uint64_t n) {
-                       for (std::uint64_t it = 0; it < n; ++it) {
-                         shard_step();
-                       }
-                     });
-  }});
-
-  // fleet_steady_step with the flight recorder armed: the identical
-  // shard step, but every lane's ring receives the step's events. Gated
-  // zero-alloc in CI — the armed emit path must stay plain stores into
-  // preallocated ring storage.
-  benches.push_back({"fleet_steady_step_armed", [](const Options& o) {
-    auto cfg = eval::SimConfig::paper_defaults();
-    // 80k steps of runway: enough for the growth loop + 3 reps at any
-    // sane --min-time; lanes never retire (target unreachable at 15 m/s
-    // x 4000 s) so the only allocations possible are warm-up growth.
-    cfg.horizon = 4000.0;
-    cfg.geometry.ego_target = 1.0e6;
-    const auto bp = eval::make_nn_blueprint(
-        cfg, planners::PlannerStyle::kConservative,
-        eval::PlannerVariant::kUltimate);
-    const sim::LeftTurnAdapter adapter(cfg, bp);
-    std::atomic<std::size_t> next{0};
-    std::vector<sim::FleetRecord> records(4096);
-    // Rings armed in every lane: the per-step emit path (begin_step
-    // stamps, eta samples, gate verdicts, message events) runs for real,
-    // but no lane ever retires, so no dump is ever materialized — the
-    // armed steady state whose zero-allocation claim CI enforces (arming
-    // at pool construction is the only allocating call).
-    obs::FlightDumpCollector dumps;
-    sim::EpisodePool<scenario::LeftTurnWorld> pool(
-        adapter, 64, 1, sim::SeedPolicy::kPaired, next, records.size(),
-        nullptr, &dumps, obs::FlightRecorderConfig{});
-    planners::NnPlanner planner(bp.net, planners::InputEncoding{}, "nn");
-    std::vector<scenario::LeftTurnWorld> worlds;
-    std::vector<std::size_t> pending;
-    std::vector<double> plans;
-    const auto shard_step = [&] {
-      worlds.clear();
-      pending.clear();
-      for (std::size_t lane = 0; lane < pool.active(); ++lane) {
-        auto& runner = pool.runner(lane);
-        runner.observe();
-        if (const auto emergency = runner.monitor_gate()) {
-          pool.set_accel(lane, *emergency);
-        } else {
-          pending.push_back(lane);
-          worlds.push_back(runner.nn_world());
-        }
-      }
-      if (!pending.empty()) {
-        plans.resize(worlds.size());
-        planner.plan_batch(worlds, plans);
-        for (std::size_t j = 0; j < pending.size(); ++j) {
-          pool.set_accel(pending[j], plans[j]);
-        }
-      }
-      for (std::size_t lane = 0; lane < pool.active(); ++lane) {
-        pool.runner(lane).advance_begin(pool.accel(lane));
-        pool.stage_lane(lane);
-      }
-      pool.step_dynamics();
-      pool.retire_and_refill(records);
-      g_sink = pool.accel(0);
-    };
-    // Pre-warm past every one-time capacity growth (vector capacities,
-    // in-flight message queues, workspace tiles): measured, the last
-    // warm-up allocation happens before step ~70; 512 steps of margin
-    // keep the zero-alloc gate deterministic at any --min-time.
-    for (int i = 0; i < 512; ++i) shard_step();
-    return run_bench("fleet_steady_step_armed", o.min_time_s,
-                     [&](std::uint64_t n) {
-                       for (std::uint64_t it = 0; it < n; ++it) {
-                         shard_step();
-                       }
-                     });
-  }});
+  // One op = one steady-state production shard-step over 64 resident
+  // lanes: EpisodePool::step_cohort, as run_fleet_worker runs it, on
+  // pool-resident stacks, plus the (empty) retire scan. No lane finishes
+  // during measurement, so this is the per-step cost the fleet engine
+  // pays forever; CI gates it zero-alloc (an allocation here multiplies
+  // by pool x steps). The _armed variant arms every lane's flight
+  // recorder: the emit path runs for real but never dumps, and must stay
+  // plain stores into rings preallocated at pool construction.
+  for (const bool armed : {false, true}) {
+    const std::string name =
+        armed ? "fleet_steady_step_armed" : "fleet_steady_step";
+    benches.push_back({name, [name, armed](const Options& o) {
+      auto cfg = sim::LeftTurnSimConfig::paper_defaults();
+      // 80k steps of runway: enough for the growth loop + 3 reps at any
+      // sane --min-time; lanes never retire (target unreachable at 15 m/s
+      // x 4000 s) so the only allocations possible are warm-up growth.
+      cfg.horizon = 4000.0;
+      cfg.geometry.ego_target = 1.0e6;
+      const auto bp = eval::make_nn_blueprint(
+          cfg, planners::PlannerStyle::kConservative,
+          eval::PlannerVariant::kUltimate);
+      const sim::LeftTurnAdapter adapter(cfg, bp);
+      std::atomic<std::size_t> next{0};
+      std::vector<sim::FleetRecord> records(4096);
+      obs::FlightDumpCollector dumps;
+      // Declared before the pool, which releases its slots into it.
+      sim::FleetStackContext ctx;
+      sim::EpisodePool<scenario::LeftTurnWorld> pool(
+          adapter, 64, 1, sim::SeedPolicy::kPaired, next, records.size(),
+          &ctx, armed ? &dumps : nullptr, obs::FlightRecorderConfig{});
+      planners::NnPlanner planner(bp.net, planners::InputEncoding{}, "nn");
+      const sim::FleetBatchPlanner<scenario::LeftTurnWorld> batch_plan =
+          [&planner](std::span<const scenario::LeftTurnWorld> worlds,
+                     std::span<double> out) {
+            planner.plan_batch(worlds, out);
+          };
+      const auto shard_step = [&] {
+        pool.step_cohort(0, pool.active(), batch_plan);
+        pool.retire_and_refill(records);
+        g_sink = pool.accel(0);
+      };
+      // Pre-warm past every one-time capacity growth (vector capacities,
+      // in-flight message queues, workspace tiles, slab and sweep
+      // staging): measured, the last warm-up allocation happens before
+      // step ~70; 512 steps of margin keep the zero-alloc gate
+      // deterministic at any --min-time.
+      for (int i = 0; i < 512; ++i) shard_step();
+      return run_bench(name, o.min_time_s, [&](std::uint64_t n) {
+        for (std::uint64_t it = 0; it < n; ++it) shard_step();
+      });
+    }});
+  }
 
   // One op = one CMA-ES ask + synthetic-score + tell round at the
   // adversarial ParamSpace dimensionality (Cholesky factorization,

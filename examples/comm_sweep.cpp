@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
       argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 100;
   const std::string csv_path = argc > 2 ? argv[2] : "comm_sweep.csv";
 
-  eval::SimConfig base = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig base = sim::LeftTurnSimConfig::paper_defaults();
   const auto bp_pure = eval::make_nn_blueprint(
       base, planners::PlannerStyle::kConservative,
       eval::PlannerVariant::kPureNn);
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
               "ultimate_emergency_freq"});
 
   for (double p_drop : {0.0, 0.2, 0.4, 0.6, 0.8, 0.95}) {
-    const eval::SimConfig cfg = eval::apply_setting(
+    const sim::LeftTurnSimConfig cfg = eval::apply_setting(
         base, eval::CommSetting::kDelayed, p_drop);
     const auto pure = eval::run_batch(cfg, bp_pure, sims, 1);
     const auto ult = eval::run_batch(cfg, bp_ult, sims, 1);

@@ -9,14 +9,14 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "cvsafe/eval/intersection_sim.hpp"
+#include "cvsafe/sim/intersection.hpp"
 
 int main(int argc, char** argv) {
   using namespace cvsafe;
   const std::size_t episodes =
       argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 15;
 
-  eval::IntersectionSimConfig config;
+  sim::IntersectionSimConfig config;
   config.comm = comm::CommConfig::delayed(0.3, 0.25);
 
   std::printf("Two-zone intersection crossing (%s)\n\n",
@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   std::size_t collisions_raw = 0;
   std::size_t collisions_wrapped = 0;
   for (std::uint64_t seed = 1; seed <= episodes; ++seed) {
-    const auto raw = eval::run_intersection_simulation(config, false, seed);
-    const auto safe = eval::run_intersection_simulation(config, true, seed);
+    const auto raw = sim::run_intersection_simulation(config, false, seed);
+    const auto safe = sim::run_intersection_simulation(config, true, seed);
     collisions_raw += raw.collided;
     collisions_wrapped += safe.collided;
     std::printf("%-10s %-6llu %-9s %-8s %-8.2f -\n", "raw",

@@ -8,13 +8,13 @@
 #include <string>
 
 #include "cvsafe/eval/experiments.hpp"
-#include "cvsafe/eval/simulation.hpp"
+#include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/util/csv.hpp"
 
 namespace {
 
-void describe(const cvsafe::eval::SimResult& r,
-              const cvsafe::eval::SimTrace& trace, const std::string& name,
+void describe(const cvsafe::sim::RunResult& r,
+              const cvsafe::sim::SimTrace& trace, const std::string& name,
               double dt_c) {
   std::size_t emergency = 0;
   for (bool e : trace.emergency_flags) emergency += e ? 1 : 0;
@@ -32,7 +32,7 @@ void describe(const cvsafe::eval::SimResult& r,
   }
 }
 
-void write_trace(const cvsafe::eval::SimTrace& trace,
+void write_trace(const cvsafe::sim::SimTrace& trace,
                  const std::string& path) {
   cvsafe::util::CsvWriter csv(path);
   if (!csv.ok()) {
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
   const std::string trace_dir = argc > 2 ? argv[2] : ".";
 
-  eval::SimConfig config = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
   config.comm = comm::CommConfig::delayed(/*drop_prob=*/0.4, /*delay=*/0.25);
 
   std::printf("Unprotected left turn, seed %llu, %s\n\n",
@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
          {eval::PlannerVariant::kPureNn, eval::PlannerVariant::kBasic,
           eval::PlannerVariant::kUltimate}) {
       const auto bp = eval::make_nn_blueprint(config, style, variant);
-      eval::SimTrace trace;
-      const auto r = eval::run_left_turn_simulation(config, bp, seed, &trace);
+      sim::SimTrace trace;
+      const auto r = sim::run_left_turn_simulation(config, bp, seed, &trace);
       describe(r, trace, bp.name, config.dt_c);
       const std::string fname =
           trace_dir + "/trace_" +

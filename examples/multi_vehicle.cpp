@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "cvsafe/eval/multi_simulation.hpp"
+#include "cvsafe/sim/multi_vehicle.hpp"
 #include "cvsafe/planners/training.hpp"
 
 int main(int argc, char** argv) {
@@ -19,14 +19,14 @@ int main(int argc, char** argv) {
   const std::size_t episodes =
       argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 20;
 
-  eval::SimConfig config = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
   config.horizon = 40.0;  // yielding past a platoon takes longer
   config.comm = comm::CommConfig::delayed(0.3, 0.25);
 
-  eval::MultiVehicleConfig multi;
+  sim::MultiVehicleConfig multi;
   multi.num_oncoming = num_oncoming;
 
-  eval::MultiAgentSetup setup;
+  sim::MultiAgentSetup setup;
   setup.scenario = config.make_scenario();
   setup.net = planners::cached_planner_network(
       *setup.scenario, planners::PlannerStyle::kAggressive);
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   std::size_t reached = 0;
   for (std::uint64_t seed = 1; seed <= episodes; ++seed) {
     const auto r =
-        eval::run_multi_left_turn_simulation(config, multi, setup, seed);
+        sim::run_multi_left_turn_simulation(config, multi, setup, seed);
     collisions += r.collided ? 1 : 0;
     reached += r.reached ? 1 : 0;
     std::printf("%-6llu %-9s %-8s %-8.2f %zu/%zu\n",

@@ -21,7 +21,7 @@ using namespace cvsafe;
 
 namespace {
 
-void write_trace(const eval::SimTrace& trace, const std::string& path) {
+void write_trace(const sim::SimTrace& trace, const std::string& path) {
   util::CsvWriter csv(path);
   if (!csv.ok()) return;
   csv.header({"t", "ego_p", "ego_v", "c1_u", "emergency"});
@@ -40,33 +40,33 @@ int main(int argc, char** argv) {
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 6;
   const std::string out_dir = argc > 2 ? argv[2] : ".";
 
-  eval::SimConfig config = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
   config.comm = comm::CommConfig::delayed(0.4, 0.25);
 
   struct Entry {
     const char* tag;
     const char* description;
     planners::PlannerStyle style;
-    eval::AgentConfig agent;
+    sim::AgentConfig agent;
   };
-  eval::AgentConfig basic_filter = eval::AgentConfig::basic_compound();
+  sim::AgentConfig basic_filter = sim::AgentConfig::basic_compound();
   basic_filter.use_info_filter = true;
-  eval::AgentConfig basic_aggr = eval::AgentConfig::basic_compound();
+  sim::AgentConfig basic_aggr = sim::AgentConfig::basic_compound();
   basic_aggr.use_aggressive = true;
 
   const Entry entries[] = {
       {"a", "conservative pure NN", planners::PlannerStyle::kConservative,
-       eval::AgentConfig::pure_nn()},
+       sim::AgentConfig::pure_nn()},
       {"b", "aggressive pure NN", planners::PlannerStyle::kAggressive,
-       eval::AgentConfig::pure_nn()},
+       sim::AgentConfig::pure_nn()},
       {"c", "basic compound (aggr NN)", planners::PlannerStyle::kAggressive,
-       eval::AgentConfig::basic_compound()},
+       sim::AgentConfig::basic_compound()},
       {"d", "basic + information filter",
        planners::PlannerStyle::kAggressive, basic_filter},
       {"e", "basic + aggressive unsafe set",
        planners::PlannerStyle::kAggressive, basic_aggr},
       {"f", "ultimate compound", planners::PlannerStyle::kAggressive,
-       eval::AgentConfig::ultimate_compound()},
+       sim::AgentConfig::ultimate_compound()},
   };
 
   std::printf("Fig. 1 gallery on one shared workload (seed %llu, %s)\n\n",
@@ -76,15 +76,15 @@ int main(int argc, char** argv) {
               "collided", "reached", "t_r", "emergency");
 
   for (const auto& e : entries) {
-    eval::AgentBlueprint bp;
+    sim::AgentBlueprint bp;
     bp.scenario = config.make_scenario();
     bp.net = planners::cached_planner_network(*bp.scenario, e.style);
     bp.sensor = config.sensor;
     bp.config = e.agent;
     bp.name = e.description;
 
-    eval::SimTrace trace;
-    const auto r = eval::run_left_turn_simulation(config, bp, seed, &trace);
+    sim::SimTrace trace;
+    const auto r = sim::run_left_turn_simulation(config, bp, seed, &trace);
     std::printf("(%s)  %-32s %-9s %-8s %-8.2f %zu/%zu\n", e.tag,
                 e.description, r.collided ? "YES" : "no",
                 r.reached ? "yes" : "no", r.reach_time, r.emergency_steps,

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <string>
 
-#include "cvsafe/eval/simulation.hpp"
+#include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/nn/optimizer.hpp"
 #include "cvsafe/nn/serialize.hpp"
 #include "cvsafe/planners/training.hpp"
@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace cvsafe;
   const std::string out_dir = argc > 1 ? argv[1] : ".";
 
-  const eval::SimConfig config = eval::SimConfig::paper_defaults();
+  const auto config = sim::LeftTurnSimConfig::paper_defaults();
   const auto scenario = config.make_scenario();
 
   for (const auto style : {planners::PlannerStyle::kConservative,

@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "cvsafe/eval/simulation.hpp"
+#include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/verify/certify.hpp"
 
 namespace {
@@ -27,7 +27,7 @@ int report(const cvsafe::verify::Certificate& cert) {
 
 int main() {
   using namespace cvsafe;
-  const eval::SimConfig config = eval::SimConfig::paper_defaults();
+  const auto config = sim::LeftTurnSimConfig::paper_defaults();
   const auto scenario = config.make_scenario();
   util::Rng rng(20230417);
 

@@ -55,15 +55,17 @@
 #include "cvsafe/planners/nn_planner.hpp"
 #include "cvsafe/planners/training.hpp"
 
+// Closed-loop engine and scenario adapters.
+#include "cvsafe/sim/fleet.hpp"
+#include "cvsafe/sim/intersection.hpp"
+#include "cvsafe/sim/lane_change.hpp"
+#include "cvsafe/sim/left_turn.hpp"
+#include "cvsafe/sim/multi_vehicle.hpp"
+
 // Evaluation harness.
-#include "cvsafe/eval/agent.hpp"
 #include "cvsafe/eval/batch.hpp"
 #include "cvsafe/eval/config_io.hpp"
 #include "cvsafe/eval/experiments.hpp"
-#include "cvsafe/eval/intersection_sim.hpp"
-#include "cvsafe/eval/lane_change_sim.hpp"
-#include "cvsafe/eval/multi_simulation.hpp"
-#include "cvsafe/eval/simulation.hpp"
 
 // Offline verification.
 #include "cvsafe/verify/certify.hpp"

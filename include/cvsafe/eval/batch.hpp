@@ -3,47 +3,26 @@
 #include <cstdint>
 #include <span>
 
-#include "cvsafe/eval/simulation.hpp"
+#include "cvsafe/sim/left_turn.hpp"
 
 /// \file batch.hpp
-/// Parallel batch execution (now a thin veneer over the generic engine's
-/// batch runner) and the paired-episode winning percentage reported in
-/// Tables I and II of the paper.
+/// Left-turn batch execution on the fleet engine and the paired-episode
+/// winning percentage reported in Tables I and II of the paper.
 
 namespace cvsafe::eval {
 
-using BatchStats = sim::BatchStats;
-
-/// Runs \p n simulations with seeds base_seed .. base_seed + n - 1 in
-/// parallel (CVSAFE_THREADS-controllable worker count, 0 = hardware).
-/// Seeds drive the entire episode, so two batches over the same seed range
-/// see *paired* workloads and disturbances. Single-network NN blueprints
-/// are evaluated in lockstep (batched NN inference across episodes),
-/// bit-identically to the per-episode path.
-inline BatchStats run_batch(const SimConfig& config,
-                            const AgentBlueprint& blueprint, std::size_t n,
-                            std::uint64_t base_seed = 1,
-                            std::size_t threads = 0) {
-  return sim::run_left_turn_batch(config, blueprint, n, base_seed, threads);
-}
-
-/// run_batch on the fleet engine (sim/fleet.hpp): SoA episode pool,
-/// work-stealing admission, mega-batched NN planning. Byte-identical
-/// stats (including eta order) to run_batch for any thread count / pool
-/// capacity; preferred for campaign-scale cells where episode-length
-/// imbalance would otherwise idle lockstep shards.
-inline BatchStats run_batch_fleet(const SimConfig& config,
-                                  const AgentBlueprint& blueprint,
-                                  std::size_t n, std::uint64_t base_seed = 1,
-                                  std::size_t threads = 0,
-                                  std::size_t pool_capacity = 8192,
-                                  const sim::FleetObsSinks& sinks = {}) {
+/// Runs \p n left-turn simulations with seeds base_seed .. base_seed +
+/// n - 1 on the fleet engine at \p threads workers (0 = hardware): two
+/// batches over one seed range see *paired* workloads and disturbances.
+/// For a pool capacity or sinks, call sim::run_left_turn_fleet.
+inline sim::BatchStats run_batch(const sim::LeftTurnSimConfig& config,
+                                 const sim::AgentBlueprint& blueprint,
+                                 std::size_t n, std::uint64_t base_seed = 1,
+                                 std::size_t threads = 0) {
   sim::FleetConfig fleet;
   fleet.threads = threads;
-  fleet.pool_capacity = pool_capacity;
-  return sim::run_left_turn_fleet(config, blueprint, n, base_seed, fleet,
-                                  sinks)
-      .stats;
+  return sim::stats_from_records(sim::run_left_turn_fleet_records(
+      config, blueprint, n, base_seed, fleet));
 }
 
 /// Winning percentage of Tables I and II: the fraction of paired episodes

@@ -2,12 +2,12 @@
 
 #include <string>
 
-#include "cvsafe/eval/simulation.hpp"
+#include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/util/config_file.hpp"
 
 /// \file config_io.hpp
-/// SimConfig <-> INI configuration files, so experiments can be described
-/// declaratively and rerun from the command line:
+/// sim::LeftTurnSimConfig <-> INI configuration files, so experiments can
+/// be described declaratively and rerun from the command line:
 ///
 ///   [geometry]
 ///   ego_front = 5.0
@@ -24,16 +24,18 @@ namespace cvsafe::eval {
 
 /// Applies the recognized keys of \p file on top of \p base.
 /// Throws std::runtime_error on unknown keys or invalid values.
-SimConfig apply_config_file(SimConfig base, const util::ConfigFile& file);
+sim::LeftTurnSimConfig apply_config_file(sim::LeftTurnSimConfig base,
+                                         const util::ConfigFile& file);
 
 /// Convenience: paper defaults + overrides from \p path.
-SimConfig load_sim_config(const std::string& path);
+sim::LeftTurnSimConfig load_sim_config(const std::string& path);
 
 /// Serializes every recognized key of \p config as an INI document that
 /// apply_config_file reproduces exactly (round trip).
-std::string sim_config_to_ini(const SimConfig& config);
+std::string sim_config_to_ini(const sim::LeftTurnSimConfig& config);
 
 /// Writes sim_config_to_ini to \p path. Returns false on I/O failure.
-bool save_sim_config(const SimConfig& config, const std::string& path);
+bool save_sim_config(const sim::LeftTurnSimConfig& config,
+                     const std::string& path);
 
 }  // namespace cvsafe::eval

@@ -42,33 +42,25 @@ const char* planner_variant_name(PlannerVariant variant);
 
 /// Builds the blueprint of one (style, variant) planner for \p config.
 /// Trains (or loads from cache) the style's network.
-AgentBlueprint make_nn_blueprint(const SimConfig& config,
-                                 planners::PlannerStyle style,
-                                 PlannerVariant variant,
-                                 const planners::TrainingOptions& train = {});
+sim::AgentBlueprint make_nn_blueprint(
+    const sim::LeftTurnSimConfig& config, planners::PlannerStyle style,
+    PlannerVariant variant, const planners::TrainingOptions& train = {});
 
 /// Applies one point of a communication setting to a base configuration:
 /// no-disturbance ignores \p sweep_value; delayed uses it as p_drop;
 /// lost uses it as the sensor uncertainty delta.
-SimConfig apply_setting(SimConfig base, CommSetting setting,
-                        double sweep_value);
+sim::LeftTurnSimConfig apply_setting(sim::LeftTurnSimConfig base,
+                                     CommSetting setting,
+                                     double sweep_value);
 
-/// Which batch machinery a table cell runs on. Both are byte-identical in
-/// output (stats, eta order); kFleet keeps planning batches wide across
-/// episode retirement and steals work between threads, so it is the
-/// default for campaign-scale cells.
-enum class BatchEngine {
-  kFleet,     ///< pooled fleet engine (sim/fleet.hpp)
-  kLockstep,  ///< PR-3 per-shard lockstep batching (run_left_turn_batch)
-};
-
-/// Runs a full table cell: a single batch for no-disturbance, or the
-/// seed-paired aggregation of sub-batches across the setting's sweep grid
-/// (total simulations ~ sims_total). Blueprint sensor configs are adjusted
-/// per sweep point automatically.
-BatchStats run_setting(const SimConfig& base, const AgentBlueprint& blueprint,
-                       CommSetting setting, std::size_t sims_total,
-                       std::uint64_t base_seed = 1, std::size_t threads = 0,
-                       BatchEngine engine = BatchEngine::kFleet);
+/// Runs a full table cell on the fleet engine (run_batch): a single batch
+/// for no-disturbance, or the seed-paired aggregation of sub-batches
+/// across the setting's sweep grid (total simulations ~ sims_total).
+/// Blueprint sensor configs are adjusted per sweep point automatically.
+sim::BatchStats run_setting(const sim::LeftTurnSimConfig& base,
+                            const sim::AgentBlueprint& blueprint,
+                            CommSetting setting, std::size_t sims_total,
+                            std::uint64_t base_seed = 1,
+                            std::size_t threads = 0);
 
 }  // namespace cvsafe::eval

@@ -178,8 +178,8 @@ class Episode {
   // sequence observe() runs them in; only *cross-lane* interleaving
   // changes, and lanes share no state beyond the pool-resident SoA slots
   // each owns exclusively. Scenarios opt in by overriding bind_fleet to
-  // return true (and their adapter's fleet_sweeps()); the defaults keep
-  // scenarios on the reference per-lane loop.
+  // return true (and their adapter's fleet_sweeps()); with the defaults
+  // each fleet lane runs its own observe() inside the cohort step.
 
   /// Binds the episode's pool-resident state (Kalman lanes, ladder slot)
   /// into \p ctx; returns true when the episode supports the sweep
@@ -293,9 +293,9 @@ class ScenarioAdapter {
 
   /// True when every episode this adapter creates implements the fleet
   /// sweep decomposition (Episode::bind_fleet and the sweep_* overrides).
-  /// The fleet engine only engages its batched shard-step for adapters
-  /// that promise this; the default keeps scenarios on the reference
-  /// per-lane loop.
+  /// The fleet engine only runs the batched sweeps for adapters that
+  /// promise this; with the default each lane runs its own observe()
+  /// inside the same cohort step.
   virtual bool fleet_sweeps() const { return false; }
 };
 
@@ -331,7 +331,7 @@ class StepHook {
 
 /// Drives one episode through the engine loop with explicit phases, so
 /// callers can either step it to completion (run_episode) or interleave
-/// many runners and batch the NN evaluations across them (batch.hpp).
+/// many runners and batch the NN evaluations across them (fleet.hpp).
 template <typename World>
 class EpisodeRunner {
  public:
@@ -407,7 +407,7 @@ class EpisodeRunner {
   /// Phase 2a (single-episode path): full planner dispatch.
   double plan() { return episode_->planner().plan(world_); }
 
-  /// Phase 2b (lockstep path): the runtime monitor's decision only —
+  /// Phase 2b (fleet path): the runtime monitor's decision only —
   /// the emergency acceleration when kappa_e takes this step, nullopt
   /// when the embedded planner must be evaluated on nn_world(). For an
   /// unmonitored stack this always returns nullopt.

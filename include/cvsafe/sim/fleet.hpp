@@ -27,14 +27,15 @@
 /// driving thousands of resident episodes step-synchronously per worker,
 /// with work-stealing admission and a mega-batched NN planning seam.
 ///
-/// Where run_episodes dispatches one episode per task and the PR-3
-/// lockstep runner advances one statically partitioned shard per worker,
-/// the fleet engine keeps a bounded pool of *resident* episodes per
-/// worker and refills finished lanes from a shared atomic episode
-/// counter. Three consequences:
+/// Where run_episodes dispatches one episode per task, the fleet engine
+/// keeps a bounded pool of *resident* episodes per worker and refills
+/// finished lanes from a shared atomic episode counter. It is the one
+/// production batch engine: every batch entry point (eval::run_batch,
+/// eval::run_setting, the per-scenario run_*_batch, the fault campaign and
+/// the adversarial search) runs on it. Three consequences:
 ///
 ///  * planning batches stay wide for the whole campaign (a retiring
-///    episode is replaced immediately instead of the shard draining);
+///    episode is replaced instead of the batch draining);
 ///  * imbalanced episode lengths steal work instead of idling a worker
 ///    (the atomic counter is the work-stealing deque, one episode at a
 ///    time);
@@ -45,13 +46,13 @@
 /// Determinism contract: the episode index -> seed map (seeding.hpp) is
 /// untouched — lanes are *slots*, the RNG stream belongs to the episode
 /// index claimed into the slot, so admission order cannot reorder any
-/// draw. Each episode's closed loop is bit-identical to run_episode /
-/// run_lockstep_shard (plan_batch is row-independent and bit-identical
-/// to plan(); step_batch is lane-wise bit-identical to step()). Records
-/// land at records[episode index], and every fold (BatchStats, metrics)
-/// runs serially in index order after the pool drains — so CSVs, eta
-/// sequences and metrics are byte-identical for 1, 4 or 7 threads, and
-/// byte-identical to the per-episode and lockstep paths.
+/// draw. Each episode's closed loop is bit-identical to run_episode, the
+/// scalar oracle (plan_batch is row-independent and bit-identical to
+/// plan(); step_batch is lane-wise bit-identical to step()). Records land
+/// at records[episode index], and every fold (BatchStats, metrics) runs
+/// serially in index order after the pool drains — so CSVs, eta sequences
+/// and metrics are byte-identical for 1, 4 or 7 threads, any pool size,
+/// and to run_episodes over the same seeds.
 
 namespace cvsafe::sim {
 
@@ -83,19 +84,19 @@ struct FleetConfig {
   std::size_t threads = 0;  ///< worker count, 0 = hardware concurrency
   SeedPolicy policy = SeedPolicy::kPaired;
 
-  /// Run the shard-step as fleet-wide batched sweeps (pump -> estimate
-  /// -> reach -> gate/ladder -> plan -> advance) over pool-resident SoA
-  /// stacks — engaged only for adapters promising the sweep
-  /// decomposition (ScenarioAdapter::fleet_sweeps). False selects the
-  /// reference per-lane loop; both paths are byte-identical (pinned by
-  /// tests/sim_fleet_sweeps_test).
+  /// Run the observe phase of the cohort step as batched sweeps (pump ->
+  /// deliver -> estimate -> reach) over pool-resident SoA stacks —
+  /// engaged only for adapters promising the sweep decomposition
+  /// (ScenarioAdapter::fleet_sweeps). False keeps scalar per-episode
+  /// stacks, each lane running its own observe() inside the same cohort
+  /// step; both are byte-identical (pinned by tests/sim_fleet_sweeps_test).
   bool batched_sweeps = true;
 };
 
 /// Wall-clock span accounting for the shard-step's sweep phases: one
 /// count + total-ns cell per phase, sampled cohort-granularly (one lap
-/// per phase per cohort step). The reference per-lane loop reports the
-/// coarse pump/plan/advance split only.
+/// per phase per cohort step). A pool without batched sweeps has no
+/// pump..reach phases: its per-lane observe() is timed inside kPlan.
 ///
 /// Spans measure *time*, so unlike every other fleet artifact they are
 /// scheduling-dependent — both the ns totals and (with work stealing)
@@ -107,7 +108,7 @@ struct SweepSpans {
     kDeliver,    ///< screened slab absorption
     kEstimate,   ///< sensor sampling + Kalman update_batch
     kReachGate,  ///< reach staging + predict_batch + reach run
-    kPlan,       ///< world build + monitor gate + batched NN plan
+    kPlan,       ///< world build or observe() + monitor gate + NN plan
     kAdvance,    ///< advance bookkeeping + SoA dynamics sweep
     kNumKinds,
   };
@@ -183,7 +184,7 @@ inline constexpr std::size_t kSweepBlock = 64;
 
 /// Consecutive steps a cohort runs before the worker moves to the next
 /// one (temporal blocking). At 8k resident lanes the pool's working set
-/// is far beyond L2, so stepping the whole pool in lockstep reloads
+/// is far beyond L2, so stepping the whole pool at once reloads
 /// every lane's episode state from L3 once per step; running one
 /// L2-sized cohort for kCohortSteps steps amortizes that reload across
 /// the block. Episodes are mutually independent and their records are
@@ -314,6 +315,8 @@ class EpisodePool {
   /// dynamics in one SoA sweep, then commits the stepped states (traffic
   /// advance + outcome classification) lane by lane. Call after every
   /// lane's acceleration has been planned and advance_begin() has run.
+  /// Whole-pool form for callers driving their own step loop; the engine
+  /// steps through step_cohort().
   void step_dynamics() {
     if (active_ == 0) return;
     const RunConfig& config = runners_[0]->config();
@@ -325,8 +328,8 @@ class EpisodePool {
     }
   }
 
-  /// Subrange form of step_dynamics for the cohort-blocked batched path:
-  /// sweeps lanes [base, end) and commits only lanes still running. A
+  /// Subrange form of step_dynamics for the cohort step: sweeps lanes
+  /// [base, end) and commits only lanes still running. A
   /// finished lane keeps riding in the SoA arrays until the
   /// cohort-boundary retire scan; its mirror is dead state (records come
   /// from the runner's result, and stage_lane refreshes live lanes every
@@ -353,6 +356,108 @@ class EpisodePool {
     const vehicle::VehicleState& ego = runners_[lane]->ego();
     ego_p_[lane] = ego.p;
     ego_v_[lane] = ego.v;
+  }
+
+  /// One shard-step of the lane cohort [base, end), the engine's only
+  /// step: every live lane observes — through the pump, deliver,
+  /// estimate and reach sweeps plus a world build with a
+  /// FleetStackContext, else through its own EpisodeRunner::observe() —
+  /// the monitor decides first, ONE \p batch_plan call plans the lanes it
+  /// hands to kappa_n (empty \p batch_plan: per-lane plan(), exactly as
+  /// run_episode), then the split advance runs. Each lane's op and RNG
+  /// order is run_episode's; only cross-lane interleaving differs. Done
+  /// lanes are skipped, not retired (retire_and_refill() does that at the
+  /// cohort boundary). Returns false, stepping nothing, when every lane
+  /// has finished. \p spans, when non-null, receives one lap per phase.
+  bool step_cohort(std::size_t base, std::size_t end,
+                   const FleetBatchPlanner<World>& batch_plan,
+                   SweepSpans* spans = nullptr) {
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point t0;
+    if (spans != nullptr) t0 = Clock::now();
+    const auto lap = [&](SweepSpans::Kind kind) {
+      if (spans == nullptr) return;
+      const Clock::time_point t1 = Clock::now();
+      spans->add(kind, static_cast<std::uint64_t>(
+                           std::chrono::duration_cast<
+                               std::chrono::nanoseconds>(t1 - t0)
+                               .count()));
+      t0 = t1;
+    };
+    const auto live = [&](std::size_t lane) {
+      return !runners_[lane]->done();
+    };
+    if (ctx_ != nullptr) {
+      ctx_->slab.clear();
+      bool any_live = false;
+      for (std::size_t lane = base; lane < end; ++lane) {
+        // Slab lanes are positional: open one per cohort lane (empty for
+        // done lanes) so slab lane i maps to pool lane base + i below.
+        ctx_->slab.begin_lane();
+        if (!live(lane)) continue;
+        any_live = true;
+        runners_[lane]->observe_begin();
+        runners_[lane]->sweep_pump(ctx_->slab);
+      }
+      if (!any_live) return false;
+      lap(SweepSpans::kPump);
+      for (std::size_t lane = base; lane < end; ++lane) {
+        if (!live(lane)) continue;
+        const auto [first, last] = ctx_->slab.lane_range(lane - base);
+        runners_[lane]->sweep_deliver(ctx_->slab, first, last);
+      }
+      lap(SweepSpans::kDeliver);
+      for (std::size_t lane = base; lane < end; ++lane) {
+        if (live(lane)) runners_[lane]->sweep_sense();
+      }
+      ctx_->estimator.update_batch();
+      lap(SweepSpans::kEstimate);
+      ctx_->reach.clear();
+      for (std::size_t lane = base; lane < end; ++lane) {
+        if (live(lane)) runners_[lane]->sweep_stage(ctx_->reach);
+      }
+      ctx_->estimator.predict_batch();
+      ctx_->reach.run();
+      lap(SweepSpans::kReachGate);
+    }
+    worlds_.clear();
+    pending_.clear();
+    bool any_live = false;
+    for (std::size_t lane = base; lane < end; ++lane) {
+      if (!live(lane)) continue;
+      any_live = true;
+      EpisodeRunner<World>& runner = *runners_[lane];
+      if (ctx_ != nullptr) {
+        runner.sweep_build();
+      } else {
+        runner.observe();
+      }
+      if (!batch_plan) {
+        accel_[lane] = runner.plan();
+      } else if (const auto emergency = runner.monitor_gate()) {
+        accel_[lane] = *emergency;
+      } else {
+        pending_.push_back(lane);
+        worlds_.push_back(runner.nn_world());
+      }
+    }
+    if (!any_live) return false;
+    if (!pending_.empty()) {
+      plans_.resize(worlds_.size());
+      batch_plan(worlds_, plans_);
+      for (std::size_t j = 0; j < pending_.size(); ++j) {
+        accel_[pending_[j]] = plans_[j];
+      }
+    }
+    lap(SweepSpans::kPlan);
+    for (std::size_t lane = base; lane < end; ++lane) {
+      if (!live(lane)) continue;
+      runners_[lane]->advance_begin(accel_[lane]);
+      stage_lane(lane);
+    }
+    step_dynamics_range(base, end);
+    lap(SweepSpans::kAdvance);
+    return true;
   }
 
   /// Retires every finished lane into \p records (at its episode index)
@@ -449,42 +554,23 @@ class EpisodePool {
   std::vector<double> ego_p_;
   std::vector<double> ego_v_;
   std::vector<double> accel_;
+  // step_cohort buffers, reused across steps: capacities warm up within
+  // a few steps, so the steady-state step allocates nothing.
+  std::vector<World> worlds_;          ///< kappa_n inputs of pending lanes
+  std::vector<std::size_t> pending_;   ///< lanes awaiting the batch plan
+  std::vector<double> plans_;          ///< batch plan outputs
 };
 
 namespace detail {
 
-/// One worker: drives its pool to exhaustion. Sequencing per shard-step
-/// mirrors run_lockstep_shard — observe every lane, split monitor-gated
-/// lanes from planner lanes, one batch_plan call over the pending worlds,
-/// then the split advance (bookkeeping, SoA dynamics sweep, commit) and
-/// retire/refill.
-///
-/// With \p batched_sweeps (adapter must promise fleet_sweeps()) the
-/// observe phase runs as sweeps over pool-resident SoA stacks instead of
-/// one full observe() per lane:
-///
-///   pump      every lane's channel offer + slab drain (RNG draws in
-///             lane order, exactly as the per-lane loop);
-///   deliver   every lane's screened message absorption from the slab;
-///   sense     every lane's sensor sample (second per-lane RNG draw),
-///             staging Kalman readings;
-///   estimate  FleetEstimator::update_batch — the Kalman measurement
-///             sweep over every staged lane;
-///   reach     sweep staging, then FleetEstimator::predict_batch and
-///             ReachSweep::run — the batched extrapolations feeding the
-///             build/gate/ladder pass through their caches.
-///
-/// The sweeps are cohort-blocked (kSweepBlock lanes x kCohortSteps
-/// steps, plan and advance included) so a cohort's episode state is
-/// loaded into L2 once per block instead of once per step — the
-/// cache-residency fix that keeps an 8k-resident pool at parity with a
-/// 64-lane one per episode.
-///
-/// Every lane's op and RNG order within a step is untouched (messages
-/// before sensor, offer draw before sense draw); only cross-lane
-/// interleaving changes, and lanes are independent. Hence the sweeps are
-/// byte-identical to the reference loop below — pinned per sweep by
-/// tests/sim_fleet_sweeps_test.
+/// One worker: drives its pool to exhaustion, each kSweepBlock-lane
+/// cohort running up to kCohortSteps EpisodePool::step_cohort calls
+/// while its episode objects sit in L2; finished lanes retire and refill
+/// at the block boundary. With \p batched_sweeps (the adapter must
+/// promise fleet_sweeps()) the pool binds every episode into a
+/// worker-local FleetStackContext. Neither choice nor the cohort-major
+/// order changes any output byte (pinned by tests/sim_fleet_sweeps_test
+/// and tests/sim_fleet_differential_test).
 template <typename World>
 void run_fleet_worker(const ScenarioAdapter<World>& adapter,
                       std::size_t lanes, std::uint64_t base_seed,
@@ -501,162 +587,20 @@ void run_fleet_worker(const ScenarioAdapter<World>& adapter,
   EpisodePool<World> pool(adapter, lanes, base_seed, policy, next_episode,
                           n, ctx ? &*ctx : nullptr, sinks.dumps,
                           sinks.flight);
-  // Reused across shard-steps; capacities warm up within a few steps, so
-  // the steady-state episode step allocates nothing.
-  std::vector<World> worlds;
-  std::vector<std::size_t> pending;
-  std::vector<double> plans;
-
-  // Span accounting: a worker-local tally laps a monotonic clock between
-  // sweep phases (cohort-granular) and merges once at exit. The untimed
-  // path reads no clock at all.
-  const bool timed = sinks.spans != nullptr;
+  // Span accounting: a worker-local tally, merged once at exit.
   SweepSpans local_spans;
-  std::chrono::steady_clock::time_point lap_t0;
-  const auto lap_begin = [&] {
-    if (timed) lap_t0 = std::chrono::steady_clock::now();
-  };
-  const auto lap = [&](SweepSpans::Kind kind) {
-    if (!timed) return;
-    const auto t1 = std::chrono::steady_clock::now();
-    local_spans.add(kind, static_cast<std::uint64_t>(
-                              std::chrono::duration_cast<
-                                  std::chrono::nanoseconds>(t1 - lap_t0)
-                                  .count()));
-    lap_t0 = t1;
-  };
-
+  SweepSpans* const spans = sinks.spans != nullptr ? &local_spans : nullptr;
   while (pool.active() > 0) {
     const std::size_t active = pool.active();
-    if (ctx) {
-      // Cohort-blocked shard-steps: each kSweepBlock-lane cohort runs
-      // kCohortSteps consecutive steps — sweeps, plan, advance — while
-      // its episode objects sit in L2, then the worker moves on (an
-      // untiled lockstep sweep reloads the whole cold pool from L3 once
-      // per step at 8k resident lanes). Lanes are independent and
-      // records are keyed by episode index, so cohort-major order
-      // changes no output byte (pinned by tests/sim_fleet_sweeps_test).
-      // A lane that finishes mid-block idles behind a done() check until
-      // the retire scan at the cohort boundary.
-      for (std::size_t base = 0; base < active; base += kSweepBlock) {
-        const std::size_t end = std::min(active, base + kSweepBlock);
-        for (std::size_t k = 0; k < kCohortSteps; ++k) {
-          worlds.clear();
-          pending.clear();
-          ctx->slab.clear();
-          bool any_live = false;
-          lap_begin();
-          for (std::size_t lane = base; lane < end; ++lane) {
-            // Slab lanes are positional: open one per cohort lane (empty
-            // for done lanes) so slab lane i maps to pool lane base + i
-            // below.
-            ctx->slab.begin_lane();
-            EpisodeRunner<World>& runner = pool.runner(lane);
-            if (runner.done()) continue;
-            any_live = true;
-            runner.observe_begin();
-            runner.sweep_pump(ctx->slab);
-          }
-          if (!any_live) break;
-          lap(SweepSpans::kPump);
-          for (std::size_t lane = base; lane < end; ++lane) {
-            if (pool.runner(lane).done()) continue;
-            const auto [first, last] = ctx->slab.lane_range(lane - base);
-            pool.runner(lane).sweep_deliver(ctx->slab, first, last);
-          }
-          lap(SweepSpans::kDeliver);
-          for (std::size_t lane = base; lane < end; ++lane) {
-            if (pool.runner(lane).done()) continue;
-            pool.runner(lane).sweep_sense();
-          }
-          ctx->estimator.update_batch();
-          lap(SweepSpans::kEstimate);
-          ctx->reach.clear();
-          for (std::size_t lane = base; lane < end; ++lane) {
-            if (pool.runner(lane).done()) continue;
-            pool.runner(lane).sweep_stage(ctx->reach);
-          }
-          ctx->estimator.predict_batch();
-          ctx->reach.run();
-          lap(SweepSpans::kReachGate);
-          for (std::size_t lane = base; lane < end; ++lane) {
-            EpisodeRunner<World>& runner = pool.runner(lane);
-            if (runner.done()) continue;
-            runner.sweep_build();
-            if (batch_plan) {
-              if (const auto emergency = runner.monitor_gate()) {
-                pool.set_accel(lane, *emergency);
-              } else {
-                pending.push_back(lane);
-                worlds.push_back(runner.nn_world());
-              }
-            } else {
-              pool.set_accel(lane, runner.plan());
-            }
-          }
-          if (!pending.empty()) {
-            plans.resize(worlds.size());
-            batch_plan(worlds, plans);
-            for (std::size_t j = 0; j < pending.size(); ++j) {
-              pool.set_accel(pending[j], plans[j]);
-            }
-          }
-          lap(SweepSpans::kPlan);
-          for (std::size_t lane = base; lane < end; ++lane) {
-            if (pool.runner(lane).done()) continue;
-            pool.runner(lane).advance_begin(pool.accel(lane));
-            pool.stage_lane(lane);
-          }
-          pool.step_dynamics_range(base, end);
-          lap(SweepSpans::kAdvance);
-        }
+    for (std::size_t base = 0; base < active; base += kSweepBlock) {
+      const std::size_t end = std::min(active, base + kSweepBlock);
+      for (std::size_t k = 0; k < kCohortSteps; ++k) {
+        if (!pool.step_cohort(base, end, batch_plan, spans)) break;
       }
-      pool.retire_and_refill(records);
-    } else {
-      // Reference shard-step: one full per-lane observe at a time, the
-      // whole pool in lockstep, retire after every step.
-      worlds.clear();
-      pending.clear();
-      lap_begin();
-      for (std::size_t lane = 0; lane < active; ++lane) {
-        EpisodeRunner<World>& runner = pool.runner(lane);
-        runner.observe();
-        if (batch_plan) {
-          // Lockstep split: the monitor decides first; only lanes the
-          // monitor hands to the embedded planner join the batch.
-          if (const auto emergency = runner.monitor_gate()) {
-            pool.set_accel(lane, *emergency);
-          } else {
-            pending.push_back(lane);
-            worlds.push_back(runner.nn_world());
-          }
-        } else {
-          // Generic path: full per-episode dispatch (exactly
-          // run_episode).
-          pool.set_accel(lane, runner.plan());
-        }
-      }
-      if (!pending.empty()) {
-        plans.resize(worlds.size());
-        batch_plan(worlds, plans);
-        for (std::size_t j = 0; j < pending.size(); ++j) {
-          pool.set_accel(pending[j], plans[j]);
-        }
-      }
-      // The per-lane loop has no sweep decomposition; report the coarse
-      // observe+plan / advance split so reference-engine campaigns still
-      // carry a time breakdown.
-      lap(SweepSpans::kPlan);
-      for (std::size_t lane = 0; lane < pool.active(); ++lane) {
-        pool.runner(lane).advance_begin(pool.accel(lane));
-        pool.stage_lane(lane);
-      }
-      pool.step_dynamics();
-      pool.retire_and_refill(records);
-      lap(SweepSpans::kAdvance);
     }
+    pool.retire_and_refill(records);
   }
-  if (timed) sinks.spans->merge(local_spans);
+  if (spans != nullptr) sinks.spans->merge(local_spans);
 }
 
 }  // namespace detail

@@ -67,7 +67,8 @@ class IntersectionAdapter final
 RunResult run_intersection_simulation(const IntersectionSimConfig& config,
                                       bool use_compound, std::uint64_t seed);
 
-/// Parallel batch (seed-paired under the default policy).
+/// Batch on the fleet engine (seed-paired under the default policy;
+/// byte-identical to run_episodes over the same seeds).
 BatchStats run_intersection_batch(const IntersectionSimConfig& config,
                                   bool use_compound, std::size_t n,
                                   std::uint64_t base_seed = 1,

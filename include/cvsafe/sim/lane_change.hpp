@@ -85,7 +85,8 @@ RunResult run_lane_change_simulation(const LaneChangeSimConfig& config,
                                      const LaneChangePlannerConfig& planner,
                                      std::uint64_t seed);
 
-/// Parallel batch (seed-paired under the default policy).
+/// Batch on the fleet engine (seed-paired under the default policy;
+/// byte-identical to run_episodes over the same seeds).
 BatchStats run_lane_change_batch(const LaneChangeSimConfig& config,
                                  const LaneChangePlannerConfig& planner,
                                  std::size_t n, std::uint64_t base_seed = 1,

@@ -168,38 +168,13 @@ RunResult run_left_turn_simulation(const LeftTurnSimConfig& config,
                                    std::uint64_t seed,
                                    SimTrace* trace = nullptr);
 
-/// How run_left_turn_batch evaluates the NN planner across episodes.
-enum class BatchMode {
-  kAuto,        ///< lockstep when the blueprint is a single-network NN
-  kPerEpisode,  ///< one planner dispatch per episode per step
-  kLockstep,    ///< batched NN evaluation across in-flight episodes
-};
-
-/// Runs \p n simulations in parallel (CVSAFE_THREADS-controllable worker
-/// count, 0 = hardware). Under SeedPolicy::kPaired (the default) seeds
-/// are base_seed .. base_seed + n - 1, so two batches over the same seed
-/// range see *paired* workloads and disturbances.
-///
-/// Single-network NN blueprints are (under kAuto) evaluated in lockstep:
-/// each worker advances a shard of episodes step-synchronously and feeds
-/// all non-emergency worlds through one NnPlanner::plan_batch call per
-/// step — bit-identical to the per-episode path, since plan_batch is
-/// bit-identical to plan() and the monitor decision is factored out
-/// through CompoundPlanner::monitor_gate.
-BatchStats run_left_turn_batch(const LeftTurnSimConfig& config,
-                               const AgentBlueprint& blueprint,
-                               std::size_t n, std::uint64_t base_seed = 1,
-                               std::size_t threads = 0,
-                               BatchMode mode = BatchMode::kAuto,
-                               SeedPolicy policy = SeedPolicy::kPaired);
-
-/// Runs \p n left-turn episodes through the fleet engine (fleet.hpp):
-/// bounded SoA episode pool per worker, work-stealing admission from a
-/// shared counter, and — for single-network NN blueprints — one
-/// mega-batched NnPlanner::plan_batch call per worker shard-step spanning
-/// every resident episode. Stats and metrics are byte-identical to
-/// run_left_turn_batch over the same seeds for any thread count or pool
-/// capacity (pinned by tests/sim_fleet_test).
+/// Runs \p n left-turn episodes through the fleet engine (fleet.hpp),
+/// with one NnPlanner::plan_batch call per cohort step for single-network
+/// NN blueprints. Under SeedPolicy::kPaired (the default) seeds are
+/// base_seed .. base_seed + n - 1, so batches over one seed range are
+/// *paired*. Stats and metrics are byte-identical to run_episodes over
+/// the same seeds for any thread count or pool capacity (pinned by
+/// tests/sim_fleet_test).
 FleetResult run_left_turn_fleet(const LeftTurnSimConfig& config,
                                 const AgentBlueprint& blueprint,
                                 std::size_t n, std::uint64_t base_seed = 1,

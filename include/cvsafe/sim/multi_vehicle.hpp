@@ -64,8 +64,9 @@ RunResult run_multi_left_turn_simulation(const LeftTurnSimConfig& config,
                                          const MultiAgentSetup& setup,
                                          std::uint64_t seed);
 
-/// Parallel batch of multi-vehicle episodes (seed-paired under the
-/// default policy).
+/// Batch of multi-vehicle episodes on the fleet engine (seed-paired under
+/// the default policy; byte-identical to run_episodes over the same
+/// seeds).
 BatchStats run_multi_batch(const LeftTurnSimConfig& config,
                            const MultiVehicleConfig& multi,
                            const MultiAgentSetup& setup, std::size_t n,

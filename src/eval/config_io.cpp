@@ -7,7 +7,8 @@
 
 namespace cvsafe::eval {
 
-SimConfig apply_config_file(SimConfig base, const util::ConfigFile& file) {
+sim::LeftTurnSimConfig apply_config_file(sim::LeftTurnSimConfig base,
+                                         const util::ConfigFile& file) {
   static const std::set<std::string> kKnown{
       "geometry.ego_front", "geometry.ego_back", "geometry.ego_start",
       "geometry.ego_target", "ego.v_min", "ego.v_max", "ego.a_min",
@@ -88,12 +89,12 @@ SimConfig apply_config_file(SimConfig base, const util::ConfigFile& file) {
   return base;
 }
 
-SimConfig load_sim_config(const std::string& path) {
-  return apply_config_file(SimConfig::paper_defaults(),
+sim::LeftTurnSimConfig load_sim_config(const std::string& path) {
+  return apply_config_file(sim::LeftTurnSimConfig::paper_defaults(),
                            util::ConfigFile::load(path));
 }
 
-std::string sim_config_to_ini(const SimConfig& config) {
+std::string sim_config_to_ini(const sim::LeftTurnSimConfig& config) {
   std::ostringstream os;
   os.precision(17);
   const auto& g = config.geometry;
@@ -142,7 +143,8 @@ std::string sim_config_to_ini(const SimConfig& config) {
   return os.str();
 }
 
-bool save_sim_config(const SimConfig& config, const std::string& path) {
+bool save_sim_config(const sim::LeftTurnSimConfig& config,
+                     const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
   out << sim_config_to_ini(config);

@@ -39,23 +39,22 @@ const char* planner_variant_name(PlannerVariant variant) {
   return "?";
 }
 
-AgentBlueprint make_nn_blueprint(const SimConfig& config,
-                                 planners::PlannerStyle style,
-                                 PlannerVariant variant,
-                                 const planners::TrainingOptions& train) {
-  AgentBlueprint bp;
+sim::AgentBlueprint make_nn_blueprint(
+    const sim::LeftTurnSimConfig& config, planners::PlannerStyle style,
+    PlannerVariant variant, const planners::TrainingOptions& train) {
+  sim::AgentBlueprint bp;
   bp.scenario = config.make_scenario();
   bp.net = planners::cached_planner_network(*bp.scenario, style, train);
   bp.sensor = config.sensor;
   switch (variant) {
     case PlannerVariant::kPureNn:
-      bp.config = AgentConfig::pure_nn();
+      bp.config = sim::AgentConfig::pure_nn();
       break;
     case PlannerVariant::kBasic:
-      bp.config = AgentConfig::basic_compound();
+      bp.config = sim::AgentConfig::basic_compound();
       break;
     case PlannerVariant::kUltimate:
-      bp.config = AgentConfig::ultimate_compound();
+      bp.config = sim::AgentConfig::ultimate_compound();
       break;
   }
   bp.name = std::string(planner_variant_name(variant)) + " (" +
@@ -63,8 +62,9 @@ AgentBlueprint make_nn_blueprint(const SimConfig& config,
   return bp;
 }
 
-SimConfig apply_setting(SimConfig base, CommSetting setting,
-                        double sweep_value) {
+sim::LeftTurnSimConfig apply_setting(sim::LeftTurnSimConfig base,
+                                     CommSetting setting,
+                                     double sweep_value) {
   switch (setting) {
     case CommSetting::kNoDisturbance:
       base.comm = comm::CommConfig::no_disturbance(base.comm.period);
@@ -82,10 +82,10 @@ SimConfig apply_setting(SimConfig base, CommSetting setting,
   return base;
 }
 
-BatchStats run_setting(const SimConfig& base, const AgentBlueprint& blueprint,
-                       CommSetting setting, std::size_t sims_total,
-                       std::uint64_t base_seed, std::size_t threads,
-                       BatchEngine engine) {
+sim::BatchStats run_setting(const sim::LeftTurnSimConfig& base,
+                            const sim::AgentBlueprint& blueprint,
+                            CommSetting setting, std::size_t sims_total,
+                            std::uint64_t base_seed, std::size_t threads) {
   assert(sims_total > 0);
   std::vector<double> grid;
   switch (setting) {
@@ -103,11 +103,11 @@ BatchStats run_setting(const SimConfig& base, const AgentBlueprint& blueprint,
   const std::size_t per_point =
       (sims_total + grid.size() - 1) / grid.size();
 
-  BatchStats total;
+  sim::BatchStats total;
   total.etas.reserve(per_point * grid.size());
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    const SimConfig cfg = apply_setting(base, setting, grid[gi]);
-    AgentBlueprint bp = blueprint;
+    const sim::LeftTurnSimConfig cfg = apply_setting(base, setting, grid[gi]);
+    sim::AgentBlueprint bp = blueprint;
     bp.sensor = cfg.sensor;  // lost setting sweeps the sensor noise
     // Per-point seed base: derived (never strided) so the episode ranges
     // of different grid points and settings cannot overlap, while two
@@ -116,9 +116,7 @@ BatchStats run_setting(const SimConfig& base, const AgentBlueprint& blueprint,
         base_seed,
         (static_cast<std::uint64_t>(setting) << 32) |
             static_cast<std::uint64_t>(gi));
-    total.merge(engine == BatchEngine::kFleet
-                    ? run_batch_fleet(cfg, bp, per_point, point_base, threads)
-                    : run_batch(cfg, bp, per_point, point_base, threads));
+    total.merge(run_batch(cfg, bp, per_point, point_base, threads));
   }
   return total;
 }

@@ -6,6 +6,7 @@
 
 #include "cvsafe/filter/info_filter.hpp"
 #include "cvsafe/sim/cruise_planner.hpp"
+#include "cvsafe/sim/fleet.hpp"
 #include "cvsafe/util/kinematics.hpp"
 
 namespace cvsafe::sim {
@@ -222,8 +223,10 @@ BatchStats run_intersection_batch(const IntersectionSimConfig& config,
                                   std::uint64_t base_seed,
                                   std::size_t threads, SeedPolicy policy) {
   IntersectionAdapter adapter(config, use_compound);
-  const auto results = run_episodes(adapter, n, base_seed, threads, policy);
-  return BatchStats::from_results(results);
+  FleetConfig fleet;
+  fleet.threads = threads;
+  fleet.policy = policy;
+  return stats_from_records(run_fleet_records(adapter, n, base_seed, fleet));
 }
 
 }  // namespace cvsafe::sim

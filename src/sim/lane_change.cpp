@@ -5,6 +5,7 @@
 
 #include "cvsafe/filter/info_filter.hpp"
 #include "cvsafe/sim/cruise_planner.hpp"
+#include "cvsafe/sim/fleet.hpp"
 
 namespace cvsafe::sim {
 
@@ -149,8 +150,10 @@ BatchStats run_lane_change_batch(const LaneChangeSimConfig& config,
                                  std::size_t n, std::uint64_t base_seed,
                                  std::size_t threads, SeedPolicy policy) {
   LaneChangeAdapter adapter(config, planner);
-  const auto results = run_episodes(adapter, n, base_seed, threads, policy);
-  return BatchStats::from_results(results);
+  FleetConfig fleet;
+  fleet.threads = threads;
+  fleet.policy = policy;
+  return stats_from_records(run_fleet_records(adapter, n, base_seed, fleet));
 }
 
 }  // namespace cvsafe::sim

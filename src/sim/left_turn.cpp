@@ -1,10 +1,6 @@
 #include "cvsafe/sim/left_turn.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <thread>
-
-#include "cvsafe/util/contracts.hpp"
 
 namespace cvsafe::sim {
 
@@ -216,119 +212,17 @@ RunResult run_left_turn_simulation(const LeftTurnSimConfig& config,
 
 namespace {
 
-/// Advances a contiguous shard of episodes step-synchronously, feeding
-/// every non-emergency step of the shard through one plan_batch call.
-void run_lockstep_shard(const LeftTurnAdapter& adapter,
-                        const AgentBlueprint& blueprint, std::size_t first,
-                        std::size_t count, std::uint64_t base_seed,
-                        SeedPolicy policy, std::span<RunResult> results) {
-  using Runner = EpisodeRunner<scenario::LeftTurnWorld>;
-  std::vector<Runner> runners;
-  runners.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    runners.emplace_back(adapter,
-                         episode_seed(base_seed, first + k, policy));
-  }
-
-  // One shared batch evaluator; kappa_n is stateless given the world, so
-  // sharing it across the shard's episodes is exact.
-  planners::NnPlanner batch_planner(blueprint.net, planners::InputEncoding{},
-                                    "nn");
-  std::vector<scenario::LeftTurnWorld> worlds;
-  std::vector<double> accels;
-  std::vector<std::size_t> pending;
-
-  for (;;) {
-    worlds.clear();
-    pending.clear();
-    bool any_active = false;
-    for (std::size_t k = 0; k < count; ++k) {
-      Runner& runner = runners[k];
-      if (runner.done()) continue;
-      any_active = true;
-      runner.observe();
-      if (const auto emergency = runner.monitor_gate()) {
-        runner.advance(*emergency);
-      } else {
-        pending.push_back(k);
-        worlds.push_back(runner.nn_world());
-      }
-    }
-    if (!any_active) break;
-    if (!worlds.empty()) {
-      accels.resize(worlds.size());
-      batch_planner.plan_batch(worlds, accels);
-      for (std::size_t j = 0; j < pending.size(); ++j) {
-        runners[pending[j]].advance(accels[j]);
-      }
-    }
-  }
-
-  for (std::size_t k = 0; k < count; ++k) {
-    results[first + k] = runners[k].finish();
-  }
-}
-
-}  // namespace
-
-BatchStats run_left_turn_batch(const LeftTurnSimConfig& config,
-                               const AgentBlueprint& blueprint,
-                               std::size_t n, std::uint64_t base_seed,
-                               std::size_t threads, BatchMode mode,
-                               SeedPolicy policy) {
-  CVSAFE_EXPECTS(n > 0, "batch must contain at least one episode");
-  const bool lockstep_eligible = !blueprint.config.use_expert_planner &&
-                                 blueprint.ensemble.empty() &&
-                                 blueprint.net != nullptr;
-  CVSAFE_EXPECTS(mode != BatchMode::kLockstep || lockstep_eligible,
-                 "lockstep batching requires a single-network NN blueprint");
-  const bool lockstep =
-      mode == BatchMode::kLockstep ||
-      (mode == BatchMode::kAuto && lockstep_eligible);
-
-  LeftTurnAdapter adapter(config, blueprint);
-  std::vector<RunResult> results(n);
-  if (!lockstep) {
-    util::parallel_for(
-        n,
-        [&](std::size_t i) {
-          results[i] =
-              run_episode(adapter, episode_seed(base_seed, i, policy));
-        },
-        threads);
-  } else {
-    std::size_t workers =
-        threads != 0 ? threads
-                     : std::max<std::size_t>(
-                           1, std::thread::hardware_concurrency());
-    const std::size_t n_shards = std::min(workers, n);
-    const std::size_t per_shard = (n + n_shards - 1) / n_shards;
-    util::parallel_for(
-        n_shards,
-        [&](std::size_t shard) {
-          const std::size_t first = shard * per_shard;
-          if (first >= n) return;
-          const std::size_t count = std::min(per_shard, n - first);
-          run_lockstep_shard(adapter, blueprint, first, count, base_seed,
-                             policy, results);
-        },
-        threads);
-  }
-  return BatchStats::from_results(results);
-}
-
-namespace {
-
 /// Per-worker batch-planning seam for the fleet engine: each worker owns
 /// one NnPlanner (its workspace is not thread-safe); kappa_n is stateless
 /// given the world, so sharing one planner across a worker's episodes is
-/// exact — the same factoring run_lockstep_shard uses.
+/// exact. Expert and ensemble blueprints get the empty factory: full
+/// per-lane planner dispatch.
 FleetPlannerFactory<scenario::LeftTurnWorld> fleet_planner_factory(
     const AgentBlueprint& blueprint) {
-  const bool lockstep_eligible = !blueprint.config.use_expert_planner &&
-                                 blueprint.ensemble.empty() &&
-                                 blueprint.net != nullptr;
-  if (!lockstep_eligible) return {};
+  const bool batchable = !blueprint.config.use_expert_planner &&
+                         blueprint.ensemble.empty() &&
+                         blueprint.net != nullptr;
+  if (!batchable) return {};
   std::shared_ptr<const nn::Mlp> net = blueprint.net;
   return [net]() -> FleetBatchPlanner<scenario::LeftTurnWorld> {
     auto planner = std::make_shared<planners::NnPlanner>(

@@ -8,6 +8,7 @@
 #include "cvsafe/filter/naive.hpp"
 #include "cvsafe/planners/expert.hpp"
 #include "cvsafe/planners/nn_planner.hpp"
+#include "cvsafe/sim/fleet.hpp"
 
 namespace cvsafe::sim {
 
@@ -201,8 +202,10 @@ BatchStats run_multi_batch(const LeftTurnSimConfig& config,
                            std::uint64_t base_seed, std::size_t threads,
                            SeedPolicy policy) {
   MultiVehicleAdapter adapter(config, multi, setup);
-  const auto results = run_episodes(adapter, n, base_seed, threads, policy);
-  return BatchStats::from_results(results);
+  FleetConfig fleet;
+  fleet.threads = threads;
+  fleet.policy = policy;
+  return stats_from_records(run_fleet_records(adapter, n, base_seed, fleet));
 }
 
 }  // namespace cvsafe::sim

@@ -6,21 +6,21 @@
 
 #include "cvsafe/eval/batch.hpp"
 #include "cvsafe/eval/experiments.hpp"
-#include "cvsafe/eval/simulation.hpp"
+#include "cvsafe/sim/left_turn.hpp"
 
 namespace cvsafe::eval {
 namespace {
 
-SimConfig test_config() {
-  SimConfig c = SimConfig::paper_defaults();
+sim::LeftTurnSimConfig test_config() {
+  sim::LeftTurnSimConfig c = sim::LeftTurnSimConfig::paper_defaults();
   c.horizon = 20.0;
   return c;
 }
 
-AgentBlueprint expert_blueprint(const SimConfig& config, AgentConfig ac,
-                                planners::ExpertParams params =
-                                    planners::ExpertParams::conservative()) {
-  AgentBlueprint bp;
+sim::AgentBlueprint expert_blueprint(
+    const sim::LeftTurnSimConfig& config, sim::AgentConfig ac,
+    planners::ExpertParams params = planners::ExpertParams::conservative()) {
+  sim::AgentBlueprint bp;
   bp.name = "expert";
   bp.scenario = config.make_scenario();
   bp.net = nullptr;
@@ -32,29 +32,29 @@ AgentBlueprint expert_blueprint(const SimConfig& config, AgentConfig ac,
 }
 
 TEST(AgentConfig, Presets) {
-  const auto pure = AgentConfig::pure_nn();
+  const auto pure = sim::AgentConfig::pure_nn();
   EXPECT_FALSE(pure.use_compound);
-  const auto basic = AgentConfig::basic_compound();
+  const auto basic = sim::AgentConfig::basic_compound();
   EXPECT_TRUE(basic.use_compound);
   EXPECT_FALSE(basic.use_info_filter);
   EXPECT_FALSE(basic.use_aggressive);
-  const auto ult = AgentConfig::ultimate_compound();
+  const auto ult = sim::AgentConfig::ultimate_compound();
   EXPECT_TRUE(ult.use_info_filter);
   EXPECT_TRUE(ult.use_aggressive);
 }
 
 TEST(WorkloadParams, PaperGrid) {
-  const auto grid = WorkloadParams::paper_p1_grid();
+  const auto grid = sim::WorkloadParams::paper_p1_grid();
   ASSERT_EQ(grid.size(), 20u);
   EXPECT_EQ(grid.front(), 50.5);
   EXPECT_EQ(grid.back(), 60.0);
 }
 
 TEST(Simulation, DeterministicGivenSeed) {
-  const SimConfig config = test_config();
-  const auto bp = expert_blueprint(config, AgentConfig::basic_compound());
-  const SimResult a = run_left_turn_simulation(config, bp, 42);
-  const SimResult b = run_left_turn_simulation(config, bp, 42);
+  const sim::LeftTurnSimConfig config = test_config();
+  const auto bp = expert_blueprint(config, sim::AgentConfig::basic_compound());
+  const sim::RunResult a = sim::run_left_turn_simulation(config, bp, 42);
+  const sim::RunResult b = sim::run_left_turn_simulation(config, bp, 42);
   EXPECT_EQ(a.collided, b.collided);
   EXPECT_EQ(a.reached, b.reached);
   EXPECT_EQ(a.reach_time, b.reach_time);
@@ -62,12 +62,12 @@ TEST(Simulation, DeterministicGivenSeed) {
 }
 
 TEST(Simulation, SeedsVaryTheWorkload) {
-  const SimConfig config = test_config();
-  const auto bp = expert_blueprint(config, AgentConfig::basic_compound());
+  const sim::LeftTurnSimConfig config = test_config();
+  const auto bp = expert_blueprint(config, sim::AgentConfig::basic_compound());
   int distinct = 0;
   double prev = -1.0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto r = run_left_turn_simulation(config, bp, seed);
+    const auto r = sim::run_left_turn_simulation(config, bp, seed);
     if (r.reach_time != prev) ++distinct;
     prev = r.reach_time;
   }
@@ -75,11 +75,11 @@ TEST(Simulation, SeedsVaryTheWorkload) {
 }
 
 TEST(Simulation, ExpertCompoundReachesTarget) {
-  const SimConfig config = test_config();
-  const auto bp = expert_blueprint(config, AgentConfig::basic_compound());
+  const sim::LeftTurnSimConfig config = test_config();
+  const auto bp = expert_blueprint(config, sim::AgentConfig::basic_compound());
   int reached = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const auto r = run_left_turn_simulation(config, bp, seed);
+    const auto r = sim::run_left_turn_simulation(config, bp, seed);
     EXPECT_FALSE(r.collided) << "seed " << seed;
     reached += r.reached ? 1 : 0;
   }
@@ -87,10 +87,11 @@ TEST(Simulation, ExpertCompoundReachesTarget) {
 }
 
 TEST(Simulation, TraceRecordsEveryStep) {
-  const SimConfig config = test_config();
-  const auto bp = expert_blueprint(config, AgentConfig::ultimate_compound());
-  SimTrace trace;
-  const auto r = run_left_turn_simulation(config, bp, 3, &trace);
+  const sim::LeftTurnSimConfig config = test_config();
+  const auto bp =
+      expert_blueprint(config, sim::AgentConfig::ultimate_compound());
+  sim::SimTrace trace;
+  const auto r = sim::run_left_turn_simulation(config, bp, 3, &trace);
   EXPECT_EQ(trace.ego.size(), r.steps);
   EXPECT_EQ(trace.accel_commands.size(), r.steps);
   EXPECT_EQ(trace.emergency_flags.size(), r.steps);
@@ -101,10 +102,10 @@ TEST(Simulation, TraceRecordsEveryStep) {
 }
 
 TEST(Simulation, EtaConsistentWithOutcome) {
-  const SimConfig config = test_config();
-  const auto bp = expert_blueprint(config, AgentConfig::basic_compound());
+  const sim::LeftTurnSimConfig config = test_config();
+  const auto bp = expert_blueprint(config, sim::AgentConfig::basic_compound());
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto r = run_left_turn_simulation(config, bp, seed);
+    const auto r = sim::run_left_turn_simulation(config, bp, seed);
     if (r.collided) {
       EXPECT_EQ(r.eta, -1.0);
     } else if (r.reached) {
@@ -116,9 +117,9 @@ TEST(Simulation, EtaConsistentWithOutcome) {
 }
 
 TEST(Batch, AggregatesConsistently) {
-  const SimConfig config = test_config();
-  const auto bp = expert_blueprint(config, AgentConfig::basic_compound());
-  const BatchStats stats = run_batch(config, bp, 30, 1, 2);
+  const sim::LeftTurnSimConfig config = test_config();
+  const auto bp = expert_blueprint(config, sim::AgentConfig::basic_compound());
+  const sim::BatchStats stats = run_batch(config, bp, 30, 1, 2);
   EXPECT_EQ(stats.n, 30u);
   EXPECT_EQ(stats.etas.size(), 30u);
   EXPECT_LE(stats.safe_count, stats.n);
@@ -131,16 +132,17 @@ TEST(Batch, AggregatesConsistently) {
 }
 
 TEST(Batch, ParallelMatchesSerial) {
-  const SimConfig config = test_config();
-  const auto bp = expert_blueprint(config, AgentConfig::ultimate_compound());
-  const BatchStats serial = run_batch(config, bp, 16, 7, 1);
-  const BatchStats parallel = run_batch(config, bp, 16, 7, 8);
+  const sim::LeftTurnSimConfig config = test_config();
+  const auto bp =
+      expert_blueprint(config, sim::AgentConfig::ultimate_compound());
+  const sim::BatchStats serial = run_batch(config, bp, 16, 7, 1);
+  const sim::BatchStats parallel = run_batch(config, bp, 16, 7, 8);
   EXPECT_EQ(serial.etas, parallel.etas);
   EXPECT_EQ(serial.emergency_steps, parallel.emergency_steps);
 }
 
 TEST(Batch, MergeCombinesCounts) {
-  BatchStats a, b;
+  sim::BatchStats a, b;
   a.n = 2;
   a.safe_count = 2;
   a.reached_count = 1;
@@ -193,7 +195,7 @@ TEST(Experiments, GridsMatchPaper) {
 }
 
 TEST(Experiments, ApplySettingShapesConfig) {
-  const SimConfig base = test_config();
+  const sim::LeftTurnSimConfig base = test_config();
   const auto nd = apply_setting(base, CommSetting::kNoDisturbance, 0.0);
   EXPECT_EQ(nd.comm.drop_prob, 0.0);
   const auto delayed = apply_setting(base, CommSetting::kDelayed, 0.4);
@@ -205,9 +207,10 @@ TEST(Experiments, ApplySettingShapesConfig) {
 }
 
 TEST(Experiments, RunSettingAggregatesAcrossGrid) {
-  const SimConfig config = test_config();
-  const auto bp = expert_blueprint(config, AgentConfig::ultimate_compound());
-  const BatchStats stats =
+  const sim::LeftTurnSimConfig config = test_config();
+  const auto bp =
+      expert_blueprint(config, sim::AgentConfig::ultimate_compound());
+  const sim::BatchStats stats =
       run_setting(config, bp, CommSetting::kDelayed, 40, 1, 4);
   // 20 grid points x ceil(40/20) = 2 episodes each.
   EXPECT_EQ(stats.n, 40u);
@@ -215,10 +218,10 @@ TEST(Experiments, RunSettingAggregatesAcrossGrid) {
 }
 
 TEST(EnsembleAgent, SafeAndFunctional) {
-  SimConfig config = test_config();
+  sim::LeftTurnSimConfig config = test_config();
   config.comm = comm::CommConfig::delayed(0.4, 0.25);
 
-  AgentBlueprint bp;
+  sim::AgentBlueprint bp;
   bp.scenario = config.make_scenario();
   planners::TrainingOptions small;
   small.num_samples = 2500;
@@ -227,11 +230,11 @@ TEST(EnsembleAgent, SafeAndFunctional) {
   bp.ensemble = planners::train_planner_ensemble(
       *bp.scenario, planners::PlannerStyle::kAggressive, 3, small);
   bp.sensor = config.sensor;
-  bp.config = AgentConfig::ultimate_compound();
+  bp.config = sim::AgentConfig::ultimate_compound();
   bp.config.ensemble_sigma_penalty = 1.0;
   bp.name = "ensemble-ultimate";
 
-  const BatchStats stats = run_batch(config, bp, 40, 1, 0);
+  const sim::BatchStats stats = run_batch(config, bp, 40, 1, 0);
   EXPECT_EQ(stats.safe_count, stats.n);
   EXPECT_GT(stats.reached_count, 30u);
 }

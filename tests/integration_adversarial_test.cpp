@@ -11,7 +11,7 @@
 #include <memory>
 
 #include "cvsafe/core/compound_planner.hpp"
-#include "cvsafe/eval/simulation.hpp"
+#include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/scenario/safety_model.hpp"
 #include "cvsafe/vehicle/accel_profile.hpp"
 #include "cvsafe/vehicle/dynamics.hpp"
@@ -74,7 +74,7 @@ struct AdversarialOutcome {
   std::size_t steps = 0;
 };
 
-AdversarialOutcome run_adversarial_episode(const SimConfig& config,
+AdversarialOutcome run_adversarial_episode(const sim::LeftTurnSimConfig& config,
                                            bool use_compound,
                                            std::uint64_t seed) {
   const auto scn = config.make_scenario();
@@ -146,7 +146,7 @@ AdversarialOutcome run_adversarial_episode(const SimConfig& config,
 
 TEST(Adversarial, UnprotectedAdversaryDoesCollide) {
   // Sanity: the adversary is genuinely dangerous without the framework.
-  const SimConfig config = SimConfig::paper_defaults();
+  const auto config = sim::LeftTurnSimConfig::paper_defaults();
   std::size_t collisions = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     if (run_adversarial_episode(config, /*use_compound=*/false, seed)
@@ -160,7 +160,7 @@ TEST(Adversarial, UnprotectedAdversaryDoesCollide) {
 class AdversarialSafety : public ::testing::TestWithParam<int> {};
 
 TEST_P(AdversarialSafety, CompoundContainsTheAdversary) {
-  SimConfig config = SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
   switch (GetParam()) {
     case 0: break;  // no disturbance
     case 1:

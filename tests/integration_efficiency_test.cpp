@@ -15,7 +15,7 @@ namespace {
 
 constexpr std::size_t kSims = 150;
 
-BatchStats run_variant(const SimConfig& config,
+sim::BatchStats run_variant(const sim::LeftTurnSimConfig& config,
                        planners::PlannerStyle style, PlannerVariant variant,
                        std::uint64_t base_seed = 1) {
   const auto bp = make_nn_blueprint(config, style, variant);
@@ -23,7 +23,7 @@ BatchStats run_variant(const SimConfig& config,
 }
 
 TEST(ConservativeFamily, BasicMatchesPureNnEfficiency) {
-  const SimConfig config = SimConfig::paper_defaults();
+  const auto config = sim::LeftTurnSimConfig::paper_defaults();
   const auto pure = run_variant(config, planners::PlannerStyle::kConservative,
                                 PlannerVariant::kPureNn);
   const auto basic = run_variant(config,
@@ -37,7 +37,7 @@ TEST(ConservativeFamily, BasicMatchesPureNnEfficiency) {
 }
 
 TEST(ConservativeFamily, UltimateIsFasterThanPureNn) {
-  const SimConfig config = SimConfig::paper_defaults();
+  const auto config = sim::LeftTurnSimConfig::paper_defaults();
   const auto pure = run_variant(config, planners::PlannerStyle::kConservative,
                                 PlannerVariant::kPureNn);
   const auto ult = run_variant(config, planners::PlannerStyle::kConservative,
@@ -51,7 +51,7 @@ TEST(ConservativeFamily, UltimateIsFasterThanPureNn) {
 }
 
 TEST(AggressiveFamily, PureIsFastButUnsafe) {
-  SimConfig config = SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
   config.comm = comm::CommConfig::delayed(0.5, 0.25);
   const auto pure = run_variant(config, planners::PlannerStyle::kAggressive,
                                 PlannerVariant::kPureNn);
@@ -65,7 +65,7 @@ TEST(AggressiveFamily, PureIsFastButUnsafe) {
 }
 
 TEST(AggressiveFamily, UltimateAtLeastAsGoodAsBasic) {
-  const SimConfig config = SimConfig::paper_defaults();
+  const auto config = sim::LeftTurnSimConfig::paper_defaults();
   const auto basic = run_variant(config, planners::PlannerStyle::kAggressive,
                                  PlannerVariant::kBasic);
   const auto ult = run_variant(config, planners::PlannerStyle::kAggressive,
@@ -77,7 +77,7 @@ TEST(AggressiveFamily, UltimateAtLeastAsGoodAsBasic) {
 }
 
 TEST(DisturbanceTrend, EfficiencyDegradesWithSensorNoise) {
-  SimConfig base = SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig base = sim::LeftTurnSimConfig::paper_defaults();
   const auto clean =
       run_variant(apply_setting(base, CommSetting::kLost, 1.0),
                   planners::PlannerStyle::kConservative,
@@ -93,11 +93,11 @@ TEST(DisturbanceTrend, EfficiencyDegradesWithSensorNoise) {
 }
 
 TEST(DisturbanceTrend, MessagesHelpOverSensorOnly) {
-  SimConfig base = SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig base = sim::LeftTurnSimConfig::paper_defaults();
   base.sensor = sensing::SensorConfig::uniform(3.0);
-  SimConfig with_msgs = base;
+  sim::LeftTurnSimConfig with_msgs = base;
   with_msgs.comm = comm::CommConfig::no_disturbance();
-  SimConfig without = base;
+  sim::LeftTurnSimConfig without = base;
   without.comm = comm::CommConfig::messages_lost();
   const auto a = run_variant(with_msgs,
                              planners::PlannerStyle::kConservative,

@@ -16,8 +16,8 @@
 namespace cvsafe::eval {
 namespace {
 
-SimConfig setting_config(CommSetting setting, double sweep) {
-  SimConfig base = SimConfig::paper_defaults();
+sim::LeftTurnSimConfig setting_config(CommSetting setting, double sweep) {
+  sim::LeftTurnSimConfig base = sim::LeftTurnSimConfig::paper_defaults();
   return apply_setting(base, setting, sweep);
 }
 
@@ -44,22 +44,22 @@ class CompoundSafetyTest : public ::testing::TestWithParam<SafetyCase> {};
 
 TEST_P(CompoundSafetyTest, NeverCollides) {
   const SafetyCase c = GetParam();
-  const SimConfig config = setting_config(c.setting, c.sweep);
+  const auto config = setting_config(c.setting, c.sweep);
 
   // Expert-backed agents (deterministic, no training): the framework must
   // protect even a deliberately reckless embedded planner.
-  AgentBlueprint bp;
+  sim::AgentBlueprint bp;
   bp.scenario = config.make_scenario();
   bp.sensor = config.sensor;
-  bp.config = c.ultimate ? AgentConfig::ultimate_compound()
-                         : AgentConfig::basic_compound();
+  bp.config = c.ultimate ? sim::AgentConfig::ultimate_compound()
+                         : sim::AgentConfig::basic_compound();
   bp.config.use_expert_planner = true;
   bp.config.expert_params = c.aggressive_style
                                 ? planners::ExpertParams::aggressive()
                                 : planners::ExpertParams::conservative();
   bp.name = "safety-case";
 
-  const BatchStats stats = run_batch(config, bp, 120, 1000, 0);
+  const sim::BatchStats stats = run_batch(config, bp, 120, 1000, 0);
   EXPECT_EQ(stats.safe_count, stats.n)
       << "collisions under " << comm_setting_name(c.setting)
       << " sweep=" << c.sweep;
@@ -86,16 +86,16 @@ INSTANTIATE_TEST_SUITE_P(
 // The pure aggressive planner DOES collide (otherwise the guarantee above
 // would be vacuous): the workload genuinely stresses safety.
 TEST(PureAggressiveBaseline, CollidesWithoutTheFramework) {
-  const SimConfig config =
+  const sim::LeftTurnSimConfig config =
       setting_config(CommSetting::kDelayed, 0.5);
-  AgentBlueprint bp;
+  sim::AgentBlueprint bp;
   bp.scenario = config.make_scenario();
   bp.sensor = config.sensor;
-  bp.config = AgentConfig::pure_nn();
+  bp.config = sim::AgentConfig::pure_nn();
   bp.config.use_expert_planner = true;
   bp.config.expert_params = planners::ExpertParams::aggressive();
   bp.name = "pure-aggressive";
-  const BatchStats stats = run_batch(config, bp, 200, 1000, 0);
+  const sim::BatchStats stats = run_batch(config, bp, 200, 1000, 0);
   EXPECT_LT(stats.safe_count, stats.n)
       << "the aggressive baseline never collided - the safety test above "
          "is not probing anything";
@@ -105,12 +105,12 @@ TEST(PureAggressiveBaseline, CollidesWithoutTheFramework) {
 TEST(TrainedNnCompound, AggressiveUltimateNeverCollides) {
   for (const auto setting : {CommSetting::kNoDisturbance,
                              CommSetting::kDelayed, CommSetting::kLost}) {
-    const SimConfig config = setting_config(
+    const auto config = setting_config(
         setting, setting == CommSetting::kLost ? 3.0 : 0.5);
     const auto bp = make_nn_blueprint(
         config, planners::PlannerStyle::kAggressive,
         PlannerVariant::kUltimate);
-    const BatchStats stats = run_batch(config, bp, 150, 2000, 0);
+    const sim::BatchStats stats = run_batch(config, bp, 150, 2000, 0);
     EXPECT_EQ(stats.safe_count, stats.n)
         << "collision under " << comm_setting_name(setting);
   }
@@ -119,11 +119,11 @@ TEST(TrainedNnCompound, AggressiveUltimateNeverCollides) {
 // Emergency planner actually engages for the aggressive planner (the
 // guarantee is earned, not incidental).
 TEST(TrainedNnCompound, EmergencyEngagesForAggressivePlanner) {
-  const SimConfig config = setting_config(CommSetting::kNoDisturbance, 0.0);
+  const auto config = setting_config(CommSetting::kNoDisturbance, 0.0);
   const auto bp = make_nn_blueprint(config,
                                     planners::PlannerStyle::kAggressive,
                                     PlannerVariant::kBasic);
-  const BatchStats stats = run_batch(config, bp, 100, 1, 0);
+  const sim::BatchStats stats = run_batch(config, bp, 100, 1, 0);
   EXPECT_GT(stats.emergency_steps, 0u);
   EXPECT_EQ(stats.safe_count, stats.n);
 }

@@ -215,17 +215,17 @@ TEST(Invariants, TrajectoryInterpolationBracketed) {
 // boundary-set membership of the monitor's world view (definition check
 // through the full agent stack).
 TEST(Invariants, EmergencyIffBoundary) {
-  const eval::SimConfig config = eval::SimConfig::paper_defaults();
-  eval::AgentBlueprint bp;
+  const auto config = sim::LeftTurnSimConfig::paper_defaults();
+  sim::AgentBlueprint bp;
   bp.scenario = config.make_scenario();
   bp.sensor = config.sensor;
-  bp.config = eval::AgentConfig::ultimate_compound();
+  bp.config = sim::AgentConfig::ultimate_compound();
   bp.config.use_expert_planner = true;
   bp.config.expert_params = planners::ExpertParams::aggressive();
 
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    eval::SimTrace trace;
-    (void)eval::run_left_turn_simulation(config, bp, seed, &trace);
+    sim::SimTrace trace;
+    (void)sim::run_left_turn_simulation(config, bp, seed, &trace);
     const auto scn = bp.scenario;
     // Recompute membership from the traced world is not recorded;
     // instead, consistency check: every switch-to-emergency step is

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cvsafe/eval/intersection_sim.hpp"
+#include "cvsafe/sim/intersection.hpp"
 
 namespace cvsafe::scenario {
 namespace {
@@ -118,24 +118,24 @@ TEST(Intersection, EmergencyCommitsWhenPlanIsClear) {
 // End-to-end: the compound-wrapped reckless planner never collides on
 // either lane, across disturbance settings, while the raw planner does.
 TEST(IntersectionSim, RawPlannerCollides) {
-  eval::IntersectionSimConfig config;
+  sim::IntersectionSimConfig config;
   std::size_t collisions = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     collisions +=
-        eval::run_intersection_simulation(config, false, seed).collided;
+        sim::run_intersection_simulation(config, false, seed).collided;
   }
   EXPECT_GT(collisions, 8u);
 }
 
 TEST(IntersectionSim, CompoundNeverCollides) {
   for (const bool disturbed : {false, true}) {
-    eval::IntersectionSimConfig config;
+    sim::IntersectionSimConfig config;
     if (disturbed) {
       config.comm = comm::CommConfig::delayed(0.6, 0.25);
       config.sensor = sensing::SensorConfig::uniform(2.0);
     }
     for (std::uint64_t seed = 1; seed <= 80; ++seed) {
-      const auto r = eval::run_intersection_simulation(config, true, seed);
+      const auto r = sim::run_intersection_simulation(config, true, seed);
       ASSERT_FALSE(r.collided) << "seed " << seed
                                << " disturbed=" << disturbed;
     }
@@ -143,8 +143,8 @@ TEST(IntersectionSim, CompoundNeverCollides) {
 }
 
 TEST(IntersectionSim, CompoundReachesAndIntervenes) {
-  eval::IntersectionSimConfig config;
-  const auto stats = eval::run_intersection_batch(config, true, 60, 1, 0);
+  sim::IntersectionSimConfig config;
+  const auto stats = sim::run_intersection_batch(config, true, 60, 1, 0);
   EXPECT_EQ(stats.safe_count, stats.n);
   EXPECT_GT(stats.reached_count, 50u);
   EXPECT_GT(stats.emergency_steps, 0u);
@@ -152,9 +152,9 @@ TEST(IntersectionSim, CompoundReachesAndIntervenes) {
 }
 
 TEST(IntersectionSim, DeterministicGivenSeed) {
-  eval::IntersectionSimConfig config;
-  const auto a = eval::run_intersection_simulation(config, true, 9);
-  const auto b = eval::run_intersection_simulation(config, true, 9);
+  sim::IntersectionSimConfig config;
+  const auto a = sim::run_intersection_simulation(config, true, 9);
+  const auto b = sim::run_intersection_simulation(config, true, 9);
   EXPECT_EQ(a.reach_time, b.reach_time);
   EXPECT_EQ(a.emergency_steps, b.emergency_steps);
 }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cvsafe/eval/multi_simulation.hpp"
+#include "cvsafe/sim/multi_vehicle.hpp"
 #include "cvsafe/planners/expert.hpp"
 
 namespace cvsafe::scenario {
@@ -125,14 +125,14 @@ class MultiVehicleSafety
 
 TEST_P(MultiVehicleSafety, NeverCollides) {
   const auto [num_oncoming, drop_prob] = GetParam();
-  eval::SimConfig config = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
   config.horizon = 40.0;
   config.comm = comm::CommConfig::delayed(drop_prob, 0.25);
 
-  eval::MultiVehicleConfig multi;
+  sim::MultiVehicleConfig multi;
   multi.num_oncoming = num_oncoming;
 
-  eval::MultiAgentSetup setup;
+  sim::MultiAgentSetup setup;
   setup.scenario = config.make_scenario();
   setup.net = nullptr;  // reckless analytic expert
   setup.expert_params = planners::ExpertParams::aggressive();
@@ -140,7 +140,7 @@ TEST_P(MultiVehicleSafety, NeverCollides) {
   std::size_t reached = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     const auto r =
-        eval::run_multi_left_turn_simulation(config, multi, setup, seed);
+        sim::run_multi_left_turn_simulation(config, multi, setup, seed);
     ASSERT_FALSE(r.collided) << "seed " << seed;
     reached += r.reached ? 1 : 0;
   }

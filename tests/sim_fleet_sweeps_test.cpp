@@ -1,11 +1,12 @@
-// Batched-sweep equivalence: FleetConfig::batched_sweeps selects between
-// the five-sweep shard-step (pump -> estimate -> reach -> gate/ladder ->
-// plan -> advance over pool-resident SoA stacks) and the per-lane
-// reference loop. The two paths must be byte-identical — same seed-ordered
+// Batched-sweep equivalence: FleetConfig::batched_sweeps selects whether
+// the cohort step observes through the pump -> deliver -> estimate ->
+// reach sweeps over pool-resident SoA stacks or through each lane's own
+// scalar observe(). The two must be byte-identical — same seed-ordered
 // records, same BatchStats (eta order included), same metrics text — for
-// every agent variant, worker count and pool capacity. The reference loop
-// is itself pinned against the per-episode engine by sim_fleet_test, so
-// this suite closes the chain batched == reference == per-episode.
+// every agent variant, worker count and pool capacity. The scalar-stack
+// reference is itself pinned against the per-episode engine by
+// sim_fleet_test, so this suite closes the chain batched == scalar ==
+// per-episode.
 //
 // Registered in tests/CMakeLists.txt and therefore also in the tsan CTest
 // preset: CI races the batched sweeps at 1/4/7 worker threads under

@@ -1,9 +1,9 @@
 // Fleet engine equivalence: the pooled SoA engine (sim/fleet.hpp) must be
-// byte-identical to the per-episode and lockstep paths — same stats, same
-// seed-aligned eta order, same metrics text — for any worker count or
-// pool capacity. This is the contract that lets run_setting and the fault
-// campaign default to the fleet engine; the throughput path is only
-// allowed to exist because this test holds.
+// byte-identical to the per-episode oracle (run_episodes) — same stats,
+// same seed-aligned eta order, same metrics text — for any worker count or
+// pool capacity. This is the contract that lets every batch entry point
+// (run_batch, run_setting, the fault campaign) run on the fleet engine;
+// the throughput path is only allowed to exist because this test holds.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/sim/multi_vehicle.hpp"
 #include "cvsafe/sim/obs_summary.hpp"
+#include "cvsafe/util/rng.hpp"
 
 namespace {
 
@@ -83,9 +84,9 @@ TEST(SimFleet, MatchesPerEpisodeAcrossVariantsThreadsAndPools) {
                             sim::AgentConfig::basic_compound(),
                             sim::AgentConfig::ultimate_compound()}) {
     const auto bp = nn_blueprint(cfg, agent);
-    const auto baseline = sim::run_left_turn_batch(
-        cfg, bp, /*n=*/12, /*base_seed=*/601, /*threads=*/2,
-        sim::BatchMode::kPerEpisode);
+    const sim::LeftTurnAdapter adapter(cfg, bp);
+    const auto baseline = sim::BatchStats::from_results(sim::run_episodes(
+        adapter, /*n=*/12, /*base_seed=*/601, /*threads=*/2));
     for (const std::size_t threads : {1u, 4u, 7u}) {
       // Pool smaller than the batch forces compact/refill churn; pool
       // larger than the batch exercises the everything-resident path.
@@ -168,9 +169,9 @@ TEST(SimFleet, GenericScenariosMatchRunEpisodes) {
 }
 
 TEST(SimFleet, ExpertBlueprintUsesGenericPathBitExactly) {
-  // A non-lockstep-eligible left-turn blueprint (expert planner) must run
-  // the plan()-only path — monitor_gate must NOT be queried separately,
-  // or the monitor would run twice per step and diverge.
+  // A left-turn blueprint without a batchable kappa_n (expert planner)
+  // must run the plan()-only path — monitor_gate must NOT be queried
+  // separately, or the monitor would run twice per step and diverge.
   sim::LeftTurnSimConfig cfg = sim::LeftTurnSimConfig::paper_defaults();
   cfg.comm = comm::CommConfig::delayed(0.3, 0.25);
   sim::AgentBlueprint bp;
@@ -180,8 +181,9 @@ TEST(SimFleet, ExpertBlueprintUsesGenericPathBitExactly) {
   bp.config = sim::AgentConfig::ultimate_compound();
   bp.config.use_expert_planner = true;
 
-  const auto per_episode = sim::run_left_turn_batch(
-      cfg, bp, 8, 801, /*threads=*/2, sim::BatchMode::kPerEpisode);
+  const sim::LeftTurnAdapter adapter(cfg, bp);
+  const auto per_episode = sim::BatchStats::from_results(
+      sim::run_episodes(adapter, 8, 801, /*threads=*/2));
   sim::FleetConfig fc;
   fc.threads = 3;
   const auto fleet = sim::run_left_turn_fleet(cfg, bp, 8, 801, fc);
@@ -189,19 +191,30 @@ TEST(SimFleet, ExpertBlueprintUsesGenericPathBitExactly) {
 }
 
 TEST(SimFleet, RunSettingEnginesAreByteIdentical) {
-  // The table-cell runner must produce the same merged stats (and the
-  // same eta order) on the fleet engine as on the lockstep engine.
-  eval::SimConfig cfg = eval::SimConfig::paper_defaults();
+  // The table-cell runner (fleet engine) must produce the same merged
+  // stats (and the same eta order) as folding run_episodes over every
+  // grid point with the per-point seed bases run_setting derives.
+  sim::LeftTurnSimConfig cfg = sim::LeftTurnSimConfig::paper_defaults();
   cfg.horizon = 20.0;
   const auto bp = nn_blueprint(cfg, sim::AgentConfig::ultimate_compound());
+  const auto setting = eval::CommSetting::kDelayed;
+  const std::vector<double> grid = eval::drop_prob_grid();
+  const std::size_t sims_total = 20;
+  const std::size_t per_point = (sims_total + grid.size() - 1) / grid.size();
 
-  const auto fleet =
-      eval::run_setting(cfg, bp, eval::CommSetting::kDelayed, 20, 1, 2,
-                        eval::BatchEngine::kFleet);
-  const auto lockstep =
-      eval::run_setting(cfg, bp, eval::CommSetting::kDelayed, 20, 1, 2,
-                        eval::BatchEngine::kLockstep);
-  expect_stats_equal(fleet, lockstep);
+  const auto fleet = eval::run_setting(cfg, bp, setting, sims_total, 1, 2);
+  sim::BatchStats expected;
+  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
+    const auto point = eval::apply_setting(cfg, setting, grid[gi]);
+    sim::AgentBlueprint point_bp = bp;
+    point_bp.sensor = point.sensor;
+    const std::uint64_t point_base = util::derive_seed(
+        1, (static_cast<std::uint64_t>(setting) << 32U) | gi);
+    const sim::LeftTurnAdapter adapter(point, point_bp);
+    expected.merge(sim::BatchStats::from_results(
+        sim::run_episodes(adapter, per_point, point_base, 2)));
+  }
+  expect_stats_equal(fleet, expected);
 }
 
 // --- Fold determinism (shard-merge invariance) ---------------------------

@@ -17,8 +17,8 @@
 /// The flight recorder's fleet-level determinism contract: a hardened
 /// campaign cell with recorders armed produces at least one triggered
 /// dump, and the dump bytes (and the deterministic telemetry fold) are
-/// identical across thread counts, pool capacities and the batched /
-/// reference engines. Also covers the campaign-level CampaignObs wiring
+/// identical across thread counts, pool capacities and batched sweeps /
+/// scalar stacks. Also covers the campaign-level CampaignObs wiring
 /// and the adversarial-search metrics satellite.
 
 namespace {

@@ -22,10 +22,10 @@
 
 #include "cvsafe/eval/batch.hpp"
 #include "cvsafe/eval/experiments.hpp"
-#include "cvsafe/eval/intersection_sim.hpp"
-#include "cvsafe/eval/lane_change_sim.hpp"
-#include "cvsafe/eval/multi_simulation.hpp"
-#include "cvsafe/eval/simulation.hpp"
+#include "cvsafe/sim/intersection.hpp"
+#include "cvsafe/sim/lane_change.hpp"
+#include "cvsafe/sim/multi_vehicle.hpp"
+#include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/nn/mlp.hpp"
 
 namespace {
@@ -49,7 +49,7 @@ class GoldenRecorder {
 };
 
 void emit_batch(GoldenRecorder& rec, const std::string& key,
-                const eval::BatchStats& stats) {
+                const sim::BatchStats& stats) {
   rec.emit(key + ".n", stats.n);
   rec.emit(key + ".safe_count", stats.safe_count);
   rec.emit(key + ".reached_count", stats.reached_count);
@@ -87,16 +87,16 @@ void emit_result(GoldenRecorder& rec, const std::string& key,
 }
 
 void record_left_turn(GoldenRecorder& rec) {
-  const eval::SimConfig base = eval::SimConfig::paper_defaults();
+  const auto base = sim::LeftTurnSimConfig::paper_defaults();
 
   struct Variant {
     const char* name;
-    eval::AgentConfig config;
+    sim::AgentConfig config;
   };
   const Variant variants[] = {
-      {"pure", eval::AgentConfig::pure_nn()},
-      {"basic", eval::AgentConfig::basic_compound()},
-      {"ultimate", eval::AgentConfig::ultimate_compound()},
+      {"pure", sim::AgentConfig::pure_nn()},
+      {"basic", sim::AgentConfig::basic_compound()},
+      {"ultimate", sim::AgentConfig::ultimate_compound()},
   };
   struct Comm {
     const char* name;
@@ -111,10 +111,10 @@ void record_left_turn(GoldenRecorder& rec) {
 
   for (const auto& v : variants) {
     for (const auto& c : comms) {
-      eval::SimConfig cfg = base;
+      sim::LeftTurnSimConfig cfg = base;
       cfg.comm = c.comm;
       cfg.sensor = sensing::SensorConfig::uniform(c.sensor_delta);
-      eval::AgentBlueprint bp;
+      sim::AgentBlueprint bp;
       bp.name = v.name;
       bp.scenario = cfg.make_scenario();
       bp.sensor = cfg.sensor;
@@ -129,18 +129,18 @@ void record_left_turn(GoldenRecorder& rec) {
 
   // Per-step trace of the ultimate expert agent under heavy delay.
   {
-    eval::SimConfig cfg = base;
+    sim::LeftTurnSimConfig cfg = base;
     cfg.comm = comm::CommConfig::delayed(0.5, 0.25);
-    eval::AgentBlueprint bp;
+    sim::AgentBlueprint bp;
     bp.name = "trace";
     bp.scenario = cfg.make_scenario();
     bp.sensor = cfg.sensor;
-    bp.config = eval::AgentConfig::ultimate_compound();
+    bp.config = sim::AgentConfig::ultimate_compound();
     bp.config.use_expert_planner = true;
     for (const std::uint64_t seed : {7u, 11u}) {
-      eval::SimTrace trace;
+      sim::SimTrace trace;
       const auto r =
-          eval::run_left_turn_simulation(cfg, bp, seed, &trace);
+          sim::run_left_turn_simulation(cfg, bp, seed, &trace);
       const std::string key =
           "left_turn.trace.seed" + std::to_string(seed);
       emit_result(rec, key, r);
@@ -164,13 +164,13 @@ void record_left_turn(GoldenRecorder& rec) {
     util::Rng net_rng(42);
     const auto net = std::make_shared<const nn::Mlp>(
         nn::MlpSpec{{4, 16, 16, 1}}, net_rng);
-    eval::SimConfig cfg = base;
+    sim::LeftTurnSimConfig cfg = base;
     cfg.comm = comm::CommConfig::delayed(0.4, 0.25);
     for (const auto& v :
-         {std::pair<const char*, eval::AgentConfig>{
-              "pure", eval::AgentConfig::pure_nn()},
-          {"ultimate", eval::AgentConfig::ultimate_compound()}}) {
-      eval::AgentBlueprint bp;
+         {std::pair<const char*, sim::AgentConfig>{
+              "pure", sim::AgentConfig::pure_nn()},
+          {"ultimate", sim::AgentConfig::ultimate_compound()}}) {
+      sim::AgentBlueprint bp;
       bp.name = v.first;
       bp.scenario = cfg.make_scenario();
       bp.net = net;
@@ -184,12 +184,12 @@ void record_left_turn(GoldenRecorder& rec) {
     util::Rng rng2(43);
     const auto net2 = std::make_shared<const nn::Mlp>(
         nn::MlpSpec{{4, 16, 16, 1}}, rng2);
-    eval::AgentBlueprint bp;
+    sim::AgentBlueprint bp;
     bp.name = "ensemble";
     bp.scenario = cfg.make_scenario();
     bp.ensemble = {net, net2};
     bp.sensor = cfg.sensor;
-    bp.config = eval::AgentConfig::ultimate_compound();
+    bp.config = sim::AgentConfig::ultimate_compound();
     bp.config.ensemble_sigma_penalty = 0.5;
     const auto stats =
         eval::run_batch(cfg, bp, 3, /*base_seed=*/211, /*threads=*/2);
@@ -198,72 +198,72 @@ void record_left_turn(GoldenRecorder& rec) {
 }
 
 void record_lane_change(GoldenRecorder& rec) {
-  eval::LaneChangeSimConfig cfg;
+  sim::LaneChangeSimConfig cfg;
   struct Case {
     const char* name;
-    eval::LaneChangePlannerConfig planner;
+    sim::LaneChangePlannerConfig planner;
   };
-  eval::LaneChangePlannerConfig raw;
+  sim::LaneChangePlannerConfig raw;
   raw.use_compound = false;
-  eval::LaneChangePlannerConfig basic;
+  sim::LaneChangePlannerConfig basic;
   basic.use_info_filter = false;
   const Case cases[] = {{"raw", raw},
                         {"basic", basic},
-                        {"ultimate", eval::LaneChangePlannerConfig{}}};
+                        {"ultimate", sim::LaneChangePlannerConfig{}}};
   for (const auto& c : cases) {
     const auto stats =
-        eval::run_lane_change_batch(cfg, c.planner, 6, /*base_seed=*/301,
+        sim::run_lane_change_batch(cfg, c.planner, 6, /*base_seed=*/301,
                                     /*threads=*/2);
     emit_stats(rec, std::string("lane_change.") + c.name, stats);
   }
-  eval::LaneChangeSimConfig noisy = cfg;
+  sim::LaneChangeSimConfig noisy = cfg;
   noisy.comm = comm::CommConfig::delayed(0.3, 0.25);
   for (const std::uint64_t seed : {303u, 304u, 305u}) {
-    const auto r = eval::run_lane_change_simulation(
-        noisy, eval::LaneChangePlannerConfig{}, seed);
+    const auto r = sim::run_lane_change_simulation(
+        noisy, sim::LaneChangePlannerConfig{}, seed);
     emit_result(rec, "lane_change.ep" + std::to_string(seed), r);
   }
 }
 
 void record_intersection(GoldenRecorder& rec) {
-  eval::IntersectionSimConfig cfg;
+  sim::IntersectionSimConfig cfg;
   for (const bool use_compound : {false, true}) {
-    const auto stats = eval::run_intersection_batch(
+    const auto stats = sim::run_intersection_batch(
         cfg, use_compound, 4, /*base_seed=*/401, /*threads=*/2);
     emit_stats(rec,
                std::string("intersection.") +
                    (use_compound ? "compound" : "raw"),
                stats);
   }
-  eval::IntersectionSimConfig noisy = cfg;
+  sim::IntersectionSimConfig noisy = cfg;
   noisy.comm = comm::CommConfig::delayed(0.4, 0.25);
   for (const std::uint64_t seed : {403u, 404u}) {
-    const auto r = eval::run_intersection_simulation(noisy, true, seed);
+    const auto r = sim::run_intersection_simulation(noisy, true, seed);
     emit_result(rec, "intersection.ep" + std::to_string(seed), r);
   }
 }
 
 void record_multi(GoldenRecorder& rec) {
-  const eval::SimConfig config = eval::SimConfig::paper_defaults();
-  eval::MultiAgentSetup setup;
+  const auto config = sim::LeftTurnSimConfig::paper_defaults();
+  sim::MultiAgentSetup setup;
   setup.scenario = config.make_scenario();  // net == nullptr -> expert
   for (const std::size_t n_cars : {2u, 3u}) {
-    eval::MultiVehicleConfig multi;
+    sim::MultiVehicleConfig multi;
     multi.num_oncoming = n_cars;
-    const auto stats = eval::run_multi_batch(config, multi, setup, 4,
+    const auto stats = sim::run_multi_batch(config, multi, setup, 4,
                                              /*base_seed=*/501,
                                              /*threads=*/2);
     emit_stats(rec, "multi.n" + std::to_string(n_cars), stats);
   }
-  eval::MultiAgentSetup naive = setup;
+  sim::MultiAgentSetup naive = setup;
   naive.use_info_filter = false;
   naive.use_aggressive = false;
-  eval::MultiVehicleConfig multi;
-  eval::SimConfig noisy = config;
+  sim::MultiVehicleConfig multi;
+  sim::LeftTurnSimConfig noisy = config;
   noisy.comm = comm::CommConfig::delayed(0.3, 0.25);
   for (const std::uint64_t seed : {503u, 504u}) {
     const auto r =
-        eval::run_multi_left_turn_simulation(noisy, multi, naive, seed);
+        sim::run_multi_left_turn_simulation(noisy, multi, naive, seed);
     emit_result(rec, "multi.ep" + std::to_string(seed), r);
   }
 }

@@ -29,7 +29,7 @@ TEST(Umbrella, ExposesEveryModule) {
   EXPECT_STREQ(planners::planner_style_name(
                    planners::PlannerStyle::kConservative),
                "conservative");
-  EXPECT_EQ(eval::SimConfig::paper_defaults().dt_c, 0.05);
+  EXPECT_EQ(sim::LeftTurnSimConfig::paper_defaults().dt_c, 0.05);
   verify::Certificate cert;
   EXPECT_TRUE(cert.holds());
 }

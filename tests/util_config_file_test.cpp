@@ -71,7 +71,7 @@ util::ConfigFile parse(const std::string& text) {
 
 TEST(ConfigIo, AppliesCommAndSensor) {
   const auto cfg = apply_config_file(
-      SimConfig::paper_defaults(),
+      sim::LeftTurnSimConfig::paper_defaults(),
       parse("[comm]\ndrop_prob = 0.4\ndelay = 0.25\n[sensor]\n"
             "delta = 2.5\n"));
   EXPECT_EQ(cfg.comm.drop_prob, 0.4);
@@ -82,7 +82,7 @@ TEST(ConfigIo, AppliesCommAndSensor) {
 
 TEST(ConfigIo, GeometryMirrorsOncomingZone) {
   const auto cfg = apply_config_file(
-      SimConfig::paper_defaults(),
+      sim::LeftTurnSimConfig::paper_defaults(),
       parse("[geometry]\nego_front = 6\nego_back = 18\nego_target = 25\n"));
   EXPECT_EQ(cfg.geometry.ego_front, 6.0);
   EXPECT_EQ(cfg.geometry.c1_front, -18.0);
@@ -90,11 +90,11 @@ TEST(ConfigIo, GeometryMirrorsOncomingZone) {
 }
 
 TEST(ConfigIo, LostAndBurstChannels) {
-  const auto lost = apply_config_file(SimConfig::paper_defaults(),
+  const auto lost = apply_config_file(sim::LeftTurnSimConfig::paper_defaults(),
                                       parse("[comm]\nlost = true\n"));
   EXPECT_TRUE(lost.comm.lost);
   const auto burst = apply_config_file(
-      SimConfig::paper_defaults(),
+      sim::LeftTurnSimConfig::paper_defaults(),
       parse("[comm]\nburst = true\nburst_bad_fraction = 0.25\n"
             "burst_mean_len = 5\n"));
   EXPECT_TRUE(burst.comm.burst);
@@ -102,20 +102,20 @@ TEST(ConfigIo, LostAndBurstChannels) {
 }
 
 TEST(ConfigIo, RejectsUnknownKeysAndInvalidValues) {
-  EXPECT_THROW(apply_config_file(SimConfig::paper_defaults(),
+  EXPECT_THROW(apply_config_file(sim::LeftTurnSimConfig::paper_defaults(),
                                  parse("[comm]\ndorp_prob = 0.4\n")),
                std::runtime_error);
-  EXPECT_THROW(apply_config_file(SimConfig::paper_defaults(),
+  EXPECT_THROW(apply_config_file(sim::LeftTurnSimConfig::paper_defaults(),
                                  parse("[sim]\ndt_c = -1\n")),
                std::runtime_error);
   EXPECT_THROW(apply_config_file(
-                   SimConfig::paper_defaults(),
+                   sim::LeftTurnSimConfig::paper_defaults(),
                    parse("[geometry]\nego_front = 20\nego_back = 10\n")),
                std::runtime_error);
 }
 
 TEST(ConfigIo, SaveLoadRoundTrip) {
-  SimConfig original = SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig original = sim::LeftTurnSimConfig::paper_defaults();
   original.comm = comm::CommConfig::delayed(0.35, 0.2);
   original.sensor = sensing::SensorConfig::uniform(2.25, 0.2);
   original.ego_v0 = 9.5;
@@ -124,8 +124,8 @@ TEST(ConfigIo, SaveLoadRoundTrip) {
   original.geometry.c1_back = -original.geometry.ego_front;
 
   std::istringstream ini(sim_config_to_ini(original));
-  const SimConfig loaded = apply_config_file(
-      SimConfig::paper_defaults(), util::ConfigFile::parse(ini));
+  const sim::LeftTurnSimConfig loaded = apply_config_file(
+      sim::LeftTurnSimConfig::paper_defaults(), util::ConfigFile::parse(ini));
   EXPECT_EQ(loaded.comm.drop_prob, original.comm.drop_prob);
   EXPECT_EQ(loaded.comm.delay, original.comm.delay);
   EXPECT_EQ(loaded.sensor.delta_p, original.sensor.delta_p);
@@ -136,36 +136,36 @@ TEST(ConfigIo, SaveLoadRoundTrip) {
 }
 
 TEST(ConfigIo, SaveLoadRoundTripBurstAndLost) {
-  SimConfig burst = SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig burst = sim::LeftTurnSimConfig::paper_defaults();
   burst.comm = comm::CommConfig::bursty(0.3, 6.0, 0.25);
   std::istringstream b(sim_config_to_ini(burst));
-  const SimConfig burst2 = apply_config_file(
-      SimConfig::paper_defaults(), util::ConfigFile::parse(b));
+  const sim::LeftTurnSimConfig burst2 = apply_config_file(
+      sim::LeftTurnSimConfig::paper_defaults(), util::ConfigFile::parse(b));
   EXPECT_TRUE(burst2.comm.burst);
   EXPECT_NEAR(burst2.comm.stationary_drop_prob(),
               burst.comm.stationary_drop_prob(), 1e-9);
 
-  SimConfig lost = SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig lost = sim::LeftTurnSimConfig::paper_defaults();
   lost.comm = comm::CommConfig::messages_lost();
   std::istringstream l(sim_config_to_ini(lost));
-  const SimConfig lost2 = apply_config_file(
-      SimConfig::paper_defaults(), util::ConfigFile::parse(l));
+  const sim::LeftTurnSimConfig lost2 = apply_config_file(
+      sim::LeftTurnSimConfig::paper_defaults(), util::ConfigFile::parse(l));
   EXPECT_TRUE(lost2.comm.lost);
 }
 
 TEST(ConfigIo, LoadedConfigRunsSafely) {
   const auto cfg = apply_config_file(
-      SimConfig::paper_defaults(),
+      sim::LeftTurnSimConfig::paper_defaults(),
       parse("[comm]\ndrop_prob = 0.5\ndelay = 0.25\n[ego]\nv0 = 10\n"));
-  AgentBlueprint bp;
+  sim::AgentBlueprint bp;
   bp.scenario = cfg.make_scenario();
   bp.sensor = cfg.sensor;
-  bp.config = AgentConfig::ultimate_compound();
+  bp.config = sim::AgentConfig::ultimate_compound();
   bp.config.use_expert_planner = true;
   bp.config.expert_params = planners::ExpertParams::aggressive();
   bp.name = "config-io";
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    EXPECT_FALSE(run_left_turn_simulation(cfg, bp, seed).collided);
+    EXPECT_FALSE(sim::run_left_turn_simulation(cfg, bp, seed).collided);
   }
 }
 

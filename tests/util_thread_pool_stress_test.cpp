@@ -106,19 +106,20 @@ TEST(ThreadPoolStress, NestedParallelForFromPoolTasks) {
   EXPECT_EQ(total.load(), 8u * 64u);
 }
 
-// The batch runner is the production consumer of parallel_for: every
-// episode writes a distinct results slot while sharing the blueprint and
-// config read-only. Parallel execution must be bit-identical to serial
-// (each episode owns a PRNG stream seeded by its index).
+// The batch runner runs on the fleet engine: its workers claim episodes
+// from a shared atomic counter and each writes a distinct record slot
+// while sharing the blueprint and config read-only. Parallel execution
+// must be bit-identical to serial (each episode owns a PRNG stream
+// seeded by its index).
 TEST(BatchStress, ParallelMatchesSerialBitExact) {
-  eval::SimConfig config = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
   config.horizon = 10.0;
-  eval::AgentBlueprint bp;
+  sim::AgentBlueprint bp;
   bp.name = "expert";
   bp.scenario = config.make_scenario();
   bp.net = nullptr;
   bp.sensor = config.sensor;
-  eval::AgentConfig ac = eval::AgentConfig::basic_compound();
+  sim::AgentConfig ac = sim::AgentConfig::basic_compound();
   ac.use_expert_planner = true;
   bp.config = ac;
 
@@ -138,18 +139,18 @@ TEST(BatchStress, ParallelMatchesSerialBitExact) {
 }
 
 TEST(BatchStress, ConcurrentIndependentBatches) {
-  eval::SimConfig config = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
   config.horizon = 8.0;
-  eval::AgentBlueprint bp;
+  sim::AgentBlueprint bp;
   bp.name = "expert";
   bp.scenario = config.make_scenario();
   bp.net = nullptr;
   bp.sensor = config.sensor;
-  eval::AgentConfig ac = eval::AgentConfig::basic_compound();
+  sim::AgentConfig ac = sim::AgentConfig::basic_compound();
   ac.use_expert_planner = true;
   bp.config = ac;
 
-  std::vector<eval::BatchStats> stats(3);
+  std::vector<sim::BatchStats> stats(3);
   std::vector<std::thread> runners;
   runners.reserve(stats.size());
   for (std::size_t r = 0; r < stats.size(); ++r) {

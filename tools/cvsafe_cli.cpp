@@ -11,12 +11,14 @@
 // A --config FILE (INI, see include/cvsafe/eval/config_io.hpp) customizes
 // geometry, actuation limits, channel and sensor before flag overrides.
 //
+// Every command rejects a flag it does not read (exit 2, naming it; see
+// commands()), and run/batch one the chosen --scenario does not read:
+// --trace/--profile/--metrics/--pool/--flight-recorder/--telemetry/--style
+// are left-turn only, --cars multi only, --config left-turn or multi.
+//
 // Common options:
 //   --scenario left-turn|lane-change|intersection|multi  (run/batch,
-//                            default left-turn); the other scenarios
-//                            reject --trace, --profile, --metrics,
-//                            --flight-recorder, --telemetry, --engine and
-//                            --pool (exit 2)
+//                            default left-turn)
 //   --cars N                 oncoming platoon size (multi) (default 2)
 //   --style cons|aggr        embedded NN planner style   (default cons)
 //   --variant pure|basic|ultimate                        (default ultimate)
@@ -32,11 +34,6 @@
 //   --seed N                 first seed                  (default 1)
 //   --sims N                 batch size / training size scale
 //   --threads N              worker threads (0 = hardware)
-//   --engine fleet|lockstep|episode
-//                            (batch, left-turn) batch machinery: pooled
-//                            fleet engine (default), PR-3 lockstep shards,
-//                            or one planner dispatch per episode — all
-//                            byte-identical in output
 //   --pool N                 (batch) fleet pool capacity  (default 8192)
 //   --trace FILE             (run) per-step trace: structured JSONL event
 //                            trace when FILE ends in .jsonl, legacy CSV
@@ -51,20 +48,19 @@
 //   --profile FILE           (run) Chrome trace-event JSON of the hot-path
 //                            profiling spans (open in Perfetto)
 //   --out DIR|FILE           (train) output directory; (campaign) CSV path
-//   --flight-recorder FILE   (batch left-turn fleet engine / campaign /
-//                            attack) arm a per-lane flight recorder ring;
-//                            triggered episode dumps (min-eta below
-//                            threshold, EMERGENCY entry, unsafe-set entry,
-//                            rejection burst) append to FILE as JSONL,
-//                            byte-identical across thread counts, pool
-//                            sizes and engines. attack re-runs each
+//   --flight-recorder FILE   (batch / campaign / attack) arm a per-lane
+//                            flight recorder ring; triggered episode dumps
+//                            (min-eta below threshold, EMERGENCY entry,
+//                            unsafe-set entry, rejection burst) append to
+//                            FILE as JSONL, byte-identical across thread
+//                            counts and pool sizes. attack re-runs each
 //                            reported offender with the recorder armed.
-//   --telemetry FILE         (batch left-turn fleet engine / campaign)
-//                            deterministic fleet telemetry (min-eta
-//                            histogram, per-reason rejections, ladder
-//                            occupancy, episode residency): CSV when FILE
-//                            ends in .csv, Prometheus text otherwise.
-//                            Wall-clock per-sweep span accounting goes to
+//   --telemetry FILE         (batch / campaign) deterministic fleet
+//                            telemetry (min-eta histogram, per-reason
+//                            rejections, ladder occupancy, episode
+//                            residency): CSV when FILE ends in .csv,
+//                            Prometheus text otherwise. Wall-clock
+//                            per-sweep span accounting goes to
 //                            FILE.spans — scheduling-dependent, never
 //                            byte-compared.
 //
@@ -258,9 +254,9 @@ void apply_disturbance(sim::RunConfig& config, const Args& args) {
   }
 }
 
-eval::SimConfig build_config(const Args& args) {
+sim::LeftTurnSimConfig build_config(const Args& args) {
   // Order: paper defaults -> optional --config file -> flag overrides.
-  eval::SimConfig config = eval::SimConfig::paper_defaults();
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
   if (args.values.count("config")) {
     config = eval::load_sim_config(args.value("config", ""));
   }
@@ -312,18 +308,6 @@ int print_stats(const std::string& title, const sim::BatchStats& stats) {
 /// --variant flag onto its own compound/estimator switches.
 int run_other_scenario(const std::string& scenario, const Args& args,
                        bool batch) {
-  // These scenarios run without the trace, profile, metrics and fleet
-  // observability plumbing; refuse the flags rather than exit 0 without
-  // writing what they asked for.
-  for (const char* flag : {"trace", "profile", "metrics", "flight-recorder",
-                           "telemetry", "engine", "pool"}) {
-    if (args.values.count(flag) > 0 || args.has_flag(flag)) {
-      std::fprintf(stderr, "--%s requires --scenario left-turn (got %s)\n",
-                   flag, scenario.c_str());
-      return 2;
-    }
-  }
-
   const std::string variant = args.value("variant", "ultimate");
   const auto seed = static_cast<std::uint64_t>(args.number("seed", 1));
   const auto n = static_cast<std::size_t>(args.number("sims", 500));
@@ -366,7 +350,7 @@ int run_other_scenario(const std::string& scenario, const Args& args,
   }
 
   if (scenario == "multi") {
-    eval::SimConfig config = build_config(args);
+    sim::LeftTurnSimConfig config = build_config(args);
     sim::MultiVehicleConfig multi;
     multi.num_oncoming =
         static_cast<std::size_t>(args.number("cars", 2));
@@ -402,7 +386,7 @@ int cmd_run(const Args& args) {
   if (scenario != "left-turn") {
     return run_other_scenario(scenario, args, /*batch=*/false);
   }
-  const eval::SimConfig config = build_config(args);
+  const sim::LeftTurnSimConfig config = build_config(args);
   auto bp =
       eval::make_nn_blueprint(config, parse_style(args), parse_variant(args));
   // The robustness posture of --faults (hardened gate, armed ladder)
@@ -421,15 +405,15 @@ int cmd_run(const Args& args) {
     obs::Profiler::instance().set_enabled(true);
   }
 
-  eval::SimTrace trace;
+  sim::SimTrace trace;
   obs::Recorder recorder;
-  eval::SimResult r;
+  sim::RunResult r;
   if (structured) {
     recorder.set_enabled(true);
     sim::LeftTurnAdapter adapter(config, bp);
     r = sim::run_traced_episode(adapter, seed, recorder);
   } else {
-    r = eval::run_left_turn_simulation(config, bp, seed,
+    r = sim::run_left_turn_simulation(config, bp, seed,
                                        want_trace ? &trace : nullptr);
   }
   if (want_profile) obs::Profiler::instance().set_enabled(false);
@@ -497,7 +481,7 @@ int cmd_batch(const Args& args) {
   if (scenario != "left-turn") {
     return run_other_scenario(scenario, args, /*batch=*/true);
   }
-  const eval::SimConfig config = build_config(args);
+  const sim::LeftTurnSimConfig config = build_config(args);
   auto bp =
       eval::make_nn_blueprint(config, parse_style(args), parse_variant(args));
   bp.config.gate = config.gate;
@@ -505,65 +489,41 @@ int cmd_batch(const Args& args) {
   const auto n = static_cast<std::size_t>(args.number("sims", 500));
   const auto seed = static_cast<std::uint64_t>(args.number("seed", 1));
   const auto threads = static_cast<std::size_t>(args.number("threads", 0));
-  const std::string engine = args.value("engine", "fleet");
   const auto pool = static_cast<std::size_t>(args.number("pool", 8192));
   const bool want_flight = args.values.count("flight-recorder") > 0;
   const bool want_telemetry = args.values.count("telemetry") > 0;
-  if ((want_flight || want_telemetry) && engine != "fleet") {
-    std::fprintf(stderr,
-                 "--flight-recorder/--telemetry require --engine fleet\n");
-    return 2;
-  }
 
-  eval::BatchStats stats;
-  if (engine == "fleet") {
-    if (want_flight || want_telemetry) {
-      // Observability-armed path: keep the records so the deterministic
-      // telemetry fold can walk them in episode order.
-      obs::FlightDumpCollector dumps;
-      sim::SweepSpanSink spans;
-      sim::FleetObsSinks sinks;
-      if (want_flight) sinks.dumps = &dumps;
-      if (want_telemetry) sinks.spans = &spans;
-      sim::FleetConfig fleet;
-      fleet.threads = threads;
-      fleet.pool_capacity = pool;
-      const std::vector<sim::FleetRecord> records =
-          sim::run_left_turn_fleet_records(config, bp, n, seed, fleet,
-                                           sinks);
-      stats = sim::stats_from_records(records);
-      if (want_flight &&
-          !write_flight_dumps(args.value("flight-recorder", "flight.jsonl"),
-                              dumps, "left-turn", config.comm.label())) {
-        return 1;
-      }
-      if (want_telemetry) {
-        obs::MetricsRegistry reg;
-        sim::collect_fleet_telemetry(
-            reg, std::span<const sim::FleetRecord>(records));
-        const std::string path = args.value("telemetry", "telemetry.prom");
-        if (!dump_metrics(reg, path)) return 1;
-        if (!dump_spans(spans, path)) return 1;
-      }
-    } else {
-      stats = eval::run_batch_fleet(config, bp, n, seed, threads, pool);
-    }
-  } else if (engine == "lockstep") {
-    stats = eval::run_batch(config, bp, n, seed, threads);
-  } else if (engine == "episode") {
-    stats = sim::run_left_turn_batch(config, bp, n, seed, threads,
-                                     sim::BatchMode::kPerEpisode);
-  } else {
-    std::fprintf(stderr, "unknown --engine %s (fleet|lockstep|episode)\n",
-                 engine.c_str());
+  // The records stay in episode order so the deterministic telemetry fold
+  // can walk them.
+  obs::FlightDumpCollector dumps;
+  sim::SweepSpanSink spans;
+  sim::FleetObsSinks sinks;
+  if (want_flight) sinks.dumps = &dumps;
+  if (want_telemetry) sinks.spans = &spans;
+  sim::FleetConfig fleet;
+  fleet.threads = threads;
+  fleet.pool_capacity = pool;
+  const std::vector<sim::FleetRecord> records =
+      sim::run_left_turn_fleet_records(config, bp, n, seed, fleet, sinks);
+  if (want_flight &&
+      !write_flight_dumps(args.value("flight-recorder", "flight.jsonl"),
+                          dumps, "left-turn", config.comm.label())) {
     return 1;
   }
+  if (want_telemetry) {
+    obs::MetricsRegistry reg;
+    sim::collect_fleet_telemetry(reg,
+                                 std::span<const sim::FleetRecord>(records));
+    const std::string path = args.value("telemetry", "telemetry.prom");
+    if (!dump_metrics(reg, path)) return 1;
+    if (!dump_spans(spans, path)) return 1;
+  }
   return print_stats("batch: " + bp.name + " under " + config.comm.label(),
-                     stats);
+                     sim::stats_from_records(records));
 }
 
 int cmd_train(const Args& args) {
-  const eval::SimConfig config = build_config(args);
+  const sim::LeftTurnSimConfig config = build_config(args);
   const auto scenario = config.make_scenario();
   const std::string out_dir = args.value("out", ".");
   planners::TrainingOptions options;
@@ -600,7 +560,7 @@ int cmd_sweep(const Args& args) {
                                 args.number("points", 10)));
   const auto sims = static_cast<std::size_t>(args.number("sims", 200));
   const auto threads = static_cast<std::size_t>(args.number("threads", 0));
-  const eval::SimConfig base = build_config(args);
+  const sim::LeftTurnSimConfig base = build_config(args);
   const auto style = parse_style(args);
 
   util::Table table("sweep: " + kind + " (" +
@@ -611,7 +571,8 @@ int cmd_sweep(const Args& args) {
   const std::size_t stride = grid.size() / points;
   for (std::size_t gi = 0; gi < grid.size(); gi += std::max<std::size_t>(
                                                  1, stride)) {
-    const eval::SimConfig cfg = eval::apply_setting(base, setting, grid[gi]);
+    const sim::LeftTurnSimConfig cfg =
+        eval::apply_setting(base, setting, grid[gi]);
     const auto pure = eval::run_batch(
         cfg, eval::make_nn_blueprint(cfg, style,
                                      eval::PlannerVariant::kPureNn),
@@ -880,7 +841,7 @@ int cmd_attack(const Args& args) {
 }
 
 int cmd_certify(const Args& args) {
-  const eval::SimConfig config = build_config(args);
+  const sim::LeftTurnSimConfig config = build_config(args);
   const auto scenario = config.make_scenario();
   util::Rng rng(static_cast<std::uint64_t>(args.number("seed", 20230417)));
 
@@ -935,21 +896,109 @@ int cmd_certify(const Args& args) {
   return failures == 0 ? 0 : 1;
 }
 
+/// One flag a command reads. For run and batch, \p scenarios lists the
+/// --scenario values that read it, '|'-separated; null means all.
+struct FlagSpec {
+  const char* name;
+  const char* scenarios = nullptr;
+};
+
+struct CommandSpec {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<FlagSpec> flags;
+};
+
+/// Every command with the flags it reads. A flag outside its command's
+/// list (or outside the scenarios of its entry) is rejected before the
+/// command runs, so no flag is ever silently ignored.
+const std::vector<CommandSpec>& commands() {
+  // Flags build_config() reads: --config, then apply_disturbance()'s.
+  const auto disturbance = [](std::vector<FlagSpec> flags,
+                              const char* config_scenarios = nullptr) {
+    for (const char* name : {"drop", "delay", "lost", "delta", "faults"}) {
+      flags.push_back({name});
+    }
+    flags.push_back({"config", config_scenarios});
+    return flags;
+  };
+  const char* const lt = "left-turn";  // left-turn-only flags
+  static const std::vector<CommandSpec> table = {
+      {"run", cmd_run,
+       disturbance({{"scenario"}, {"seed"}, {"variant"}, {"style", lt},
+                    {"trace", lt}, {"profile", lt}, {"metrics", lt},
+                    {"cars", "multi"}},
+                   "left-turn|multi")},
+      {"batch", cmd_batch,
+       disturbance({{"scenario"}, {"seed"}, {"variant"}, {"sims"},
+                    {"threads"}, {"style", lt}, {"pool", lt},
+                    {"flight-recorder", lt}, {"telemetry", lt},
+                    {"cars", "multi"}},
+                   "left-turn|multi")},
+      {"sweep", cmd_sweep,
+       disturbance({{"kind"}, {"points"}, {"sims"}, {"threads"},
+                    {"style"}})},
+      {"train", cmd_train, disturbance({{"out"}, {"sims"}})},
+      {"certify", cmd_certify,
+       disturbance({{"seed"}, {"threads"}, {"style"}, {"cert"},
+                    {"metrics"}})},
+      {"campaign", cmd_campaign,
+       {{"preset"}, {"sims"}, {"seed"}, {"threads"}, {"trace"},
+        {"flight-recorder"}, {"telemetry"}, {"metrics"}, {"out"}}},
+      {"attack", cmd_attack,
+       {{"budget"}, {"scenario"}, {"optimizer"}, {"seed"}, {"eval-seed"},
+        {"sims"}, {"topk"}, {"stealth"}, {"threads"}, {"metrics"},
+        {"flight-recorder"}, {"out"}}},
+  };
+  return table;
+}
+
+/// Exit status 2, with a message naming the flag, for the first flag of
+/// \p args that \p command (or its --scenario) does not read; 0 when
+/// all are read. An unknown scenario is left to the command to report.
+int reject_unread_flags(const CommandSpec& command, const Args& args) {
+  const auto listed = [](const std::string& list, const std::string& item) {
+    return ("|" + list + "|").find("|" + item + "|") != std::string::npos;
+  };
+  const std::string scenario = args.value("scenario", "left-turn");
+  const bool known =
+      listed("left-turn|lane-change|intersection|multi", scenario);
+  std::vector<std::string> given = args.flags;
+  for (const auto& [name, value] : args.values) given.push_back(name);
+  for (const std::string& name : given) {
+    const auto spec = std::find_if(
+        command.flags.begin(), command.flags.end(),
+        [&](const FlagSpec& f) { return name == f.name; });
+    if (spec == command.flags.end()) {
+      std::fprintf(stderr, "%s: unknown option --%s\n", command.name,
+                   name.c_str());
+      return 2;
+    }
+    if (spec->scenarios != nullptr && known &&
+        !listed(spec->scenarios, scenario)) {
+      std::fprintf(stderr, "--%s requires --scenario %s (got %s)\n",
+                   name.c_str(), spec->scenarios, scenario.c_str());
+      return 2;
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
-  try {
-    if (args.command == "run") return cmd_run(args);
-    if (args.command == "batch") return cmd_batch(args);
-    if (args.command == "train") return cmd_train(args);
-    if (args.command == "sweep") return cmd_sweep(args);
-    if (args.command == "certify") return cmd_certify(args);
-    if (args.command == "campaign") return cmd_campaign(args);
-    if (args.command == "attack") return cmd_attack(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "cvsafe_cli: %s\n", e.what());
-    return 1;
+  for (const CommandSpec& command : commands()) {
+    if (args.command != command.name) continue;
+    if (const int rc = reject_unread_flags(command, args); rc != 0) {
+      return rc;
+    }
+    try {
+      return command.run(args);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "cvsafe_cli: %s\n", e.what());
+      return 1;
+    }
   }
   return usage();
 }

@@ -67,10 +67,11 @@ include/):
                      sweeps (FleetEstimator::update_batch/predict_batch,
                      ReachSweep::run, FleetLadder) or it silently
                      reintroduces the per-lane cache-residency regression
-                     the SoA refactor removed. The reference per-lane
-                     loop reaches the scalar stack only through the
-                     episode's virtual interface, which this rule does
-                     not flag; annotate any legitimate direct use
+                     the SoA refactor removed. A pool without a
+                     FleetStackContext reaches the scalar stack only
+                     through the episode's virtual observe(), which this
+                     rule does not flag; annotate any legitimate direct
+                     use
   no-episode-recorder-in-fleet-sweep
                      same file set: the episode-level obs::Recorder (the
                      allocating JSONL event recorder) and the
@@ -83,7 +84,7 @@ include/):
                      (flight_recorder.hpp), whose only allocation is
                      arm() at pool construction; RingRecorder /
                      FlightRecorderConfig / ring_recording() do not
-                     match. The reference per-lane engine may mount
+                     match. The scalar oracle (run_episode) may mount
                      recorders — it is outside this file set
 
 A finding on a line that carries the annotation
