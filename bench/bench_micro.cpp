@@ -165,7 +165,8 @@ void BM_MultiVehicleBoundaryCheck(benchmark::State& state) {
     est.valid = true;
     cars.push_back(est);
   }
-  const util::IntervalSet tau = math.conservative_windows(cars);
+  util::IntervalSet tau;
+  math.conservative_windows(cars, tau);
   for (auto _ : state) {
     benchmark::DoNotOptimize(math.in_boundary_safe_set(1.0, -10.0, 9.0, tau));
   }

@@ -88,10 +88,15 @@ class CompoundPlanner final : public PlannerBase<World> {
 
   /// One control step of the runtime monitor (Section III-C):
   /// kappa_e iff x(t) in X_b, otherwise kappa_n — with the aggressive
-  /// unsafe set substituted when enabled.
+  /// unsafe set substituted when enabled. kappa_n plans on \p world
+  /// itself when nothing shrinks, else on the planner's scratch world,
+  /// whose storage is reused from step to step.
   double plan(const World& world) override {
     if (const auto emergency = monitor_gate(world)) return *emergency;
-    return nn_planner_->plan(planner_view(world));
+    if (!shrink_applies()) return nn_planner_->plan(world);
+    scratch_ = world;
+    safety_model_->shrink_for_planner(scratch_);
+    return nn_planner_->plan(scratch_);
   }
 
   /// The monitor's half of plan(): advances the step/switch bookkeeping
@@ -133,9 +138,11 @@ class CompoundPlanner final : public PlannerBase<World> {
                                  static_cast<double>(step));
       }
     }
-    std::optional<World> biased_world;
-    if (biased) biased_world.emplace(safety_model_->bias_for_emergency(world));
-    const World& check = biased_world ? *biased_world : world;
+    if (biased) {
+      scratch_ = world;
+      safety_model_->bias_for_emergency(scratch_);
+    }
+    const World& check = biased ? scratch_ : world;
     if (ring_on) ring_->eta_sample(safety_model_->boundary_slack(check));
     if (safety_model_->in_boundary_safe_set(check)) {
       ++stats_.emergency_steps;
@@ -173,12 +180,9 @@ class CompoundPlanner final : public PlannerBase<World> {
   /// and below) disables the aggressive shrink, so the embedded planner
   /// falls back to the conservative Eq. 7 windows.
   World planner_view(const World& world) const {
-    if (has_ladder() && ladder_level() != DegradationLevel::kFull) {
-      return world;
-    }
-    return options_.aggressive_unsafe_set
-               ? safety_model_->shrink_for_planner(world)
-               : world;
+    World view = world;
+    if (shrink_applies()) safety_model_->shrink_for_planner(view);
+    return view;
   }
 
   /// Arms the degradation ladder; without this call the planner behaves
@@ -286,6 +290,13 @@ class CompoundPlanner final : public PlannerBase<World> {
   }
 
  private:
+  bool shrink_applies() const {
+    if (has_ladder() && ladder_level() != DegradationLevel::kFull) {
+      return false;
+    }
+    return options_.aggressive_unsafe_set;
+  }
+
   void record_switch(std::size_t step, bool to_emergency,
                      std::string reason) {
     if (switch_events_.size() >= kMaxSwitchEvents) return;
@@ -308,6 +319,10 @@ class CompoundPlanner final : public PlannerBase<World> {
   DegradationSignals signals_;
   obs::Recorder* recorder_ = nullptr;
   obs::RingRecorder* ring_ = nullptr;
+  /// Shrunk (plan) or biased (monitor_gate) copy of the step's world;
+  /// copy-assignment reuses its storage. One step never needs both: the
+  /// shrink is off at every degraded ladder level, EMERGENCY-BIASED too.
+  World scratch_{};
 };
 
 }  // namespace cvsafe::core

@@ -33,23 +33,21 @@ class SafetyModelBase {
   /// X_b, one control step under this command stays in the safe set.
   virtual double emergency_accel(const World& world) const = 0;
 
-  /// Returns a world view whose unsafe-set parameterization is replaced by
-  /// the aggressive (underestimated) unsafe set for the NN-based planner.
-  /// The default is the identity (no shrink — basic compound planner).
-  virtual World shrink_for_planner(const World& world) const {
-    return world;
-  }
+  /// Replaces, in place, the unsafe-set parameterization of \p world —
+  /// a caller-owned copy of the monitor's view — by the aggressive
+  /// (underestimated) unsafe set for the NN-based planner. The default is
+  /// the identity (no shrink — basic compound planner).
+  virtual void shrink_for_planner(World& world) const { (void)world; }
 
-  /// Returns a world view whose unsafe-set parameterization is *inflated*
-  /// so the X_b membership test fires earlier. Consumed by the
-  /// EMERGENCY-BIASED rung of the degradation ladder (degradation.hpp)
-  /// when the estimators report themselves inconsistent: with the margin
-  /// toward kappa_e widened, a corrupted estimate has to be wrong by more
-  /// than the inflation before the monitor misses the boundary. The
-  /// default is the identity (no bias).
-  virtual World bias_for_emergency(const World& world) const {
-    return world;
-  }
+  /// *Inflates*, in place, the unsafe-set parameterization of \p world —
+  /// a caller-owned copy of the monitor's view — so the X_b membership
+  /// test fires earlier. Consumed by the EMERGENCY-BIASED rung of the
+  /// degradation ladder (degradation.hpp) when the estimators report
+  /// themselves inconsistent: with the margin toward kappa_e widened, a
+  /// corrupted estimate has to be wrong by more than the inflation before
+  /// the monitor misses the boundary. The default is the identity (no
+  /// bias).
+  virtual void bias_for_emergency(World& world) const { (void)world; }
 
   /// Short human-readable classification of WHY the world view lies in
   /// the boundary safe set (diagnostics / switch logs). Only called when

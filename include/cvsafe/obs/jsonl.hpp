@@ -28,7 +28,8 @@ struct EpisodeLabel {
   std::string fault;
 };
 
-/// Append \p v formatted with %.17g (shortest round-trip form).
+/// Append \p v formatted as printf %.17g would (17 significant digits:
+/// round-trips every double); non-finite values append null.
 void append_json_double(std::string& out, double v);
 
 /// Append \p s as a quoted JSON string, escaping as needed.

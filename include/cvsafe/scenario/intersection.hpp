@@ -48,6 +48,15 @@ struct IntersectionWorld {
   vehicle::VehicleState ego;
   util::IntervalSet tau_a;  ///< near-lane occupancy windows (sound)
   util::IntervalSet tau_b;  ///< far-lane occupancy windows (sound)
+
+  /// Resets to a default-constructed world but keeps both window sets'
+  /// storage, so refilling them each control step allocates nothing.
+  void clear() {
+    t = 0.0;
+    ego = {};
+    tau_a.clear();
+    tau_b.clear();
+  }
 };
 
 /// Safety mathematics of the two-zone crossing.
@@ -65,10 +74,13 @@ class IntersectionScenario {
   util::Interval full_throttle_occupancy(double t, double p, double v,
                                          double front, double back) const;
 
-  /// Joint resolvability: full throttle clears BOTH zones outside their
-  /// window sets, or the ego can still stop before the first uncleared
-  /// zone (and wait — windows only tighten over time).
-  bool resolvable(const IntersectionWorld& w) const;
+  /// Joint resolvability of the ego at time t against the window sets:
+  /// full throttle clears BOTH zones outside their window sets, or the
+  /// ego can still stop before the first uncleared zone (and wait —
+  /// windows only tighten over time).
+  bool resolvable(double t, const vehicle::VehicleState& ego,
+                  const util::IntervalSet& tau_a,
+                  const util::IntervalSet& tau_b) const;
 
   /// True iff the ego occupies zone A / zone B (the evaluation harness
   /// checks actual co-presence against the true traffic states).
@@ -94,7 +106,9 @@ class IntersectionScenario {
   std::optional<double> next_stop_line(double p) const;
 
   /// Full-throttle plan clear of both window sets.
-  bool full_throttle_clear(const IntersectionWorld& w) const;
+  bool full_throttle_clear(double t, const vehicle::VehicleState& ego,
+                           const util::IntervalSet& tau_a,
+                           const util::IntervalSet& tau_b) const;
 
   IntersectionGeometry geometry_;
   vehicle::VehicleLimits ego_;

@@ -32,6 +32,17 @@ struct LeftTurnMultiWorld {
   std::vector<filter::StateEstimate> oncoming_nn;       ///< NN-facing
   util::IntervalSet tau_monitor;  ///< union of conservative windows
   util::IntervalSet tau_nn;       ///< union of NN-facing windows
+
+  /// Resets to a default-constructed world but keeps every container's
+  /// storage, so refilling it each control step allocates nothing.
+  void clear() {
+    t = 0.0;
+    ego = {};
+    oncoming_monitor.clear();
+    oncoming_nn.clear();
+    tau_monitor.clear();
+    tau_nn.clear();
+  }
 };
 
 /// Safety mathematics against a union of passing windows.
@@ -42,14 +53,15 @@ class MultiVehicleLeftTurn {
 
   const LeftTurnScenario& base() const { return *base_; }
 
-  /// Union of the conservative (Eq. 7) windows of all oncoming vehicles.
-  util::IntervalSet conservative_windows(
-      std::span<const filter::StateEstimate> oncoming) const;
+  /// Replaces \p tau with the union of the conservative (Eq. 7) windows
+  /// of all oncoming vehicles (tau's storage is reused).
+  void conservative_windows(std::span<const filter::StateEstimate> oncoming,
+                            util::IntervalSet& tau) const;
 
-  /// Union of the aggressive (Eq. 8) windows.
-  util::IntervalSet aggressive_windows(
-      std::span<const filter::StateEstimate> oncoming,
-      const AggressiveBuffers& buffers) const;
+  /// Replaces \p tau with the union of the aggressive (Eq. 8) windows.
+  void aggressive_windows(std::span<const filter::StateEstimate> oncoming,
+                          const AggressiveBuffers& buffers,
+                          util::IntervalSet& tau) const;
 
   /// Eq. 6 generalized: negative slack and the ego's projected passing
   /// interval meets some possibly-occupied time.
@@ -92,13 +104,11 @@ class MultiVehicleSafetyModel final
   double emergency_accel(const LeftTurnMultiWorld& world) const override;
 
   /// Replaces tau_nn with the union of aggressive windows.
-  LeftTurnMultiWorld shrink_for_planner(
-      const LeftTurnMultiWorld& world) const override;
+  void shrink_for_planner(LeftTurnMultiWorld& world) const override;
 
   /// EMERGENCY-BIASED ladder rung: inflates every monitor window by
   /// LeftTurnSafetyModel::kEmergencyBias seconds on each side.
-  LeftTurnMultiWorld bias_for_emergency(
-      const LeftTurnMultiWorld& world) const override;
+  void bias_for_emergency(LeftTurnMultiWorld& world) const override;
 
  private:
   std::shared_ptr<const MultiVehicleLeftTurn> math_;

@@ -32,13 +32,12 @@ class LeftTurnSafetyModel final
 
   /// Replaces the NN-facing window with the aggressive estimate (Eq. 8)
   /// computed from the NN-facing state estimate.
-  LeftTurnWorld shrink_for_planner(const LeftTurnWorld& world) const override;
+  void shrink_for_planner(LeftTurnWorld& world) const override;
 
   /// EMERGENCY-BIASED ladder rung: inflates the monitor passing window by
   /// kEmergencyBias seconds on each side, so the X_b membership test
   /// fires earlier while the estimators are suspect.
-  LeftTurnWorld bias_for_emergency(
-      const LeftTurnWorld& world) const override;
+  void bias_for_emergency(LeftTurnWorld& world) const override;
 
   static constexpr double kEmergencyBias = 0.25;  ///< window pad [s]
 

@@ -366,7 +366,14 @@ class EpisodeRunner {
     t_ = static_cast<double>(step_) * config_->dt_c;
     if (hook_ != nullptr) hook_->on_step_begin(step_, t_);
     if (ring_ != nullptr) ring_->begin_step(static_cast<std::uint32_t>(step_));
-    world_ = World{};
+    // World storage contract: Episode::observe fills every field, and a
+    // world with containers clears them in place, so their storage
+    // survives from step to step.
+    if constexpr (requires(World& w) { w.clear(); }) {
+      world_.clear();
+    } else {
+      world_ = World{};
+    }
     world_.t = t_;
     world_.ego = ego_;
   }

@@ -69,7 +69,16 @@ class IntervalSet {
   bool intersects(const Interval& iv) const;
 
   /// Adds an interval (merging as needed). Empty intervals are ignored.
+  /// Merges in place: once the storage has grown to the set's size,
+  /// inserting allocates nothing.
   void insert(const Interval& iv);
+
+  /// Removes every part, keeping the storage for the next inserts.
+  void clear() { parts_.clear(); }
+
+  /// Widens every part by \p margin (>= 0) on both sides and re-merges:
+  /// the union of the inflated parts, computed in place.
+  void inflate(double margin);
 
   /// Union with another set.
   IntervalSet unite(const IntervalSet& other) const;
@@ -78,11 +87,20 @@ class IntervalSet {
   IntervalSet intersect(const Interval& iv) const;
 
   /// The part of the set at or after time \p t (used to discard passed
-  /// windows).
+  /// windows). Allocates; the monitors use the queries below, which
+  /// read the same values in place, and tests compare them against this.
   IntervalSet after(double t) const;
 
-  /// The earliest covered point >= t, or nullopt when none.
+  /// The earliest covered point >= t, or nullopt when none
+  /// (== after(t).min()).
   std::optional<double> first_point_after(double t) const;
+
+  /// The first part of after(t), or nullopt when after(t) is empty
+  /// (== after(t)[0]).
+  std::optional<Interval> first_part_after(double t) const;
+
+  /// True iff after(t) intersects \p iv (== after(t).intersects(iv)).
+  bool intersects_after(double t, const Interval& iv) const;
 
   friend bool operator==(const IntervalSet& a, const IntervalSet& b) {
     if (a.parts_.size() != b.parts_.size()) return false;

@@ -1,6 +1,8 @@
 #include "cvsafe/obs/flight_recorder.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <ostream>
 
 #include "cvsafe/obs/jsonl.hpp"
@@ -55,6 +57,14 @@ std::vector<FlightDump> FlightDumpCollector::take_sorted() {
 
 namespace {
 
+/// Appends \p key, then \p v in decimal.
+void append_uint(std::string& out, const char* key, std::uint64_t v) {
+  out += key;
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
 /// The code byte rendered per kind: a reason name for rejections, a
 /// degradation level index for ladder transitions, a 0/1 flag otherwise.
 void append_event_code(std::string& out, const RingEvent& event) {
@@ -63,15 +73,64 @@ void append_event_code(std::string& out, const RingEvent& event) {
     out += "\"reason\":";
     append_json_string(out, to_string(static_cast<GateRejectReason>(
                                 event.code)));
-    out += ",\"sender\":" + std::to_string(event.aux);
+    append_uint(out, ",\"sender\":", event.aux);
   } else if (kind == RingEventKind::kLadderTransition) {
-    out += "\"from\":" + std::to_string(event.aux);
-    out += ",\"to\":" + std::to_string(event.code);
+    append_uint(out, "\"from\":", event.aux);
+    append_uint(out, ",\"to\":", event.code);
   } else if (kind == RingEventKind::kMessageAccept) {
-    out += "\"sender\":" + std::to_string(event.aux);
+    append_uint(out, "\"sender\":", event.aux);
   } else {
-    out += "\"code\":" + std::to_string(event.code);
+    append_uint(out, "\"code\":", event.code);
   }
+}
+
+/// Formats one dump — its header line, then one line per event — into
+/// \p out (cleared first, storage reused) and writes it with one
+/// os.write.
+void write_dump(std::ostream& os, std::string& out, const FlightDump& dump,
+                const std::string& scenario, const std::string& fault) {
+  out.clear();
+  append_uint(out, "{\"flight\":{\"episode\":", dump.episode);
+  append_uint(out, ",\"seed\":", dump.seed);
+  if (!scenario.empty()) {
+    out += ",\"scenario\":";
+    append_json_string(out, scenario);
+  }
+  if (!fault.empty()) {
+    out += ",\"fault\":";
+    append_json_string(out, fault);
+  }
+  out += ",\"triggers\":[";
+  bool first = true;
+  for (unsigned bit = kTriggerEta; bit <= kTriggerRejectionBurst; bit <<= 1u) {
+    if ((dump.triggers & bit) == 0) continue;
+    if (!first) out += ',';
+    first = false;
+    append_json_string(out, ring_trigger_name(bit));
+  }
+  out += "],\"eta\":";
+  append_json_double(out, dump.eta);
+  out += ",\"collided\":";
+  out += dump.collided ? "true" : "false";
+  append_uint(out, ",\"rejections\":", dump.rejections);
+  append_uint(out, ",\"events\":", dump.events.size());
+  append_uint(out, ",\"overwritten\":", dump.overwritten);
+  out += "}}\n";
+
+  for (const RingEvent& event : dump.events) {
+    append_uint(out, "{\"episode\":", dump.episode);
+    append_uint(out, ",\"step\":", event.step);
+    out += ",\"kind\":";
+    append_json_string(out,
+                       ring_event_kind_name(
+                           static_cast<RingEventKind>(event.kind)));
+    out += ',';
+    append_event_code(out, event);
+    out += ",\"value\":";
+    append_json_double(out, event.value);
+    out += "}\n";
+  }
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 }  // namespace
@@ -79,49 +138,8 @@ void append_event_code(std::string& out, const RingEvent& event) {
 void write_flight_dump_jsonl(std::ostream& os, const FlightDump& dump,
                              const std::string& scenario,
                              const std::string& fault) {
-  std::string line = "{\"flight\":{\"episode\":" +
-                     std::to_string(dump.episode) +
-                     ",\"seed\":" + std::to_string(dump.seed);
-  if (!scenario.empty()) {
-    line += ",\"scenario\":";
-    append_json_string(line, scenario);
-  }
-  if (!fault.empty()) {
-    line += ",\"fault\":";
-    append_json_string(line, fault);
-  }
-  line += ",\"triggers\":[";
-  bool first = true;
-  for (unsigned bit = kTriggerEta; bit <= kTriggerRejectionBurst; bit <<= 1u) {
-    if ((dump.triggers & bit) == 0) continue;
-    if (!first) line += ',';
-    first = false;
-    append_json_string(line, ring_trigger_name(bit));
-  }
-  line += "],\"eta\":";
-  append_json_double(line, dump.eta);
-  line += ",\"collided\":";
-  line += dump.collided ? "true" : "false";
-  line += ",\"rejections\":" + std::to_string(dump.rejections);
-  line += ",\"events\":" + std::to_string(dump.events.size());
-  line += ",\"overwritten\":" + std::to_string(dump.overwritten);
-  line += "}}\n";
-  os << line;
-
-  for (const RingEvent& event : dump.events) {
-    line = "{\"episode\":" + std::to_string(dump.episode);
-    line += ",\"step\":" + std::to_string(event.step);
-    line += ",\"kind\":";
-    append_json_string(line,
-                       ring_event_kind_name(
-                           static_cast<RingEventKind>(event.kind)));
-    line += ',';
-    append_event_code(line, event);
-    line += ",\"value\":";
-    append_json_double(line, event.value);
-    line += "}\n";
-    os << line;
-  }
+  std::string buf;
+  write_dump(os, buf, dump, scenario, fault);
 }
 
 std::size_t write_flight_dumps_jsonl(std::ostream& os,
@@ -132,8 +150,10 @@ std::size_t write_flight_dumps_jsonl(std::ostream& os,
             [](const FlightDump& a, const FlightDump& b) {
               return a.episode < b.episode;
             });
+  // One buffer for every dump: the file is never held in memory whole.
+  std::string buf;
   for (const FlightDump& dump : dumps) {
-    write_flight_dump_jsonl(os, dump, scenario, fault);
+    write_dump(os, buf, dump, scenario, fault);
   }
   return dumps.size();
 }

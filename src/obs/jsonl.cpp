@@ -1,5 +1,6 @@
 #include "cvsafe/obs/jsonl.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -51,9 +52,12 @@ void append_json_double(std::string& out, double v) {
     out += "null";
     return;
   }
+  // to_chars in general format at precision 17 is specified as printf
+  // "%.17g" in the C locale, without the format-string parsing.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 17);
+  out.append(buf, res.ptr);
 }
 
 void append_json_string(std::string& out, std::string_view s) {

@@ -43,23 +43,33 @@ std::optional<double> IntersectionScenario::next_stop_line(double p) const {
 }
 
 bool IntersectionScenario::full_throttle_clear(
-    const IntersectionWorld& w) const {
-  const Interval occ_a = full_throttle_occupancy(
-      w.t, w.ego.p, w.ego.v, geometry_.zone_a_front, geometry_.zone_a_back);
-  const Interval occ_b = full_throttle_occupancy(
-      w.t, w.ego.p, w.ego.v, geometry_.zone_b_front, geometry_.zone_b_back);
-  return !w.tau_a.intersects(occ_a) && !w.tau_b.intersects(occ_b);
+    double t, const vehicle::VehicleState& ego, const IntervalSet& tau_a,
+    const IntervalSet& tau_b) const {
+  // An empty window set cannot meet any occupancy, and zone B only
+  // matters once zone A is clear, so occupancies are computed on demand.
+  if (!tau_a.empty() &&
+      tau_a.intersects(full_throttle_occupancy(
+          t, ego.p, ego.v, geometry_.zone_a_front, geometry_.zone_a_back))) {
+    return false;
+  }
+  return tau_b.empty() ||
+         !tau_b.intersects(full_throttle_occupancy(
+             t, ego.p, ego.v, geometry_.zone_b_front, geometry_.zone_b_back));
 }
 
-bool IntersectionScenario::resolvable(const IntersectionWorld& w) const {
-  if (full_throttle_clear(w)) return true;
+bool IntersectionScenario::resolvable(double t,
+                                      const vehicle::VehicleState& ego,
+                                      const IntervalSet& tau_a,
+                                      const IntervalSet& tau_b) const {
   // Hold before the next stop line and wait: window sets only tighten
   // over time (set-membership estimates), so waiting eventually clears.
-  const auto line = next_stop_line(w.ego.p);
-  if (!line) return false;
-  const double slack =
-      *line - util::braking_distance(w.ego.v, ego_.a_min) - w.ego.p;
-  return slack >= 0.0;
+  // Both tests are pure; the cheap stopping slack goes first.
+  if (const auto line = next_stop_line(ego.p)) {
+    const double slack =
+        *line - util::braking_distance(ego.v, ego_.a_min) - ego.p;
+    if (slack >= 0.0) return true;
+  }
+  return full_throttle_clear(t, ego, tau_a, tau_b);
 }
 
 bool IntersectionScenario::in_zone_a(double p) const {
@@ -71,30 +81,29 @@ bool IntersectionScenario::in_zone_b(double p) const {
 }
 
 bool IntersectionScenario::in_unsafe_set(const IntersectionWorld& w) const {
-  return !resolvable(w);
+  return !resolvable(w.t, w.ego, w.tau_a, w.tau_b);
 }
 
 bool IntersectionScenario::in_boundary_safe_set(
     const IntersectionWorld& w) const {
   if (w.ego.p > geometry_.zone_b_back) return false;  // crossing done
-  if (w.tau_a.after(w.t).empty() && w.tau_b.after(w.t).empty()) {
+  if (!w.tau_a.first_point_after(w.t) && !w.tau_b.first_point_after(w.t)) {
     return false;  // all traffic certainly passed
   }
   // Best-effort containment when already unresolvable (should not be
   // reachable under compound control).
-  if (!resolvable(w)) return true;
+  if (!resolvable(w.t, w.ego, w.tau_a, w.tau_b)) return true;
   // One-step preimage of unresolvability over sampled feasible controls.
   constexpr int kSamples = 33;
+  const double t_next = w.t + dt_c_;
   for (int i = 0; i < kSamples; ++i) {
     const double a =
         ego_.a_min + (ego_.a_max - ego_.a_min) * i / (kSamples - 1);
     const double cap = a >= 0.0 ? ego_.v_max : ego_.v_min;
-    IntersectionWorld next = w;
-    next.t = w.t + dt_c_;
-    next.ego.p =
-        w.ego.p + util::displacement_with_speed_cap(w.ego.v, a, dt_c_, cap);
-    next.ego.v = ego_.clamp_speed(util::speed_after(w.ego.v, a, dt_c_, cap));
-    if (!resolvable(next)) return true;
+    const vehicle::VehicleState next{
+        w.ego.p + util::displacement_with_speed_cap(w.ego.v, a, dt_c_, cap),
+        ego_.clamp_speed(util::speed_after(w.ego.v, a, dt_c_, cap))};
+    if (!resolvable(t_next, next, w.tau_a, w.tau_b)) return true;
   }
   return false;
 }
@@ -102,7 +111,7 @@ bool IntersectionScenario::in_boundary_safe_set(
 double IntersectionScenario::emergency_accel(
     const IntersectionWorld& w) const {
   // Committed with a clear full-throttle plan: execute it.
-  if (full_throttle_clear(w)) return ego_.a_max;
+  if (full_throttle_clear(w.t, w.ego, w.tau_a, w.tau_b)) return ego_.a_max;
   // Otherwise stop before the next stop line with least braking.
   if (const auto line = next_stop_line(w.ego.p)) {
     const double gap = *line - w.ego.p;

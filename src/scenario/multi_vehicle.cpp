@@ -17,23 +17,21 @@ MultiVehicleLeftTurn::MultiVehicleLeftTurn(
   assert(base_ != nullptr);
 }
 
-IntervalSet MultiVehicleLeftTurn::conservative_windows(
-    std::span<const filter::StateEstimate> oncoming) const {
-  IntervalSet tau;
+void MultiVehicleLeftTurn::conservative_windows(
+    std::span<const filter::StateEstimate> oncoming, IntervalSet& tau) const {
+  tau.clear();
   for (const auto& est : oncoming) {
     tau.insert(base_->c1_window_conservative(est));
   }
-  return tau;
 }
 
-IntervalSet MultiVehicleLeftTurn::aggressive_windows(
+void MultiVehicleLeftTurn::aggressive_windows(
     std::span<const filter::StateEstimate> oncoming,
-    const AggressiveBuffers& buffers) const {
-  IntervalSet tau;
+    const AggressiveBuffers& buffers, IntervalSet& tau) const {
+  tau.clear();
   for (const auto& est : oncoming) {
     tau.insert(base_->c1_window_aggressive(est, buffers));
   }
-  return tau;
 }
 
 Interval MultiVehicleLeftTurn::full_throttle_occupancy(double t, double p0,
@@ -59,14 +57,17 @@ bool MultiVehicleLeftTurn::in_unsafe_set(double t, double p0, double v0,
 
 bool MultiVehicleLeftTurn::resolvable(double t, double p0, double v0,
                                       const IntervalSet& tau) const {
-  const IntervalSet remaining = tau.after(t);
-  if (remaining.empty()) return true;
+  // The windows remaining at t, read in place: their first point,
+  // whether they meet an interval, and their end, tau.max().
+  const auto first_remaining = tau.first_point_after(t);
+  if (!first_remaining) return true;
   const auto& g = base_->geometry();
   if (p0 > g.ego_back) return true;
 
   // (i) Pass ahead of every remaining window under full throttle.
   const Interval occupancy = full_throttle_occupancy(t, p0, v0);
-  if (!remaining.intersects(occupancy) && occupancy.hi <= remaining.min()) {
+  if (!tau.intersects_after(t, occupancy) &&
+      occupancy.hi <= *first_remaining) {
     return true;
   }
 
@@ -77,13 +78,13 @@ bool MultiVehicleLeftTurn::resolvable(double t, double p0, double v0,
   const double entry_mb =
       t + util::time_to_travel(g.ego_front - p0, v0, lim.a_min,
                                std::max(lim.v_min, 0.0));
-  return entry_mb >= remaining.max();
+  return entry_mb >= tau.max();
 }
 
 bool MultiVehicleLeftTurn::in_boundary_safe_set(double t, double p0,
                                                 double v0,
                                                 const IntervalSet& tau) const {
-  if (tau.after(t).empty()) return false;
+  if (!tau.first_point_after(t)) return false;
   const auto& g = base_->geometry();
   const auto& lim = base_->ego_limits();
   const double dt_c = base_->control_period();
@@ -144,10 +145,11 @@ double MultiVehicleLeftTurn::emergency_accel(double t, double p0, double v0,
 
   // Committed: full throttle when passing ahead of every remaining window
   // is the resolving strategy; otherwise brake and delay.
-  const IntervalSet remaining = tau.after(t);
-  if (remaining.empty()) return lim.a_max;
+  const auto first_remaining = tau.first_point_after(t);
+  if (!first_remaining) return lim.a_max;
   const Interval occupancy = full_throttle_occupancy(t, p0, v0);
-  if (!remaining.intersects(occupancy) && occupancy.hi <= remaining.min()) {
+  if (!tau.intersects_after(t, occupancy) &&
+      occupancy.hi <= *first_remaining) {
     return lim.a_max;
   }
   return lim.a_min;
@@ -178,22 +180,14 @@ double MultiVehicleSafetyModel::emergency_accel(
                                 world.tau_monitor);
 }
 
-LeftTurnMultiWorld MultiVehicleSafetyModel::shrink_for_planner(
-    const LeftTurnMultiWorld& world) const {
-  LeftTurnMultiWorld shrunk = world;
-  shrunk.tau_nn = math_->aggressive_windows(world.oncoming_nn, buffers_);
-  return shrunk;
+void MultiVehicleSafetyModel::shrink_for_planner(
+    LeftTurnMultiWorld& world) const {
+  math_->aggressive_windows(world.oncoming_nn, buffers_, world.tau_nn);
 }
 
-LeftTurnMultiWorld MultiVehicleSafetyModel::bias_for_emergency(
-    const LeftTurnMultiWorld& world) const {
-  LeftTurnMultiWorld biased = world;
-  util::IntervalSet padded;
-  for (const auto& w : world.tau_monitor) {
-    padded.insert(w.inflated(LeftTurnSafetyModel::kEmergencyBias));
-  }
-  biased.tau_monitor = padded;
-  return biased;
+void MultiVehicleSafetyModel::bias_for_emergency(
+    LeftTurnMultiWorld& world) const {
+  world.tau_monitor.inflate(LeftTurnSafetyModel::kEmergencyBias);
 }
 
 FirstConflictAdapter::FirstConflictAdapter(
@@ -208,9 +202,8 @@ double FirstConflictAdapter::plan(const LeftTurnMultiWorld& world) {
   LeftTurnWorld view;
   view.t = world.t;
   view.ego = world.ego;
-  const util::IntervalSet upcoming = world.tau_nn.after(world.t);
-  view.tau1_nn =
-      upcoming.empty() ? Interval::empty_interval() : upcoming[0];
+  view.tau1_nn = world.tau_nn.first_part_after(world.t).value_or(
+      Interval::empty_interval());
   view.tau1_monitor = view.tau1_nn;
   if (!world.oncoming_nn.empty()) view.c1_nn = world.oncoming_nn.front();
   return inner_->plan(view);

@@ -27,20 +27,14 @@ double LeftTurnSafetyModel::emergency_accel(const LeftTurnWorld& world) const {
                                     world.tau1_monitor);
 }
 
-LeftTurnWorld LeftTurnSafetyModel::shrink_for_planner(
-    const LeftTurnWorld& world) const {
-  LeftTurnWorld shrunk = world;
-  shrunk.tau1_nn = scenario_->c1_window_aggressive(world.c1_nn, buffers_);
-  return shrunk;
+void LeftTurnSafetyModel::shrink_for_planner(LeftTurnWorld& world) const {
+  world.tau1_nn = scenario_->c1_window_aggressive(world.c1_nn, buffers_);
 }
 
-LeftTurnWorld LeftTurnSafetyModel::bias_for_emergency(
-    const LeftTurnWorld& world) const {
-  LeftTurnWorld biased = world;
-  if (!biased.tau1_monitor.empty()) {
-    biased.tau1_monitor = biased.tau1_monitor.inflated(kEmergencyBias);
+void LeftTurnSafetyModel::bias_for_emergency(LeftTurnWorld& world) const {
+  if (!world.tau1_monitor.empty()) {
+    world.tau1_monitor = world.tau1_monitor.inflated(kEmergencyBias);
   }
-  return biased;
 }
 
 std::string LeftTurnSafetyModel::boundary_reason(

@@ -110,8 +110,8 @@ class MultiVehicleEpisode final : public Episode<LeftTurnMultiWorld> {
       world.oncoming_monitor.push_back(car.estimators[0]->estimate(t));
       world.oncoming_nn.push_back(car.estimators[1]->estimate(t));
     }
-    world.tau_monitor = math_->conservative_windows(world.oncoming_monitor);
-    world.tau_nn = math_->conservative_windows(world.oncoming_nn);
+    math_->conservative_windows(world.oncoming_monitor, world.tau_monitor);
+    math_->conservative_windows(world.oncoming_nn, world.tau_nn);
     if (compound_ != nullptr && compound_->has_ladder()) {
       SignalAccumulator acc;
       for (const auto* f : monitor_filters_) {

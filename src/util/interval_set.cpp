@@ -20,17 +20,18 @@ void IntervalSet::normalize() {
   if (parts_.size() < 2) return;
   std::sort(parts_.begin(), parts_.end(),
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> merged;
-  merged.reserve(parts_.size());
-  for (const auto& iv : parts_) {
+  // Merge in place: parts_[0..kept) is the merged prefix.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < parts_.size(); ++i) {
+    const Interval iv = parts_[i];
     CVSAFE_ASSERT(!iv.empty(), "normalize must never see empty parts");
-    if (!merged.empty() && iv.lo <= merged.back().hi) {
-      merged.back().hi = std::max(merged.back().hi, iv.hi);
+    if (kept > 0 && iv.lo <= parts_[kept - 1].hi) {
+      parts_[kept - 1].hi = std::max(parts_[kept - 1].hi, iv.hi);
     } else {
-      merged.push_back(iv);
+      parts_[kept++] = iv;
     }
   }
-  parts_ = std::move(merged);
+  parts_.resize(kept);
 }
 
 double IntervalSet::measure() const {
@@ -67,6 +68,11 @@ void IntervalSet::insert(const Interval& iv) {
   normalize();
 }
 
+void IntervalSet::inflate(double margin) {
+  for (auto& part : parts_) part = part.inflated(margin);
+  normalize();
+}
+
 IntervalSet IntervalSet::unite(const IntervalSet& other) const {
   IntervalSet out = *this;
   out.parts_.insert(out.parts_.end(), other.parts_.begin(),
@@ -99,6 +105,24 @@ std::optional<double> IntervalSet::first_point_after(double t) const {
     if (part.hi >= t) return std::max(part.lo, t);
   }
   return std::nullopt;
+}
+
+std::optional<Interval> IntervalSet::first_part_after(double t) const {
+  for (const auto& part : parts_) {
+    if (part.hi >= t) return Interval{std::max(part.lo, t), part.hi};
+  }
+  return std::nullopt;
+}
+
+bool IntervalSet::intersects_after(double t, const Interval& target) const {
+  if (target.empty()) return false;
+  for (const auto& part : parts_) {
+    if (part.hi < t) continue;
+    const Interval clipped{std::max(part.lo, t), part.hi};
+    if (clipped.intersects(target)) return true;
+    if (clipped.lo > target.hi) break;
+  }
+  return false;
 }
 
 std::ostream& operator<<(std::ostream& os, const IntervalSet& s) {

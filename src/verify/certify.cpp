@@ -289,14 +289,11 @@ Certificate certify_intersection_invariance(
     };
     w.tau_a = util::IntervalSet{window(), window()};
     w.tau_b = util::IntervalSet{window(), window()};
-    if (!scenario.resolvable(w)) continue;
+    if (!scenario.resolvable(w.t, w.ego, w.tau_a, w.tau_b)) continue;
     ++cert.checked;
     const double a_e = scenario.emergency_accel(w);
-    scenario::IntersectionWorld next = w;
-    next.t = dt;
     const auto s = dyn.step(w.ego, a_e, dt);
-    next.ego = s;
-    if (!scenario.resolvable(next)) {
+    if (!scenario.resolvable(dt, s, w.tau_a, w.tau_b)) {
       std::ostringstream detail;
       detail << "a_e=" << a_e << " -> p=" << s.p << " v=" << s.v;
       record(cert, 16,

@@ -45,11 +45,7 @@ class ToySafetyModel final : public SafetyModelBase<ToyWorld> {
     return w.danger > 0.5 && w.danger <= 1.0;
   }
   double emergency_accel(const ToyWorld&) const override { return -2.0; }
-  ToyWorld shrink_for_planner(const ToyWorld& w) const override {
-    ToyWorld s = w;
-    s.shrunk = true;
-    return s;
-  }
+  void shrink_for_planner(ToyWorld& w) const override { w.shrunk = true; }
 };
 
 TEST(CompoundPlanner, SelectsNnWhenSafe) {

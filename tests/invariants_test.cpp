@@ -141,7 +141,8 @@ TEST(Invariants, MultiVehicleWindowUnionIsSound) {
         e.valid = true;
         ests.push_back(e);
       }
-      const util::IntervalSet tau = math.conservative_windows(ests);
+      util::IntervalSet tau;
+      math.conservative_windows(ests, tau);
       for (const auto& car : cars) {
         const double entry =
             car.traj.first_time_at_position(scn->geometry().c1_front);

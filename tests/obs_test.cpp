@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -156,6 +160,51 @@ TEST(Jsonl, EveryPayloadTypeSerializes) {
             "{\"ep\":2,\"seed\":42,\"step\":6,\"t\":0.75,"
             "\"type\":\"episode_end\",\"collided\":false,\"reached\":true,"
             "\"eta\":0.75,\"steps\":120}");
+}
+
+// append_json_double must print exactly what printf("%.17g") prints, for
+// every finite double: random bit patterns, subnormals, signed zeros,
+// integers around 2^53 and powers of ten.
+TEST(Jsonl, DoublesMatchPrintfG17) {
+  const auto printf_g17 = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  std::vector<double> values{0.0, -0.0,
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::lowest(),
+                             std::numeric_limits<double>::epsilon()};
+  for (int e = -320; e <= 308; ++e) {
+    const double p = std::pow(10.0, e);
+    values.insert(values.end(), {p, -p, std::nextafter(p, 0.0),
+                                 std::nextafter(p, 2.0 * p)});
+  }
+  const double two53 = 9007199254740992.0;
+  for (int k = -64; k <= 64; ++k) {
+    values.push_back(two53 + k);
+    values.push_back(-(two53 + k));
+    values.push_back(static_cast<double>(k) / 64.0);
+  }
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;  // xorshift64
+  for (int i = 0; i < 200000; ++i) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    const double v = std::bit_cast<double>(state);
+    if (std::isfinite(v)) values.push_back(v);
+    // Subnormals: random mantissa, zero exponent.
+    values.push_back(std::bit_cast<double>(state & 0x800FFFFFFFFFFFFFULL));
+  }
+  std::string out;
+  for (const double v : values) {
+    out.clear();
+    obs::append_json_double(out, v);
+    ASSERT_EQ(out, printf_g17(v)) << std::bit_cast<std::uint64_t>(v);
+  }
 }
 
 TEST(Jsonl, DoublesRoundTripAndNonFiniteBecomesNull) {

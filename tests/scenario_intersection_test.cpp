@@ -25,6 +25,10 @@ IntersectionWorld world(double t, double p, double v,
   return w;
 }
 
+bool resolvable(const IntersectionScenario& scn, const IntersectionWorld& w) {
+  return scn.resolvable(w.t, w.ego, w.tau_a, w.tau_b);
+}
+
 TEST(IntersectionGeometry, Defaults) {
   const IntersectionGeometry g;
   EXPECT_TRUE(g.valid());
@@ -54,25 +58,25 @@ TEST(Intersection, FullThrottleOccupancy) {
 TEST(Intersection, ResolvableByClearPlanOrStopping) {
   const auto scn = make_scenario();
   // Windows far in the future: full throttle clears both.
-  EXPECT_TRUE(scn.resolvable(world(0.0, 0.0, 10.0,
-                                   util::IntervalSet{{20.0, 25.0}},
-                                   util::IntervalSet{{20.0, 25.0}})));
+  EXPECT_TRUE(resolvable(scn, world(0.0, 0.0, 10.0,
+                                    util::IntervalSet{{20.0, 25.0}},
+                                    util::IntervalSet{{20.0, 25.0}})));
   // Imminent windows but far away / slow: can stop before zone A.
-  EXPECT_TRUE(scn.resolvable(world(0.0, -20.0, 8.0,
-                                   util::IntervalSet{{0.5, 10.0}},
-                                   util::IntervalSet{{0.5, 10.0}})));
-  // Fast and close with active windows: cannot stop, cannot clear.
-  EXPECT_FALSE(scn.resolvable(world(0.0, 6.0, 14.0,
+  EXPECT_TRUE(resolvable(scn, world(0.0, -20.0, 8.0,
                                     util::IntervalSet{{0.5, 10.0}},
                                     util::IntervalSet{{0.5, 10.0}})));
+  // Fast and close with active windows: cannot stop, cannot clear.
+  EXPECT_FALSE(resolvable(scn, world(0.0, 6.0, 14.0,
+                                     util::IntervalSet{{0.5, 10.0}},
+                                     util::IntervalSet{{0.5, 10.0}})));
 }
 
 TEST(Intersection, MedianGapIsAHoldingPosition) {
   const auto scn = make_scenario();
   // Ego waiting in the gap between the lanes with the far lane blocked:
   // resolvable by holding before zone B.
-  EXPECT_TRUE(scn.resolvable(world(0.0, 14.5, 0.0, {},
-                                   util::IntervalSet{{0.5, 8.0}})));
+  EXPECT_TRUE(resolvable(scn, world(0.0, 14.5, 0.0, {},
+                                    util::IntervalSet{{0.5, 8.0}})));
   // And the boundary set lets it sit there (stopped: no control reaches
   // unresolvability in one step).
   EXPECT_TRUE(scn.in_boundary_safe_set(

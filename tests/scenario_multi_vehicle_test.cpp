@@ -32,7 +32,8 @@ TEST(MultiVehicle, WindowsAreUnionOfPerVehicleWindows) {
   const MultiVehicleLeftTurn math(base_scenario());
   const std::vector<filter::StateEstimate> cars{
       exact(0.0, -50.0, 10.0), exact(0.0, -90.0, 10.0)};
-  const auto tau = math.conservative_windows(cars);
+  util::IntervalSet tau;
+  math.conservative_windows(cars, tau);
   const auto w0 = math.base().c1_window_conservative(cars[0]);
   const auto w1 = math.base().c1_window_conservative(cars[1]);
   EXPECT_TRUE(tau.intersects(w0));
@@ -45,7 +46,8 @@ TEST(MultiVehicle, SingleVehicleMatchesScalarScenario) {
   const auto base = base_scenario();
   const MultiVehicleLeftTurn math(base);
   const std::vector<filter::StateEstimate> one{exact(0.0, -50.0, 10.0)};
-  const auto tau = math.conservative_windows(one);
+  util::IntervalSet tau;
+  math.conservative_windows(one, tau);
   const auto scalar = base->c1_window_conservative(one[0]);
   ASSERT_EQ(tau.size(), 1u);
   EXPECT_EQ(tau[0], scalar);

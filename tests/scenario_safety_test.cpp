@@ -156,7 +156,8 @@ TEST(SafetyModel, ShrinkReplacesNnWindowOnly) {
   world.tau1_monitor = scn->c1_window_conservative(world.c1_nn);
   world.tau1_nn = world.tau1_monitor;
 
-  const LeftTurnWorld shrunk = model.shrink_for_planner(world);
+  LeftTurnWorld shrunk = world;
+  model.shrink_for_planner(shrunk);
   // Monitor window untouched; NN window replaced by the aggressive one.
   EXPECT_EQ(shrunk.tau1_monitor, world.tau1_monitor);
   EXPECT_LT(shrunk.tau1_nn.width(), world.tau1_nn.width());

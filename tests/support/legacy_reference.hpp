@@ -614,8 +614,8 @@ inline LegacyResult run_multi(const sim::LeftTurnSimConfig& config,
       world.oncoming_monitor.push_back(car.monitor_est->estimate(t));
       world.oncoming_nn.push_back(car.nn_est->estimate(t));
     }
-    world.tau_monitor = math->conservative_windows(world.oncoming_monitor);
-    world.tau_nn = math->conservative_windows(world.oncoming_nn);
+    math->conservative_windows(world.oncoming_monitor, world.tau_monitor);
+    math->conservative_windows(world.oncoming_nn, world.tau_nn);
 
     const double a0 = planner->plan(world);
     ++result.steps;

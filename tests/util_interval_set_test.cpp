@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "cvsafe/util/rng.hpp"
 
 namespace cvsafe::util {
@@ -185,6 +190,133 @@ TEST(IntervalSetProperty, MeasureMonotone) {
       ASSERT_LE(s.measure(), s.hull().width() + 1e-12);
     }
   }
+}
+
+// --- In-place forms against their allocating references -----------------
+
+bool same_bits(const Interval& a, const Interval& b) {
+  return std::bit_cast<std::uint64_t>(a.lo) ==
+             std::bit_cast<std::uint64_t>(b.lo) &&
+         std::bit_cast<std::uint64_t>(a.hi) ==
+             std::bit_cast<std::uint64_t>(b.hi);
+}
+
+void expect_same_parts(const IntervalSet& s,
+                       const std::vector<Interval>& parts) {
+  ASSERT_EQ(s.size(), parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    ASSERT_TRUE(same_bits(s[i], parts[i])) << s << " part " << i;
+  }
+}
+
+/// insert() as a sort followed by a merge into a fresh vector.
+void reference_insert(std::vector<Interval>& parts, const Interval& iv) {
+  if (iv.empty()) return;
+  parts.push_back(iv);
+  if (parts.size() < 2) return;
+  std::sort(parts.begin(), parts.end(),
+            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  std::vector<Interval> merged;
+  for (const auto& part : parts) {
+    if (!merged.empty() && part.lo <= merged.back().hi) {
+      merged.back().hi = std::max(merged.back().hi, part.hi);
+    } else {
+      merged.push_back(part);
+    }
+  }
+  parts = std::move(merged);
+}
+
+/// Windows on a coarse grid (so endpoints often coincide: touching and
+/// nested parts) or anywhere, with points and empty intervals mixed in.
+Interval random_part(Rng& rng) {
+  const bool grid = rng.bernoulli(0.5);
+  const double lo = grid ? 0.5 * static_cast<double>(rng.uniform_int(-8, 8))
+                         : rng.uniform(-4.0, 4.0);
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+      return Interval::point(lo);
+    case 1:
+      return Interval::empty_interval();
+    default:
+      return Interval{lo, lo + (grid ? 0.5 * static_cast<double>(
+                                               rng.uniform_int(0, 6))
+                                     : rng.uniform(0.0, 3.0))};
+  }
+}
+
+TEST(IntervalSetProperty, InPlaceMergeMatchesFreshVectorMerge) {
+  Rng rng(26);
+  IntervalSet reused;  // cleared, never replaced, across trials
+  for (int trial = 0; trial < 4000; ++trial) {
+    reused.clear();
+    std::vector<Interval> reference;
+    const auto n = rng.uniform_int(0, 7);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const Interval iv = random_part(rng);
+      reused.insert(iv);
+      reference_insert(reference, iv);
+      expect_same_parts(reused, reference);
+    }
+  }
+}
+
+TEST(IntervalSetProperty, AfterQueriesMatchAfter) {
+  Rng rng(27);
+  for (int trial = 0; trial < 4000; ++trial) {
+    IntervalSet s;
+    const auto n = rng.uniform_int(0, 5);
+    for (std::int64_t i = 0; i < n; ++i) s.insert(random_part(rng));
+    std::vector<double> times{rng.uniform(-6.0, 9.0)};
+    for (const auto& part : s) {  // t exactly on a part boundary
+      times.push_back(part.lo);
+      times.push_back(part.hi);
+    }
+    for (const double t : times) {
+      const IntervalSet after = s.after(t);
+      const auto first_point = s.first_point_after(t);
+      const auto first_part = s.first_part_after(t);
+      ASSERT_EQ(first_point.has_value(), !after.empty());
+      ASSERT_EQ(first_part.has_value(), !after.empty());
+      if (!after.empty()) {
+        ASSERT_TRUE(same_bits(*first_part, after[0])) << s << " t=" << t;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(*first_point),
+                  std::bit_cast<std::uint64_t>(after.min()));
+      }
+      for (int q = 0; q < 6; ++q) {
+        Interval iv = random_part(rng);
+        if (q == 0 && !after.empty()) iv = Interval::point(after.max());
+        if (q == 1) iv = Interval{t - 1.0, t};  // ends exactly at t
+        ASSERT_EQ(s.intersects_after(t, iv), after.intersects(iv))
+            << s << " t=" << t << " iv=" << iv;
+      }
+    }
+  }
+}
+
+TEST(IntervalSetProperty, InflateIsUnionOfInflatedParts) {
+  Rng rng(28);
+  for (int trial = 0; trial < 3000; ++trial) {
+    IntervalSet s;
+    const auto n = rng.uniform_int(0, 6);
+    for (std::int64_t i = 0; i < n; ++i) s.insert(random_part(rng));
+    const double margin = rng.bernoulli(0.3) ? 0.25 : rng.uniform(0.0, 1.0);
+    std::vector<Interval> reference;
+    for (const auto& part : s) {
+      reference_insert(reference, part.inflated(margin));
+    }
+    s.inflate(margin);
+    expect_same_parts(s, reference);
+  }
+}
+
+TEST(IntervalSet, ClearEmptiesAndStaysUsable) {
+  IntervalSet s{{0.0, 1.0}, {2.0, 3.0}};
+  s.clear();
+  EXPECT_TRUE(s.empty());
+  EXPECT_FALSE(s.first_point_after(-1.0).has_value());
+  s.insert(Interval{5.0, 6.0});
+  EXPECT_EQ(s, IntervalSet(Interval{5.0, 6.0}));
 }
 
 }  // namespace
