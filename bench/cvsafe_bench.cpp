@@ -253,11 +253,13 @@ std::vector<Bench> build_registry() {
                      });
   }});
 
-  // Inference-shaped matmul pair: activation rows x hidden width against
-  // a hidden-by-hidden weight matrix — the exact shape every layer of a
-  // pooled plan_batch tile multiplies. The CI gate requires the
-  // transposed kernel (the layout Mlp::forward_into feeds) to stay at
-  // parity with the dense one at this shape.
+  // Matmul pair at a hidden layer's shape: 64 activation rows x 24
+  // against a 24 x 24 weight matrix. Inference with fresh W^T caches runs
+  // neither kernel (Mlp::forward_into's fused pass does); the transposed
+  // kernel is the stale-cache inference path (mid-training, e.g. DAgger
+  // rollouts) and the dense one serves Matrix::matmul in the backward
+  // pass. The CI gate keeps the transposed kernel at parity with the
+  // dense one at this shape.
   benches.push_back({"matmul_dense_infer24", [](const Options& o) {
     util::Rng rng(1);
     const nn::Matrix a = random_matrix(64, 24, rng);

@@ -26,16 +26,23 @@ class DenseLayer {
   const Matrix& bias() const { return bias_; }
   /// Mutable access marks the inference transpose cache stale; call
   /// refresh_inference_cache() after the last mutation to restore the
-  /// fast infer_into path (results are identical either way).
+  /// fused Mlp::forward_into pass (results are identical either way).
   Matrix& mutable_weights() {
     wt_dirty_ = true;
     return weights_;
   }
   Matrix& mutable_bias() { return bias_; }
 
-  /// Rebuilds the cached W^T used by infer_into. Not thread-safe against
-  /// concurrent inference; meant for the (single-threaded) end of a
-  /// training run.
+  /// W^T (in x out): the inference-layout copy of the weights that the
+  /// fused forward pass streams one k row at a time. Only meaningful while
+  /// inference_cache_fresh().
+  const Matrix& weights_t() const { return weights_t_; }
+
+  /// False from mutable_weights() until the next refresh_inference_cache().
+  bool inference_cache_fresh() const { return !wt_dirty_; }
+
+  /// Rebuilds the cached W^T. Not thread-safe against concurrent
+  /// inference; meant for the (single-threaded) end of a training run.
   void refresh_inference_cache();
 
   /// Forward pass on a batch (n x in), caching inputs for backward().
@@ -45,8 +52,9 @@ class DenseLayer {
   Matrix infer(const Matrix& x) const;
 
   /// Forward pass writing into caller-provided storage (no allocation once
-  /// \p out capacity is warm). Bit-identical to infer(). \p out must not
-  /// alias \p x.
+  /// \p out capacity is warm). Bit-identical to infer(). Reads W, not the
+  /// W^T cache, so it is exact mid-training; Mlp::forward_into runs it only
+  /// while some layer's cache is stale. \p out must not alias \p x.
   void infer_into(const Matrix& x, Matrix& out) const;
 
   /// Backward pass: \p grad_out is dL/dy (n x out) from the next layer.
@@ -60,9 +68,9 @@ class DenseLayer {
 
  private:
   Matrix weights_;    // out x in
-  Matrix weights_t_;  // in x out: inference-layout copy; lets infer_into
-                      // run a j-contiguous axpy kernel (vectorizable with
-                      // no change in per-element accumulation order)
+  Matrix weights_t_;  // in x out: inference-layout copy; lets the fused
+                      // forward pass keep a row's outputs in registers
+                      // across the k loop (j-contiguous, in-order sums)
   bool wt_dirty_ = false;
   Matrix bias_;  // 1 x out
   Activation act_;

@@ -105,9 +105,10 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
 void matmul_transposed_into(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// Instruction-set clone the NN kernels (the matmuls above, the activation
-/// kernels, Matrix::transposed_matmul) run on this host: "x86-64-v3" (AVX2
-/// + FMA) or "default" (baseline x86-64, and every build without runtime
-/// dispatch). Both clones produce bit-identical results.
+/// kernels, Matrix::transposed_matmul, the fused forward pass behind
+/// Mlp::forward_into) run on this host: "x86-64-v3" (AVX2 + FMA) or
+/// "default" (baseline x86-64, and every build without runtime dispatch).
+/// Both clones produce bit-identical results.
 const char* kernel_isa() noexcept;
 
 }  // namespace cvsafe::nn

@@ -43,15 +43,19 @@ class Mlp {
   /// Single-sample inference convenience.
   std::vector<double> predict(const std::vector<double>& x) const;
 
-  /// Batch inference into workspace storage: evaluates all rows of \p x
-  /// in one matmul per layer. Returns a reference to the workspace buffer
-  /// holding the n x output_dim result (valid until the workspace is next
-  /// used). Bit-identical to infer(); performs no heap allocation once the
-  /// workspace is warm.
+  /// Batch inference into workspace storage. While every layer's W^T
+  /// cache is fresh, one fused kernel carries each row of \p x through
+  /// every layer (src/nn/mlp.cpp); otherwise each layer runs
+  /// DenseLayer::infer_into in turn. Returns a reference to the workspace
+  /// buffer holding the n x output_dim result (valid until the workspace
+  /// is next used). Bit-identical to infer(); performs no heap allocation
+  /// once the workspace is warm. \p x must not be a workspace buffer
+  /// other than input().
   const Matrix& forward_into(const Matrix& x, Workspace& ws) const;
 
   /// Zero-allocation single-sample inference for 1-output networks
-  /// (the planner hot path). \p x.size() must equal input_dim().
+  /// (the planner hot path): the fused kernel on \p x itself, one row.
+  /// \p x.size() must equal input_dim().
   double predict_scalar(std::span<const double> x, Workspace& ws) const;
 
   /// Backpropagates dL/dy through every layer (after forward()).

@@ -108,7 +108,7 @@ class LeftTurnStack {
   void observe_message(const comm::Message& msg);
 
   /// Fills the estimator-derived fields of a world whose t/ego are
-  /// already set (engine phase 1) and records it as last_world().
+  /// already set (engine phase 1).
   void build_world(scenario::LeftTurnWorld& world);
 
   /// Plans the ego acceleration for the current step (builds the world
@@ -131,10 +131,6 @@ class LeftTurnStack {
   /// Rejections summed per gate reason (obs::GateRejectReason order:
   /// non_finite, out_of_range, stale, implausible).
   std::array<std::size_t, 4> message_reasons() const;
-
-  /// The world view built by the last act()/build_world() (introspection
-  /// and traces).
-  const scenario::LeftTurnWorld& last_world() const { return last_world_; }
 
   const AgentConfig& config() const { return config_; }
 
@@ -177,8 +173,6 @@ class LeftTurnStack {
 
   std::shared_ptr<core::PlannerBase<scenario::LeftTurnWorld>> planner_;
   core::CompoundPlanner<scenario::LeftTurnWorld>* compound_ = nullptr;
-
-  scenario::LeftTurnWorld last_world_;
 };
 
 }  // namespace cvsafe::sim

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "cvsafe/util/contracts.hpp"
@@ -20,7 +22,8 @@
 /// This header provides the directed ops the certifier is built from.
 /// Every operation returns an interval that is a superset of the exact
 /// real-arithmetic image, implemented by taking one `std::nextafter` step
-/// outward per endpoint operation. Soundness argument: IEEE-754
+/// outward per endpoint operation (prev/next below, which compute that
+/// step on the bit pattern). Soundness argument: IEEE-754
 /// round-to-nearest returns a value within half an ulp of the exact
 /// result, so one full ulp step down (up) from the rounded value is a
 /// guaranteed lower (upper) bound. This over-rounds by ~half an ulp per
@@ -45,16 +48,29 @@
 
 namespace cvsafe::util::rounded {
 
-/// Largest double strictly below \p x (identity on -inf).
+// prev and next return exactly what std::nextafter(x, -/+inf) returns,
+// without the libm call: for a finite nonzero double, the neighbour one ulp
+// away is the bit pattern one step away (the representation is ordered by
+// magnitude within each sign, and the step across the largest finite
+// value reaches inf). Both zeros step to the smallest subnormal of the
+// step's sign; +/-inf at the far end and NaN come back unchanged.
+
+/// Largest double strictly below \p x (identity on -inf and NaN).
 inline double prev(double x) {
-  if (x == -std::numeric_limits<double>::infinity()) return x;
-  return std::nextafter(x, -std::numeric_limits<double>::infinity());
+  if (!(x > -std::numeric_limits<double>::infinity())) return x;
+  // Exact zero test: +0 and -0 alike. cvsafe-lint: allow(float-compare)
+  if (x == 0.0) return -std::numeric_limits<double>::denorm_min();
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  return std::bit_cast<double>(x > 0.0 ? bits - 1 : bits + 1);
 }
 
-/// Smallest double strictly above \p x (identity on +inf).
+/// Smallest double strictly above \p x (identity on +inf and NaN).
 inline double next(double x) {
-  if (x == std::numeric_limits<double>::infinity()) return x;
-  return std::nextafter(x, std::numeric_limits<double>::infinity());
+  if (!(x < std::numeric_limits<double>::infinity())) return x;
+  // Exact zero test: +0 and -0 alike. cvsafe-lint: allow(float-compare)
+  if (x == 0.0) return std::numeric_limits<double>::denorm_min();
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  return std::bit_cast<double>(x > 0.0 ? bits + 1 : bits - 1);
 }
 
 /// x + y rounded toward -inf (one ulp step below round-to-nearest).

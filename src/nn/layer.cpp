@@ -40,15 +40,7 @@ Matrix DenseLayer::infer(const Matrix& x) const {
 
 void DenseLayer::infer_into(const Matrix& x, Matrix& out) const {
   assert(x.cols() == in_dim());
-  // x * W^T via the transposed-layout cache when it is in sync: the axpy
-  // kernel streams W^T rows contiguously (vectorizable across output
-  // neurons) while accumulating each output element over k in the same
-  // order as the dot-product kernel, so both paths are bit-identical.
-  if (!wt_dirty_) {
-    matmul_into(x, weights_t_, out);
-  } else {
-    matmul_transposed_into(x, weights_, out);
-  }
+  matmul_transposed_into(x, weights_, out);
   bias_activation_inplace(act_, bias_, out);
 }
 

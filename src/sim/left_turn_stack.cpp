@@ -142,7 +142,6 @@ void LeftTurnStack::build_world(scenario::LeftTurnWorld& world) {
       monitor_filter_ != nullptr) {
     compound_->note_signals(degradation_signals(*monitor_filter_, world.t));
   }
-  last_world_ = world;
 }
 
 double LeftTurnStack::act(double t, const vehicle::VehicleState& ego) {

@@ -5,11 +5,14 @@
 // wrong polynomial term or range-reduction bug shows up as thousands of
 // ulp, not single digits.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,8 @@
 #include "cvsafe/nn/activation.hpp"
 #include "cvsafe/nn/fast_math.hpp"
 #include "cvsafe/nn/matrix.hpp"
+#include "cvsafe/nn/mlp.hpp"
+#include "cvsafe/nn/workspace.hpp"
 #include "cvsafe/util/rng.hpp"
 
 namespace {
@@ -24,6 +29,7 @@ namespace {
 using cvsafe::nn::Activation;
 using cvsafe::nn::fast_tanh;
 using cvsafe::nn::Matrix;
+using cvsafe::nn::Mlp;
 
 std::int64_t ulp_diff(double a, double b) {
   if (a == b) return 0;  // cvsafe-lint: allow(float-compare)
@@ -234,6 +240,203 @@ TEST(ActivationKernels, MatchScalarReferenceBitForBit) {
       }
     }
   }
+}
+
+// --- Fused forward pass, bit for bit -----------------------------------
+//
+// Mlp::forward_into and predict_scalar run one fused kernel through every
+// layer while each layer's W^T cache is fresh, and the per-layer
+// matmul_transposed_into path while one is stale. The reference is the
+// per-layer pass the fused kernel replaced: matmul_into against W^T, then
+// bias_activation_inplace, layer by layer. It is built from W itself, so
+// it holds for a stale cache too.
+
+// Around the fused kernel's four-row tiles, and its 24-, 8- and 4-column
+// tiles and single columns.
+constexpr std::size_t kFusedRows[] = {1, 2, 3, 7, 53, 64, 513};
+constexpr std::size_t kFusedInputs[] = {1, 4, 25};
+constexpr std::size_t kFusedWidths[] = {1, 4, 8, 23, 24, 25, 64, 257};
+
+Matrix reference_forward(const Mlp& net, const Matrix& x) {
+  Matrix h = x;
+  Matrix z;
+  for (std::size_t l = 0; l < net.layer_count(); ++l) {
+    const auto& layer = net.layer(l);
+    cvsafe::nn::matmul_into(h, layer.weights().transpose(), z);
+    cvsafe::nn::bias_activation_inplace(layer.activation(), layer.bias(), z);
+    h = z;
+  }
+  return h;
+}
+
+/// Bit equality; NaNs match whatever their payloads (which NaN survives
+/// an add of two NaNs depends on the operand order the compiler picked).
+bool same_bits(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return bits(a) == bits(b);
+}
+
+void expect_same_bits(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(same_bits(got.data()[i], want.data()[i]))
+        << "element " << i << " (row " << i / got.cols() << ")"
+        << std::hexfloat << ": " << got.data()[i] << " vs reference "
+        << want.data()[i];
+  }
+}
+
+/// Every row of \p x through predict_scalar (1-output nets only).
+void expect_predict_scalar_matches(const Mlp& net, const Matrix& x,
+                                   const Matrix& want,
+                                   cvsafe::nn::Workspace& ws) {
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const std::span<const double> row(x.data().data() + i * x.cols(),
+                                      x.cols());
+    ASSERT_TRUE(same_bits(net.predict_scalar(row, ws), want(i, 0)))
+        << "predict_scalar, row " << i;
+  }
+}
+
+/// A net of \p depth layers: \p in inputs, widths cycling through
+/// kFusedWidths from \p first_width, \p act everywhere. Glorot weights;
+/// the biases come from activation_input, so they carry the edge values.
+Mlp fused_net(std::size_t in, std::size_t first_width, std::size_t depth,
+              Activation act, const std::vector<double>& edges,
+              cvsafe::util::Rng& rng, std::size_t* next_edge) {
+  cvsafe::nn::MlpSpec spec;
+  spec.layer_sizes.push_back(in);
+  for (std::size_t l = 0; l < depth; ++l) {
+    spec.layer_sizes.push_back(
+        kFusedWidths[(first_width + l) % std::size(kFusedWidths)]);
+  }
+  spec.hidden_activation = act;
+  spec.output_activation = act;
+  Mlp net(spec, rng);
+  for (std::size_t l = 0; l < depth; ++l) {
+    Matrix& bias = net.mutable_layer(l).mutable_bias();
+    bias = activation_input(1, bias.cols(), edges, rng, next_edge);
+  }
+  return net;
+}
+
+TEST(FusedForward, MatchesPerLayerReferenceBitForBit) {
+  int exact_ties = 0;
+  const std::vector<double> edges = tanh_edge_inputs(&exact_ties);
+  cvsafe::util::Rng rng(44);
+  std::size_t next_edge = 0;
+  std::size_t shape = 0;
+  cvsafe::nn::Workspace ws;  // shared: every shape resizes its buffers
+  for (const Activation act : kActivations) {
+    for (std::size_t w = 0; w < std::size(kFusedWidths); ++w) {
+      for (std::size_t depth = 1; depth <= 4; ++depth, ++shape) {
+        const std::size_t in = kFusedInputs[shape % std::size(kFusedInputs)];
+        const Mlp net = fused_net(in, w, depth, act, edges, rng, &next_edge);
+        std::size_t widest = 0;
+        for (std::size_t l = 0; l < depth; ++l) {
+          widest = std::max(widest, net.layer(l).out_dim());
+        }
+        for (const std::size_t rows : kFusedRows) {
+          // Bounds the run time: 513 rows only through nets up to 64 wide.
+          if (widest > 64 && rows > 64) continue;
+          SCOPED_TRACE(testing::Message()
+                       << cvsafe::nn::activation_name(act) << " depth "
+                       << depth << " in " << in << " first width "
+                       << kFusedWidths[w] << " rows " << rows);
+          const Matrix x = activation_input(rows, in, edges, rng, &next_edge);
+          const Matrix want = reference_forward(net, x);
+          expect_same_bits(net.forward_into(x, ws), want);
+          if (net.output_dim() == 1) {
+            expect_predict_scalar_matches(net, x, want, ws);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedForward, ProductionShapeMatchesPerLayerReferenceBitForBit) {
+  // kappa_n's shape: 4 -> 24 -> 24 -> 1, tanh hidden, identity output.
+  cvsafe::util::Rng rng(45);
+  cvsafe::nn::MlpSpec spec;
+  spec.layer_sizes = {4, 24, 24, 1};
+  Mlp net(spec, rng);
+  for (std::size_t l = 0; l < net.layer_count(); ++l) {
+    for (auto& b : net.mutable_layer(l).mutable_bias().data()) {
+      b = rng.uniform(-0.5, 0.5);
+    }
+  }
+  cvsafe::nn::Workspace ws;
+  for (const std::size_t rows : kFusedRows) {
+    Matrix x(rows, 4);
+    for (auto& v : x.data()) v = rng.uniform(-1.5, 1.5);
+    const Matrix want = reference_forward(net, x);
+    expect_same_bits(net.forward_into(x, ws), want);
+    expect_predict_scalar_matches(net, x, want, ws);
+  }
+}
+
+TEST(FusedForward, SumsStartFromPositiveZero) {
+  // One input, so each pre-activation is 0.0 + x * w + b. With x = +/-0
+  // the product is a signed zero; starting the sum at 0.0 makes it +0.0,
+  // and a -0.0 bias keeps it +0.0. A sum seeded with the product instead
+  // would end at -0.0, which identity and tanh pass through.
+  cvsafe::util::Rng rng(46);
+  cvsafe::nn::Workspace ws;
+  for (const Activation act : kActivations) {
+    for (const std::size_t width : kFusedWidths) {
+      cvsafe::nn::MlpSpec spec;
+      spec.layer_sizes = {1, width};
+      spec.output_activation = act;
+      Mlp net(spec, rng);
+      for (auto& b : net.mutable_layer(0).mutable_bias().data()) b = -0.0;
+      // Six rows: one four-row tile and two single rows.
+      const Matrix x(6, 1, {0.0, -0.0, 0.0, -0.0, 0.0, -0.0});
+      const Matrix want = reference_forward(net, x);
+      const Matrix& got = net.forward_into(x, ws);
+      SCOPED_TRACE(testing::Message() << cvsafe::nn::activation_name(act)
+                                      << " width " << width);
+      expect_same_bits(got, want);
+      if (act == Activation::kIdentity || act == Activation::kTanh) {
+        for (const double y : got.data()) {
+          ASSERT_FALSE(std::signbit(y)) << "a -0.0 sum";
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedForward, StaleCacheRunsPerLayerPathWithSameBits) {
+  // mutable_weights() leaves the W^T cache stale; forward_into then runs
+  // matmul_transposed_into on W and must agree with the reference built
+  // from the mutated W, and again once the cache is refreshed.
+  int exact_ties = 0;
+  const std::vector<double> edges = tanh_edge_inputs(&exact_ties);
+  cvsafe::util::Rng rng(47);
+  std::size_t next_edge = 0;
+  cvsafe::nn::MlpSpec spec;
+  spec.layer_sizes = {4, 25, 24, 1};
+  Mlp net(spec, rng);
+  for (std::size_t l = 0; l < net.layer_count(); ++l) {
+    for (auto& b : net.mutable_layer(l).mutable_bias().data()) {
+      b = rng.uniform(-0.5, 0.5);
+    }
+  }
+  const Matrix x = activation_input(53, 4, edges, rng, &next_edge);
+  cvsafe::nn::Workspace ws;
+
+  for (auto& v : net.mutable_layer(1).mutable_weights().data()) v += 0.25;
+  ASSERT_FALSE(net.layer(1).inference_cache_fresh());
+  Matrix want = reference_forward(net, x);
+  expect_same_bits(net.forward_into(x, ws), want);
+  expect_predict_scalar_matches(net, x, want, ws);
+
+  net.refresh_inference_cache();
+  ASSERT_TRUE(net.layer(1).inference_cache_fresh());
+  want = reference_forward(net, x);
+  expect_same_bits(net.forward_into(x, ws), want);
+  expect_predict_scalar_matches(net, x, want, ws);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "cvsafe/util/rng.hpp"
 
@@ -25,6 +28,38 @@ TEST(RoundedSteps, InfinitiesAreFixedPoints) {
   // The one-sided steps still move off the opposite infinity.
   EXPECT_LT(prev(kInf), kInf);
   EXPECT_GT(next(-kInf), -kInf);
+}
+
+TEST(RoundedSteps, MatchNextafterBitForBit) {
+  // prev/next step on the bit pattern; std::nextafter is the reference.
+  // Random bit patterns cover every exponent, both signs, subnormals and
+  // NaNs; the list covers the boundaries of each case.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> xs = {0.0,   -0.0,   kTiny, -kTiny, 2 * kTiny,
+                            -2 * kTiny, kMin, -kMin, kMin - kTiny,
+                            -(kMin - kTiny), 1.0, -1.0, 0.5, -0.5,
+                            kMax,  -kMax,  kInf,  -kInf,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            -std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(301);
+  for (int i = 0; i < 1000000; ++i) {
+    const auto hi = static_cast<std::uint64_t>(rng.uniform_int(0, 0xFFFFFFFF));
+    const auto lo = static_cast<std::uint64_t>(rng.uniform_int(0, 0xFFFFFFFF));
+    xs.push_back(std::bit_cast<double>(hi << 32 | lo));
+  }
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const double x : xs) {
+    const double down = std::nextafter(x, -kInf);
+    const double up = std::nextafter(x, kInf);
+    if (std::isnan(x)) {
+      ASSERT_TRUE(std::isnan(prev(x)) && std::isnan(next(x)));
+      continue;
+    }
+    ASSERT_EQ(bits(prev(x)), bits(down)) << std::hexfloat << x;
+    ASSERT_EQ(bits(next(x)), bits(up)) << std::hexfloat << x;
+  }
 }
 
 TEST(RoundedScalarOps, BracketExactRationals) {

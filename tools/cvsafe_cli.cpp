@@ -254,6 +254,17 @@ void apply_disturbance(sim::RunConfig& config, const Args& args) {
   }
 }
 
+/// What a run or batch ran under, for titles and the `channel` line: the
+/// channel label, plus the fault plan's name when --faults armed one (its
+/// channel may still read "no disturbance").
+std::string channel_label(const sim::RunConfig& config, const Args& args) {
+  std::string label = config.comm.label();
+  if (args.values.count("faults")) {
+    label += " with faults " + config.faults.name;
+  }
+  return label;
+}
+
 sim::LeftTurnSimConfig build_config(const Args& args) {
   // Order: paper defaults -> optional --config file -> flag overrides.
   sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
@@ -322,11 +333,11 @@ int run_other_scenario(const std::string& scenario, const Args& args,
     const std::string name = "lane-change cruise (" + variant + ")";
     if (batch) {
       return print_stats(
-          "batch: " + name + " under " + config.comm.label(),
+          "batch: " + name + " under " + channel_label(config, args),
           sim::run_lane_change_batch(config, planner, n, seed, threads));
     }
     const auto r = sim::run_lane_change_simulation(config, planner, seed);
-    print_result(name, config.comm.label(), seed, r);
+    print_result(name, channel_label(config, args), seed, r);
     return r.collided ? 1 : 0;
   }
 
@@ -339,13 +350,13 @@ int run_other_scenario(const std::string& scenario, const Args& args,
         (use_compound ? "compound" : "pure") + ")";
     if (batch) {
       return print_stats(
-          "batch: " + name + " under " + config.comm.label(),
+          "batch: " + name + " under " + channel_label(config, args),
           sim::run_intersection_batch(config, use_compound, n, seed,
                                       threads));
     }
     const auto r =
         sim::run_intersection_simulation(config, use_compound, seed);
-    print_result(name, config.comm.label(), seed, r);
+    print_result(name, channel_label(config, args), seed, r);
     return r.collided ? 1 : 0;
   }
 
@@ -365,12 +376,12 @@ int run_other_scenario(const std::string& scenario, const Args& args,
                              std::to_string(multi.num_oncoming) + " cars)";
     if (batch) {
       return print_stats(
-          "batch: " + name + " under " + config.comm.label(),
+          "batch: " + name + " under " + channel_label(config, args),
           sim::run_multi_batch(config, multi, setup, n, seed, threads));
     }
     const auto r =
         sim::run_multi_left_turn_simulation(config, multi, setup, seed);
-    print_result(name, config.comm.label(), seed, r);
+    print_result(name, channel_label(config, args), seed, r);
     return r.collided ? 1 : 0;
   }
 
@@ -420,7 +431,7 @@ int cmd_run(const Args& args) {
 
   std::printf("planner    %s\n", bp.name.c_str());
   std::printf("channel    %s, sensor delta %.2f\n",
-              config.comm.label().c_str(), config.sensor.delta_p);
+              channel_label(config, args).c_str(), config.sensor.delta_p);
   std::printf("seed       %llu\n", static_cast<unsigned long long>(seed));
   std::printf("collided   %s\n", r.collided ? "YES" : "no");
   std::printf("reached    %s\n", r.reached ? "yes" : "no");
@@ -518,7 +529,8 @@ int cmd_batch(const Args& args) {
     if (!dump_metrics(reg, path)) return 1;
     if (!dump_spans(spans, path)) return 1;
   }
-  return print_stats("batch: " + bp.name + " under " + config.comm.label(),
+  return print_stats("batch: " + bp.name + " under " +
+                         channel_label(config, args),
                      sim::stats_from_records(records));
 }
 
