@@ -41,6 +41,8 @@
 #include "cvsafe/filter/reachability.hpp"
 #include "cvsafe/nn/interval_mlp.hpp"
 #include "cvsafe/nn/mlp.hpp"
+#include "cvsafe/nn/optimizer.hpp"
+#include "cvsafe/nn/trainer.hpp"
 #include "cvsafe/nn/workspace.hpp"
 #include "cvsafe/obs/flight_recorder.hpp"
 #include "cvsafe/obs/jsonl.hpp"
@@ -256,10 +258,11 @@ std::vector<Bench> build_registry() {
   // Matmul pair at a hidden layer's shape: 64 activation rows x 24
   // against a 24 x 24 weight matrix. Inference with fresh W^T caches runs
   // neither kernel (Mlp::forward_into's fused pass does); the transposed
-  // kernel is the stale-cache inference path (mid-training, e.g. DAgger
-  // rollouts) and the dense one serves Matrix::matmul in the backward
-  // pass. The CI gate keeps the transposed kernel at parity with the
-  // dense one at this shape.
+  // kernel is the stale-cache inference path (after mutable_weights())
+  // and Mlp::infer's, and the dense one serves Matrix::matmul and the
+  // training step's dL/dx when the local gradient is mostly zero. The CI
+  // gate keeps the transposed kernel at parity with the dense one at this
+  // shape.
   benches.push_back({"matmul_dense_infer24", [](const Options& o) {
     util::Rng rng(1);
     const nn::Matrix a = random_matrix(64, 24, rng);
@@ -322,6 +325,25 @@ std::vector<Bench> build_registry() {
                      [&](std::uint64_t n) {
                        for (std::uint64_t it = 0; it < n; ++it) {
                          g_sink = net.forward_into(in, ws)(63, 0);
+                       }
+                     });
+  }});
+
+  benches.push_back({"train_step_batch128", [](const Options& o) {
+    // One steady-state nn::train step on kappa_n's shape and batch: forward
+    // pass, MSE gradient, backward pass, Adam update and W^T refresh. The
+    // warm-up step sizes the storage and Adam's moments; later steps must
+    // not allocate.
+    nn::Mlp net = make_test_net();
+    util::Rng rng(11);
+    const nn::Matrix x = random_matrix(128, 4, rng);
+    const nn::Matrix t = random_matrix(128, 1, rng);
+    nn::Adam opt(3e-3);
+    nn::TrainStep step(net);
+    return run_bench("train_step_batch128", o.min_time_s,
+                     [&](std::uint64_t n) {
+                       for (std::uint64_t it = 0; it < n; ++it) {
+                         g_sink = step.update(net, x, t, 0.0, opt);
                        }
                      });
   }});

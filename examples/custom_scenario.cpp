@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string_view>
 
 #include "cvsafe/core/compound_planner.hpp"
 #include "cvsafe/util/interval.hpp"
@@ -92,7 +93,7 @@ class CrossingSafetyModel final
                     -(w.ego.v * w.ego.v) / (2.0 * gap));
   }
 
-  std::string boundary_reason(const CrossingWorld&) const override {
+  std::string_view boundary_reason(const CrossingWorld&) const override {
     return "pedestrian window";
   }
 };

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "cvsafe/eval/experiments.hpp"
 #include "cvsafe/sim/left_turn.hpp"
@@ -24,11 +25,12 @@ void describe(const cvsafe::sim::RunResult& r,
               r.reached ? "yes" : "no", r.reach_time, r.eta, emergency,
               trace.emergency_flags.size());
   for (const auto& sw : trace.switches) {
-    std::printf("    t=%-6.2f %s%s%s\n",
+    const std::string_view reason = sw.to_emergency ? sw.reason : "";
+    std::printf("    t=%-6.2f %s%s%.*s\n",
                 static_cast<double>(sw.step) * dt_c,
                 sw.to_emergency ? "kappa_n -> kappa_e" : "kappa_e -> kappa_n",
                 sw.to_emergency ? "  reason: " : "",
-                sw.to_emergency ? sw.reason.c_str() : "");
+                static_cast<int>(reason.size()), reason.data());
   }
 }
 

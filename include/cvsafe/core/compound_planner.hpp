@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -54,7 +55,9 @@ struct MonitorStats {
 struct SwitchEvent {
   std::size_t step = 0;       ///< plan() invocation index (0-based)
   bool to_emergency = false;  ///< true: kappa_n -> kappa_e; false: back
-  std::string reason;         ///< boundary classification (entering only)
+  /// Boundary classification (entering only): a view of the safety
+  /// model's static text, so recording a switch allocates nothing.
+  std::string_view reason;
 };
 
 /// The compound planner kappa_c embedding an arbitrary planner kappa_n.
@@ -147,7 +150,7 @@ class CompoundPlanner final : public PlannerBase<World> {
     if (safety_model_->in_boundary_safe_set(check)) {
       ++stats_.emergency_steps;
       if (!last_was_emergency_) {
-        std::string reason = safety_model_->boundary_reason(check);
+        const std::string_view reason = safety_model_->boundary_reason(check);
         if (obs::recording(recorder_)) {
           recorder_->monitor(true, true, safety_model_->boundary_slack(check),
                              reason);
@@ -155,7 +158,7 @@ class CompoundPlanner final : public PlannerBase<World> {
         if (ring_on) {
           ring_->gate_verdict(true, safety_model_->boundary_slack(check));
         }
-        record_switch(step, true, std::move(reason));
+        record_switch(step, true, reason);
       }
       last_was_emergency_ = true;
       return safety_model_->emergency_accel(world);
@@ -298,10 +301,9 @@ class CompoundPlanner final : public PlannerBase<World> {
   }
 
   void record_switch(std::size_t step, bool to_emergency,
-                     std::string reason) {
+                     std::string_view reason) {
     if (switch_events_.size() >= kMaxSwitchEvents) return;
-    switch_events_.push_back(
-        SwitchEvent{step, to_emergency, std::move(reason)});
+    switch_events_.push_back(SwitchEvent{step, to_emergency, reason});
   }
 
   std::shared_ptr<PlannerBase<World>> nn_planner_;

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <string>
+#include <string_view>
 
 /// \file safety_model.hpp
 /// Scenario-specific safety knowledge consumed by the runtime monitor
@@ -51,8 +51,9 @@ class SafetyModelBase {
 
   /// Short human-readable classification of WHY the world view lies in
   /// the boundary safe set (diagnostics / switch logs). Only called when
-  /// in_boundary_safe_set returned true.
-  virtual std::string boundary_reason(const World& world) const {
+  /// in_boundary_safe_set returned true. The view must refer to static
+  /// text: switch logs keep it, so entering kappa_e allocates nothing.
+  virtual std::string_view boundary_reason(const World& world) const {
     (void)world;
     return "boundary";
   }

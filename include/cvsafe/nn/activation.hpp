@@ -5,7 +5,8 @@
 #include "cvsafe/nn/matrix.hpp"
 
 /// \file activation.hpp
-/// Elementwise activation functions and their derivatives.
+/// Elementwise activation functions. Their derivatives, taken from the
+/// stored activation, live in the training step (trainer.hpp).
 
 namespace cvsafe::nn {
 
@@ -28,9 +29,6 @@ void apply_activation_inplace(Activation act, Matrix& z);
 /// sequence computes it, so this is bit-identical to
 /// add_row_broadcast + apply_activation_inplace. \p bias must be 1 x cols.
 void bias_activation_inplace(Activation act, const Matrix& bias, Matrix& z);
-
-/// Derivative f'(z) elementwise (as a function of the pre-activation z).
-Matrix activation_derivative(Activation act, const Matrix& z);
 
 /// Name for serialization ("identity", "relu", "tanh", "sigmoid").
 std::string activation_name(Activation act);

@@ -14,8 +14,9 @@ struct GradCheckResult {
   bool passed = false;         ///< max_rel_error <= tolerance
 };
 
-/// Compares analytic gradients (backprop) against central finite
-/// differences of the MSE loss on the given batch.
+/// Compares the analytic gradients of the training step (TrainStep::
+/// gradients, trainer.hpp) against central finite differences of the MSE
+/// loss on the given batch.
 /// \param epsilon    finite-difference step
 /// \param tolerance  maximum allowed relative error
 GradCheckResult check_gradients(Mlp& net, const Matrix& inputs,

@@ -4,7 +4,8 @@
 #include "cvsafe/nn/matrix.hpp"
 
 /// \file layer.hpp
-/// Fully connected layer with activation and cached backpropagation state.
+/// Fully connected layer with activation. Training differentiates it
+/// through nn::TrainStep (trainer.hpp).
 
 namespace cvsafe::nn {
 
@@ -41,30 +42,20 @@ class DenseLayer {
   /// False from mutable_weights() until the next refresh_inference_cache().
   bool inference_cache_fresh() const { return !wt_dirty_; }
 
-  /// Rebuilds the cached W^T. Not thread-safe against concurrent
-  /// inference; meant for the (single-threaded) end of a training run.
+  /// Rebuilds the cached W^T in place (no allocation once sized); the
+  /// training step runs it after every update, since its forward pass
+  /// reads W^T. Not thread-safe against concurrent inference.
   void refresh_inference_cache();
 
-  /// Forward pass on a batch (n x in), caching inputs for backward().
-  Matrix forward(const Matrix& x);
-
-  /// Forward pass without caching (inference).
+  /// Forward pass (inference).
   Matrix infer(const Matrix& x) const;
 
   /// Forward pass writing into caller-provided storage (no allocation once
   /// \p out capacity is warm). Bit-identical to infer(). Reads W, not the
-  /// W^T cache, so it is exact mid-training; Mlp::forward_into runs it only
-  /// while some layer's cache is stale. \p out must not alias \p x.
+  /// W^T cache, so it is exact while that cache is stale (after
+  /// mutable_weights()); Mlp::forward_into runs it only then. \p out must
+  /// not alias \p x.
   void infer_into(const Matrix& x, Matrix& out) const;
-
-  /// Backward pass: \p grad_out is dL/dy (n x out) from the next layer.
-  /// Accumulates dL/dW and dL/db internally and returns dL/dx (n x in).
-  /// Must follow a forward() call on the same batch.
-  Matrix backward(const Matrix& grad_out);
-
-  /// Gradients accumulated by the last backward() call.
-  const Matrix& weight_grad() const { return grad_weights_; }
-  const Matrix& bias_grad() const { return grad_bias_; }
 
  private:
   Matrix weights_;    // out x in
@@ -74,13 +65,6 @@ class DenseLayer {
   bool wt_dirty_ = false;
   Matrix bias_;  // 1 x out
   Activation act_;
-
-  // Cached forward state.
-  Matrix input_;  // n x in
-  Matrix preact_; // n x out (z before activation)
-
-  Matrix grad_weights_;
-  Matrix grad_bias_;
 };
 
 }  // namespace cvsafe::nn

@@ -62,9 +62,6 @@ class Matrix {
   /// Product with the transpose of \p other (this: m x k, other: n x k).
   Matrix matmul_transposed(const Matrix& other) const;
 
-  /// Transposed-this product (this: k x m, other: k x n -> m x n).
-  Matrix transposed_matmul(const Matrix& other) const;
-
   Matrix transpose() const;
 
   Matrix operator+(const Matrix& other) const;
@@ -73,12 +70,6 @@ class Matrix {
 
   /// Adds a 1 x cols row vector to every row (bias broadcast).
   void add_row_broadcast(const Matrix& row);
-
-  /// Column-wise sum producing a 1 x cols matrix.
-  Matrix column_sums() const;
-
-  /// Elementwise (Hadamard) product.
-  Matrix hadamard(const Matrix& other) const;
 
   /// Largest absolute entry (0 for empty).
   double max_abs() const;
@@ -104,9 +95,17 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// matmul_into; bit-identical to Matrix::matmul_transposed.
 void matmul_transposed_into(const Matrix& a, const Matrix& b, Matrix& out);
 
+/// out = a^T * b (a: k x m, b: k x n): the weight gradient of a training
+/// step, with a the local gradient and b the layer input. Same storage
+/// contract as matmul_into. Every element is 0.0 plus its products in
+/// ascending k, each a rounded multiply then a rounded add; when at least
+/// half of a's (>= 4096) entries are zero, products with a zero from a are
+/// skipped, as in matmul_into.
+void transposed_matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
+
 /// Instruction-set clone the NN kernels (the matmuls above, the activation
-/// kernels, Matrix::transposed_matmul, the fused forward pass behind
-/// Mlp::forward_into) run on this host: "x86-64-v3" (AVX2 + FMA) or
+/// kernels, the fused forward pass behind Mlp::forward_into, the training
+/// step) run on this host: "x86-64-v3" (AVX2 + FMA) or
 /// "default" (baseline x86-64, and every build without runtime dispatch).
 /// Both clones produce bit-identical results.
 const char* kernel_isa() noexcept;

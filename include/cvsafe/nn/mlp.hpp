@@ -34,10 +34,7 @@ class Mlp {
   const DenseLayer& layer(std::size_t i) const { return layers_[i]; }
   DenseLayer& mutable_layer(std::size_t i) { return layers_[i]; }
 
-  /// Batch forward pass with caching (training).
-  Matrix forward(const Matrix& x);
-
-  /// Batch forward pass without caching (inference).
+  /// Batch forward pass (allocating; see forward_into).
   Matrix infer(const Matrix& x) const;
 
   /// Single-sample inference convenience.
@@ -58,14 +55,11 @@ class Mlp {
   /// \p x.size() must equal input_dim().
   double predict_scalar(std::span<const double> x, Workspace& ws) const;
 
-  /// Backpropagates dL/dy through every layer (after forward()).
-  void backward(const Matrix& grad_out);
-
   /// Total number of trainable parameters.
   std::size_t parameter_count() const;
 
-  /// Rebuilds every layer's inference transpose cache after in-place
-  /// weight mutation (optimizer steps). Single-threaded use only.
+  /// Rebuilds every layer's W^T cache after in-place weight mutation.
+  /// Single-threaded use only.
   void refresh_inference_cache();
 
  private:

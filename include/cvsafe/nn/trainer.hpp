@@ -8,7 +8,8 @@
 #include "cvsafe/nn/optimizer.hpp"
 
 /// \file trainer.hpp
-/// Minibatch supervised training loop.
+/// Minibatch supervised training: one allocation-free training step, and
+/// the loop that runs it over shuffled batches.
 
 namespace cvsafe::nn {
 
@@ -53,8 +54,60 @@ struct TrainResult {
   bool stopped_early = false;
 };
 
-/// Trains \p net on \p data with \p opt. Batches are reshuffled each epoch
-/// using \p rng, so results are deterministic given the seed.
+/// One training step of an Mlp: the forward pass keeping every layer's
+/// activation, the loss and its gradient, the backward pass, and the
+/// optimizer update. The step owns its storage and allocates nothing once
+/// it has seen the largest batch (Optimizer::update allocates its state on
+/// a key's first call).
+///
+/// Every element is computed with the operations, in the order, of the
+/// per-layer reference path (tests/support/train_reference.hpp), so a
+/// trained model keeps its bytes:
+///  - forward: z_j = 0.0 + x_k * W_jk for k ascending (no FMA), then + b_j,
+///    then the activation (the fused inference tiles, reading W^T);
+///  - loss gradient: MSE (pred - target) * (2 / size); Huber d or
+///    copysign(delta, d), then / size;
+///  - local gradient: delta = g * f', f' taken from the stored activation y
+///    (tanh 1 - y * y, ReLU y > 0, sigmoid y * (1 - y), identity 1);
+///  - dL/dW_ij = 0.0 + delta_ki * x_kj over batch rows k ascending, dL/db_j
+///    the rows' sum in ascending order, and dL/dx_ij = 0.0 + delta_ik * W_kj
+///    for k ascending (skipped for the first layer), both with the
+///    density-gated exact-zero skip of matmul_into.
+class TrainStep {
+ public:
+  /// Storage for \p net's layers, sized by the first batch.
+  explicit TrainStep(const Mlp& net);
+
+  /// Forward pass, loss and backward pass of \p net on the batch (\p x,
+  /// \p targets): returns the batch's mean loss (Huber when \p huber_delta
+  /// > 0, otherwise MSE) and leaves every layer's dL/dW and dL/db in
+  /// weight_grad() and bias_grad(). Refreshes a stale W^T cache first.
+  double gradients(Mlp& net, const Matrix& x, const Matrix& targets,
+                   double huber_delta);
+
+  /// gradients(), then opt.update on layer l's weights (key 2l) and bias
+  /// (key 2l + 1) for every l, opt.end_step() and a W^T refresh: one step
+  /// of train(). Returns the batch loss.
+  double update(Mlp& net, const Matrix& x, const Matrix& targets,
+                double huber_delta, Optimizer& opt);
+
+  /// dL/dW (out x in) and dL/db (1 x out) of layer \p l from the last
+  /// gradients() call.
+  const Matrix& weight_grad(std::size_t l) const { return grad_w_[l]; }
+  const Matrix& bias_grad(std::size_t l) const { return grad_b_[l]; }
+
+ private:
+  std::vector<Matrix> acts_;    // layer l's activation y_l, rows x out_l
+  std::vector<Matrix> grad_w_;  // dL/dW_l
+  std::vector<Matrix> grad_b_;  // dL/db_l
+  Matrix grad_;                 // dL/dy of the layer being differentiated
+  Matrix delta_;                // its local gradient dL/dz
+};
+
+/// Trains \p net on \p data with \p opt, one TrainStep per batch.
+/// Batches are reshuffled each epoch using \p rng, so results are
+/// deterministic given the seed. Leaves every W^T cache of a trained net
+/// fresh, so inference runs the fused pass.
 TrainResult train(Mlp& net, const Dataset& data, Optimizer& opt,
                   const TrainConfig& config, util::Rng& rng);
 

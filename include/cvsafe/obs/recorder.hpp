@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,11 +52,12 @@ class Recorder {
     t_ = t;
   }
 
+  /// \p reason is copied into the event only when recording.
   void monitor(bool to_emergency, bool in_boundary, double slack,
-               std::string reason) {
+               std::string_view reason) {
 #if CVSAFE_TRACE_LEVEL > 0
     if (!enabled_) return;
-    push(MonitorEvent{to_emergency, in_boundary, slack, std::move(reason)});
+    push(MonitorEvent{to_emergency, in_boundary, slack, std::string(reason)});
 #else
     (void)to_emergency;
     (void)in_boundary;

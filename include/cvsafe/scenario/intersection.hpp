@@ -125,7 +125,8 @@ class IntersectionSafetyModel final
   bool in_unsafe_set(const IntersectionWorld& world) const override;
   bool in_boundary_safe_set(const IntersectionWorld& world) const override;
   double emergency_accel(const IntersectionWorld& world) const override;
-  std::string boundary_reason(const IntersectionWorld& world) const override;
+  std::string_view boundary_reason(
+      const IntersectionWorld& world) const override;
 
  private:
   std::shared_ptr<const IntersectionScenario> scenario_;

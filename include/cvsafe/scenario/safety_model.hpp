@@ -42,7 +42,8 @@ class LeftTurnSafetyModel final
   static constexpr double kEmergencyBias = 0.25;  ///< window pad [s]
 
   /// "slack band" / "committed" / "inside zone" — which X_b branch fired.
-  std::string boundary_reason(const LeftTurnWorld& world) const override;
+  std::string_view boundary_reason(
+      const LeftTurnWorld& world) const override;
 
   /// Slack s(t) of Eq. 5 evaluated on the ego state.
   double boundary_slack(const LeftTurnWorld& world) const override;

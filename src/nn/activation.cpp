@@ -69,32 +69,6 @@ void bias_activation_inplace(Activation act, const Matrix& bias, Matrix& z) {
   }
 }
 
-CVSAFE_NN_KERNEL
-Matrix activation_derivative(Activation act, const Matrix& z) {
-  Matrix out = z;
-  switch (act) {
-    case Activation::kIdentity:
-      for (auto& x : out.data()) x = 1.0;
-      break;
-    case Activation::kRelu:
-      for (auto& x : out.data()) x = x > 0.0 ? 1.0 : 0.0;
-      break;
-    case Activation::kTanh:
-      for (auto& x : out.data()) {
-        const double t = fast_tanh(x);
-        x = 1.0 - t * t;
-      }
-      break;
-    case Activation::kSigmoid:
-      for (auto& x : out.data()) {
-        const double s = 1.0 / (1.0 + std::exp(-x));
-        x = s * (1.0 - s);
-      }
-      break;
-  }
-  return out;
-}
-
 std::string activation_name(Activation act) {
   switch (act) {
     case Activation::kIdentity: return "identity";

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "cvsafe/nn/loss.hpp"
+#include "cvsafe/nn/trainer.hpp"
 
 namespace cvsafe::nn {
 namespace {
@@ -17,9 +18,9 @@ double loss_of(Mlp& net, const Matrix& inputs, const Matrix& targets) {
 GradCheckResult check_gradients(Mlp& net, const Matrix& inputs,
                                 const Matrix& targets, double epsilon,
                                 double tolerance) {
-  // Analytic gradients.
-  const Matrix pred = net.forward(inputs);
-  net.backward(mse_gradient(pred, targets));
+  // Analytic gradients: the training step's, for the MSE loss.
+  TrainStep step(net);
+  step.gradients(net, inputs, targets, 0.0);
 
   GradCheckResult result;
   for (std::size_t l = 0; l < net.layer_count(); ++l) {
@@ -39,12 +40,10 @@ GradCheckResult check_gradients(Mlp& net, const Matrix& inputs,
             std::max(result.max_rel_error, std::abs(a - numeric) / denom);
       }
     };
-    // Copy the analytic gradients first: later finite-difference forward
-    // passes do not disturb them (infer() does not touch caches).
-    const Matrix wg = layer.weight_grad();
-    const Matrix bg = layer.bias_grad();
-    check_buffer(layer.mutable_weights(), wg);
-    check_buffer(layer.mutable_bias(), bg);
+    // The finite-difference passes (infer()) leave the step's gradients
+    // alone.
+    check_buffer(layer.mutable_weights(), step.weight_grad(l));
+    check_buffer(layer.mutable_bias(), step.bias_grad(l));
   }
   result.passed = result.max_rel_error <= tolerance;
   return result;

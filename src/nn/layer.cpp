@@ -19,16 +19,12 @@ DenseLayer::DenseLayer(Matrix weights, Matrix bias, Activation act)
 }
 
 void DenseLayer::refresh_inference_cache() {
-  weights_t_ = weights_.transpose();
+  // In place: a training step refreshes the cache after every update.
+  weights_t_.resize(in_dim(), out_dim());
+  for (std::size_t i = 0; i < out_dim(); ++i) {
+    for (std::size_t j = 0; j < in_dim(); ++j) weights_t_(j, i) = weights_(i, j);
+  }
   wt_dirty_ = false;
-}
-
-Matrix DenseLayer::forward(const Matrix& x) {
-  assert(x.cols() == in_dim());
-  input_ = x;
-  preact_ = x.matmul_transposed(weights_);  // n x out
-  preact_.add_row_broadcast(bias_);
-  return apply_activation(act_, preact_);
 }
 
 Matrix DenseLayer::infer(const Matrix& x) const {
@@ -42,18 +38,6 @@ void DenseLayer::infer_into(const Matrix& x, Matrix& out) const {
   assert(x.cols() == in_dim());
   matmul_transposed_into(x, weights_, out);
   bias_activation_inplace(act_, bias_, out);
-}
-
-Matrix DenseLayer::backward(const Matrix& grad_out) {
-  assert(grad_out.rows() == preact_.rows() &&
-         grad_out.cols() == preact_.cols());
-  // dL/dz = dL/dy * f'(z)
-  const Matrix grad_z = grad_out.hadamard(activation_derivative(act_, preact_));
-  // dL/dW = dz^T X  (out x in), dL/db = column sums of dz.
-  grad_weights_ = grad_z.transposed_matmul(input_);
-  grad_bias_ = grad_z.column_sums();
-  // dL/dx = dz W  (n x in).
-  return grad_z.matmul(weights_);
 }
 
 }  // namespace cvsafe::nn

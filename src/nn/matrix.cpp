@@ -1,5 +1,6 @@
 #include "cvsafe/nn/matrix.hpp"
 
+#include "dense_kernel.hpp"
 #include "isa_dispatch.hpp"
 
 #include <algorithm>
@@ -7,28 +8,11 @@
 #include <cmath>
 #include <ostream>
 
-#if defined(__GNUC__) || defined(__clang__)
-#define CVSAFE_RESTRICT __restrict__
-#else
-#define CVSAFE_RESTRICT
-#endif
-
 namespace cvsafe::nn {
 
 namespace {
 
-/// Fraction-of-zeros probe for the sparsity fast path. The exact-zero skip
-/// in the accumulation kernels only pays off when a sizeable share of the
-/// left operand is zero; on dense NN weight matrices the per-element branch
-/// mispredicts and pessimizes the hot loop, so callers gate on this.
-bool mostly_zero(const std::vector<double>& values) {
-  if (values.size() < 4096) return false;  // probe cost dominates small inputs
-  std::size_t zeros = 0;
-  for (const double v : values) {
-    zeros += (v == 0.0) ? 1 : 0;  // cvsafe-lint: allow(float-compare)
-  }
-  return zeros * 2 >= values.size();
-}
+using kernel::mostly_zero;
 
 /// Scalar tail for matmul_transposed_into: output columns [j0, n). Four
 /// independent accumulator chains per pass hide FP-add latency; each output
@@ -69,6 +53,45 @@ void transposed_cols_scalar(const double* CVSAFE_RESTRICT ap,
       op[i * n + j] = s;
     }
   }
+}
+
+/// R output rows (columns i0.. of a) x W output columns (j0.. of b) of
+/// a^T b: out_ij = 0.0 + a_0i * b_0j + a_1i * b_1j + ..., k ascending,
+/// with the tile's sums in registers across the k sweep. \p a and \p b
+/// point at the tile's first column of row 0 (m and n values per row).
+template <std::size_t R, std::size_t W>
+CVSAFE_ALWAYS_INLINE void transposed_tile(
+    const double* CVSAFE_RESTRICT a, std::size_t m,
+    const double* CVSAFE_RESTRICT b, std::size_t n, std::size_t kk,
+    double* CVSAFE_RESTRICT out) {
+  double acc[R][W] = {};  // +0.0
+  for (std::size_t k = 0; k < kk; ++k) {
+    const double* CVSAFE_RESTRICT ak = a + k * m;
+    const double* CVSAFE_RESTRICT bk = b + k * n;
+    for (std::size_t r = 0; r < R; ++r) {
+      const double av = ak[r];
+      for (std::size_t c = 0; c < W; ++c) acc[r][c] += av * bk[c];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t c = 0; c < W; ++c) out[r * n + c] = acc[r][c];
+  }
+}
+
+/// R output rows of a^T b, every column: 8- and 4-column tiles, then
+/// single columns.
+template <std::size_t R>
+CVSAFE_ALWAYS_INLINE void transposed_rows(
+    const double* CVSAFE_RESTRICT a, std::size_t m,
+    const double* CVSAFE_RESTRICT b, std::size_t n, std::size_t kk,
+    double* CVSAFE_RESTRICT out) {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) transposed_tile<R, 8>(a, m, b + j, n, kk, out + j);
+  if (j + 4 <= n) {
+    transposed_tile<R, 4>(a, m, b + j, n, kk, out + j);
+    j += 4;
+  }
+  for (; j < n; ++j) transposed_tile<R, 1>(a, m, b + j, n, kk, out + j);
 }
 
 }  // namespace
@@ -214,25 +237,43 @@ Matrix Matrix::matmul_transposed(const Matrix& other) const {
 }
 
 CVSAFE_NN_KERNEL
-Matrix Matrix::transposed_matmul(const Matrix& other) const {
-  assert(rows_ == other.rows_);
-  Matrix out(cols_, other.cols_);
-  // The left operand here is a backpropagated gradient; with ReLU-family
+void transposed_matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
+  assert(a.rows() == b.rows());
+  assert(&out != &a && &out != &b);
+  const std::size_t kk = a.rows();
+  const std::size_t m = a.cols();
+  const std::size_t n = b.cols();
+  out.resize(m, n);
+
+  const double* CVSAFE_RESTRICT ap = a.data().data();
+  const double* CVSAFE_RESTRICT bp = b.data().data();
+  double* CVSAFE_RESTRICT op = out.data().data();
+
+  // The left operand is a backpropagated gradient; with ReLU-family
   // activations those are legitimately sparse, so the exact-zero skip is
   // gated on measured density rather than applied unconditionally.
-  const bool sparse = mostly_zero(data_);
-  for (std::size_t k = 0; k < rows_; ++k) {
-    const double* CVSAFE_RESTRICT arow = &data_[k * cols_];
-    const double* CVSAFE_RESTRICT brow = &other.data_[k * other.cols_];
-    for (std::size_t i = 0; i < cols_; ++i) {
-      const double a = arow[i];
-      // cvsafe-lint: allow(float-compare) exact-zero sparsity skip
-      if (sparse && a == 0.0) continue;
-      double* CVSAFE_RESTRICT orow = &out.data_[i * other.cols_];
-      for (std::size_t j = 0; j < other.cols_; ++j) orow[j] += a * brow[j];
+  if (mostly_zero(a.data())) {
+    std::fill(out.data().begin(), out.data().end(), 0.0);
+    for (std::size_t k = 0; k < kk; ++k) {
+      const double* CVSAFE_RESTRICT arow = ap + k * m;
+      const double* CVSAFE_RESTRICT brow = bp + k * n;
+      for (std::size_t i = 0; i < m; ++i) {
+        const double av = arow[i];
+        // cvsafe-lint: allow(float-compare) exact-zero sparsity skip
+        if (av == 0.0) continue;
+        double* CVSAFE_RESTRICT orow = op + i * n;
+        for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+      }
     }
+    return;
   }
-  return out;
+
+  // Dense path: register tiles of four output rows (columns of a) by 8,
+  // 4 or 1 output columns (columns of b), each held across the whole k
+  // sweep, so an output is stored once instead of once per k.
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) transposed_rows<4>(ap + i, m, bp, n, kk, op + i * n);
+  for (; i < m; ++i) transposed_rows<1>(ap + i, m, bp, n, kk, op + i * n);
 }
 
 Matrix Matrix::transpose() const {
@@ -266,20 +307,6 @@ void Matrix::add_row_broadcast(const Matrix& row) {
   assert(row.rows_ == 1 && row.cols_ == cols_);
   for (std::size_t i = 0; i < rows_; ++i)
     for (std::size_t j = 0; j < cols_; ++j) (*this)(i, j) += row(0, j);
-}
-
-Matrix Matrix::column_sums() const {
-  Matrix out(1, cols_);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) out(0, j) += (*this)(i, j);
-  return out;
-}
-
-Matrix Matrix::hadamard(const Matrix& other) const {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] *= other.data_[i];
-  return out;
 }
 
 double Matrix::max_abs() const {

@@ -169,8 +169,7 @@ nn::Mlp train_planner_network(const scenario::LeftTurnScenario& scenario,
     fine.epochs = options.onpolicy_epochs;
     nn::train(net, data, opt, fine, rng);
   }
-  net.refresh_inference_cache();  // optimizer steps left the cache stale
-  return net;
+  return net;  // nn::train leaves every W^T cache fresh
 }
 
 namespace {

@@ -144,7 +144,7 @@ double IntersectionSafetyModel::emergency_accel(
   return scenario_->emergency_accel(world);
 }
 
-std::string IntersectionSafetyModel::boundary_reason(
+std::string_view IntersectionSafetyModel::boundary_reason(
     const IntersectionWorld& world) const {
   if (scenario_->in_zone_a(world.ego.p)) return "inside near lane";
   if (scenario_->in_zone_b(world.ego.p)) return "inside far lane";

@@ -37,7 +37,7 @@ void LeftTurnSafetyModel::bias_for_emergency(LeftTurnWorld& world) const {
   }
 }
 
-std::string LeftTurnSafetyModel::boundary_reason(
+std::string_view LeftTurnSafetyModel::boundary_reason(
     const LeftTurnWorld& world) const {
   const auto& g = scenario_->geometry();
   if (world.ego.p > g.ego_front) return "inside zone";

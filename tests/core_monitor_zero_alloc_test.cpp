@@ -5,7 +5,9 @@
 // operator new that counts every allocation makes that observable.
 //
 // Worlds are chosen so the monitor's verdict does not switch between
-// calls: a switch records a SwitchEvent, whose reason is a string.
+// calls: a switch appends a SwitchEvent to the planner's log, which grows
+// until it holds kMaxSwitchEvents. The event's reason is a view of static
+// text, so once the log is full, switching allocates nothing either.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string_view>
 #include <vector>
 
 #include "cvsafe/core/compound_planner.hpp"
@@ -187,6 +190,39 @@ TEST(MonitorZeroAlloc, IntersectionPlanEmergencyBiased) {
   auto planner = intersection_planner(scn);
   expect_plan_allocation_free(*planner, w, kInconsistent, false);
   EXPECT_EQ(planner->ladder_level(), core::DegradationLevel::kEmergencyBiased);
+}
+
+TEST(MonitorZeroAlloc, IntersectionSwitchesWithFullLog) {
+  // Every entry into kappa_e takes the intersection's boundary reason;
+  // "before near lane" and "inside near lane" are 16 bytes, one past the
+  // small-string buffer, so a reason held as a std::string allocated on
+  // every entry.
+  using Planner = core::CompoundPlanner<IntersectionWorld>;
+  const auto scn = sim::IntersectionSimConfig{}.make_scenario();
+  const IntersectionWorld nn = intersection_world(-25.0, 5.0, {30.0, 35.0});
+  const IntersectionWorld emergency =
+      intersection_world(6.0, 14.0, {0.5, 10.0});
+  auto planner = intersection_planner(scn);
+  while (planner->switch_events().size() < Planner::kMaxSwitchEvents) {
+    planner->note_signals(kHealthy);
+    planner->plan(emergency);
+    planner->note_signals(kHealthy);
+    planner->plan(nn);
+  }
+  const std::string_view reason = planner->switch_events().front().reason;
+  EXPECT_TRUE(reason == "before near lane" || reason == "inside near lane")
+      << reason;
+  for (int pair = 0; pair < 3; ++pair) {
+    planner->note_signals(kHealthy);
+    EXPECT_EQ(allocations_of([&] { planner->plan(emergency); }), 0u)
+        << "entering kappa_e, pair " << pair;
+    EXPECT_TRUE(planner->last_was_emergency());
+    planner->note_signals(kHealthy);
+    EXPECT_EQ(allocations_of([&] { planner->plan(nn); }), 0u)
+        << "leaving kappa_e, pair " << pair;
+    EXPECT_FALSE(planner->last_was_emergency());
+  }
+  EXPECT_EQ(planner->switch_events().size(), Planner::kMaxSwitchEvents);
 }
 
 std::shared_ptr<core::CompoundPlanner<LeftTurnMultiWorld>> multi_planner(

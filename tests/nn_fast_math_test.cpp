@@ -98,12 +98,13 @@ TEST(FastTanhTest, Pow2IntegralMatchesIntegerConversion) {
 
 // --- Runtime-dispatched activation kernels, bit for bit --------------------
 //
-// apply_activation_inplace, bias_activation_inplace and
-// activation_derivative are compiled for baseline x86-64 and x86-64-v3
-// (src/nn/isa_dispatch.hpp); the v3 clone runs fast_tanh as a vectorized
-// loop with hardware FMA. The references below are the same formulas
-// written as scalar loops in this test, with the baseline flags, so on an
-// AVX2 + FMA host these tests hold the v3 clone to the baseline's bits.
+// apply_activation_inplace and bias_activation_inplace are compiled for
+// baseline x86-64 and x86-64-v3 (src/nn/isa_dispatch.hpp); the v3 clone
+// runs fast_tanh as a vectorized loop with hardware FMA. The references
+// below are the same formulas written as scalar loops in this test, with
+// the baseline flags, so on an AVX2 + FMA host these tests hold the v3
+// clone to the baseline's bits. (The activation derivatives live in the
+// training step, which nn_train_step_test holds to the per-layer path.)
 
 constexpr std::size_t kRowShapes[] = {1, 7, 64, 513};
 constexpr std::size_t kWidthShapes[] = {1, 4, 24, 25, 257};
@@ -117,22 +118,6 @@ double reference_activation(Activation act, double x) {
     case Activation::kRelu: return x > 0.0 ? x : 0.0;
     case Activation::kTanh: return fast_tanh(x);
     case Activation::kSigmoid: return 1.0 / (1.0 + std::exp(-x));
-  }
-  return x;
-}
-
-double reference_derivative(Activation act, double x) {
-  switch (act) {
-    case Activation::kIdentity: return 1.0;
-    case Activation::kRelu: return x > 0.0 ? 1.0 : 0.0;
-    case Activation::kTanh: {
-      const double t = fast_tanh(x);
-      return 1.0 - t * t;
-    }
-    case Activation::kSigmoid: {
-      const double s = 1.0 / (1.0 + std::exp(-x));
-      return s * (1.0 - s);
-    }
   }
   return x;
 }
@@ -199,6 +184,18 @@ Matrix activation_input(std::size_t rows, std::size_t cols,
   return z;
 }
 
+/// rows x cols of signed zeros, each row all +0.0 or all -0.0, alternating:
+/// with a -0.0 bias, the structured case in which a sum that starts from
+/// +0.0 and one seeded with its first product differ (random inputs almost
+/// never line their signed zeros up this way).
+Matrix signed_zero_rows(std::size_t rows, std::size_t cols) {
+  Matrix z(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) z(i, j) = i % 2 ? -0.0 : 0.0;
+  }
+  return z;
+}
+
 TEST(ActivationKernels, MatchScalarReferenceBitForBit) {
   std::printf("[ kernels  ] NN kernels run the %s clone on this host\n",
               cvsafe::nn::kernel_isa());
@@ -213,28 +210,32 @@ TEST(ActivationKernels, MatchScalarReferenceBitForBit) {
         SCOPED_TRACE(testing::Message()
                      << cvsafe::nn::activation_name(act) << " " << rows
                      << "x" << cols);
-        const Matrix z = activation_input(rows, cols, edges, rng,
-                                          &next_edge);
-        Matrix bias(1, cols);
-        for (auto& b : bias.data()) b = rng.uniform(-1.0, 1.0);
+        const Matrix random_z = activation_input(rows, cols, edges, rng,
+                                                 &next_edge);
+        Matrix random_bias(1, cols);
+        for (auto& b : random_bias.data()) b = rng.uniform(-1.0, 1.0);
+        Matrix zero_bias(1, cols);
+        for (auto& b : zero_bias.data()) b = -0.0;
 
-        Matrix applied = z;
-        cvsafe::nn::apply_activation_inplace(act, applied);
-        Matrix fused = z;
-        cvsafe::nn::bias_activation_inplace(act, bias, fused);
-        const Matrix derivative = cvsafe::nn::activation_derivative(act, z);
+        for (const bool zeros : {false, true}) {
+          SCOPED_TRACE(zeros ? "signed-zero rows, -0.0 bias" : "random");
+          const Matrix z = zeros ? signed_zero_rows(rows, cols) : random_z;
+          const Matrix& bias = zeros ? zero_bias : random_bias;
+          Matrix applied = z;
+          cvsafe::nn::apply_activation_inplace(act, applied);
+          Matrix fused = z;
+          cvsafe::nn::bias_activation_inplace(act, bias, fused);
 
-        for (std::size_t i = 0; i < rows; ++i) {
-          for (std::size_t j = 0; j < cols; ++j) {
-            const double x = z(i, j);
-            ASSERT_EQ(bits(applied(i, j)), bits(reference_activation(act, x)))
-                << "apply, x = " << std::hexfloat << x;
-            ASSERT_EQ(bits(fused(i, j)),
-                      bits(reference_activation(act, x + bias(0, j))))
-                << "bias, x = " << std::hexfloat << x;
-            ASSERT_EQ(bits(derivative(i, j)),
-                      bits(reference_derivative(act, x)))
-                << "derivative, x = " << std::hexfloat << x;
+          for (std::size_t i = 0; i < rows; ++i) {
+            for (std::size_t j = 0; j < cols; ++j) {
+              const double x = z(i, j);
+              ASSERT_EQ(bits(applied(i, j)),
+                        bits(reference_activation(act, x)))
+                  << "apply, x = " << std::hexfloat << x;
+              ASSERT_EQ(bits(fused(i, j)),
+                        bits(reference_activation(act, x + bias(0, j))))
+                  << "bias, x = " << std::hexfloat << x;
+            }
           }
         }
       }
@@ -333,6 +334,12 @@ TEST(FusedForward, MatchesPerLayerReferenceBitForBit) {
       for (std::size_t depth = 1; depth <= 4; ++depth, ++shape) {
         const std::size_t in = kFusedInputs[shape % std::size(kFusedInputs)];
         const Mlp net = fused_net(in, w, depth, act, edges, rng, &next_edge);
+        Mlp zero_net = net;
+        for (std::size_t l = 0; l < depth; ++l) {
+          for (auto& b : zero_net.mutable_layer(l).mutable_bias().data()) {
+            b = -0.0;
+          }
+        }
         std::size_t widest = 0;
         for (std::size_t l = 0; l < depth; ++l) {
           widest = std::max(widest, net.layer(l).out_dim());
@@ -349,6 +356,14 @@ TEST(FusedForward, MatchesPerLayerReferenceBitForBit) {
           expect_same_bits(net.forward_into(x, ws), want);
           if (net.output_dim() == 1) {
             expect_predict_scalar_matches(net, x, want, ws);
+          }
+
+          SCOPED_TRACE("signed-zero rows, -0.0 biases");
+          const Matrix zeros = signed_zero_rows(rows, in);
+          const Matrix zero_want = reference_forward(zero_net, zeros);
+          expect_same_bits(zero_net.forward_into(zeros, ws), zero_want);
+          if (zero_net.output_dim() == 1) {
+            expect_predict_scalar_matches(zero_net, zeros, zero_want, ws);
           }
         }
       }

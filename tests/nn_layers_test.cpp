@@ -8,15 +8,20 @@
 #include "cvsafe/nn/layer.hpp"
 #include "cvsafe/nn/loss.hpp"
 #include "cvsafe/nn/mlp.hpp"
+#include "support/train_reference.hpp"
 
 namespace cvsafe::nn {
 namespace {
+
+// The derivatives are those of the per-layer reference path
+// (support/train_reference.hpp), which the training step is held to bit for
+// bit in nn_train_step_test.
 
 TEST(Activation, ReluValuesAndDerivative) {
   const Matrix z(1, 4, {-2.0, -0.0, 0.5, 3.0});
   const Matrix y = apply_activation(Activation::kRelu, z);
   EXPECT_EQ(y.data(), (std::vector<double>{0.0, 0.0, 0.5, 3.0}));
-  const Matrix d = activation_derivative(Activation::kRelu, z);
+  const Matrix d = train_ref::activation_derivative(Activation::kRelu, z);
   EXPECT_EQ(d.data(), (std::vector<double>{0.0, 0.0, 1.0, 1.0}));
 }
 
@@ -26,7 +31,7 @@ TEST(Activation, TanhBoundsAndDerivative) {
   EXPECT_NEAR(y(0, 0), -1.0, 1e-6);
   EXPECT_EQ(y(0, 1), 0.0);
   EXPECT_NEAR(y(0, 2), 1.0, 1e-6);
-  const Matrix d = activation_derivative(Activation::kTanh, z);
+  const Matrix d = train_ref::activation_derivative(Activation::kTanh, z);
   EXPECT_NEAR(d(0, 1), 1.0, 1e-12);
   EXPECT_LT(d(0, 0), 1e-6);
 }
@@ -58,11 +63,14 @@ TEST(DenseLayer, ForwardKnownValues) {
 }
 
 TEST(DenseLayer, ForwardAndInferAgree) {
+  // The reference's training forward pass (which caches x and z) and
+  // inference give the same bits.
   util::Rng rng(1);
   DenseLayer layer(4, 3, Activation::kTanh, rng);
   Matrix x(5, 4);
   for (auto& v : x.data()) v = rng.uniform(-1, 1);
-  const Matrix a = layer.forward(x);
+  train_ref::LayerCache cache;
+  const Matrix a = train_ref::forward(layer, x, cache);
   const Matrix b = layer.infer(x);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "cvsafe/util/rng.hpp"
+#include "support/train_reference.hpp"
 
 namespace cvsafe::nn {
 namespace {
@@ -73,7 +74,9 @@ TEST(Matrix, TransposedMatmulEqualsExplicit) {
   util::Rng rng(3);
   const Matrix a = random_matrix(6, 3, rng);
   const Matrix b = random_matrix(6, 4, rng);
-  expect_near(a.transposed_matmul(b), a.transpose().matmul(b), 1e-12);
+  Matrix out;
+  transposed_matmul_into(a, b, out);
+  expect_near(out, a.transpose().matmul(b), 1e-12);
 }
 
 TEST(Matrix, AddSubScale) {
@@ -84,17 +87,19 @@ TEST(Matrix, AddSubScale) {
   expect_near(a * 2.0, Matrix(1, 3, {2, 4, 6}));
 }
 
+// Column sums and the Hadamard product are the per-layer training
+// reference's (support/train_reference.hpp); the training step fuses both.
 TEST(Matrix, RowBroadcastAndColumnSums) {
   Matrix m(2, 3, {1, 2, 3, 4, 5, 6});
   m.add_row_broadcast(Matrix::row_vector({10, 20, 30}));
   expect_near(m, Matrix(2, 3, {11, 22, 33, 14, 25, 36}));
-  expect_near(m.column_sums(), Matrix::row_vector({25, 47, 69}));
+  expect_near(train_ref::column_sums(m), Matrix::row_vector({25, 47, 69}));
 }
 
 TEST(Matrix, Hadamard) {
   const Matrix a(1, 3, {1, 2, 3});
   const Matrix b(1, 3, {4, 5, 6});
-  expect_near(a.hadamard(b), Matrix(1, 3, {4, 10, 18}));
+  expect_near(train_ref::hadamard(a, b), Matrix(1, 3, {4, 10, 18}));
 }
 
 TEST(Matrix, MaxAbs) {
@@ -113,7 +118,7 @@ TEST(Matrix, GlorotWithinLimit) {
 
 // --- Runtime-dispatched kernels, bit for bit --------------------------------
 //
-// matmul_into, matmul_transposed_into and Matrix::transposed_matmul are
+// matmul_into, matmul_transposed_into and transposed_matmul_into are
 // compiled for baseline x86-64 and for x86-64-v3, and the loader picks one
 // per host (src/nn/isa_dispatch.hpp). The references below are in-order
 // loops compiled into this test with the baseline flags, so on an AVX2 +
@@ -250,6 +255,7 @@ TEST(MatrixKernels, MatmulTransposedIntoMatchesInOrderReferenceBitForBit) {
 
 TEST(MatrixKernels, TransposedMatmulMatchesInOrderReferenceBitForBit) {
   util::Rng rng(103);
+  Matrix out;
   for (const std::size_t m : kRowShapes) {
     for (const std::size_t kk : kWidthShapes) {
       for (const std::size_t n : kWidthShapes) {
@@ -257,8 +263,8 @@ TEST(MatrixKernels, TransposedMatmulMatchesInOrderReferenceBitForBit) {
                                         << m << "x" << n);
         const Matrix a = kernel_input(m, kk, rng);
         const Matrix b = kernel_input(m, n, rng);
-        expect_same_bits(a.transposed_matmul(b),
-                         reference_transposed_matmul(a, b));
+        transposed_matmul_into(a, b, out);
+        expect_same_bits(out, reference_transposed_matmul(a, b));
       }
     }
   }
@@ -281,8 +287,8 @@ TEST(MatrixKernels, SparseSkipPathsMatchInOrderReferenceBitForBit) {
     expect_same_bits(out, reference_matmul(a, b));
     Matrix c(64, n);
     for (auto& x : c.data()) x = rng.uniform(-2, 2);
-    expect_same_bits(a.transposed_matmul(c),
-                     reference_transposed_matmul(a, c));
+    transposed_matmul_into(a, c, out);
+    expect_same_bits(out, reference_transposed_matmul(a, c));
   }
 }
 

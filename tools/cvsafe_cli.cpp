@@ -518,7 +518,7 @@ int cmd_batch(const Args& args) {
       sim::run_left_turn_fleet_records(config, bp, n, seed, fleet, sinks);
   if (want_flight &&
       !write_flight_dumps(args.value("flight-recorder", "flight.jsonl"),
-                          dumps, "left-turn", config.comm.label())) {
+                          dumps, "left-turn", channel_label(config, args))) {
     return 1;
   }
   if (want_telemetry) {
