@@ -45,7 +45,6 @@
 #include "cvsafe/nn/trainer.hpp"
 #include "cvsafe/nn/workspace.hpp"
 #include "cvsafe/obs/flight_recorder.hpp"
-#include "cvsafe/obs/jsonl.hpp"
 #include "cvsafe/obs/recorder.hpp"
 #include "cvsafe/planners/expert.hpp"
 #include "cvsafe/planners/nn_planner.hpp"
@@ -778,10 +777,10 @@ std::vector<Bench> build_registry() {
     return run_bench(
         "recorder_event_off", o.min_time_s, [&](std::uint64_t n) {
           for (std::uint64_t it = 0; it < n; ++it) {
-            recorder.begin_step(it, static_cast<double>(it) * 0.05);
-            recorder.step_summary(1.0, false, 0.5, 2);
+            recorder.begin_step(it);
+            recorder.step(1.0, false, 2);
             if ((it & 1023u) == 0u) {
-              g_sink = static_cast<double>(recorder.events().size());
+              g_sink = static_cast<double>(recorder.size());
             }
           }
         });
@@ -792,18 +791,15 @@ std::vector<Bench> build_registry() {
   benches.push_back({"recorder_event_jsonl", [](const Options& o) {
     obs::Recorder recorder;
     recorder.set_enabled(true);
-    obs::EpisodeLabel label;
-    label.seed = 1;
-    label.scenario = "bench";
     return run_bench(
         "recorder_event_jsonl", o.min_time_s, [&](std::uint64_t n) {
           for (std::uint64_t it = 0; it < n; ++it) {
-            recorder.begin_step(it, static_cast<double>(it) * 0.05);
-            recorder.step_summary(1.0, (it & 63u) == 0u, 0.5, 2);
-            if (recorder.events().size() >= 1024) {
+            recorder.begin_step(it);
+            recorder.step(1.0, (it & 63u) == 0u, 2);
+            if (recorder.size() >= 1024) {
               std::ostringstream os;
-              obs::write_events_jsonl(os, recorder.events(), label,
-                                      recorder.dropped());
+              obs::write_flight_dump_jsonl(
+                  os, obs::flight_dump(recorder, 0, 1, 1.0, false), "bench");
               g_sink = static_cast<double>(os.str().size());
               recorder.clear();
             }
@@ -868,10 +864,11 @@ std::vector<Bench> build_registry() {
   //     (bounds single-thread pooling overhead; bites on 1-thread
   //     runners where the parallel gate skips).
   // fleet_pool8k_episodes8 runs with the per-lane flight recorder ARMED
-  // (rings live in every lane; eta samples, gate verdicts and message
-  // events stream into them each step) so the speedup gates cover the
-  // observability-on deployment shape. fleet_pool8k_telemetry_off is the
-  // identical workload untraced; CI bounds the recorder overhead with
+  // (an armed obs::Recorder in every lane; eta samples, gate verdicts
+  // and message events stream into it each step) so the
+  // speedup gates cover the observability-on deployment shape.
+  // fleet_pool8k_telemetry_off is the identical workload untraced; CI
+  // bounds the recorder overhead with
   //   speedup fleet_pool8k_telemetry_off -> fleet_pool8k_episodes8
   //     >= 0.95 (armed throughput within 5% of untraced).
   struct PoolBench {

@@ -11,7 +11,7 @@
 #include "cvsafe/core/degradation.hpp"
 #include "cvsafe/core/planner.hpp"
 #include "cvsafe/core/safety_model.hpp"
-#include "cvsafe/obs/flight_recorder.hpp"
+#include "cvsafe/obs/recorder.hpp"
 #include "cvsafe/util/contracts.hpp"
 
 /// \file compound_planner.hpp
@@ -114,31 +114,21 @@ class CompoundPlanner final : public PlannerBase<World> {
     // fires earlier while the estimators are suspect. kappa_e itself is
     // still evaluated on the monitor's own view.
     bool biased = false;
-    const bool ring_on = obs::ring_recording(ring_);
-    if (ladder_) {
+    const bool on = obs::recording(recorder_);
+    if (has_ladder()) {
+      // The pooled ladder (fleet_ladder_, see core::FleetLadder) runs the
+      // same decision procedure on state resident in the fleet pool's SoA
+      // arrays. Neither ladder emits events; transitions are recorded here
+      // for both.
       const DegradationLevel prev =
-          ring_on ? ladder_->level() : DegradationLevel::kFull;
-      const DegradationLevel now = ladder_->update(step, signals_);
+          on ? ladder_level() : DegradationLevel::kFull;
+      const DegradationLevel now =
+          ladder_ ? ladder_->update(step, signals_)
+                  : fleet_ladder_->update(ladder_slot_, signals_);
       biased = now == DegradationLevel::kEmergencyBiased;
-      if (ring_on && now != prev) {
-        ring_->ladder_transition(static_cast<std::uint8_t>(prev),
-                                 static_cast<std::uint8_t>(now),
-                                 static_cast<double>(step));
-      }
-    } else if (fleet_ladder_ != nullptr) {
-      // Pooled hysteresis state: same decision procedure, state resident
-      // in the fleet pool's SoA arrays (see core::FleetLadder). The ring
-      // seam restores the transition visibility the pooled ladder gave
-      // up (it keeps no transition log of its own).
-      const DegradationLevel prev =
-          ring_on ? fleet_ladder_->level(ladder_slot_)
-                  : DegradationLevel::kFull;
-      const DegradationLevel now = fleet_ladder_->update(ladder_slot_, signals_);
-      biased = now == DegradationLevel::kEmergencyBiased;
-      if (ring_on && now != prev) {
-        ring_->ladder_transition(static_cast<std::uint8_t>(prev),
-                                 static_cast<std::uint8_t>(now),
-                                 static_cast<double>(step));
+      if (on && now != prev) {
+        recorder_->ladder_transition(static_cast<int>(prev),
+                                     static_cast<int>(now), step);
       }
     }
     if (biased) {
@@ -146,30 +136,21 @@ class CompoundPlanner final : public PlannerBase<World> {
       safety_model_->bias_for_emergency(scratch_);
     }
     const World& check = biased ? scratch_ : world;
-    if (ring_on) ring_->eta_sample(safety_model_->boundary_slack(check));
+    if (on) recorder_->eta_sample(safety_model_->boundary_slack(check));
     if (safety_model_->in_boundary_safe_set(check)) {
       ++stats_.emergency_steps;
       if (!last_was_emergency_) {
-        const std::string_view reason = safety_model_->boundary_reason(check);
-        if (obs::recording(recorder_)) {
-          recorder_->monitor(true, true, safety_model_->boundary_slack(check),
-                             reason);
+        if (on) {
+          recorder_->gate_verdict(true, safety_model_->boundary_slack(check));
         }
-        if (ring_on) {
-          ring_->gate_verdict(true, safety_model_->boundary_slack(check));
-        }
-        record_switch(step, true, reason);
+        record_switch(step, true, safety_model_->boundary_reason(check));
       }
       last_was_emergency_ = true;
       return safety_model_->emergency_accel(world);
     }
     if (last_was_emergency_) {
-      if (obs::recording(recorder_)) {
-        recorder_->monitor(false, false, safety_model_->boundary_slack(check),
-                           {});
-      }
-      if (ring_on) {
-        ring_->gate_verdict(false, safety_model_->boundary_slack(check));
+      if (on) {
+        recorder_->gate_verdict(false, safety_model_->boundary_slack(check));
       }
       record_switch(step, false, {});
     }
@@ -194,14 +175,13 @@ class CompoundPlanner final : public PlannerBase<World> {
     CVSAFE_EXPECTS(fleet_ladder_ == nullptr,
                    "ladder is already pool-resident");
     ladder_.emplace(config);
-    ladder_->set_recorder(recorder_);
   }
 
   /// Arms the degradation ladder with pool-resident state: hysteresis and
   /// tallies live in a slot of \p fleet (released on destruction) so the
   /// fleet engine's gate/ladder sweep walks contiguous arrays. Decision
-  /// procedure and stats are identical to enable_degradation; the pooled
-  /// ladder keeps no transition log and is untraced.
+  /// procedure, stats and recorded transitions are identical to
+  /// enable_degradation; the pooled ladder keeps no transition log.
   void enable_degradation_pooled(const LadderConfig& config,
                                  FleetLadder& fleet) {
     CVSAFE_EXPECTS(!ladder_.has_value() && fleet_ladder_ == nullptr,
@@ -228,18 +208,10 @@ class CompoundPlanner final : public PlannerBase<World> {
     ladder_slot_ = fleet.acquire(config);
   }
 
-  /// Attach a trace sink: planner switches become monitor events (with
-  /// slack s(t) and X_b membership) and, when the ladder is armed, level
-  /// changes become ladder events. Pass nullptr to detach.
-  void set_recorder(obs::Recorder* recorder) {
-    recorder_ = recorder;
-    if (ladder_) ladder_->set_recorder(recorder);
-  }
-
-  /// Attach a flight-recorder ring: per-step eta samples, monitor
-  /// verdict switches and ladder transitions land in the lane's ring
-  /// (scalar *and* pooled ladder modes). Pass nullptr to detach.
-  void set_ring(obs::RingRecorder* ring) { ring_ = ring; }
+  /// Attach an event sink: per-step eta samples, planner switches (gate
+  /// verdicts with the boundary slack s(t)) and ladder transitions, in
+  /// scalar and pooled ladder modes alike. Pass nullptr to detach.
+  void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
   /// Information-quality signals for the NEXT monitor_gate()/plan() call;
   /// the episode driver refreshes these every step before planning.
@@ -320,7 +292,6 @@ class CompoundPlanner final : public PlannerBase<World> {
   std::size_t ladder_slot_ = 0;
   DegradationSignals signals_;
   obs::Recorder* recorder_ = nullptr;
-  obs::RingRecorder* ring_ = nullptr;
   /// Shrunk (plan) or biased (monitor_gate) copy of the step's world;
   /// copy-assignment reuses its storage. One step never needs both: the
   /// shrink is off at every degraded ladder level, EMERGENCY-BIASED too.

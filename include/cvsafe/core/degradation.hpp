@@ -6,8 +6,6 @@
 #include <limits>
 #include <vector>
 
-#include "cvsafe/obs/recorder.hpp"
-
 /// \file degradation.hpp
 /// Graceful-degradation ladder for the compound planner.
 ///
@@ -131,10 +129,6 @@ class DegradationLadder {
 
   static constexpr std::size_t kMaxTransitions = 512;
 
-  /// Attach a trace sink; every level change is emitted as a ladder
-  /// event. Pass nullptr to detach.
-  void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
-
  private:
   /// The level the signals call for when budgets are scaled by \p scale.
   DegradationLevel target(const DegradationSignals& s, double scale) const;
@@ -144,7 +138,6 @@ class DegradationLadder {
   std::size_t clear_streak_ = 0;
   DegradationStats stats_;
   std::vector<LadderTransition> transitions_;
-  obs::Recorder* recorder_ = nullptr;
 };
 
 /// Pool-resident SoA ladder state for the fleet engine: the hysteresis
@@ -154,9 +147,9 @@ class DegradationLadder {
 /// DegradationLadder object (with its transition-log vector) per lane.
 ///
 /// update() is bit-identical to DegradationLadder::update on the same
-/// signal sequence — both call ladder_target for every decision. The two
-/// deliberate non-features: no per-transition log and no obs::Recorder
-/// seam (the fleet pool is untraced; traced runs use the scalar engine).
+/// signal sequence — both call ladder_target for every decision. Neither
+/// ladder emits events: the compound planner records the transitions of
+/// both. The deliberate non-feature: no per-transition log.
 /// Slots are free-listed and reset on acquire; lane compaction in the
 /// episode pool never moves ladder state, only the runners that hold the
 /// slot handles.

@@ -7,6 +7,7 @@
 #include "cvsafe/filter/consistency.hpp"
 #include "cvsafe/filter/kalman.hpp"
 #include "cvsafe/filter/kalman_core.hpp"
+#include "cvsafe/obs/recorder.hpp"
 #include "cvsafe/sensing/sensor.hpp"
 #include "cvsafe/util/interval.hpp"
 #include "cvsafe/util/linalg.hpp"
@@ -35,8 +36,9 @@
 ///
 /// Slots are free-listed: lane compaction in the episode pool swaps
 /// *runners*, not estimator storage, so a slot handle stays valid for the
-/// lifetime of the episode that acquired it. The pool is untraced (no
-/// obs::Recorder seam) — traced runs use the scalar per-episode engine.
+/// lifetime of the episode that acquired it. Each slot carries its
+/// episode's obs::Recorder, so rollbacks are recorded exactly as the
+/// scalar filter records them.
 
 namespace cvsafe::filter {
 
@@ -96,8 +98,15 @@ class FleetEstimator {
   /// cache is a locality optimization, never a semantic one).
   void predict_batch();
 
-  /// Message rollback, identical to KalmanFilter::correct_with_message
-  /// (scalar: rollbacks are rare and replay a per-slot history ring).
+  /// Attach \p slot's event sink (reset to nullptr on acquire), as
+  /// KalmanFilter::set_recorder.
+  void set_recorder(std::size_t slot, obs::Recorder* recorder) {
+    recorder_[slot] = recorder;
+  }
+
+  /// Message rollback, identical to KalmanFilter::correct_with_message —
+  /// rollback events included (scalar: rollbacks are rare and replay a
+  /// per-slot history ring).
   void correct_with_message(std::size_t slot, double t_k, double p, double v,
                             double a);
 
@@ -141,6 +150,7 @@ class FleetEstimator {
   std::vector<NisMonitor> nis_;
   std::vector<std::size_t> hist_head_, hist_size_;
   std::vector<HistoryEntry> hist_;  ///< depth_ x cap_, position-major
+  std::vector<obs::Recorder*> recorder_;
 
   // Prediction cache written by predict_batch.
   std::vector<std::uint8_t> pr_valid_;

@@ -155,19 +155,14 @@ class InformationFilter final : public Estimator {
   /// Read access to the plausibility gate (thresholds, suspect state).
   const PlausibilityGate& gate() const { return gate_; }
 
-  /// Attach a trace sink to both embedded stages: the plausibility gate
-  /// (rejection events) and the Kalman filter (rollback events). Pass
-  /// nullptr to detach. (The fleet engine never attaches allocating
-  /// recorders — pooled lanes use set_ring instead.)
+  /// Attach an event sink to both embedded stages: the plausibility gate
+  /// (accept/reject events) and the Kalman filter, scalar or pool lane
+  /// (rollback events). Pass nullptr to detach.
   void set_recorder(obs::Recorder* recorder) {
     gate_.set_recorder(recorder);
     if (kalman_) kalman_->set_recorder(recorder);
+    if (fleet_ != nullptr) fleet_->set_recorder(fleet_slot_, recorder);
   }
-
-  /// Attach a flight-recorder ring to the gate (the fleet-pool seam:
-  /// rings are lane-resident PODs, safe where allocating recorders are
-  /// not). Pass nullptr to detach.
-  void set_ring(obs::RingRecorder* ring) { gate_.set_ring(ring); }
 
   /// Filter health at time \p t: false when the Kalman NIS monitor has
   /// diverged or the gate rejected a message within its suspect-hold

@@ -6,7 +6,6 @@
 #include "cvsafe/comm/message.hpp"
 #include "cvsafe/filter/kalman_core.hpp"
 #include "cvsafe/filter/reachability.hpp"
-#include "cvsafe/obs/flight_recorder.hpp"
 #include "cvsafe/obs/recorder.hpp"
 #include "cvsafe/vehicle/dynamics.hpp"
 
@@ -132,21 +131,16 @@ class PlausibilityGate {
   const GateConfig& config() const { return config_; }
   const RejectionCounters& counters() const { return counters_; }
 
-  /// Attach a trace sink; every rejection is emitted as a gate event
-  /// carrying its reason code. Pass nullptr to detach.
-  void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
-
-  /// Attach a flight-recorder ring (fleet-pool lane); every screen
-  /// decision lands in the ring as a compact admit/reject event. Pass
+  /// Attach an event sink; every screen decision is emitted as a
+  /// message accept/reject event (rejects carry their reason code). Pass
   /// nullptr to detach.
-  void set_ring(obs::RingRecorder* ring) { ring_ = ring; }
+  void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
  private:
   GateConfig config_;
   RejectionCounters counters_;
   double last_rejection_time_ = -1.0;
   obs::Recorder* recorder_ = nullptr;
-  obs::RingRecorder* ring_ = nullptr;
 };
 
 }  // namespace cvsafe::filter

@@ -2,18 +2,19 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <variant>
 
 /// \file event.hpp
-/// Typed trace events emitted by the safety stack.
+/// The one event schema of the safety stack.
 ///
 /// Each event captures one runtime decision that the framework's safety
-/// argument rests on: the monitor choosing kappa_e iff x(t) is in X_b
+/// argument rests on — the monitor choosing kappa_e iff x(t) is in X_b
 /// (Eq. 3), the degradation ladder moving between levels, the
-/// plausibility gate rejecting a message, the Kalman filter rolling back
-/// for a delayed message, or a fault model perturbing a channel/sensor.
-/// Events are plain data; serialization lives in jsonl.hpp.
+/// plausibility gate screening a message, the Kalman filter rolling back
+/// for a delayed message, a fault model perturbing a channel/sensor — or
+/// the per-step context a traced episode adds (applied command, episode
+/// outcome). Every event is the same 16-byte POD; the kind selects how
+/// code/aux/value read (table in docs/OBSERVABILITY.md). Recording lives
+/// in recorder.hpp, serialization in flight_recorder.hpp.
 
 namespace cvsafe::obs {
 
@@ -43,68 +44,48 @@ enum class FaultKind : std::uint8_t {
 
 const char* to_string(FaultKind kind);
 
-/// Monitor decision at a planner switch (emitted on transitions only;
-/// the per-step state travels in StepEvent).
-struct MonitorEvent {
-  bool to_emergency = false;  ///< true: kappa_n -> kappa_e, false: back
-  bool in_boundary = false;   ///< X_b membership test result
-  double slack = 0.0;         ///< boundary slack s(t) of Eq. 5
-  std::string reason;         ///< which boundary test fired (entry only)
+/// Event kinds. The set is closed and every kind's code/aux/value layout
+/// is fixed.
+enum class EventKind : std::uint8_t {
+  kMessageAccept = 0,    ///< gate admitted a message (aux=sender, value=stamp)
+  kMessageReject = 1,    ///< gate rejected (code=GateRejectReason, aux=sender,
+                         ///< value=stamp)
+  kGateVerdict = 2,      ///< monitor switched planners (code=1: into
+                         ///< kappa_e, 0: back; value=boundary slack)
+  kLadderTransition = 3, ///< degradation level change (code=to, aux=from,
+                         ///< value=monitor step)
+  kEtaSample = 4,        ///< per-step boundary slack (value=slack)
+  kPlanClamp = 5,        ///< command outside the actuator limits (code=0:
+                         ///< below a_min, 1: above a_max; value=command)
+  kFault = 6,            ///< fault stage acted (code=FaultKind, value=
+                         ///< stage-specific magnitude)
+  kKalmanRollback = 7,   ///< message rollback (aux=history entries
+                         ///< replayed, value=anchor time)
+  kStep = 8,             ///< traced control step (code=1 under kappa_e,
+                         ///< aux=ladder level or kNoLadder, value=accel)
+  kEpisodeEnd = 9,       ///< traced outcome (step=steps, code bit 0=
+                         ///< collided, bit 1=reached; value=eta)
 };
 
-/// Degradation-ladder level change.
-struct LadderEvent {
-  std::string from;
-  std::string to;
-};
+/// Number of distinct EventKind values (array sizing).
+inline constexpr std::size_t kNumEventKinds = 10;
 
-/// Plausibility-gate rejection with its reason code.
-struct GateEvent {
-  std::uint32_t sender = 0;  ///< id of the transmitting vehicle
-  GateRejectReason reason = GateRejectReason::kNonFinite;
-  double msg_t = 0.0;  ///< sampling timestamp of the rejected payload
-};
+/// aux of a kStep event when no degradation ladder is armed.
+inline constexpr std::uint16_t kNoLadder = 0xFFFF;
 
-/// Kalman out-of-order correction: rollback anchor + replay extent.
-struct RollbackEvent {
-  double anchor_t = 0.0;      ///< timestamp of the late message
-  std::size_t replayed = 0;   ///< history entries re-applied after it
-};
+/// Stable lowercase name for JSONL serialization.
+const char* event_kind_name(EventKind kind);
 
-/// One fault-model action (channel or sensor stage).
-struct FaultEvent {
-  FaultKind kind = FaultKind::kBlackoutDropped;
-  double value = 0.0;  ///< stage-specific magnitude (delay, bias, ...)
-};
-
-/// Per-step summary written by the engine-mounted hook: the applied
-/// accel, whether the emergency planner drove it, the eta margin
-/// (boundary slack s(t)) and the active degradation level.
-struct StepEvent {
-  double accel = 0.0;
-  bool emergency = false;
-  double margin = 0.0;
-  int ladder_level = -1;  ///< -1 when no ladder is armed
-};
-
-/// Episode wrap-up emitted once after the closed loop finishes.
-struct EpisodeEvent {
-  bool collided = false;
-  bool reached = false;
-  double eta = 0.0;
-  std::size_t steps = 0;
-};
-
-using EventPayload = std::variant<MonitorEvent, LadderEvent, GateEvent,
-                                  RollbackEvent, FaultEvent, StepEvent,
-                                  EpisodeEvent>;
-
-/// A payload stamped with the controller step and simulation time at
-/// which it was emitted (set via Recorder::begin_step).
+/// One event: 16 bytes, trivially copyable, no heap. `step` is the
+/// control step the event was emitted in (stamped by
+/// EpisodeRunner::observe_begin).
 struct Event {
-  std::size_t step = 0;
-  double t = 0.0;
-  EventPayload payload;
+  std::uint32_t step = 0;
+  std::uint8_t kind = 0;
+  std::uint8_t code = 0;
+  std::uint16_t aux = 0;
+  double value = 0.0;
 };
+static_assert(sizeof(Event) == 16, "Event must stay compact");
 
 }  // namespace cvsafe::obs

@@ -90,16 +90,8 @@ class ScopedSpan {
 
 }  // namespace cvsafe::obs
 
-#ifndef CVSAFE_TRACE_LEVEL
-#define CVSAFE_TRACE_LEVEL 1
-#endif
-
-#if CVSAFE_TRACE_LEVEL > 0
 #define CVSAFE_PROFILE_CONCAT2(a, b) a##b
 #define CVSAFE_PROFILE_CONCAT(a, b) CVSAFE_PROFILE_CONCAT2(a, b)
 #define CVSAFE_PROFILE_SPAN(name)                \
   ::cvsafe::obs::ScopedSpan CVSAFE_PROFILE_CONCAT(cvsafe_profile_span_, \
                                                   __LINE__)(name)
-#else
-#define CVSAFE_PROFILE_SPAN(name) static_cast<void>(0)
-#endif

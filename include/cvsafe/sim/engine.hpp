@@ -16,7 +16,6 @@
 #include "cvsafe/fault/faulty_sensor.hpp"
 #include "cvsafe/filter/estimate.hpp"
 #include "cvsafe/filter/info_filter.hpp"
-#include "cvsafe/obs/flight_recorder.hpp"
 #include "cvsafe/obs/recorder.hpp"
 #include "cvsafe/sensing/sensor.hpp"
 #include "cvsafe/sim/fleet_context.hpp"
@@ -67,6 +66,13 @@ struct TrafficActor {
   /// few deliveries warm its capacity, draining the channel allocates
   /// nothing (part of the zero-alloc steady-state episode step).
   std::vector<comm::Message> inbox;
+
+  /// Wires \p recorder into the channel and sensor fault stages (the
+  /// estimators are wired by the episode, which knows their types).
+  void set_recorder(obs::Recorder* recorder) {
+    channel.set_recorder(recorder);
+    sensor.set_recorder(recorder);
+  }
 };
 
 /// Builds the (possibly fault-decorated) channel of actor \p actor_id for
@@ -239,18 +245,14 @@ class Episode {
   /// Attaches scenario extras to the finished result (default: none).
   virtual void finalize(RunResult& result) const { (void)result; }
 
-  /// Wires an obs::Recorder through the episode's control stack so its
-  /// instrumentation points (monitor, ladder, gate, Kalman, fault
-  /// decorators) emit trace events. Default: no instrumentation (the
-  /// engine-mounted hook still records per-step events). Called by
-  /// sim::RecordingHook before the first step.
-  virtual void attach_recorder(obs::Recorder* recorder) { (void)recorder; }
-
-  /// Wires a flight-recorder ring through the control stack (gate,
-  /// compound planner) so its compact instrumentation points land in the
-  /// pool lane's ring. Default: no instrumentation. Called by the fleet
-  /// pool at admission, after the ring is reset.
-  virtual void attach_ring(obs::RingRecorder* ring) { (void)ring; }
+  /// Wires an obs::Recorder through the episode's control stack — the
+  /// compound planner (monitor verdicts, eta samples, ladder
+  /// transitions), every information filter (gate screens, Kalman
+  /// rollbacks) and every traffic actor's fault stages — so its
+  /// instrumentation points emit events. Called by
+  /// EpisodeRunner::attach_recorder before the first step. Pass nullptr
+  /// to detach.
+  virtual void attach_recorder(obs::Recorder* recorder) = 0;
 
   core::PlannerBase<World>& planner() { return *planner_; }
   const std::shared_ptr<core::PlannerBase<World>>& planner_ptr() const {
@@ -307,21 +309,9 @@ class StepHook {
  public:
   virtual ~StepHook() = default;
 
-  /// Fires once from the EpisodeRunner constructor, before the first
-  /// step. The episode is mutable here so instrumenting hooks can wire
-  /// sinks through the freshly built control stack.
-  virtual void on_episode_start(Episode<World>& episode,
-                                std::uint64_t seed) {
-    (void)episode;
-    (void)seed;
-  }
-
-  /// Fires at the top of the observe phase, before traffic is pumped —
-  /// the earliest point at which (step, t) of the new step are known.
-  virtual void on_step_begin(std::size_t step, double t) {
-    (void)step;
-    (void)t;
-  }
+  /// The recorder this hook mounts (nullptr: none). The EpisodeRunner
+  /// constructor attaches it before the first step.
+  virtual obs::Recorder* recorder() const { return nullptr; }
 
   virtual void on_step(std::size_t step, double t, const World& world,
                        const vehicle::VehicleState& ego, double a0,
@@ -344,7 +334,9 @@ class EpisodeRunner {
         episode_(adapter.make_episode(rng_, total_steps_, seed)),
         ego_dyn_(config_->ego_limits),
         ego_(episode_->ego_init()) {
-    if (hook_ != nullptr) hook_->on_episode_start(*episode_, seed);
+    if (hook_ != nullptr && hook_->recorder() != nullptr) {
+      attach_recorder(hook_->recorder());
+    }
   }
 
   bool done() const { return finished_ || step_ >= total_steps_; }
@@ -364,8 +356,7 @@ class EpisodeRunner {
   void observe_begin() {
     CVSAFE_EXPECTS(!done(), "observe() after the episode finished");
     t_ = static_cast<double>(step_) * config_->dt_c;
-    if (hook_ != nullptr) hook_->on_step_begin(step_, t_);
-    if (ring_ != nullptr) ring_->begin_step(static_cast<std::uint32_t>(step_));
+    if (recorder_ != nullptr) recorder_->begin_step(step_);
     // World storage contract: Episode::observe fills every field, and a
     // world with containers clears them in place, so their storage
     // survives from step to step.
@@ -383,13 +374,13 @@ class EpisodeRunner {
     return episode_->bind_fleet(ctx);
   }
 
-  /// Attaches the pool lane's flight-recorder ring: the runner stamps
-  /// each step into it (observe_begin) and detects plan clamps
-  /// (advance_begin); the episode wires it through gate and planner.
-  /// Pass nullptr to detach.
-  void attach_ring(obs::RingRecorder* ring) {
-    ring_ = ring;
-    episode_->attach_ring(ring);
+  /// Attaches the episode's event sink (a traced run's recorder or a
+  /// pool lane's armed one): the runner stamps each step into it
+  /// (observe_begin) and records plan clamps (advance_begin); the episode
+  /// wires it through its control stack. Pass nullptr to detach.
+  void attach_recorder(obs::Recorder* recorder) {
+    recorder_ = recorder;
+    episode_->attach_recorder(recorder);
   }
 
   // Fleet sweep wrappers: forward the current (t, step) and the episode
@@ -444,12 +435,12 @@ class EpisodeRunner {
   /// completes the step with advance_commit().
   void advance_begin(double a0) {
     ++result_.steps;
-    if (obs::ring_recording(ring_)) {
+    if (obs::recording(recorder_)) {
       const vehicle::VehicleLimits& limits = config_->ego_limits;
       if (a0 < limits.a_min) {
-        ring_->plan_clamp(a0, limits.a_min);
+        recorder_->plan_clamp(a0, limits.a_min);
       } else if (a0 > limits.a_max) {
-        ring_->plan_clamp(a0, limits.a_max);
+        recorder_->plan_clamp(a0, limits.a_max);
       }
     }
     auto* compound = episode_->compound();
@@ -508,7 +499,7 @@ class EpisodeRunner {
   const RunConfig* config_;
   util::Rng rng_;
   StepHook<World>* hook_;
-  obs::RingRecorder* ring_ = nullptr;  ///< pool lane ring (non-owning)
+  obs::Recorder* recorder_ = nullptr;  ///< event sink (non-owning)
   std::size_t total_steps_;
   std::unique_ptr<Episode<World>> episode_;
   vehicle::DoubleIntegrator ego_dyn_;

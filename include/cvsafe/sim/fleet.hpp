@@ -157,12 +157,12 @@ class SweepSpanSink {
 };
 
 /// Optional observability sinks threaded through a fleet run. Default
-/// (all null) is the untraced engine: no rings are armed, no clocks are
-/// read — the disabled path stays one pointer test per seam.
+/// (all null) is the untraced engine: no recorders are armed, no clocks
+/// are read — the disabled path stays one pointer test per seam.
 struct FleetObsSinks {
-  /// When non-null, every pool lane is armed with a flight-recorder ring
-  /// (settings below) and triggered episodes dump their causal tail
-  /// here, keyed by episode index.
+  /// When non-null, every pool lane arms an obs::Recorder (settings
+  /// below) and triggered episodes dump their causal tail here, keyed by
+  /// episode index.
   obs::FlightDumpCollector* dumps = nullptr;
 
   /// Ring sizing + trigger thresholds (consulted only when dumps is
@@ -268,10 +268,10 @@ class EpisodePool {
   /// every admitted episode must bind into it (the adapter promised
   /// fleet_sweeps()). The context must outlive the pool — retiring
   /// episodes release their slots into the context's free lists.
-  /// \p dumps, when non-null, arms every lane with a flight-recorder
-  /// ring (preallocated here, the only allocating point of the recorder
-  /// path) sized/configured by \p flight; triggered episodes dump into
-  /// it at retire time.
+  /// \p dumps, when non-null, arms one obs::Recorder per lane (its ring
+  /// preallocated here, the only allocating point of the recorder path)
+  /// sized/configured by \p flight; triggered episodes dump into it at
+  /// retire time.
   EpisodePool(const ScenarioAdapter<World>& adapter, std::size_t lanes,
               std::uint64_t base_seed, SeedPolicy policy,
               std::atomic<std::size_t>& next_episode, std::size_t n,
@@ -291,12 +291,12 @@ class EpisodePool {
     ego_v_.resize(lanes, 0.0);
     accel_.resize(lanes, 0.0);
     if (dumps_ != nullptr) {
-      // Rings are unique_ptr-held so their addresses stay stable across
-      // lane compaction (episodes hold raw RingRecorder*; compaction
+      // Recorders are unique_ptr-held so their addresses stay stable
+      // across lane compaction (episodes hold raw Recorder*; compaction
       // swaps the handles alongside the runners).
-      rings_.reserve(lanes);
+      recorders_.reserve(lanes);
       for (std::size_t lane = 0; lane < lanes; ++lane) {
-        rings_.push_back(std::make_unique<obs::RingRecorder>(flight));
+        recorders_.push_back(std::make_unique<obs::Recorder>(flight));
       }
     }
     for (std::size_t lane = 0; lane < lanes && admit(lane); ++lane) {
@@ -473,7 +473,7 @@ class EpisodePool {
       }
       const RunResult result = runners_[lane]->finish();
       records[index_[lane]] = record_from_result(result);
-      if (!rings_.empty()) maybe_dump(lane, result);
+      if (!recorders_.empty()) maybe_dump(lane, result);
       ++retired;
       if (admit(lane)) {
         ++lane;
@@ -483,7 +483,9 @@ class EpisodePool {
       --active_;
       if (lane != active_) {
         runners_[lane].swap(runners_[active_]);
-        if (!rings_.empty()) rings_[lane].swap(rings_[active_]);
+        if (!recorders_.empty()) {
+          recorders_[lane].swap(recorders_[active_]);
+        }
         index_[lane] = index_[active_];
         ego_p_[lane] = ego_p_[active_];
         ego_v_[lane] = ego_v_[active_];
@@ -507,9 +509,9 @@ class EpisodePool {
       CVSAFE_EXPECTS(bound, "adapter promised fleet sweeps (fleet_sweeps"
                             "() true) but the episode did not bind");
     }
-    if (!rings_.empty()) {
-      rings_[lane]->reset();
-      runners_[lane]->attach_ring(rings_[lane].get());
+    if (!recorders_.empty()) {
+      recorders_[lane]->clear();
+      runners_[lane]->attach_recorder(recorders_[lane].get());
     }
     index_[lane] = i;
     stage_lane(lane);
@@ -517,23 +519,16 @@ class EpisodePool {
   }
 
   /// Trigger check + dump of a finished lane. Evaluated from per-episode
-  /// state only (ring-tracked flags + the finished result), so whether
-  /// and what an episode dumps is independent of scheduling. Allocation
-  /// is fine here: triggering is the rare path, off the steady state.
+  /// state only (recorder-tracked flags + the finished result), so
+  /// whether and what an episode dumps is independent of scheduling.
+  /// Allocation is fine here: triggering is the rare path, off the
+  /// steady state.
   void maybe_dump(std::size_t lane, const RunResult& result) {
-    const obs::RingRecorder& ring = *rings_[lane];
-    const unsigned triggers = ring.triggers(result.eta, result.collided);
-    if (triggers == 0) return;
-    obs::FlightDump dump;
-    dump.episode = index_[lane];
-    dump.seed = episode_seed(base_seed_, index_[lane], policy_);
-    dump.triggers = triggers;
-    dump.eta = result.eta;
-    dump.collided = result.collided;
-    dump.rejections = ring.rejections();
-    dump.overwritten = ring.overwritten();
-    dump.events = ring.snapshot();
-    dumps_->add(std::move(dump));
+    const obs::Recorder& recorder = *recorders_[lane];
+    if (recorder.triggers(result.eta, result.collided) == 0) return;
+    dumps_->add(obs::flight_dump(
+        recorder, index_[lane], episode_seed(base_seed_, index_[lane], policy_),
+        result.eta, result.collided));
   }
 
   const ScenarioAdapter<World>* adapter_;
@@ -542,13 +537,13 @@ class EpisodePool {
   std::atomic<std::size_t>* next_;
   std::size_t n_;
   FleetStackContext* ctx_;  ///< non-owning; null = scalar stacks
-  obs::FlightDumpCollector* dumps_;  ///< non-owning; null = rings unarmed
+  obs::FlightDumpCollector* dumps_;  ///< non-owning; null = unrecorded
   std::size_t active_ = 0;
 
   std::vector<std::optional<EpisodeRunner<World>>> runners_;
-  /// Per-lane flight-recorder rings (empty when unarmed). unique_ptr for
+  /// Per-lane armed recorders (empty when unrecorded). unique_ptr for
   /// address stability across compaction swaps.
-  std::vector<std::unique_ptr<obs::RingRecorder>> rings_;
+  std::vector<std::unique_ptr<obs::Recorder>> recorders_;
   std::vector<std::size_t> index_;  ///< global episode index per lane
   // SoA lanes (FleetState): authoritative ego state + planned command.
   std::vector<double> ego_p_;

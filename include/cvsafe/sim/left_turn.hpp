@@ -114,10 +114,6 @@ class LeftTurnEpisode final : public Episode<scenario::LeftTurnWorld> {
   /// fault decorators (channel + sensor).
   void attach_recorder(obs::Recorder* recorder) override;
 
-  /// Wires a flight-recorder ring through the ego stack (compound
-  /// planner + gate seams).
-  void attach_ring(obs::RingRecorder* ring) override;
-
   LeftTurnStack& stack() { return *stack_; }
   const LeftTurnStack& stack() const { return *stack_; }
 

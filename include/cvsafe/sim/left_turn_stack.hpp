@@ -145,14 +145,10 @@ class LeftTurnStack {
     return compound_;
   }
 
-  /// Wires a trace sink through the stack: monitor + ladder (compound
+  /// Wires an event sink through the stack: the monitor (compound
   /// stacks) and the plausibility gate / Kalman filter of every
   /// information filter. Pass nullptr to detach.
   void attach_recorder(obs::Recorder* recorder);
-
-  /// Wires a flight-recorder ring through the same stack (compound
-  /// planner + information-filter gates). Pass nullptr to detach.
-  void attach_ring(obs::RingRecorder* ring);
 
  private:
   /// Builds the estimators and wraps \p inner per the configuration.

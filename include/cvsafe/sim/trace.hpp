@@ -3,92 +3,75 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "cvsafe/obs/jsonl.hpp"
+#include "cvsafe/obs/flight_recorder.hpp"
 #include "cvsafe/obs/recorder.hpp"
 #include "cvsafe/sim/engine.hpp"
 
 /// \file trace.hpp
-/// Mounts an obs::Recorder into the closed-loop engine.
+/// Traced episodes: an obs::Recorder mounted into the closed-loop engine.
 ///
-/// RecordingHook is the StepHook that (a) wires the recorder through the
-/// episode's control stack at episode start, (b) stamps the recorder's
-/// (step, t) context at the top of every observe phase, and (c) emits
-/// one StepEvent per control step (accel, emergency flag, eta margin =
-/// boundary slack s(t), ladder level).
+/// RecordingHook is the StepHook that hands its recorder to the
+/// EpisodeRunner (which wires it through the episode's control stack and
+/// stamps every step) and adds one `step` event per control step: the
+/// applied accel, whether kappa_e drove it, the ladder level.
+/// trace_episode appends the `episode_end` event.
 ///
 /// Determinism across thread counts follows the campaign-CSV discipline:
-/// each episode owns a private Recorder, events buffer in memory, and
-/// run_traced_episodes serializes the buffers in seed order on the
-/// calling thread after the parallel region — so the JSONL bytes are a
-/// pure function of (adapter, seeds), never of scheduling.
+/// each episode owns a private Recorder, and run_traced_episodes writes
+/// the episodes in seed order through write_flight_dumps_jsonl after the
+/// parallel region — so the JSONL bytes are a pure function of (adapter,
+/// seeds), never of scheduling.
 
 namespace cvsafe::sim {
 
-/// StepHook mounting a recorder into the engine phases. Optionally
-/// chains an inner hook so figure traces and recording can coexist.
+/// StepHook mounting \p recorder into the engine.
 template <typename World>
 class RecordingHook final : public StepHook<World> {
  public:
-  explicit RecordingHook(obs::Recorder* recorder,
-                         StepHook<World>* chained = nullptr)
-      : recorder_(recorder), chained_(chained) {}
+  explicit RecordingHook(obs::Recorder* recorder) : recorder_(recorder) {}
 
-  void on_episode_start(Episode<World>& episode,
-                        std::uint64_t seed) override {
-    episode.attach_recorder(recorder_);
-    if (chained_ != nullptr) chained_->on_episode_start(episode, seed);
-  }
-
-  void on_step_begin(std::size_t step, double t) override {
-    recorder_->begin_step(step, t);
-    if (chained_ != nullptr) chained_->on_step_begin(step, t);
-  }
+  obs::Recorder* recorder() const override { return recorder_; }
 
   void on_step(std::size_t step, double t, const World& world,
                const vehicle::VehicleState& ego, double a0, bool emergency,
                const Episode<World>& episode) override {
-    double margin = 0.0;
+    (void)step, (void)t, (void)world, (void)ego;
+    if (!obs::recording(recorder_)) return;
     int level = -1;
-    if (const auto* compound = episode.compound()) {
-      margin = compound->safety_model().boundary_slack(world);
-      if (compound->has_ladder()) {
-        level = static_cast<int>(compound->ladder_level());
-      }
+    if (const auto* compound = episode.compound();
+        compound != nullptr && compound->has_ladder()) {
+      level = static_cast<int>(compound->ladder_level());
     }
-    recorder_->step_summary(a0, emergency, margin, level);
-    if (chained_ != nullptr) {
-      chained_->on_step(step, t, world, ego, a0, emergency, episode);
-    }
-  }
-
-  void on_finish(const Episode<World>& episode) override {
-    if (chained_ != nullptr) chained_->on_finish(episode);
+    recorder_->step(a0, emergency, level);
   }
 
  private:
   obs::Recorder* recorder_;
-  StepHook<World>* chained_;
 };
 
-/// run_episode with \p recorder mounted; appends the episode_end event
-/// after the loop seals the result.
+/// run_episode of episode \p episode (seed \p seed) with a fresh
+/// growable recorder mounted: its result plus its dump, every event in
+/// causal order, closed by the episode_end event.
 template <typename World>
-RunResult run_traced_episode(const ScenarioAdapter<World>& adapter,
-                             std::uint64_t seed, obs::Recorder& recorder,
-                             StepHook<World>* chained = nullptr) {
-  RecordingHook<World> hook(&recorder, chained);
+std::pair<RunResult, obs::FlightDump> trace_episode(
+    const ScenarioAdapter<World>& adapter, std::size_t episode,
+    std::uint64_t seed) {
+  obs::Recorder recorder;
+  recorder.set_enabled(true);
+  RecordingHook<World> hook(&recorder);
   RunResult result = run_episode(adapter, seed, &hook);
-  recorder.begin_step(result.steps,
-                      static_cast<double>(result.steps) * adapter.run().dt_c);
   recorder.episode_end(result.collided, result.reached, result.eta,
                        result.steps);
-  return result;
+  obs::FlightDump dump = obs::flight_dump(recorder, episode, seed,
+                                          result.eta, result.collided);
+  return {std::move(result), std::move(dump)};
 }
 
-/// run_episodes with per-episode recorders, serialized to \p os as JSONL
+/// run_episodes with one recorder per episode, written to \p os as JSONL
 /// in seed order after the parallel region — byte-identical across runs
 /// and thread counts. \p scenario_label defaults to the adapter's name;
 /// \p fault_label annotates campaign cells (empty = omitted).
@@ -100,25 +83,17 @@ std::vector<RunResult> run_traced_episodes(
     std::string fault_label = {}) {
   CVSAFE_EXPECTS(n > 0, "batch must contain at least one episode");
   std::vector<RunResult> results(n);
-  std::vector<obs::Recorder> recorders(n);
+  std::vector<obs::FlightDump> dumps(n);
   util::parallel_for(
       n,
       [&](std::size_t i) {
-        recorders[i].set_enabled(true);
-        results[i] = run_traced_episode(
-            adapter, episode_seed(base_seed, i, policy), recorders[i]);
+        std::tie(results[i], dumps[i]) =
+            trace_episode(adapter, i, episode_seed(base_seed, i, policy));
       },
       threads);
   if (scenario_label.empty()) scenario_label = std::string(adapter.name());
-  for (std::size_t i = 0; i < n; ++i) {
-    obs::EpisodeLabel label;
-    label.episode = i;
-    label.seed = episode_seed(base_seed, i, policy);
-    label.scenario = scenario_label;
-    label.fault = fault_label;
-    obs::write_events_jsonl(os, recorders[i].events(), label,
-                            recorders[i].dropped());
-  }
+  obs::write_flight_dumps_jsonl(os, std::move(dumps), scenario_label,
+                                fault_label);
   return results;
 }
 

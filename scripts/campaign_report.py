@@ -1,35 +1,40 @@
 #!/usr/bin/env python3
-"""Render a fault-campaign markdown report from the observability artifacts.
+"""Render one markdown report from the cvsafe observability artifacts.
 
-Combines the three artifact families that `cvsafe_cli campaign` (and
-`batch`/`attack` for the flight/telemetry parts) can emit:
+Combines the artifact families that `cvsafe_cli` can emit:
 
-  * the campaign CSV (`--out camp.csv`) — per-cell aggregates,
-  * triggered flight-recorder dumps (`--flight-recorder flight.jsonl`) —
-    the causal event ring of every episode that tripped a trigger
-    (min-eta below threshold, EMERGENCY entry, unsafe-set entry,
-    rejection burst), labeled by scenario/fault,
+  * the campaign CSV (`campaign --out camp.csv`) — per-cell aggregates,
+  * episode event dumps in the one JSONL schema (docs/OBSERVABILITY.md):
+    triggered flight-recorder dumps (`--flight-recorder flight.jsonl`,
+    the causal event tail of every episode that tripped a trigger) and
+    traced episodes (`run --trace x.jsonl`, `campaign --trace x.jsonl`,
+    `attack --out DIR`'s offender_k.jsonl, every event of every
+    episode) — both one header line per episode, one line per event,
   * the deterministic telemetry registry (`--telemetry tel.prom`) plus
     its wall-clock sibling `tel.prom.spans` — min-eta histogram,
     rejection reasons, ladder occupancy, per-sweep time accounting.
 
 into one human-readable markdown report: invariant verdict, worst cells,
-eta distribution, rejection/ladder breakdowns, per-sweep time split, and
-the worst triggered episodes with their flight-recorder event rings
-inlined. Every input is optional — sections without data are skipped —
-so the same script serves batch runs (no CSV) and telemetry-less
-campaigns (CSV only).
+eta distribution, rejection/ladder breakdowns, per-sweep time split, the
+recorded episodes' kappa_e entries, ladder timeline, gate rejections,
+fault actions, Kalman rollbacks and outcomes, and the worst triggered
+episodes with their events inlined. Every input is optional — sections
+without data are skipped.
 
     python3 scripts/campaign_report.py --csv camp.csv \
         --flights flight.jsonl --telemetry tel.prom --out report.md
+    python3 scripts/campaign_report.py --flights campaign_trace.jsonl
 
-Exit status: 0 on success, 1 on malformed inputs, 2 on usage errors
-(including no inputs at all).
+Exit status: 0 on success; 1 on malformed inputs or when a traced
+episode (one that carries step/episode_end events) lost events to
+overwriting — a truncated trace must never pass silently; 2 on usage
+errors (including no inputs at all).
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import json
 import os
@@ -37,6 +42,7 @@ import re
 import sys
 
 BAR_WIDTH = 40
+EPISODE_ROWS = 20  # per-episode summary rows shown
 PROM_LINE = re.compile(r"^([A-Za-z_:][A-Za-z0-9_:]*)(\{[^}]*\})?\s+(\S+)$")
 
 
@@ -76,8 +82,13 @@ def fmt_eta(x: float) -> str:
     return f"{x:.4f}"
 
 
+HEADER_KEYS = ("episode", "seed", "triggers", "eta", "collided",
+               "rejections", "events", "overwritten")
+EVENT_KEYS = ("episode", "step", "kind", "value")
+
+
 def load_flights(path: str):
-    """Groups the flight JSONL into [(header, [event, ...]), ...]."""
+    """Groups the event JSONL into [(header, [event, ...]), ...]."""
     flights = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -88,14 +99,43 @@ def load_flights(path: str):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from e
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
             if "flight" in rec:
-                flights.append((rec["flight"], []))
-            else:
-                if not flights:
+                header = rec["flight"]
+                missing = [k for k in HEADER_KEYS if k not in header]
+                if missing:
                     raise ValueError(
-                        f"{path}:{lineno}: event line before any header")
-                flights[-1][1].append(rec)
+                        f"{path}:{lineno}: header lacks {', '.join(missing)}")
+                flights.append((header, []))
+                continue
+            missing = [k for k in EVENT_KEYS if k not in rec]
+            if missing:
+                raise ValueError(
+                    f"{path}:{lineno}: event lacks {', '.join(missing)}")
+            if not flights:
+                raise ValueError(
+                    f"{path}:{lineno}: event line before any header")
+            if rec["episode"] != flights[-1][0]["episode"]:
+                raise ValueError(f"{path}:{lineno}: event of episode "
+                                 f"{rec['episode']} under another header")
+            flights[-1][1].append(rec)
+    for header, events in flights:
+        if header["events"] != len(events):
+            raise ValueError(f"{path}: episode {header['episode']} header "
+                             f"counts {header['events']} events, "
+                             f"file holds {len(events)}")
     return flights
+
+
+def is_traced(events) -> bool:
+    """Traced episodes carry the per-step context flight rings omit."""
+    return any(ev["kind"] in ("step", "episode_end") for ev in events)
+
+
+def where(header: dict) -> str:
+    return " / ".join(
+        str(header[k]) for k in ("scenario", "fault") if k in header)
 
 
 def describe_event(ev: dict) -> str:
@@ -111,6 +151,16 @@ def describe_event(ev: dict) -> str:
         detail = "EMERGENCY" if ev.get("code") == 1 else "nominal"
     elif kind == "plan_clamp":
         detail = "below a_min" if ev.get("code") == 0 else "above a_max"
+    elif kind == "fault":
+        detail = str(ev.get("action"))
+    elif kind == "kalman_rollback":
+        detail = f"replayed={ev.get('replayed')}"
+    elif kind == "step":
+        detail = (("EMERGENCY" if ev.get("emergency") else "nominal") +
+                  f" level={ev.get('ladder_level')}")
+    elif kind == "episode_end":
+        detail = (f"collided={ev.get('collided')} "
+                  f"reached={ev.get('reached')}")
     else:
         detail = ""
     value = ev.get("value")
@@ -225,9 +275,94 @@ def section_spans(lines: list[str], spans_path: str) -> None:
     lines.append("")
 
 
-def section_flights(lines: list[str], flights_path: str, worst: int,
+def section_episodes(lines: list[str], flights) -> None:
+    """Per-episode and total summaries of every recorded episode."""
+    ladder_steps: collections.Counter = collections.Counter()
+    ladder_edges: collections.Counter = collections.Counter()
+    rejections: collections.Counter = collections.Counter()
+    faults: collections.Counter = collections.Counter()
+    rollbacks = replayed = entries = emergency_steps = 0
+    outcomes = []
+    rows = []
+    for header, events in flights:
+        ep_steps = ep_entries = ep_emergency = 0
+        for ev in events:
+            kind = ev["kind"]
+            if kind == "gate_verdict":
+                ep_entries += 1 if ev.get("code") == 1 else 0
+            elif kind == "step":
+                ep_steps += 1
+                ep_emergency += 1 if ev.get("emergency") else 0
+                if ev.get("ladder_level", -1) >= 0:
+                    ladder_steps[ev["ladder_level"]] += 1
+            elif kind == "ladder_transition":
+                ladder_edges[(ev["from"], ev["to"])] += 1
+            elif kind == "message_reject":
+                rejections[ev["reason"]] += 1
+            elif kind == "fault":
+                faults[ev["action"]] += 1
+            elif kind == "kalman_rollback":
+                rollbacks += 1
+                replayed += ev.get("replayed", 0)
+            elif kind == "episode_end":
+                outcomes.append((ev.get("collided"), ev.get("reached"),
+                                 ev["value"]))
+        entries += ep_entries
+        emergency_steps += ep_emergency
+        rows.append((header, ep_steps, ep_entries, ep_emergency))
+    traced = sum(1 for _, events in flights if is_traced(events))
+    lines.append("## Recorded episodes")
+    lines.append("")
+    lines.append(f"{len(flights)} episode(s), {traced} traced: "
+                 f"{entries} kappa_e entries (gate verdicts into kappa_e), "
+                 f"{emergency_steps} traced kappa_e step(s).")
+    lines.append("")
+    lines.append("| episode | seed | where | steps | kappa_e entries "
+                 "| kappa_e steps | rejections | eta |")
+    lines.append("|---|---|---|---|---|---|---|---|")
+    for header, steps, ep_entries, ep_emergency in rows[:EPISODE_ROWS]:
+        lines.append(f"| {header['episode']} | {header['seed']} "
+                     f"| {where(header)} | {steps} | {ep_entries} "
+                     f"| {ep_emergency} | {header['rejections']} "
+                     f"| {fmt_eta(header['eta'])} |")
+    if len(rows) > EPISODE_ROWS:
+        lines.append(f"| ... {len(rows) - EPISODE_ROWS} more | | | | | | | |")
+    lines.append("")
+    if ladder_steps or ladder_edges:
+        lines.append("Degradation ladder (level 0 = full): "
+                     + ", ".join(f"level {lvl} {n} step(s)"
+                                 for lvl, n in sorted(ladder_steps.items()))
+                     + ("; " if ladder_steps and ladder_edges else "")
+                     + ", ".join(f"{a} -> {b} x{n}"
+                                 for (a, b), n in sorted(ladder_edges.items())))
+        lines.append("")
+    if rejections:
+        lines.append("Gate rejections: " + ", ".join(
+            f"{reason} {n}" for reason, n in sorted(rejections.items())))
+        lines.append("")
+    if faults:
+        lines.append("Fault actions: " + ", ".join(
+            f"{action} {n}" for action, n in sorted(faults.items())))
+        lines.append("")
+    if rollbacks:
+        lines.append(f"Kalman rollbacks: {rollbacks} re-anchor(s), "
+                     f"{replayed} sensor update(s) replayed")
+        lines.append("")
+    if outcomes:
+        collided = sum(1 for c, _, _ in outcomes if c)
+        reached = sum(1 for _, r, _ in outcomes if r)
+        etas = [e for _, _, e in outcomes if e is not None]
+        text = (f"Outcomes: {len(outcomes)} finished, {collided} collided, "
+                f"{reached} reached")
+        if etas:
+            text += f", eta in [{min(etas):.4f}, {max(etas):.4f}]"
+        lines.append(text)
+        lines.append("")
+
+
+def section_flights(lines: list[str], flights, worst: int,
                     max_events: int) -> None:
-    flights = load_flights(flights_path)
+    flights = [f for f in flights if f[0]["triggers"]]
     if not flights:
         return
     lines.append("## Triggered flight recordings")
@@ -236,12 +371,10 @@ def section_flights(lines: list[str], flights_path: str, worst: int,
     lines.append("")
     flights.sort(key=lambda f: f[0].get("eta", 0.0))
     for header, events in flights[:worst]:
-        where = " / ".join(
-            str(header[k]) for k in ("scenario", "fault") if k in header)
         title = (f"episode {header.get('episode')} "
                  f"(seed {header.get('seed')})")
-        if where:
-            title += f" under {where}"
+        if where(header):
+            title += f" under {where(header)}"
         lines.append(f"### {title}")
         lines.append("")
         lines.append(
@@ -249,7 +382,7 @@ def section_flights(lines: list[str], flights_path: str, worst: int,
             f"eta {fmt_eta(header.get('eta', 0.0))}, "
             f"collided {header.get('collided')}, "
             f"{header.get('rejections')} rejection(s), "
-            f"{header.get('events')} ring event(s) "
+            f"{header.get('events')} event(s) "
             f"({header.get('overwritten')} overwritten)")
         lines.append("")
         lines.append("```")
@@ -267,7 +400,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--csv", help="campaign CSV (cvsafe_cli campaign --out)")
     ap.add_argument("--flights",
-                    help="flight-recorder JSONL (--flight-recorder)")
+                    help="event JSONL: flight dumps (--flight-recorder) or "
+                         "traces (--trace, attack offender_k.jsonl)")
     ap.add_argument("--telemetry",
                     help="deterministic telemetry registry (--telemetry)")
     ap.add_argument("--spans",
@@ -276,7 +410,7 @@ def main() -> int:
     ap.add_argument("--worst", type=int, default=5,
                     help="cells / flight dumps to detail (default 5)")
     ap.add_argument("--max-events", type=int, default=40,
-                    help="ring events inlined per dump (default 40)")
+                    help="events inlined per dump (default 40)")
     ap.add_argument("--out", help="output markdown path (default stdout)")
     args = ap.parse_args()
     if not (args.csv or args.flights or args.telemetry):
@@ -305,9 +439,18 @@ def main() -> int:
         elif args.spans:
             section_spans(lines, args.spans)
         if args.flights:
-            section_flights(lines, args.flights, args.worst,
-                            args.max_events)
-    except (OSError, ValueError, KeyError) as e:
+            flights = load_flights(args.flights)
+            if flights:
+                section_episodes(lines, flights)
+            section_flights(lines, flights, args.worst, args.max_events)
+            truncated = [h for h, events in flights
+                         if is_traced(events) and h["overwritten"]]
+            for h in truncated:
+                print(f"campaign_report: traced episode {h['episode']} "
+                      f"({where(h) or 'unlabeled'}) lost "
+                      f"{h['overwritten']} overwritten event(s)",
+                      file=sys.stderr)
+    except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"campaign_report: {e}", file=sys.stderr)
         return 1
 
@@ -318,7 +461,7 @@ def main() -> int:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    return 0
+    return 1 if args.flights and truncated else 0
 
 
 if __name__ == "__main__":

@@ -42,9 +42,6 @@ DegradationLevel DegradationLadder::update(std::size_t step,
     if (transitions_.size() < kMaxTransitions) {
       transitions_.push_back(LadderTransition{step, level_, to});
     }
-    if (obs::recording(recorder_)) {
-      recorder_->ladder(to_string(level_), to_string(to));
-    }
     level_ = to;
   };
   if (static_cast<int>(tgt) > static_cast<int>(level_)) {

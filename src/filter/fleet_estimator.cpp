@@ -88,6 +88,7 @@ void FleetEstimator::grow(std::size_t new_cap) {
   widen(nis_);
   widen(hist_head_);
   widen(hist_size_);
+  widen(recorder_);
   widen(pr_valid_);
   widen(pr_t_);
   widen(pr_x0_);
@@ -125,6 +126,7 @@ void FleetEstimator::reset_slot(std::size_t slot) {
   nis_[slot] = NisMonitor{};
   hist_head_[slot] = 0;
   hist_size_[slot] = 0;
+  recorder_[slot] = nullptr;
   pr_valid_[slot] = 0;
 }
 
@@ -278,6 +280,7 @@ void FleetEstimator::correct_with_message(std::size_t slot, double t_k,
     hist_head_[slot] = 0;
     hist_size_[slot] = 0;
     nis_[slot].reset();
+    if (obs::recording(recorder_[slot])) recorder_[slot]->rollback(t_k, 0);
     return;
   }
   // Rollback: restart from the exact message state at t_k and replay every
@@ -286,6 +289,9 @@ void FleetEstimator::correct_with_message(std::size_t slot, double t_k,
   while (first < hist_size_[slot] &&
          hist_at(slot, first).reading.t <= t_k + 1e-9) {
     ++first;
+  }
+  if (obs::recording(recorder_[slot])) {
+    recorder_[slot]->rollback(t_k, hist_size_[slot] - first);
   }
   Vec2 x{p, v};
   Mat2 cov = Mat2::diagonal(1e-9, 1e-9);

@@ -63,11 +63,7 @@ std::optional<ScreenedMessage> PlausibilityGate::screen(
     // timestamp (which the rejected message may have spoofed).
     last_rejection_time_ = std::max(last_rejection_time_, newest_time);
     if (obs::recording(recorder_)) {
-      recorder_->gate_rejection(msg.sender, reason, msg.stamp());
-    }
-    if (obs::ring_recording(ring_)) {
-      ring_->message_reject(static_cast<std::uint16_t>(msg.sender), reason,
-                            msg.stamp());
+      recorder_->message_reject(msg.sender, reason, msg.stamp());
     }
     return std::nullopt;
   };
@@ -128,9 +124,8 @@ std::optional<ScreenedMessage> PlausibilityGate::screen(
   }
 
   ++counters_.accepted;
-  if (obs::ring_recording(ring_)) {
-    ring_->message_accept(static_cast<std::uint16_t>(msg.sender),
-                          msg.stamp());
+  if (obs::recording(recorder_)) {
+    recorder_->message_accept(msg.sender, msg.stamp());
   }
   return to_screened(msg);
 }

@@ -111,9 +111,12 @@ class IntersectionEpisode final : public Episode<IntersectionWorld> {
     }
   }
 
-  void attach_ring(obs::RingRecorder* ring) override {
-    if (compound_ != nullptr) compound_->set_ring(ring);
-    for (auto* f : filters_) f->set_ring(ring);
+  void attach_recorder(obs::Recorder* recorder) override {
+    if (compound_ != nullptr) compound_->set_recorder(recorder);
+    for (auto* f : filters_) f->set_recorder(recorder);
+    for (auto* stream : {&lane_a_, &lane_b_}) {
+      for (auto& car : *stream) car.set_recorder(recorder);
+    }
   }
 
   void advance_traffic(std::size_t step, double dt) override {

@@ -73,9 +73,10 @@ class LaneChangeEpisode final : public Episode<LaneChangeWorld> {
     result.rejection_reasons[3] += c.implausible;
   }
 
-  void attach_ring(obs::RingRecorder* ring) override {
-    if (compound_ != nullptr) compound_->set_ring(ring);
-    c1_filter_->set_ring(ring);
+  void attach_recorder(obs::Recorder* recorder) override {
+    if (compound_ != nullptr) compound_->set_recorder(recorder);
+    c1_filter_->set_recorder(recorder);
+    c1_.set_recorder(recorder);
   }
 
   void advance_traffic(std::size_t step, double dt) override {

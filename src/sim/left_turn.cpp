@@ -151,12 +151,7 @@ void LeftTurnEpisode::finalize(RunResult& result) const {
 
 void LeftTurnEpisode::attach_recorder(obs::Recorder* recorder) {
   stack_->attach_recorder(recorder);
-  c1_.channel.set_recorder(recorder);
-  c1_.sensor.set_recorder(recorder);
-}
-
-void LeftTurnEpisode::attach_ring(obs::RingRecorder* ring) {
-  stack_->attach_ring(ring);
+  c1_.set_recorder(recorder);
 }
 
 std::unique_ptr<Episode<scenario::LeftTurnWorld>>

@@ -172,13 +172,6 @@ void LeftTurnStack::attach_recorder(obs::Recorder* recorder) {
   }
 }
 
-void LeftTurnStack::attach_ring(obs::RingRecorder* ring) {
-  if (compound_ != nullptr) compound_->set_ring(ring);
-  for (filter::InformationFilter* f : {nn_filter_, monitor_filter_}) {
-    if (f != nullptr) f->set_ring(ring);
-  }
-}
-
 std::array<std::size_t, 4> LeftTurnStack::message_reasons() const {
   std::array<std::size_t, 4> reasons{};
   for (const filter::InformationFilter* f : {nn_filter_, monitor_filter_}) {

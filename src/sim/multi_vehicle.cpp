@@ -135,11 +135,12 @@ class MultiVehicleEpisode final : public Episode<LeftTurnMultiWorld> {
     }
   }
 
-  void attach_ring(obs::RingRecorder* ring) override {
-    if (compound_ != nullptr) compound_->set_ring(ring);
+  void attach_recorder(obs::Recorder* recorder) override {
+    if (compound_ != nullptr) compound_->set_recorder(recorder);
     for (auto* list : {&monitor_filters_, &nn_filters_}) {
-      for (auto* f : *list) f->set_ring(ring);
+      for (auto* f : *list) f->set_recorder(recorder);
     }
+    for (auto& car : cars_) car.set_recorder(recorder);
   }
 
   void advance_traffic(std::size_t step, double dt) override {

@@ -1,8 +1,10 @@
 // Zero-allocation gate on the runtime monitor of the intersection and
 // multi-vehicle scenarios: after one warm-up call, a compound-planner step
 // (ladder armed, aggressive shrink on) and the per-step world reset of
-// EpisodeRunner::observe_begin must not touch the heap. A global
-// operator new that counts every allocation makes that observable.
+// EpisodeRunner::observe_begin must not touch the heap — nor may emitting
+// into an armed obs::Recorder, or into a growable one that a previous
+// episode warmed. A global operator new that counts every allocation
+// makes that observable.
 //
 // Worlds are chosen so the monitor's verdict does not switch between
 // calls: a switch appends a SwitchEvent to the planner's log, which grows
@@ -22,6 +24,9 @@
 
 #include "cvsafe/core/compound_planner.hpp"
 #include "cvsafe/core/degradation.hpp"
+#include "cvsafe/fault/fault_plan.hpp"
+#include "cvsafe/filter/plausibility.hpp"
+#include "cvsafe/obs/recorder.hpp"
 #include "cvsafe/planners/expert.hpp"
 #include "cvsafe/scenario/intersection.hpp"
 #include "cvsafe/scenario/multi_vehicle.hpp"
@@ -225,6 +230,101 @@ TEST(MonitorZeroAlloc, IntersectionSwitchesWithFullLog) {
   EXPECT_EQ(planner->switch_events().size(), Planner::kMaxSwitchEvents);
 }
 
+TEST(MonitorZeroAlloc, IntersectionSwitchesIntoArmedRecorder) {
+  // Verdict switches, eta samples and ladder transitions land in a
+  // wrapping armed recorder without touching the heap.
+  using Planner = core::CompoundPlanner<IntersectionWorld>;
+  const auto scn = sim::IntersectionSimConfig{}.make_scenario();
+  const IntersectionWorld nn = intersection_world(-25.0, 5.0, {30.0, 35.0});
+  const IntersectionWorld emergency =
+      intersection_world(6.0, 14.0, {0.5, 10.0});
+  auto planner = intersection_planner(scn);
+  // Every sixth pair runs on an inconsistent filter, so the ladder drops
+  // to EMERGENCY-BIASED and climbs back. Warm-up fills the planner's
+  // switch log and the ladder's transition log.
+  const auto signals = [](int pair) -> const core::DegradationSignals& {
+    return pair % 6 == 0 ? kInconsistent : kHealthy;
+  };
+  int pair = 0;
+  for (; planner->switch_events().size() < Planner::kMaxSwitchEvents ||
+         planner->ladder()->transitions().size() <
+             core::DegradationLadder::kMaxTransitions;
+       ++pair) {
+    planner->note_signals(signals(pair));
+    planner->plan(emergency);
+    planner->note_signals(signals(pair));
+    planner->plan(nn);
+  }
+  obs::FlightRecorderConfig config;
+  config.ring_capacity = 16;
+  obs::Recorder recorder(config);
+  planner->set_recorder(&recorder);
+  for (const int end = pair + 12; pair < end; ++pair) {
+    planner->note_signals(signals(pair));
+    EXPECT_EQ(allocations_of([&] { planner->plan(emergency); }), 0u)
+        << "entering kappa_e, pair " << pair;
+    planner->note_signals(signals(pair));
+    EXPECT_EQ(allocations_of([&] { planner->plan(nn); }), 0u)
+        << "leaving kappa_e, pair " << pair;
+  }
+  EXPECT_GT(recorder.overwritten(), 0u) << "the ring wrapped";
+  EXPECT_TRUE(recorder.saw_emergency());
+  bool saw_ladder = false;
+  for (std::size_t i = 0; i < recorder.size(); ++i) {
+    saw_ladder |= recorder.event(i).kind ==
+                  static_cast<std::uint8_t>(obs::EventKind::kLadderTransition);
+  }
+  EXPECT_TRUE(saw_ladder);
+}
+
+TEST(RecorderZeroAlloc, ArmedRecorderTakesEveryKind) {
+  obs::FlightRecorderConfig config;
+  config.ring_capacity = 8;
+  obs::Recorder recorder(config);
+  const auto emit_every_kind = [&](std::uint32_t step) {
+    recorder.begin_step(step);
+    recorder.message_accept(1, 0.5);
+    recorder.message_reject(1, obs::GateRejectReason::kStale, 0.25);
+    recorder.gate_verdict(true, -0.5);
+    recorder.ladder_transition(0, 3, step);
+    recorder.eta_sample(1.5);
+    recorder.plan_clamp(9.0, 3.0);
+    recorder.fault(obs::FaultKind::kCorrupted, 0.125);
+    recorder.rollback(0.75, 3);
+    recorder.step(-1.0, true, 2);
+    recorder.episode_end(false, true, 0.5, step);
+  };
+  for (std::uint32_t step = 0; step < 4; ++step) {
+    EXPECT_EQ(allocations_of([&] { emit_every_kind(step); }), 0u)
+        << "step " << step;
+  }
+  EXPECT_EQ(recorder.size(), 8u);
+  EXPECT_EQ(recorder.overwritten(), 4 * obs::kNumEventKinds - 8);
+  recorder.clear();
+  EXPECT_EQ(allocations_of([&] { emit_every_kind(4); }), 0u)
+      << "clear keeps the armed storage";
+}
+
+TEST(RecorderZeroAlloc, GrowableRecorderStopsAllocatingOnceWarm) {
+  // A traced run reusing one recorder across episodes (as the benchmark
+  // oracle does) pays for storage growth only in its first episode.
+  obs::Recorder recorder;
+  recorder.set_enabled(true);
+  const auto episode = [&] {
+    recorder.clear();
+    for (std::uint32_t step = 0; step < 600; ++step) {
+      recorder.begin_step(step);
+      recorder.eta_sample(1.0);
+      recorder.step(0.5, false, 0);
+    }
+  };
+  EXPECT_GT(allocations_of(episode), 0u) << "the first episode grows";
+  for (int again = 0; again < 3; ++again) {
+    EXPECT_EQ(allocations_of(episode), 0u) << "episode " << again + 1;
+    EXPECT_EQ(recorder.size(), 1200u);
+  }
+}
+
 std::shared_ptr<core::CompoundPlanner<LeftTurnMultiWorld>> multi_planner(
     const std::shared_ptr<const scenario::LeftTurnScenario>& base) {
   auto adapted = std::make_shared<scenario::FirstConflictAdapter>(
@@ -316,6 +416,21 @@ TEST(MonitorZeroAlloc, IntersectionObserveKeepsWorldStorage) {
   const sim::IntersectionAdapter adapter(config, /*use_compound=*/true);
   sim::EpisodeRunner<IntersectionWorld> runner(adapter, 7);
   expect_observe_allocation_free(runner);
+}
+
+TEST(MonitorZeroAlloc, IntersectionObserveIntoArmedRecorder) {
+  // Gate screens and fault actions of every traffic actor land in the
+  // lane's armed recorder without touching the heap.
+  sim::IntersectionSimConfig config;
+  config.ladder = core::LadderConfig{};
+  config.gate = filter::GateConfig::hardened();
+  config.faults = *fault::FaultPlan::preset("corruption");
+  const sim::IntersectionAdapter adapter(config, /*use_compound=*/true);
+  sim::EpisodeRunner<IntersectionWorld> runner(adapter, 7);
+  obs::Recorder recorder{obs::FlightRecorderConfig{}};
+  runner.attach_recorder(&recorder);
+  expect_observe_allocation_free(runner);
+  EXPECT_GT(recorder.size(), 0u);
 }
 
 TEST(MonitorZeroAlloc, MultiVehicleObserveKeepsWorldStorage) {

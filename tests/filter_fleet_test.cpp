@@ -16,6 +16,7 @@
 #include "cvsafe/filter/fleet_estimator.hpp"
 #include "cvsafe/filter/kalman.hpp"
 #include "cvsafe/filter/reachability.hpp"
+#include "cvsafe/obs/recorder.hpp"
 #include "cvsafe/vehicle/dynamics.hpp"
 
 namespace {
@@ -135,6 +136,63 @@ TEST(FleetEstimator, MessageRollbackMatchesScalar) {
   pool.correct_with_message(slot, 0.4, 50.0, 3.0, 0.0);
   scalar.correct_with_message(0.4, 50.0, 3.0, 0.0);
   expect_slot_matches_scalar(pool, slot, scalar, 2.1);
+}
+
+TEST(FleetEstimator, RecordsTheRollbacksScalarKalmanRecords) {
+  // The fleet engine's flight dumps are byte-identical to the per-lane
+  // engine's only if a pool slot emits the scalar filter's rollback
+  // events, in the same order, with the same anchor and replay extent.
+  filter::KalmanConfig config;
+  config.history_depth = 16;
+  filter::FleetEstimator pool;
+  std::size_t slot = pool.acquire(config);
+  filter::KalmanFilter scalar(config);
+  obs::Recorder pool_events;
+  obs::Recorder scalar_events;
+  pool_events.set_enabled(true);
+  scalar_events.set_enabled(true);
+  pool.set_recorder(slot, &pool_events);
+  scalar.set_recorder(&scalar_events);
+
+  for (std::size_t step = 0; step < 20; ++step) {
+    const double t = 0.1 * static_cast<double>(step);
+    pool.stage(slot, reading_at(t, 0.3));
+    pool.update_batch();
+    scalar.update(reading_at(t, 0.3));
+    if (step == 8) {  // inside the history: rewind and replay
+      pool.correct_with_message(slot, 0.55, 51.6, 3.1, 0.2);
+      scalar.correct_with_message(0.55, 51.6, 3.1, 0.2);
+    }
+    if (step == 12) {  // older than the applied message: ignored
+      pool.correct_with_message(slot, 0.4, 50.0, 3.0, 0.0);
+      scalar.correct_with_message(0.4, 50.0, 3.0, 0.0);
+    }
+    if (step == 15) {  // newer than every reading: adopted, no replay
+      pool.correct_with_message(slot, 1.6, 55.0, 3.2, 0.1);
+      scalar.correct_with_message(1.6, 55.0, 3.2, 0.1);
+    }
+  }
+  ASSERT_EQ(scalar_events.size(), 2u);
+  ASSERT_EQ(pool_events.size(), scalar_events.size());
+  for (std::size_t i = 0; i < scalar_events.size(); ++i) {
+    const obs::Event& want = scalar_events.event(i);
+    const obs::Event& got = pool_events.event(i);
+    EXPECT_EQ(got.kind,
+              static_cast<std::uint8_t>(obs::EventKind::kKalmanRollback));
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.aux, want.aux) << "replayed, event " << i;
+    EXPECT_EQ(got.value, want.value) << "anchor, event " << i;
+  }
+  EXPECT_GT(scalar_events.event(0).aux, 0u) << "the first rollback replays";
+  EXPECT_EQ(scalar_events.event(1).aux, 0u) << "adoption replays nothing";
+
+  // A reacquired slot starts detached.
+  pool.release(slot);
+  slot = pool.acquire(config);
+  pool.stage(slot, reading_at(0.0, 0.3));
+  pool.update_batch();
+  pool.correct_with_message(slot, 0.5, 51.0, 3.0, 0.0);
+  EXPECT_EQ(pool_events.size(), 2u);
 }
 
 TEST(FleetEstimator, PredictCacheIsTransparent) {

@@ -10,8 +10,8 @@
 #include "cvsafe/util/contracts.hpp"
 
 /// \file obs_flight_recorder_test.cpp
-/// Unit tests for the flight-recorder ring: capacity/wraparound/causal
-/// order, trigger evaluation, the JSONL dump format, the collector's
+/// Unit tests for the armed recorder: capacity/wraparound/causal order,
+/// trigger evaluation, the JSONL dump format, the collector's
 /// index-order restore — plus the metrics-registry satellites: the
 /// histogram bounds-mismatch contract and shard-merge determinism of
 /// dyadic-valued histograms.
@@ -19,13 +19,13 @@
 namespace cvsafe {
 namespace {
 
+using obs::Event;
+using obs::EventKind;
 using obs::FlightDump;
 using obs::FlightDumpCollector;
 using obs::FlightRecorderConfig;
 using obs::GateRejectReason;
-using obs::RingEvent;
-using obs::RingEventKind;
-using obs::RingRecorder;
+using obs::Recorder;
 using util::ContractMode;
 using util::ContractViolation;
 using util::ScopedContractMode;
@@ -33,102 +33,114 @@ using util::ScopedContractMode;
 // ---------------------------------------------------------------------------
 // Ring mechanics
 
-TEST(RingRecorder, UnarmedRecordsNothing) {
-  RingRecorder ring;
-  EXPECT_FALSE(ring.armed());
-  EXPECT_FALSE(obs::ring_recording(&ring));
-  EXPECT_FALSE(obs::ring_recording(nullptr));
+TEST(Recorder, UnarmedRecordsNothing) {
+  Recorder rec;
+  EXPECT_FALSE(rec.enabled());
+  EXPECT_FALSE(obs::recording(&rec));
+  rec.message_accept(1, 0.5);
+  EXPECT_EQ(rec.size(), 0u);
 }
 
-TEST(RingRecorder, ArmedRecordsInCausalOrder) {
+TEST(Recorder, ArmedRecordsInCausalOrder) {
   FlightRecorderConfig config;
   config.ring_capacity = 8;
-  RingRecorder ring(config);
-  ASSERT_TRUE(obs::ring_recording(&ring));
+  Recorder rec(config);
+  ASSERT_TRUE(obs::recording(&rec));
+  EXPECT_EQ(rec.capacity(), 8u);
 
-  ring.begin_step(3);
-  ring.message_accept(/*sender=*/1, /*stamp=*/0.5);
-  ring.begin_step(4);
-  ring.eta_sample(0.25);
-  ring.gate_verdict(/*emergency=*/true, /*slack=*/-0.1);
+  rec.begin_step(3);
+  rec.message_accept(/*sender=*/1, /*stamp=*/0.5);
+  rec.begin_step(4);
+  rec.eta_sample(0.25);
+  rec.gate_verdict(/*emergency=*/true, /*slack=*/-0.1);
 
-  ASSERT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.overwritten(), 0u);
-  EXPECT_EQ(ring.event(0).step, 3u);
-  EXPECT_EQ(ring.event(0).kind,
-            static_cast<std::uint8_t>(RingEventKind::kMessageAccept));
-  EXPECT_EQ(ring.event(0).aux, 1u);
-  EXPECT_EQ(ring.event(1).step, 4u);
-  EXPECT_DOUBLE_EQ(ring.event(1).value, 0.25);
-  EXPECT_EQ(ring.event(2).code, 1u);  // emergency verdict
-  EXPECT_TRUE(ring.saw_emergency());
+  ASSERT_EQ(rec.size(), 3u);
+  EXPECT_EQ(rec.overwritten(), 0u);
+  EXPECT_EQ(rec.event(0).step, 3u);
+  EXPECT_EQ(rec.event(0).kind,
+            static_cast<std::uint8_t>(EventKind::kMessageAccept));
+  EXPECT_EQ(rec.event(0).aux, 1u);
+  EXPECT_EQ(rec.event(1).step, 4u);
+  EXPECT_DOUBLE_EQ(rec.event(1).value, 0.25);
+  EXPECT_EQ(rec.event(2).code, 1u);  // emergency verdict
+  EXPECT_TRUE(rec.saw_emergency());
 }
 
-TEST(RingRecorder, WraparoundKeepsCausalTailAndCountsEvictions) {
+TEST(Recorder, WraparoundKeepsCausalTailAndCountsEvictions) {
   FlightRecorderConfig config;
   config.ring_capacity = 4;
-  RingRecorder ring(config);
+  Recorder rec(config);
   for (std::uint32_t i = 0; i < 10; ++i) {
-    ring.begin_step(i);
-    ring.eta_sample(static_cast<double>(i));
+    rec.begin_step(i);
+    rec.eta_sample(static_cast<double>(i));
   }
-  ASSERT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.overwritten(), 6u);
+  ASSERT_EQ(rec.size(), 4u);
+  EXPECT_EQ(rec.overwritten(), 6u);
   // Oldest retained is step 6, newest is step 9.
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(ring.event(i).step, 6u + i);
-    EXPECT_DOUBLE_EQ(ring.event(i).value, 6.0 + static_cast<double>(i));
+    EXPECT_EQ(rec.event(i).step, 6u + i);
+    EXPECT_DOUBLE_EQ(rec.event(i).value, 6.0 + static_cast<double>(i));
   }
-  const std::vector<RingEvent> snap = ring.snapshot();
+  const std::vector<Event> snap = rec.snapshot();
   ASSERT_EQ(snap.size(), 4u);
   EXPECT_EQ(snap.front().step, 6u);
   EXPECT_EQ(snap.back().step, 9u);
+  // Every wrap position reads back in order: one more lap moves the
+  // oldest slot again.
+  for (std::uint32_t i = 10; i < 13; ++i) {
+    rec.begin_step(i);
+    rec.eta_sample(static_cast<double>(i));
+    EXPECT_EQ(rec.event(0).step, i - 3);
+    EXPECT_EQ(rec.event(3).step, i);
+  }
+  EXPECT_EQ(rec.overwritten(), 9u);
 }
 
-TEST(RingRecorder, ResetClearsEpisodeState) {
-  RingRecorder ring{FlightRecorderConfig{}};
-  ring.begin_step(1);
-  ring.message_reject(2, GateRejectReason::kStale, 0.1);
-  ring.gate_verdict(true, -1.0);
-  EXPECT_EQ(ring.rejections(), 1u);
-  EXPECT_TRUE(ring.saw_emergency());
-  ring.reset();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.rejections(), 0u);
-  EXPECT_FALSE(ring.saw_emergency());
-  EXPECT_TRUE(ring.armed()) << "reset re-arms the same storage";
+TEST(Recorder, ClearResetsEpisodeState) {
+  Recorder rec{FlightRecorderConfig{}};
+  rec.begin_step(1);
+  rec.message_reject(2, GateRejectReason::kStale, 0.1);
+  rec.gate_verdict(true, -1.0);
+  EXPECT_EQ(rec.rejections(), 1u);
+  EXPECT_TRUE(rec.saw_emergency());
+  rec.clear();
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_EQ(rec.rejections(), 0u);
+  EXPECT_FALSE(rec.saw_emergency());
+  EXPECT_TRUE(obs::recording(&rec)) << "clear keeps the recorder armed";
+  EXPECT_EQ(rec.capacity(), FlightRecorderConfig{}.ring_capacity);
 }
 
-TEST(RingRecorder, TriggerMaskCoversEveryReason) {
+TEST(Recorder, TriggerMaskCoversEveryReason) {
   FlightRecorderConfig config;
   config.eta_threshold = 0.05;
   config.rejection_burst = 2;
-  RingRecorder ring(config);
+  Recorder rec(config);
 
-  EXPECT_EQ(ring.triggers(/*eta=*/1.0, /*collided=*/false), 0u);
-  EXPECT_EQ(ring.triggers(/*eta=*/0.01, /*collided=*/false),
+  EXPECT_EQ(rec.triggers(/*eta=*/1.0, /*collided=*/false), 0u);
+  EXPECT_EQ(rec.triggers(/*eta=*/0.01, /*collided=*/false),
             obs::kTriggerEta);
-  EXPECT_EQ(ring.triggers(/*eta=*/1.0, /*collided=*/true),
+  EXPECT_EQ(rec.triggers(/*eta=*/1.0, /*collided=*/true),
             obs::kTriggerUnsafe);
 
-  ring.gate_verdict(true, -0.5);
-  EXPECT_EQ(ring.triggers(1.0, false), obs::kTriggerEmergency);
+  rec.gate_verdict(true, -0.5);
+  EXPECT_EQ(rec.triggers(1.0, false), obs::kTriggerEmergency);
 
-  ring.message_reject(1, GateRejectReason::kImplausible, 0.0);
-  EXPECT_EQ(ring.triggers(1.0, false), obs::kTriggerEmergency)
+  rec.message_reject(1, GateRejectReason::kImplausible, 0.0);
+  EXPECT_EQ(rec.triggers(1.0, false), obs::kTriggerEmergency)
       << "one rejection is below the burst threshold";
-  ring.message_reject(1, GateRejectReason::kImplausible, 0.1);
-  EXPECT_EQ(ring.triggers(0.01, true),
+  rec.message_reject(1, GateRejectReason::kImplausible, 0.1);
+  EXPECT_EQ(rec.triggers(0.01, true),
             obs::kTriggerEta | obs::kTriggerEmergency | obs::kTriggerUnsafe |
                 obs::kTriggerRejectionBurst);
 }
 
-TEST(RingRecorder, BurstTriggerDisabledByZero) {
+TEST(Recorder, BurstTriggerDisabledByZero) {
   FlightRecorderConfig config;
   config.rejection_burst = 0;
-  RingRecorder ring(config);
-  ring.message_reject(1, GateRejectReason::kStale, 0.0);
-  EXPECT_EQ(ring.triggers(1.0, false), 0u);
+  Recorder rec(config);
+  rec.message_reject(1, GateRejectReason::kStale, 0.0);
+  EXPECT_EQ(rec.triggers(1.0, false), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -143,16 +155,16 @@ FlightDump make_dump(std::size_t episode) {
   dump.collided = false;
   dump.rejections = 9;
   dump.overwritten = 2;
-  RingEvent reject;
+  Event reject;
   reject.step = 7;
-  reject.kind = static_cast<std::uint8_t>(RingEventKind::kMessageReject);
+  reject.kind = static_cast<std::uint8_t>(EventKind::kMessageReject);
   reject.code = static_cast<std::uint8_t>(GateRejectReason::kStale);
   reject.aux = 3;
   reject.value = 0.75;
   dump.events.push_back(reject);
-  RingEvent ladder;
+  Event ladder;
   ladder.step = 8;
-  ladder.kind = static_cast<std::uint8_t>(RingEventKind::kLadderTransition);
+  ladder.kind = static_cast<std::uint8_t>(EventKind::kLadderTransition);
   ladder.code = 2;
   ladder.aux = 0;
   ladder.value = 8.0;

@@ -9,25 +9,27 @@
 #include <string>
 #include <vector>
 
-#include "cvsafe/obs/event.hpp"
+#include "cvsafe/obs/flight_recorder.hpp"
 #include "cvsafe/obs/jsonl.hpp"
 #include "cvsafe/obs/metrics.hpp"
 #include "cvsafe/obs/profile.hpp"
 #include "cvsafe/obs/recorder.hpp"
 
 /// \file obs_test.cpp
-/// Unit tests for the observability module: the event recorder (enable
-/// gating, context stamping, the overflow cap), the deterministic JSONL
-/// serializer (fixed key order, %.17g doubles, non-finite -> null,
-/// string escaping), the metrics registry (bucket semantics, the
-/// shard-merge contract, the text exports) and the profiling spans.
+/// Unit tests for the observability module: the growable recorder
+/// (enable gating, step stamping, the overflow cap), the deterministic
+/// JSONL serializer (fixed key order, every event kind, %.17g doubles,
+/// non-finite -> null, string escaping), the metrics registry (bucket
+/// semantics, the shard-merge contract, the text exports) and the
+/// profiling spans. The armed recorder's ring mechanics live in
+/// obs_flight_recorder_test.cpp.
 
 namespace cvsafe {
 namespace {
 
-using obs::Event;
-using obs::EpisodeLabel;
+using obs::EventKind;
 using obs::FaultKind;
+using obs::FlightDump;
 using obs::GateRejectReason;
 using obs::Recorder;
 
@@ -37,12 +39,12 @@ using obs::Recorder;
 TEST(Recorder, DisabledByDefaultAndDropsEverything) {
   Recorder rec;
   EXPECT_FALSE(rec.enabled());
-  rec.begin_step(3, 0.15);
-  rec.step_summary(1.0, false, 0.5, -1);
+  rec.begin_step(3);
+  rec.step(1.0, false, -1);
   rec.fault(FaultKind::kCorrupted, 0.2);
   rec.episode_end(false, true, 0.4, 100);
-  EXPECT_TRUE(rec.events().empty());
-  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_EQ(rec.overwritten(), 0u);
 }
 
 TEST(Recorder, RecordingGuardTracksAttachmentAndEnable) {
@@ -50,116 +52,136 @@ TEST(Recorder, RecordingGuardTracksAttachmentAndEnable) {
   Recorder rec;
   EXPECT_FALSE(obs::recording(&rec));
   rec.set_enabled(true);
-  EXPECT_EQ(obs::recording(&rec), Recorder::kCompiledIn);
+  EXPECT_TRUE(obs::recording(&rec));
   rec.set_enabled(false);
   EXPECT_FALSE(obs::recording(&rec));
+  rec.arm(obs::FlightRecorderConfig{});
+  EXPECT_TRUE(obs::recording(&rec)) << "arming starts recording";
 }
 
 TEST(Recorder, StampsStepContextOnEvents) {
   Recorder rec;
   rec.set_enabled(true);
-  rec.begin_step(7, 0.35);
-  rec.monitor(true, true, -0.01, "front");
-  rec.begin_step(8, 0.40);
-  rec.ladder("full", "reach-only");
-  ASSERT_EQ(rec.events().size(), 2u);
-  EXPECT_EQ(rec.events()[0].step, 7u);
-  EXPECT_DOUBLE_EQ(rec.events()[0].t, 0.35);
-  EXPECT_EQ(rec.events()[1].step, 8u);
-  EXPECT_DOUBLE_EQ(rec.events()[1].t, 0.40);
-  const auto* mon = std::get_if<obs::MonitorEvent>(&rec.events()[0].payload);
-  ASSERT_NE(mon, nullptr);
-  EXPECT_TRUE(mon->to_emergency);
-  EXPECT_EQ(mon->reason, "front");
-  const auto* lad = std::get_if<obs::LadderEvent>(&rec.events()[1].payload);
-  ASSERT_NE(lad, nullptr);
-  EXPECT_EQ(lad->from, "full");
-  EXPECT_EQ(lad->to, "reach-only");
+  rec.begin_step(7);
+  rec.gate_verdict(true, -0.01);
+  rec.begin_step(8);
+  rec.ladder_transition(0, 1, 8);
+  rec.episode_end(false, true, 0.5, 120);
+  ASSERT_EQ(rec.size(), 3u);
+  EXPECT_EQ(rec.event(0).step, 7u);
+  EXPECT_EQ(rec.event(0).kind,
+            static_cast<std::uint8_t>(EventKind::kGateVerdict));
+  EXPECT_EQ(rec.event(0).code, 1u);
+  EXPECT_DOUBLE_EQ(rec.event(0).value, -0.01);
+  EXPECT_EQ(rec.event(1).step, 8u);
+  EXPECT_EQ(rec.event(1).aux, 0u);  // from full
+  EXPECT_EQ(rec.event(1).code, 1u);  // to reach-only
+  EXPECT_EQ(rec.event(2).step, 120u) << "episode_end is stamped with steps";
+  EXPECT_EQ(rec.event(2).code, 2u) << "reached, not collided";
 }
 
 TEST(Recorder, OverflowIsCountedNeverSilent) {
   Recorder rec;
   rec.set_enabled(true);
+  EXPECT_EQ(rec.capacity(), Recorder::kMaxEvents);
   for (std::size_t i = 0; i < Recorder::kMaxEvents + 5; ++i) {
-    rec.fault(FaultKind::kJittered, 0.0);
+    rec.fault(FaultKind::kJittered, static_cast<double>(i));
   }
-  EXPECT_EQ(rec.events().size(), Recorder::kMaxEvents);
-  EXPECT_EQ(rec.dropped(), 5u);
+  EXPECT_EQ(rec.size(), Recorder::kMaxEvents);
+  EXPECT_EQ(rec.overwritten(), 5u);
+  EXPECT_DOUBLE_EQ(rec.event(0).value, 5.0) << "the oldest five went";
   rec.clear();
-  EXPECT_TRUE(rec.events().empty());
-  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_EQ(rec.overwritten(), 0u);
   rec.fault(FaultKind::kJittered, 0.0);
-  EXPECT_EQ(rec.events().size(), 1u);
+  EXPECT_EQ(rec.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
 // JSONL serialization
 
-EpisodeLabel label_with(std::string scenario = {}, std::string fault = {}) {
-  EpisodeLabel label;
-  label.episode = 2;
-  label.seed = 42;
-  label.scenario = std::move(scenario);
-  label.fault = std::move(fault);
-  return label;
+obs::Event event(std::uint32_t step, EventKind kind, std::uint8_t code,
+                 std::uint16_t aux, double value) {
+  return obs::Event{step, static_cast<std::uint8_t>(kind), code, aux, value};
 }
 
-Event at(std::size_t step, double t, obs::EventPayload payload) {
-  return Event{step, t, std::move(payload)};
+/// The JSONL of a one-event dump of episode 2 (seed 42), header dropped.
+std::string event_line(const obs::Event& e) {
+  FlightDump dump;
+  dump.episode = 2;
+  dump.seed = 42;
+  dump.events.push_back(e);
+  std::ostringstream os;
+  obs::write_flight_dump_jsonl(os, dump);
+  const std::string text = os.str();
+  const std::size_t first = text.find('\n') + 1;
+  return text.substr(first, text.size() - first - 1);
 }
 
 TEST(Jsonl, FixedKeyOrderAndOptionalLabels) {
-  const Event e = at(5, 0.25, obs::StepEvent{-1.5, true, 0.125, 2});
-  EXPECT_EQ(obs::event_jsonl_line(e, label_with()),
-            "{\"ep\":2,\"seed\":42,\"step\":5,\"t\":0.25,"
-            "\"type\":\"step\",\"accel\":-1.5,\"emergency\":true,"
-            "\"margin\":0.125,\"ladder_level\":2}");
-  EXPECT_EQ(obs::event_jsonl_line(e, label_with("left-turn", "blackout")),
-            "{\"ep\":2,\"seed\":42,\"scenario\":\"left-turn\","
-            "\"fault\":\"blackout\",\"step\":5,\"t\":0.25,"
-            "\"type\":\"step\",\"accel\":-1.5,\"emergency\":true,"
-            "\"margin\":0.125,\"ladder_level\":2}");
+  FlightDump dump;
+  dump.episode = 2;
+  dump.seed = 42;
+  dump.triggers = obs::kTriggerEmergency;
+  dump.eta = 0.25;
+  dump.rejections = 1;
+  dump.events.push_back(event(5, EventKind::kStep, 1, 2, -1.5));
+  std::ostringstream bare;
+  obs::write_flight_dump_jsonl(bare, dump);
+  EXPECT_EQ(bare.str(),
+            "{\"flight\":{\"episode\":2,\"seed\":42,"
+            "\"triggers\":[\"emergency_entry\"],\"eta\":0.25,"
+            "\"collided\":false,\"rejections\":1,\"events\":1,"
+            "\"overwritten\":0}}\n"
+            "{\"episode\":2,\"step\":5,\"kind\":\"step\",\"emergency\":true,"
+            "\"ladder_level\":2,\"value\":-1.5}\n");
+  std::ostringstream labeled;
+  obs::write_flight_dump_jsonl(labeled, dump, "left-turn", "blackout");
+  EXPECT_EQ(labeled.str().substr(0, labeled.str().find(",\"triggers\"")),
+            "{\"flight\":{\"episode\":2,\"seed\":42,"
+            "\"scenario\":\"left-turn\",\"fault\":\"blackout\"");
 }
 
 TEST(Jsonl, EveryPayloadTypeSerializes) {
-  const EpisodeLabel label = label_with();
-  EXPECT_EQ(
-      obs::event_jsonl_line(
-          at(0, 0.0, obs::MonitorEvent{true, true, -0.5, "front gap"}),
-          label),
-      "{\"ep\":2,\"seed\":42,\"step\":0,\"t\":0,\"type\":\"monitor\","
-      "\"emergency\":true,\"in_boundary\":true,\"slack\":-0.5,"
-      "\"reason\":\"front gap\"}");
   // Dyadic values print in shortest form under %.17g, keeping the
   // expectations literal.
-  EXPECT_EQ(obs::event_jsonl_line(
-                at(1, 0.0625, obs::LadderEvent{"full", "sensor-only"}),
-                label),
-            "{\"ep\":2,\"seed\":42,\"step\":1,\"t\":0.0625,"
-            "\"type\":\"ladder\",\"from\":\"full\",\"to\":\"sensor-only\"}");
-  EXPECT_EQ(obs::event_jsonl_line(
-                at(2, 0.25,
-                   obs::GateEvent{7, GateRejectReason::kImplausible, 0.125}),
-                label),
-            "{\"ep\":2,\"seed\":42,\"step\":2,\"t\":0.25,"
-            "\"type\":\"gate_reject\",\"sender\":7,"
-            "\"reason\":\"implausible\",\"msg_t\":0.125}");
-  EXPECT_EQ(obs::event_jsonl_line(at(3, 0.375, obs::RollbackEvent{0.125, 4}),
-                                  label),
-            "{\"ep\":2,\"seed\":42,\"step\":3,\"t\":0.375,"
-            "\"type\":\"kalman_rollback\",\"anchor_t\":0.125,"
-            "\"replayed\":4}");
-  EXPECT_EQ(obs::event_jsonl_line(
-                at(4, 0.5, obs::FaultEvent{FaultKind::kSensorBiased, 0.25}),
-                label),
-            "{\"ep\":2,\"seed\":42,\"step\":4,\"t\":0.5,"
-            "\"type\":\"fault\",\"kind\":\"sensor_biased\",\"value\":0.25}");
-  EXPECT_EQ(obs::event_jsonl_line(
-                at(6, 0.75, obs::EpisodeEvent{false, true, 0.75, 120}),
-                label),
-            "{\"ep\":2,\"seed\":42,\"step\":6,\"t\":0.75,"
-            "\"type\":\"episode_end\",\"collided\":false,\"reached\":true,"
-            "\"eta\":0.75,\"steps\":120}");
+  EXPECT_EQ(event_line(event(0, EventKind::kMessageAccept, 0, 7, 0.125)),
+            "{\"episode\":2,\"step\":0,\"kind\":\"message_accept\","
+            "\"sender\":7,\"value\":0.125}");
+  EXPECT_EQ(event_line(event(1, EventKind::kMessageReject,
+                             static_cast<std::uint8_t>(
+                                 GateRejectReason::kImplausible),
+                             7, 0.125)),
+            "{\"episode\":2,\"step\":1,\"kind\":\"message_reject\","
+            "\"reason\":\"implausible\",\"sender\":7,\"value\":0.125}");
+  EXPECT_EQ(event_line(event(2, EventKind::kGateVerdict, 1, 0, -0.5)),
+            "{\"episode\":2,\"step\":2,\"kind\":\"gate_verdict\","
+            "\"code\":1,\"value\":-0.5}");
+  EXPECT_EQ(event_line(event(3, EventKind::kLadderTransition, 2, 0, 3.0)),
+            "{\"episode\":2,\"step\":3,\"kind\":\"ladder_transition\","
+            "\"from\":0,\"to\":2,\"value\":3}");
+  EXPECT_EQ(event_line(event(4, EventKind::kEtaSample, 0, 0, 29.5)),
+            "{\"episode\":2,\"step\":4,\"kind\":\"eta_sample\","
+            "\"code\":0,\"value\":29.5}");
+  EXPECT_EQ(event_line(event(5, EventKind::kPlanClamp, 1, 0, 4.5)),
+            "{\"episode\":2,\"step\":5,\"kind\":\"plan_clamp\","
+            "\"code\":1,\"value\":4.5}");
+  EXPECT_EQ(event_line(event(6, EventKind::kFault,
+                             static_cast<std::uint8_t>(
+                                 FaultKind::kSensorBiased),
+                             0, 0.25)),
+            "{\"episode\":2,\"step\":6,\"kind\":\"fault\","
+            "\"action\":\"sensor_biased\",\"value\":0.25}");
+  EXPECT_EQ(event_line(event(7, EventKind::kKalmanRollback, 0, 4, 0.125)),
+            "{\"episode\":2,\"step\":7,\"kind\":\"kalman_rollback\","
+            "\"replayed\":4,\"value\":0.125}");
+  EXPECT_EQ(event_line(event(8, EventKind::kStep, 0, obs::kNoLadder, -1.5)),
+            "{\"episode\":2,\"step\":8,\"kind\":\"step\",\"emergency\":false,"
+            "\"ladder_level\":-1,\"value\":-1.5}");
+  EXPECT_EQ(event_line(event(120, EventKind::kEpisodeEnd, 2, 0, 0.75)),
+            "{\"episode\":2,\"step\":120,\"kind\":\"episode_end\","
+            "\"collided\":false,\"reached\":true,\"value\":0.75}");
+  static_assert(obs::kNumEventKinds == 10, "cover every kind above");
 }
 
 // append_json_double must print exactly what printf("%.17g") prints, for
@@ -217,16 +239,14 @@ TEST(Jsonl, DoublesRoundTripAndNonFiniteBecomesNull) {
   out.clear();
   obs::append_json_double(out, std::numeric_limits<double>::infinity());
   EXPECT_EQ(out, "null");
-  // A rejected non-finite payload carries its NaN into the trace line;
+  // A rejected non-finite payload carries its NaN into the event line;
   // the line must stay parseable JSON.
-  const Event e =
-      at(1, 0.0625,
-         obs::GateEvent{3, GateRejectReason::kNonFinite,
-                        std::numeric_limits<double>::quiet_NaN()});
-  EXPECT_EQ(obs::event_jsonl_line(e, label_with()),
-            "{\"ep\":2,\"seed\":42,\"step\":1,\"t\":0.0625,"
-            "\"type\":\"gate_reject\",\"sender\":3,"
-            "\"reason\":\"non_finite\",\"msg_t\":null}");
+  EXPECT_EQ(event_line(event(1, EventKind::kMessageReject,
+                             static_cast<std::uint8_t>(
+                                 GateRejectReason::kNonFinite),
+                             3, std::numeric_limits<double>::quiet_NaN())),
+            "{\"episode\":2,\"step\":1,\"kind\":\"message_reject\","
+            "\"reason\":\"non_finite\",\"sender\":3,\"value\":null}");
 }
 
 TEST(Jsonl, StringEscaping) {
@@ -235,20 +255,25 @@ TEST(Jsonl, StringEscaping) {
   EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
 }
 
+// Lost events are never silent: the dump of a recorder that overwrote
+// events says how many in its header.
 TEST(Jsonl, WriteEventsAppendsDroppedMarker) {
+  obs::FlightRecorderConfig config;
+  config.ring_capacity = 2;
+  Recorder rec(config);
+  for (int i = 0; i < 5; ++i) rec.fault(FaultKind::kCorrupted, 1.0);
   std::ostringstream os;
-  std::vector<Event> events;
-  events.push_back(at(0, 0.0, obs::FaultEvent{FaultKind::kCorrupted, 1.0}));
-  obs::write_events_jsonl(os, events, label_with("left-turn"), 3);
-  EXPECT_EQ(os.str(),
-            "{\"ep\":2,\"seed\":42,\"scenario\":\"left-turn\","
-            "\"step\":0,\"t\":0,\"type\":\"fault\",\"kind\":\"corrupted\","
-            "\"value\":1}\n"
-            "{\"ep\":2,\"seed\":42,\"scenario\":\"left-turn\","
-            "\"type\":\"trace_dropped\",\"count\":3}\n");
-  std::ostringstream clean;
-  obs::write_events_jsonl(clean, events, label_with("left-turn"), 0);
-  EXPECT_EQ(clean.str().find("trace_dropped"), std::string::npos);
+  obs::write_flight_dump_jsonl(os, obs::flight_dump(rec, 2, 42, 1.0, false),
+                               "left-turn");
+  EXPECT_NE(os.str().find("\"events\":2,\"overwritten\":3}}"),
+            std::string::npos)
+      << os.str();
+  Recorder clean;
+  clean.set_enabled(true);
+  clean.fault(FaultKind::kCorrupted, 1.0);
+  std::ostringstream ok;
+  obs::write_flight_dump_jsonl(ok, obs::flight_dump(clean, 2, 42, 1.0, false));
+  EXPECT_NE(ok.str().find("\"overwritten\":0}}"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 // A scripted left-turn episode pair runs in the fault campaign's
 // robustness posture (corruption faults over the delayed channel,
 // hardened plausibility gate, armed degradation ladder, expert compound
-// planner) with an obs::Recorder mounted. The serialized trace is pinned
-// byte-for-byte to a committed golden and asserted identical across
-// repeated runs and across thread counts — the determinism claim the
-// whole tracing design rests on (per-episode buffering + seed-ordered
+// planner) with an obs::Recorder mounted. The serialized trace (the
+// flight-dump JSONL: one header line per episode, one line per event) is
+// pinned byte-for-byte to a committed golden and asserted identical
+// across repeated runs and across thread counts — the determinism claim
+// the whole tracing design rests on (per-episode buffering + seed-ordered
 // serialization).
 //
 // Regenerate (only when a behavior or schema change is intended) with:
@@ -95,15 +96,30 @@ TEST(ObsTraceGolden, TracedResultsMatchPlainEngine) {
 
 TEST(ObsTraceGolden, ContainsTheInstrumentedEventTypes) {
   const std::string trace = trace_text(/*threads=*/1);
-  // One step line per control step and exactly one wrap-up per episode.
-  EXPECT_NE(trace.find("\"type\":\"step\""), std::string::npos);
-  EXPECT_NE(trace.find("\"type\":\"episode_end\""), std::string::npos);
-  // The corruption plan perturbs payloads over a dropping channel, so
-  // fault actions and hardened-gate rejections must surface.
-  EXPECT_NE(trace.find("\"type\":\"fault\""), std::string::npos);
-  EXPECT_NE(trace.find("\"type\":\"gate_reject\""), std::string::npos);
-  // A truncated trace must never pass as golden input.
-  EXPECT_EQ(trace.find("\"type\":\"trace_dropped\""), std::string::npos);
+  // One header per episode, one step line per control step and exactly
+  // one wrap-up per episode.
+  EXPECT_NE(trace.find("{\"flight\":{\"episode\":1,"), std::string::npos);
+  EXPECT_NE(trace.find("\"kind\":\"step\""), std::string::npos);
+  EXPECT_NE(trace.find("\"kind\":\"eta_sample\""), std::string::npos);
+  EXPECT_NE(trace.find("\"kind\":\"episode_end\""), std::string::npos);
+  // The corruption plan perturbs payloads over a delaying, dropping
+  // channel, so fault actions, hardened-gate rejections, Kalman
+  // rollbacks and ladder moves must surface.
+  EXPECT_NE(trace.find("\"kind\":\"fault\""), std::string::npos);
+  EXPECT_NE(trace.find("\"kind\":\"message_reject\""), std::string::npos);
+  EXPECT_NE(trace.find("\"kind\":\"kalman_rollback\""), std::string::npos);
+  EXPECT_NE(trace.find("\"kind\":\"ladder_transition\""),
+            std::string::npos);
+  // A truncated trace must never pass as golden input: every episode's
+  // header reports no overwritten event.
+  std::size_t headers = 0;
+  std::istringstream in(trace);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("{\"flight\":", 0) != 0) continue;
+    ++headers;
+    EXPECT_NE(line.find("\"overwritten\":0}}"), std::string::npos) << line;
+  }
+  EXPECT_EQ(headers, kEpisodes);
 }
 
 TEST(ObsTraceGolden, MatchesCommittedGolden) {

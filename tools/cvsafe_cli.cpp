@@ -35,10 +35,11 @@
 //   --sims N                 batch size / training size scale
 //   --threads N              worker threads (0 = hardware)
 //   --pool N                 (batch) fleet pool capacity  (default 8192)
-//   --trace FILE             (run) per-step trace: structured JSONL event
-//                            trace when FILE ends in .jsonl, legacy CSV
-//                            otherwise; (campaign) structured JSONL trace
-//                            of every episode, cell-major seed-minor
+//   --trace FILE             (run) per-step trace: the episode's events
+//                            as JSONL in the flight-dump format when FILE
+//                            ends in .jsonl, legacy CSV otherwise;
+//                            (campaign) the same JSONL for every episode,
+//                            cell-major seed-minor
 //   --metrics FILE           (run/campaign/certify) metrics registry dump:
 //                            CSV when FILE ends in .csv, Prometheus text
 //                            otherwise
@@ -97,6 +98,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <fstream>
@@ -417,12 +419,11 @@ int cmd_run(const Args& args) {
   }
 
   sim::SimTrace trace;
-  obs::Recorder recorder;
+  obs::FlightDump dump;
   sim::RunResult r;
   if (structured) {
-    recorder.set_enabled(true);
     sim::LeftTurnAdapter adapter(config, bp);
-    r = sim::run_traced_episode(adapter, seed, recorder);
+    std::tie(r, dump) = sim::trace_episode(adapter, 0, seed);
   } else {
     r = sim::run_left_turn_simulation(config, bp, seed,
                                        want_trace ? &trace : nullptr);
@@ -446,13 +447,10 @@ int cmd_run(const Args& args) {
       std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
       return 1;
     }
-    obs::EpisodeLabel label;
-    label.seed = seed;
-    label.scenario = "left-turn";
-    obs::write_events_jsonl(out, recorder.events(), label,
-                            recorder.dropped());
+    obs::write_flight_dump_jsonl(out, dump, "left-turn",
+                                 channel_label(config, args));
     std::printf("trace      %s (%zu events)\n", trace_path.c_str(),
-                recorder.events().size());
+                dump.events.size());
   } else if (want_trace) {
     util::CsvWriter csv(trace_path);
     if (!csv.ok()) {

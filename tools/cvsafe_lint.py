@@ -73,19 +73,16 @@ include/):
                      rule does not flag; annotate any legitimate direct
                      use
   no-episode-recorder-in-fleet-sweep
-                     same file set: the episode-level obs::Recorder (the
-                     allocating JSONL event recorder) and the
-                     obs::recording() guard are banned from the fleet
-                     engine — a recorder mounted inside the shard-step
-                     allocates per event and serializes in retirement
-                     order, breaking both the zero-alloc steady state
-                     and byte-determinism. Fleet observability goes
-                     through the fixed-capacity obs::RingRecorder
-                     (flight_recorder.hpp), whose only allocation is
-                     arm() at pool construction; RingRecorder /
-                     FlightRecorderConfig / ring_recording() do not
-                     match. The scalar oracle (run_episode) may mount
-                     recorders — it is outside this file set
+                     same file set: the fleet engine may arm
+                     obs::Recorders (Recorder::arm — a fixed ring whose
+                     only allocation is at pool construction) but must
+                     not switch one into the growable traced mode
+                     (set_enabled(...)): a growable recorder inside the
+                     shard-step allocates as it grows and keeps whole
+                     episodes resident, breaking both the zero-alloc
+                     steady state and the pool's bounded memory. Traced
+                     episodes run on the scalar oracle (run_episode,
+                     sim/trace.hpp) — outside this file set
 
 A finding on a line that carries the annotation
     cvsafe-lint: allow(<rule>)
@@ -217,15 +214,11 @@ RE_SCALAR_STACK = re.compile(
     r"|\bDegradationLadder\b"
     r"|\bpropagate\s*\("
 )
-# The episode-level JSONL recorder inside the fleet engine. `Recorder`
-# must stand alone as an identifier tail: RingRecorder and
-# FlightRecorderConfig never match (no word boundary before/after the
-# embedded "Recorder"), and ring_recording() never matches the
-# recording() alternative (the leading underscore is a word character).
-RE_EPISODE_RECORDER = re.compile(
-    r"\bRecorder\b"
-    r"|\brecording\s*\("
-)
+# The growable (traced-episode) recorder mode inside the fleet engine:
+# any set_enabled( call. Arming (Recorder::arm, the Recorder(config)
+# constructor) and the recording() guard do not match; the leading \b
+# keeps longer identifiers ending in "set_enabled" out.
+RE_EPISODE_RECORDER = re.compile(r"\bset_enabled\s*\(")
 RE_PRAGMA_ONCE = re.compile(r"^\s*#\s*pragma\s+once\b")
 RE_ALLOW = re.compile(r"cvsafe-lint:\s*allow\(([a-z0-9_,\- ]+)\)")
 RE_CLASS_DECL = re.compile(r"\b(?:class|struct)\s+(\w+)[^;{]*")
@@ -393,10 +386,9 @@ class FileLinter:
                             "FleetLadder)")
             if self.fleet_rules and RE_EPISODE_RECORDER.search(code):
                 self.report(line_no, "no-episode-recorder-in-fleet-sweep",
-                            "episode-level obs::Recorder in the fleet "
-                            "engine; it allocates per event and breaks "
-                            "byte-determinism — use the fixed-capacity "
-                            "obs::RingRecorder (flight_recorder.hpp)")
+                            "growable obs::Recorder mode in the fleet "
+                            "engine; it allocates as it grows — arm the "
+                            "lane's recorder (Recorder::arm) instead")
             if self.raw_streams_banned and RE_RAW_STREAM.search(code):
                 self.report(line_no, "no-raw-stream-logging",
                             "library code must not write to the global "
@@ -594,25 +586,26 @@ SELF_TEST_CASES: list[tuple[str, str, dict, str, set[str]]] = [
      "#pragma once\n"
      "filter::KalmanFilter kf{config};\n",
      set()),
-    ("fleet-ring-recorder-is-fine", "fleet.hpp", {"fleet_rules": True},
+    ("fleet-armed-recorder-is-fine", "fleet.hpp", {"fleet_rules": True},
      "#pragma once\n"
      "void arm(const obs::FlightRecorderConfig& flight) {\n"
-     "  rings_.push_back(std::make_unique<obs::RingRecorder>(flight));\n"
-     "  if (obs::ring_recording(rings_.back().get())) count_ += 1;\n"
+     "  recorders_.push_back(std::make_unique<obs::Recorder>(flight));\n"
+     "  recorders_.back()->arm(flight);\n"
+     "  if (obs::recording(recorders_.back().get())) count_ += 1;\n"
      "}\n",
      set()),
-    ("fleet-episode-recorder", "fleet.hpp", {"fleet_rules": True},
+    ("fleet-growable-recorder", "fleet.hpp", {"fleet_rules": True},
      "#pragma once\n"
-     "void mount(obs::Recorder* rec) { rec_ = rec; }\n",
+     "void mount(obs::Recorder& rec) { rec.set_enabled(true); }\n",
      {"no-episode-recorder-in-fleet-sweep"}),
-    ("fleet-recording-guard", "fleet.cpp", {"fleet_rules": True},
-     "void emit() {\n"
-     "  if (obs::recording(rec_)) rec_->event(obs::EventKind::kStep);\n"
+    ("fleet-growable-recorder-spaced", "fleet.cpp", {"fleet_rules": True},
+     "void trace(obs::Recorder* rec) {\n"
+     "  rec->set_enabled (true);\n"
      "}\n",
      {"no-episode-recorder-in-fleet-sweep"}),
-    ("episode-recorder-out-of-fleet", "engine.hpp", {"fleet_rules": False},
+    ("growable-recorder-out-of-fleet", "trace.hpp", {"fleet_rules": False},
      "#pragma once\n"
-     "void mount(obs::Recorder* rec) { rec_ = rec; }\n",
+     "void mount(obs::Recorder& rec) { rec.set_enabled(true); }\n",
      set()),
     ("std-rand-still-fires", "noise.cpp", {},
      "int r() { return std::rand(); }\n",
