@@ -41,7 +41,10 @@
 /// Determinism contract: one util::Rng drives an entire episode. The
 /// draw order is fixed — workload draws in ScenarioAdapter::make_episode
 /// first, then per step and per traffic actor (in creation order) the
-/// channel offer followed by the sensor sample. Batch runners seed each
+/// channel offer followed by the sensor sample. make_episode advances
+/// the episode RNG past every workload draw; the tail of an acceleration
+/// profile, drawn on first read, comes from a private copy of that
+/// profile's segment of the stream. Batch runners seed each
 /// episode independently (seeding.hpp), so results are bit-reproducible
 /// regardless of thread scheduling.
 
@@ -53,6 +56,9 @@ namespace cvsafe::sim {
 struct TrafficActor {
   std::uint32_t id = 1;  ///< V2V message source id
   vehicle::VehicleState state{};
+  /// Read every step. Its in-object part is the drawn steps and a
+  /// pointer: the generator of the steps past its eager prefix is cold
+  /// and lives out of line.
   vehicle::AccelProfile profile;
   /// Channel/sensor are the fault-injecting decorators; with an empty
   /// FaultPlan (the default) both are pure pass-throughs, bit-identical

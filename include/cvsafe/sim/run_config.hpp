@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <optional>
 
 #include "cvsafe/comm/channel.hpp"
@@ -9,6 +10,7 @@
 #include "cvsafe/fault/fault_plan.hpp"
 #include "cvsafe/filter/plausibility.hpp"
 #include "cvsafe/sensing/sensor.hpp"
+#include "cvsafe/util/contracts.hpp"
 #include "cvsafe/vehicle/dynamics.hpp"
 
 /// \file run_config.hpp
@@ -44,9 +46,16 @@ struct RunConfig {
   /// which case the compound planner behaves exactly as before.
   std::optional<core::LadderConfig> ladder;
 
-  /// Control steps per episode (the engine's loop bound).
+  /// Control steps per episode (the engine's loop bound). Refuses a
+  /// timing whose step count a std::size_t cannot hold (NaN, infinite
+  /// or negative), where the cast would be undefined.
   std::size_t total_steps() const {
-    return static_cast<std::size_t>(std::ceil(horizon / dt_c));
+    const double steps = std::ceil(horizon / dt_c);
+    constexpr auto kLimit =
+        static_cast<double>(std::numeric_limits<std::size_t>::max());
+    CVSAFE_EXPECTS(steps >= 0.0 && steps < kLimit,
+                   "horizon / dt_c must be a representable step count");
+    return static_cast<std::size_t>(steps);
   }
 };
 

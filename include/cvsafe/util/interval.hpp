@@ -109,10 +109,13 @@ struct Interval {
     return Interval{lo - margin, hi + margin};
   }
 
-  /// Clamps x into the interval. Requires non-empty.
+  /// Clamps x into the interval. Requires non-empty. Written as
+  /// min(max(x, lo), hi), which is std::clamp's value whenever lo <= hi
+  /// (NaN and signed zeros included) and, unlike std::clamp, defined when
+  /// a build without contracts reaches it with an empty interval.
   double clamp(double x) const {
     CVSAFE_EXPECTS(!empty(), "clamp against an empty interval");
-    return std::clamp(x, lo, hi);
+    return std::min(std::max(x, lo), hi);
   }
 
   /// Minkowski sum: [lo1+lo2, hi1+hi2].

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -54,6 +55,14 @@ class Rng {
 
   /// Normal deviate with the given mean and standard deviation.
   double normal(double mean, double stddev);
+
+  /// Advances the generator exactly as \p n calls to normal() would,
+  /// cached deviate included, without computing the skipped deviates:
+  /// every later draw is the one it would have been. A deviate cached on
+  /// entry counts as the first; each further pair costs its raw draws
+  /// (the u1 == 0 redraw included); when \p n leaves the second deviate
+  /// of a pair cached, that pair is computed in full.
+  void skip_normals(std::size_t n);
 
   /// Splits off an independent generator (seeded from this stream).
   /// Used to give each simulation in a batch its own stream.

@@ -1,11 +1,28 @@
 #include "cvsafe/eval/config_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
 namespace cvsafe::eval {
+namespace {
+
+/// ConfigFile::get_double for a value the simulation computes with: an
+/// infinite or NaN value is rejected here, with its key named, instead of
+/// reaching arithmetic that is undefined for it (a step count cast from
+/// an infinite horizon, a NaN control period).
+double finite_double(const util::ConfigFile& file, const std::string& key,
+                     double dflt) {
+  const double value = file.get_double(key, dflt);
+  if (!std::isfinite(value)) {
+    throw std::runtime_error("config: '" + key + "' must be finite");
+  }
+  return value;
+}
+
+}  // namespace
 
 sim::LeftTurnSimConfig apply_config_file(sim::LeftTurnSimConfig base,
                                          const util::ConfigFile& file) {
@@ -26,65 +43,78 @@ sim::LeftTurnSimConfig apply_config_file(sim::LeftTurnSimConfig base,
     (void)value;
   }
 
+  const auto read = [&](const std::string& key, double& field) {
+    field = finite_double(file, key, field);
+  };
   auto& g = base.geometry;
-  g.ego_front = file.get_double("geometry.ego_front", g.ego_front);
-  g.ego_back = file.get_double("geometry.ego_back", g.ego_back);
-  g.ego_start = file.get_double("geometry.ego_start", g.ego_start);
-  g.ego_target = file.get_double("geometry.ego_target", g.ego_target);
+  read("geometry.ego_front", g.ego_front);
+  read("geometry.ego_back", g.ego_back);
+  read("geometry.ego_start", g.ego_start);
+  read("geometry.ego_target", g.ego_target);
   // The oncoming conflict zone mirrors the ego zone (u = -p frame).
   g.c1_front = -g.ego_back;
   g.c1_back = -g.ego_front;
   if (!g.valid()) throw std::runtime_error("config: invalid geometry");
 
-  base.ego_limits.v_min = file.get_double("ego.v_min", base.ego_limits.v_min);
-  base.ego_limits.v_max = file.get_double("ego.v_max", base.ego_limits.v_max);
-  base.ego_limits.a_min = file.get_double("ego.a_min", base.ego_limits.a_min);
-  base.ego_limits.a_max = file.get_double("ego.a_max", base.ego_limits.a_max);
-  base.c1_limits.v_min = file.get_double("c1.v_min", base.c1_limits.v_min);
-  base.c1_limits.v_max = file.get_double("c1.v_max", base.c1_limits.v_max);
-  base.c1_limits.a_min = file.get_double("c1.a_min", base.c1_limits.a_min);
-  base.c1_limits.a_max = file.get_double("c1.a_max", base.c1_limits.a_max);
+  read("ego.v_min", base.ego_limits.v_min);
+  read("ego.v_max", base.ego_limits.v_max);
+  read("ego.a_min", base.ego_limits.a_min);
+  read("ego.a_max", base.ego_limits.a_max);
+  read("c1.v_min", base.c1_limits.v_min);
+  read("c1.v_max", base.c1_limits.v_max);
+  read("c1.a_min", base.c1_limits.a_min);
+  read("c1.a_max", base.c1_limits.a_max);
   if (!base.ego_limits.valid() || !base.c1_limits.valid()) {
     throw std::runtime_error("config: invalid actuation limits");
   }
 
-  base.ego_v0 = file.get_double("ego.v0", base.ego_v0);
-  base.workload.v1_init_min =
-      file.get_double("c1.v_init_min", base.workload.v1_init_min);
-  base.workload.v1_init_max =
-      file.get_double("c1.v_init_max", base.workload.v1_init_max);
-  base.dt_c = file.get_double("sim.dt_c", base.dt_c);
-  base.horizon = file.get_double("sim.horizon", base.horizon);
+  read("ego.v0", base.ego_v0);
+  read("c1.v_init_min", base.workload.v1_init_min);
+  read("c1.v_init_max", base.workload.v1_init_max);
+  // The oncoming car starts at a speed drawn from [v_init_min,
+  // v_init_max], and its acceleration profile clips against [v_min,
+  // v_max] from there, which needs that speed inside the limits.
+  const auto require_c1_speed = [&](const char* key, double v) {
+    if (v < base.c1_limits.v_min || v > base.c1_limits.v_max) {
+      throw std::runtime_error(std::string("config: '") + key +
+                               "' must lie in [c1.v_min, c1.v_max]");
+    }
+  };
+  require_c1_speed("c1.v_init_min", base.workload.v1_init_min);
+  require_c1_speed("c1.v_init_max", base.workload.v1_init_max);
+  if (base.workload.v1_init_min > base.workload.v1_init_max) {
+    throw std::runtime_error(
+        "config: 'c1.v_init_min' must not exceed 'c1.v_init_max'");
+  }
+  read("sim.dt_c", base.dt_c);
+  read("sim.horizon", base.horizon);
   if (base.dt_c <= 0.0 || base.horizon <= base.dt_c) {
     throw std::runtime_error("config: invalid timing");
   }
 
-  const double period = file.get_double("comm.period", base.comm.period);
+  const double period = finite_double(file, "comm.period", base.comm.period);
   if (file.get_bool("comm.lost", false)) {
     base.comm = comm::CommConfig::messages_lost(period);
   } else if (file.get_bool("comm.burst", false)) {
     base.comm = comm::CommConfig::bursty(
-        file.get_double("comm.burst_bad_fraction", 0.3),
-        file.get_double("comm.burst_mean_len", 8.0),
-        file.get_double("comm.delay", 0.0), period);
+        finite_double(file, "comm.burst_bad_fraction", 0.3),
+        finite_double(file, "comm.burst_mean_len", 8.0),
+        finite_double(file, "comm.delay", 0.0), period);
   } else {
     base.comm = comm::CommConfig::delayed(
-        file.get_double("comm.drop_prob", base.comm.drop_prob),
-        file.get_double("comm.delay", base.comm.delay), period);
+        finite_double(file, "comm.drop_prob", base.comm.drop_prob),
+        finite_double(file, "comm.delay", base.comm.delay), period);
   }
 
-  const double delta = file.get_double("sensor.delta", -1.0);
+  const double delta = finite_double(file, "sensor.delta", -1.0);
   if (delta >= 0.0) {
     base.sensor = sensing::SensorConfig::uniform(
-        delta, file.get_double("sensor.period", base.sensor.period));
+        delta, finite_double(file, "sensor.period", base.sensor.period));
   } else {
-    base.sensor.period = file.get_double("sensor.period", base.sensor.period);
-    base.sensor.delta_p = file.get_double("sensor.delta_p",
-                                          base.sensor.delta_p);
-    base.sensor.delta_v = file.get_double("sensor.delta_v",
-                                          base.sensor.delta_v);
-    base.sensor.delta_a = file.get_double("sensor.delta_a",
-                                          base.sensor.delta_a);
+    read("sensor.period", base.sensor.period);
+    read("sensor.delta_p", base.sensor.delta_p);
+    read("sensor.delta_v", base.sensor.delta_v);
+    read("sensor.delta_a", base.sensor.delta_a);
   }
   return base;
 }

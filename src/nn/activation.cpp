@@ -7,12 +7,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#if defined(__GNUC__) || defined(__clang__)
-#define CVSAFE_RESTRICT __restrict__
-#else
-#define CVSAFE_RESTRICT
-#endif
-
 namespace cvsafe::nn {
 
 Matrix apply_activation(Activation act, const Matrix& z) {

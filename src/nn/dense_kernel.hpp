@@ -31,12 +31,11 @@
 
 #include "cvsafe/nn/activation.hpp"
 #include "cvsafe/nn/fast_math.hpp"
+#include "isa_dispatch.hpp"
 
 #if defined(__GNUC__) || defined(__clang__)
-#define CVSAFE_RESTRICT __restrict__
 #define CVSAFE_ALWAYS_INLINE inline __attribute__((always_inline))
 #else
-#define CVSAFE_RESTRICT
 #define CVSAFE_ALWAYS_INLINE inline
 #endif
 

@@ -26,3 +26,11 @@
 #define CVSAFE_NN_KERNEL
 #define CVSAFE_NN_DISPATCH 0
 #endif
+
+/// Marks a kernel's pointer parameters as not aliasing one another, so
+/// GCC vectorizes their loops without runtime overlap checks.
+#if defined(__GNUC__) || defined(__clang__)
+#define CVSAFE_RESTRICT __restrict__
+#else
+#define CVSAFE_RESTRICT
+#endif

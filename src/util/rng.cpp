@@ -84,6 +84,22 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
+void Rng::skip_normals(std::size_t n) {
+  if (n == 0) return;
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  for (; n >= 2; n -= 2) {
+    // normal()'s raw draws: u1, redrawn while it is 0 (uniform01() == 0
+    // exactly when the top 53 bits are 0), then u2.
+    while ((next_u64() >> 11) == 0) {
+    }
+    next_u64();
+  }
+  if (n == 1) normal();
+}
+
 Rng Rng::split() { return Rng(next_u64()); }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream) {

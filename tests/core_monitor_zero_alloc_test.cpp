@@ -3,8 +3,9 @@
 // (ladder armed, aggressive shrink on) and the per-step world reset of
 // EpisodeRunner::observe_begin must not touch the heap — nor may emitting
 // into an armed obs::Recorder, or into a growable one that a previous
-// episode warmed. A global operator new that counts every allocation
-// makes that observable.
+// episode warmed, nor whole engine steps that read the traffic's
+// acceleration profiles past their eager prefix. A global operator new
+// that counts every allocation makes that observable.
 //
 // Worlds are chosen so the monitor's verdict does not switch between
 // calls: a switch appends a SwitchEvent to the planner's log, which grows
@@ -35,6 +36,7 @@
 #include "cvsafe/sim/intersection.hpp"
 #include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/sim/multi_vehicle.hpp"
+#include "cvsafe/vehicle/accel_profile.hpp"
 
 namespace {
 
@@ -433,6 +435,38 @@ TEST(MonitorZeroAlloc, IntersectionObserveIntoArmedRecorder) {
   EXPECT_GT(recorder.size(), 0u);
 }
 
+/// Steps \p runner on full braking (the ego stops short of every conflict
+/// zone, so the episode runs on) across the end of the traffic's
+/// acceleration-profile prefix. The steps up to shortly before it warm
+/// the episode (its world's window sets reach their size on the way);
+/// from there no step allocates, including the steps whose profile reads
+/// draw the tail into storage reserved at construction.
+template <typename World>
+void expect_steps_past_profile_prefix_allocation_free(
+    sim::EpisodeRunner<World>& runner) {
+  const double brake = runner.config().ego_limits.a_min;
+  constexpr std::size_t kPrefix = vehicle::AccelProfile::kEagerSteps;
+  for (std::size_t step = 0; step < kPrefix + 40; ++step) {
+    ASSERT_FALSE(runner.done()) << "step " << step;
+    const std::uint64_t allocs = allocations_of([&] {
+      runner.observe();
+      runner.advance(brake);
+    });
+    if (step + 16 >= kPrefix) {
+      EXPECT_EQ(allocs, 0u) << "step " << step;
+    }
+  }
+}
+
+TEST(MonitorZeroAlloc, IntersectionStepsPastProfilePrefix) {
+  sim::IntersectionSimConfig config;
+  config.ladder = core::LadderConfig{};
+  const sim::IntersectionAdapter adapter(config, /*use_compound=*/true);
+  ASSERT_GT(config.total_steps(), vehicle::AccelProfile::kEagerSteps + 40);
+  sim::EpisodeRunner<IntersectionWorld> runner(adapter, 7);
+  expect_steps_past_profile_prefix_allocation_free(runner);
+}
+
 TEST(MonitorZeroAlloc, MultiVehicleObserveKeepsWorldStorage) {
   sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
   config.ladder = core::LadderConfig{};
@@ -443,6 +477,20 @@ TEST(MonitorZeroAlloc, MultiVehicleObserveKeepsWorldStorage) {
   const sim::MultiVehicleAdapter adapter(config, multi, setup);
   sim::EpisodeRunner<LeftTurnMultiWorld> runner(adapter, 7);
   expect_observe_allocation_free(runner);
+}
+
+TEST(MonitorZeroAlloc, MultiVehicleStepsPastProfilePrefix) {
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
+  config.ladder = core::LadderConfig{};
+  config.faults = *fault::FaultPlan::preset("corruption");
+  sim::MultiAgentSetup setup;
+  setup.scenario = config.make_scenario();
+  sim::MultiVehicleConfig multi;
+  multi.num_oncoming = 3;
+  const sim::MultiVehicleAdapter adapter(config, multi, setup);
+  ASSERT_GT(config.total_steps(), vehicle::AccelProfile::kEagerSteps + 40);
+  sim::EpisodeRunner<LeftTurnMultiWorld> runner(adapter, 7);
+  expect_steps_past_profile_prefix_allocation_free(runner);
 }
 
 }  // namespace

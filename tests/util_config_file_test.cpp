@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "cvsafe/eval/config_io.hpp"
 
@@ -112,6 +113,33 @@ TEST(ConfigIo, RejectsUnknownKeysAndInvalidValues) {
                    sim::LeftTurnSimConfig::paper_defaults(),
                    parse("[geometry]\nego_front = 20\nego_back = 10\n")),
                std::runtime_error);
+  // Values the loader once passed on to undefined behaviour: an infinite
+  // horizon (a step count cast from inf), a NaN control period, an
+  // oncoming start speed above c1.v_max (std::clamp with lo > hi in the
+  // acceleration profile) or below c1.v_min, an inverted start-speed
+  // range. Each is refused at load, naming its key.
+  const struct {
+    const char* ini;
+    const char* key;
+  } kRejected[] = {
+      {"[sim]\nhorizon = inf\n", "sim.horizon"},
+      {"[sim]\ndt_c = nan\n", "sim.dt_c"},
+      {"[comm]\ndelay = -inf\n", "comm.delay"},
+      {"[sensor]\ndelta_p = nan\n", "sensor.delta_p"},
+      {"[c1]\nv_init_min = 20\nv_init_max = 30\n", "c1.v_init_min"},
+      {"[c1]\nv_init_max = 16\n", "c1.v_init_max"},
+      {"[c1]\nv_init_min = 1\n", "c1.v_init_min"},
+      {"[c1]\nv_init_min = 12\nv_init_max = 9\n", "c1.v_init_min"},
+  };
+  for (const auto& [ini, key] : kRejected) {
+    try {
+      apply_config_file(sim::LeftTurnSimConfig::paper_defaults(), parse(ini));
+      ADD_FAILURE() << "accepted: " << ini;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what() << " does not name " << key;
+    }
+  }
 }
 
 TEST(ConfigIo, SaveLoadRoundTrip) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 
 #include "cvsafe/util/contracts.hpp"
@@ -88,6 +91,26 @@ TEST(Interval, ClampIntoInterval) {
   EXPECT_EQ(iv.clamp(-5.0), -1.0);
   EXPECT_EQ(iv.clamp(0.3), 0.3);
   EXPECT_EQ(iv.clamp(9.0), 1.0);
+
+  // clamp is min(max(x, lo), hi), so that an empty interval reached with
+  // contracts compiled out is not undefined behaviour; on every non-empty
+  // interval it gives std::clamp's bits, NaN and signed zeros included.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double bounds[] = {-kInf, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, kInf};
+  const double xs[] = {-kInf, -3.0, -1.0, -0.0, 0.0,
+                       0.25,  1.0,  4.0,  kInf, kNan};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const double lo : bounds) {
+    for (const double hi : bounds) {
+      if (hi < lo) continue;
+      const Interval bounded{lo, hi};
+      for (const double x : xs) {
+        EXPECT_EQ(bits(bounded.clamp(x)), bits(std::clamp(x, lo, hi)))
+            << "x=" << x << " in [" << lo << ", " << hi << "]";
+      }
+    }
+  }
 }
 
 TEST(Interval, Everything) {

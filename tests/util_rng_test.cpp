@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace cvsafe::util {
@@ -124,6 +127,40 @@ TEST(Rng, NormalWithParameters) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) sum += rng.normal(5.0, 2.0);
   EXPECT_NEAR(sum / n, 5.0, 0.05);
+}
+
+// skip_normals(n) stands in for n calls to normal() (an acceleration
+// profile skips the steps it draws later from a private copy), so every
+// later draw must be the one those calls would have left: raw outputs,
+// the cached deviate and the pairs after it.
+TEST(Rng, SkipNormalsLeavesTheStateOfDrawingThem) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const bool cached_on_entry : {false, true}) {
+    for (std::size_t n = 0; n <= 9; ++n) {
+      Rng drawn(0x5eed + n);
+      if (cached_on_entry) drawn.normal();  // caches the pair's second
+      Rng skipped = drawn;
+      for (std::size_t i = 0; i < n; ++i) drawn.normal();
+      skipped.skip_normals(n);
+      // Deviates first (a cached one surfaces here), then raw outputs;
+      // and the other way round on copies.
+      Rng drawn_raw_first = drawn;
+      Rng skipped_raw_first = skipped;
+      for (int k = 0; k < 3; ++k) {
+        EXPECT_EQ(bits(drawn.normal()), bits(skipped.normal()))
+            << "n=" << n << " cached=" << cached_on_entry << " k=" << k;
+      }
+      EXPECT_EQ(drawn.next_u64(), skipped.next_u64())
+          << "n=" << n << " cached=" << cached_on_entry;
+      EXPECT_EQ(drawn_raw_first.next_u64(), skipped_raw_first.next_u64())
+          << "n=" << n << " cached=" << cached_on_entry;
+      for (int k = 0; k < 3; ++k) {
+        EXPECT_EQ(bits(drawn_raw_first.normal()),
+                  bits(skipped_raw_first.normal()))
+            << "n=" << n << " cached=" << cached_on_entry << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(Rng, SplitProducesIndependentStream) {
