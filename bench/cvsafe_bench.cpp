@@ -36,7 +36,6 @@
 #include "cvsafe/eval/experiments.hpp"
 #include "cvsafe/fault/fault_plan.hpp"
 #include "cvsafe/fault/faulty_channel.hpp"
-#include "cvsafe/filter/fleet_estimator.hpp"
 #include "cvsafe/filter/kalman.hpp"
 #include "cvsafe/filter/reachability.hpp"
 #include "cvsafe/nn/interval_mlp.hpp"
@@ -363,74 +362,6 @@ std::vector<Bench> build_registry() {
     });
   }});
 
-  // The estimate-sweep pair: one op = a 64-lane window of Kalman
-  // measurement updates over an 8192-lane pool (the production fleet
-  // capacity), rotating so every lane is cold by the time its window
-  // comes around again — the cache-residency regime that motivated the
-  // SoA refactor. The scalar baseline holds one heap-allocated
-  // KalmanFilter per lane exactly as the per-episode engine does; the
-  // batched bench is the FleetEstimator stage + update_batch sweep on
-  // identical readings. CI gates batched <= 0.5x scalar and zero
-  // allocations per op (scripts/bench_compare.py).
-  benches.push_back({"kalman_update_scalar64", [](const Options& o) {
-    constexpr std::size_t kLanes = 8192;
-    constexpr std::size_t kWindow = 64;
-    const filter::KalmanConfig config{0.1, 1.0, 1.0, 1.0, 3.0, 64};
-    std::vector<std::unique_ptr<filter::KalmanFilter>> pool;
-    pool.reserve(kLanes);
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      pool.push_back(std::make_unique<filter::KalmanFilter>(config));
-    }
-    util::Rng rng(7);
-    double t = 0.0;
-    std::size_t cursor = 0;
-    return run_bench(
-        "kalman_update_scalar64", o.min_time_s, [&](std::uint64_t n) {
-          for (std::uint64_t it = 0; it < n; ++it) {
-            for (std::size_t i = 0; i < kWindow; ++i) {
-              filter::KalmanFilter& kf = *pool[cursor + i];
-              kf.update(sensing::SensorReading{
-                  t, -50.0 + 9.0 * t + rng.uniform(-1.0, 1.0),
-                  9.0 + rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
-            }
-            g_sink = pool[cursor]->view().x.x;
-            cursor = (cursor + kWindow) % kLanes;
-            t += 0.1;
-          }
-        });
-  }});
-
-  benches.push_back({"kalman_update_batch64", [](const Options& o) {
-    constexpr std::size_t kLanes = 8192;
-    constexpr std::size_t kWindow = 64;
-    const filter::KalmanConfig config{0.1, 1.0, 1.0, 1.0, 3.0, 64};
-    filter::FleetEstimator est;
-    std::vector<std::size_t> slots;
-    slots.reserve(kLanes);
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      slots.push_back(est.acquire(config));
-    }
-    util::Rng rng(7);
-    double t = 0.0;
-    std::size_t cursor = 0;
-    return run_bench(
-        "kalman_update_batch64", o.min_time_s, [&](std::uint64_t n) {
-          for (std::uint64_t it = 0; it < n; ++it) {
-            for (std::size_t i = 0; i < kWindow; ++i) {
-              est.stage(slots[cursor + i],
-                        sensing::SensorReading{
-                            t, -50.0 + 9.0 * t + rng.uniform(-1.0, 1.0),
-                            9.0 + rng.uniform(-1.0, 1.0),
-                            rng.uniform(-1.0, 1.0)});
-            }
-            est.update_batch();
-            g_sink = est.view(slots[cursor]).x.x;
-            cursor = (cursor + kWindow) % kLanes;
-            t += 0.1;
-          }
-        });
-  }});
-
   benches.push_back({"reachability_propagate", [](const Options& o) {
     const vehicle::VehicleLimits limits{2.0, 15.0, -3.0, 3.0};
     const auto bounds = filter::StateBounds::exact(0.0, -50.0, 9.0);
@@ -442,91 +373,6 @@ std::vector<Bench> build_registry() {
                          dt = dt < 3.0 ? dt + 0.05 : 0.05;
                        }
                      });
-  }});
-
-  // The reach-sweep pair: one op = propagating 64 lanes of state bounds
-  // out of an 8192-lane pool. The scalar baseline calls propagate() per
-  // lane on bounds embedded in 1 KiB-stride records — the pre-refactor
-  // layout, where each lane's reach state lives inside its multi-KB
-  // episode/stack object — and writes the result back into the record as
-  // the information filter does. The batched bench runs the per-field
-  // SoA propagate_batch kernel over the same window. Gated like the
-  // Kalman pair: batched <= 0.5x scalar, zero allocs.
-  benches.push_back({"reach_propagate_scalar64", [](const Options& o) {
-    constexpr std::size_t kLanes = 8192;
-    constexpr std::size_t kWindow = 64;
-    const vehicle::VehicleLimits limits{2.0, 15.0, -3.0, 3.0};
-    struct LaneState {
-      filter::StateBounds bounds;
-      double target = 0.0;
-      filter::StateBounds reached;
-    };
-    static_assert(sizeof(LaneState) <= 512);
-    struct PaddedLane {
-      LaneState lane;
-      unsigned char pad[1024 - sizeof(LaneState)];
-    };
-    std::vector<PaddedLane> pool(kLanes);
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      const double base = 0.05 * static_cast<double>(i % 61);
-      pool[i].lane.bounds = filter::StateBounds{
-          base, util::Interval{-50.0 + base, -48.0 + 2.0 * base},
-          util::Interval{4.0 + 0.1 * base, 7.0 + 0.2 * base}};
-      pool[i].lane.target = base + 0.02 * static_cast<double>(i % 97);
-    }
-    std::size_t cursor = 0;
-    return run_bench(
-        "reach_propagate_scalar64", o.min_time_s, [&](std::uint64_t n) {
-          for (std::uint64_t it = 0; it < n; ++it) {
-            for (std::size_t i = 0; i < kWindow; ++i) {
-              LaneState& lane = pool[cursor + i].lane;
-              lane.reached =
-                  filter::propagate(lane.bounds, lane.target, limits);
-            }
-            g_sink = pool[cursor].lane.reached.p.lo;
-            cursor = (cursor + kWindow) % kLanes;
-          }
-        });
-  }});
-
-  benches.push_back({"reach_propagate_batch64", [](const Options& o) {
-    constexpr std::size_t kLanes = 8192;
-    constexpr std::size_t kWindow = 64;
-    const vehicle::VehicleLimits limits{2.0, 15.0, -3.0, 3.0};
-    std::vector<double> t0(kLanes), p_lo(kLanes), p_hi(kLanes),
-        v_lo(kLanes), v_hi(kLanes), t(kLanes);
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      const double base = 0.05 * static_cast<double>(i % 61);
-      t0[i] = base;
-      p_lo[i] = -50.0 + base;
-      p_hi[i] = -48.0 + 2.0 * base;
-      v_lo[i] = 4.0 + 0.1 * base;
-      v_hi[i] = 7.0 + 0.2 * base;
-      t[i] = base + 0.02 * static_cast<double>(i % 97);
-    }
-    std::vector<double> ot(kLanes), opl(kLanes), oph(kLanes), ovl(kLanes),
-        ovh(kLanes);
-    std::size_t cursor = 0;
-    return run_bench(
-        "reach_propagate_batch64", o.min_time_s, [&](std::uint64_t n) {
-          for (std::uint64_t it = 0; it < n; ++it) {
-            filter::propagate_batch(
-                filter::ReachLanes{
-                    std::span(t0).subspan(cursor, kWindow),
-                    std::span(p_lo).subspan(cursor, kWindow),
-                    std::span(p_hi).subspan(cursor, kWindow),
-                    std::span(v_lo).subspan(cursor, kWindow),
-                    std::span(v_hi).subspan(cursor, kWindow),
-                    std::span(t).subspan(cursor, kWindow)},
-                limits, std::span(ot).subspan(cursor, kWindow),
-                std::span(opl).subspan(cursor, kWindow),
-                std::span(oph).subspan(cursor, kWindow),
-                std::span(ovl).subspan(cursor, kWindow),
-                std::span(ovh).subspan(cursor, kWindow));
-            g_sink = opl[cursor];
-            cursor = (cursor + kWindow) % kLanes;
-          }
-        });
   }});
 
   benches.push_back({"boundary_grid_serial", [](const Options& o) {
@@ -907,8 +753,8 @@ std::vector<Bench> build_registry() {
   }
 
   // One op = one steady-state production shard-step over 64 resident
-  // lanes: EpisodePool::step_cohort, as run_fleet_worker runs it, on
-  // pool-resident stacks, plus the (empty) retire scan. No lane finishes
+  // lanes: EpisodePool::step_cohort, as run_fleet_worker runs it, each
+  // lane observing through its own stack, plus the (empty) retire scan. No lane finishes
   // during measurement, so this is the per-step cost the fleet engine
   // pays forever; CI gates it zero-alloc (an allocation here multiplies
   // by pool x steps). The _armed variant arms every lane's flight
@@ -931,11 +777,9 @@ std::vector<Bench> build_registry() {
       std::atomic<std::size_t> next{0};
       std::vector<sim::FleetRecord> records(4096);
       obs::FlightDumpCollector dumps;
-      // Declared before the pool, which releases its slots into it.
-      sim::FleetStackContext ctx;
       sim::EpisodePool<scenario::LeftTurnWorld> pool(
           adapter, 64, 1, sim::SeedPolicy::kPaired, next, records.size(),
-          &ctx, armed ? &dumps : nullptr, obs::FlightRecorderConfig{});
+          nullptr, armed ? &dumps : nullptr, obs::FlightRecorderConfig{});
       planners::NnPlanner planner(bp.net, planners::InputEncoding{}, "nn");
       const sim::FleetBatchPlanner<scenario::LeftTurnWorld> batch_plan =
           [&planner](std::span<const scenario::LeftTurnWorld> worlds,
@@ -948,8 +792,7 @@ std::vector<Bench> build_registry() {
         g_sink = pool.accel(0);
       };
       // Pre-warm past every one-time capacity growth (vector capacities,
-      // in-flight message queues, workspace tiles, slab and sweep
-      // staging): measured, the last warm-up allocation happens before
+      // in-flight message queues, workspace tiles): measured, the last warm-up allocation happens before
       // step ~70; 512 steps of margin keep the zero-alloc gate
       // deterministic at any --min-time.
       for (int i = 0; i < 512; ++i) shard_step();

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <queue>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cvsafe/comm/message.hpp"
@@ -68,68 +67,6 @@ struct CommConfig {
   void validate() const;
 };
 
-/// SoA landing zone of the fleet engine's batch pump: one slab per
-/// worker shard collects every resident episode's delivered messages for
-/// the current step into per-field contiguous arrays (sender, stamp,
-/// position, velocity, acceleration), partitioned into per-lane ranges.
-/// The pump sweep drains each lane's channel queue into its slab range;
-/// the deliver sweep then walks the slab lane by lane, reconstructing
-/// each Message field-for-field — bit-identical payloads in the exact
-/// per-lane delivery order Channel::collect_into produces.
-class MessageSlab {
- public:
-  /// Drops every lane and message (start of a shard-step pump sweep).
-  void clear() {
-    lane_begin_.clear();
-    sender_.clear();
-    t_.clear();
-    p_.clear();
-    v_.clear();
-    a_.clear();
-  }
-
-  /// Opens the next lane: subsequent push() calls append to it. Returns
-  /// the lane index.
-  std::size_t begin_lane() {
-    lane_begin_.push_back(sender_.size());
-    return lane_begin_.size() - 1;
-  }
-
-  /// Appends \p msg to the currently open lane.
-  void push(const Message& msg) {
-    sender_.push_back(msg.sender);
-    t_.push_back(msg.data.t);
-    p_.push_back(msg.data.state.p);
-    v_.push_back(msg.data.state.v);
-    a_.push_back(msg.data.a);
-  }
-
-  std::size_t lanes() const { return lane_begin_.size(); }
-  std::size_t size() const { return sender_.size(); }
-
-  /// [first, last) slab index range of \p lane's messages.
-  std::pair<std::size_t, std::size_t> lane_range(std::size_t lane) const {
-    const std::size_t first = lane_begin_[lane];
-    const std::size_t last =
-        lane + 1 < lane_begin_.size() ? lane_begin_[lane + 1] : sender_.size();
-    return {first, last};
-  }
-
-  /// Reconstructs slab entry \p i as a Message (field-for-field; the
-  /// round trip through the slab is exact).
-  Message message(std::size_t i) const {
-    return Message{sender_[i],
-                   vehicle::VehicleSnapshot{t_[i], {p_[i], v_[i]}, a_[i]}};
-  }
-
- private:
-  /// Slab index of each lane's first message; lane i's range ends at
-  /// lane i+1's begin (or at size() for the last lane).
-  std::vector<std::size_t> lane_begin_;
-  std::vector<std::uint32_t> sender_;
-  std::vector<double> t_, p_, v_, a_;
-};
-
 /// Simplex channel from one transmitting vehicle to the ego vehicle.
 ///
 /// The transmitter calls offer() every control step; the channel decides
@@ -170,13 +107,6 @@ class Channel {
   /// The per-step engine loop reuses one buffer per actor, so steady-state
   /// message delivery performs no heap allocation.
   void collect_into(double t, std::vector<Message>& out);
-
-  /// Batch-pump variant: drains delivered messages (same selection and
-  /// order as collect_into) into the slab's currently open lane. The
-  /// fleet pump sweep opens one lane per resident episode and drains all
-  /// channels into one slab, so the subsequent deliver sweep reads
-  /// contiguous SoA message slots instead of scattered per-actor buffers.
-  void collect_into_slab(double t, MessageSlab& slab);
 
   /// Number of messages currently in flight.
   std::size_t in_flight() const { return pending_.size(); }

@@ -80,15 +80,6 @@ class CompoundPlanner final : public PlannerBase<World> {
             (options.aggressive_unsafe_set ? ", aggressive)" : ")");
   }
 
-  // A pool-bound planner owns a FleetLadder slot; copying would
-  // double-release it (planners are shared_ptr-held, never copied).
-  CompoundPlanner(const CompoundPlanner&) = delete;
-  CompoundPlanner& operator=(const CompoundPlanner&) = delete;
-
-  ~CompoundPlanner() override {
-    if (fleet_ladder_ != nullptr) fleet_ladder_->release(ladder_slot_);
-  }
-
   /// One control step of the runtime monitor (Section III-C):
   /// kappa_e iff x(t) in X_b, otherwise kappa_n — with the aggressive
   /// unsafe set substituted when enabled. kappa_n plans on \p world
@@ -115,16 +106,11 @@ class CompoundPlanner final : public PlannerBase<World> {
     // still evaluated on the monitor's own view.
     bool biased = false;
     const bool on = obs::recording(recorder_);
-    if (has_ladder()) {
-      // The pooled ladder (fleet_ladder_, see core::FleetLadder) runs the
-      // same decision procedure on state resident in the fleet pool's SoA
-      // arrays. Neither ladder emits events; transitions are recorded here
-      // for both.
+    if (ladder_) {
+      // The ladder emits no events; its transitions are recorded here.
       const DegradationLevel prev =
-          on ? ladder_level() : DegradationLevel::kFull;
-      const DegradationLevel now =
-          ladder_ ? ladder_->update(step, signals_)
-                  : fleet_ladder_->update(ladder_slot_, signals_);
+          on ? ladder_->level() : DegradationLevel::kFull;
+      const DegradationLevel now = ladder_->update(step, signals_);
       biased = now == DegradationLevel::kEmergencyBiased;
       if (on && now != prev) {
         recorder_->ladder_transition(static_cast<int>(prev),
@@ -172,45 +158,12 @@ class CompoundPlanner final : public PlannerBase<World> {
   /// Arms the degradation ladder; without this call the planner behaves
   /// exactly as before (no ladder, implicit degradation only).
   void enable_degradation(const LadderConfig& config) {
-    CVSAFE_EXPECTS(fleet_ladder_ == nullptr,
-                   "ladder is already pool-resident");
     ladder_.emplace(config);
   }
 
-  /// Arms the degradation ladder with pool-resident state: hysteresis and
-  /// tallies live in a slot of \p fleet (released on destruction) so the
-  /// fleet engine's gate/ladder sweep walks contiguous arrays. Decision
-  /// procedure, stats and recorded transitions are identical to
-  /// enable_degradation; the pooled ladder keeps no transition log.
-  void enable_degradation_pooled(const LadderConfig& config,
-                                 FleetLadder& fleet) {
-    CVSAFE_EXPECTS(!ladder_.has_value() && fleet_ladder_ == nullptr,
-                   "ladder is already armed");
-    fleet_ladder_ = &fleet;
-    ladder_slot_ = fleet.acquire(config);
-  }
-
-  /// Moves a freshly armed scalar ladder into pool-resident state (the
-  /// fleet bind at episode admission). Must run before the first control
-  /// step — the pooled slot starts at kFull with empty tallies, so a
-  /// ladder that has already absorbed signals would lose state.
-  void rebind_ladder_pooled(FleetLadder& fleet) {
-    CVSAFE_EXPECTS(ladder_.has_value() && fleet_ladder_ == nullptr,
-                   "pooled rebind needs an armed scalar ladder");
-    const DegradationStats tally = ladder_->stats();
-    std::size_t touched = tally.transitions;
-    for (const std::size_t steps : tally.steps_at) touched += steps;
-    CVSAFE_EXPECTS(touched == 0,
-                   "ladder rebind must happen before the first step");
-    const LadderConfig config = ladder_->config();
-    ladder_.reset();
-    fleet_ladder_ = &fleet;
-    ladder_slot_ = fleet.acquire(config);
-  }
-
   /// Attach an event sink: per-step eta samples, planner switches (gate
-  /// verdicts with the boundary slack s(t)) and ladder transitions, in
-  /// scalar and pooled ladder modes alike. Pass nullptr to detach.
+  /// verdicts with the boundary slack s(t)) and ladder transitions. Pass
+  /// nullptr to detach.
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
   /// Information-quality signals for the NEXT monitor_gate()/plan() call;
@@ -219,26 +172,22 @@ class CompoundPlanner final : public PlannerBase<World> {
     signals_ = signals;
   }
 
-  /// The scalar ladder, when armed in-place (level occupancy, transition
-  /// log). Pool-armed planners report through has_ladder()/ladder_level()
-  /// /ladder_stats() instead — those work in both modes.
+  /// The ladder, when armed (level occupancy, transition log).
   const std::optional<DegradationLadder>& ladder() const { return ladder_; }
 
-  /// True when a ladder is armed, scalar or pool-resident.
-  bool has_ladder() const {
-    return ladder_.has_value() || fleet_ladder_ != nullptr;
-  }
+  /// True when a ladder is armed.
+  bool has_ladder() const { return ladder_.has_value(); }
 
   /// Current rung (requires has_ladder()).
   DegradationLevel ladder_level() const {
     CVSAFE_EXPECTS(has_ladder(), "no degradation ladder armed");
-    return ladder_ ? ladder_->level() : fleet_ladder_->level(ladder_slot_);
+    return ladder_->level();
   }
 
   /// Occupancy/transition tally (requires has_ladder()).
   DegradationStats ladder_stats() const {
     CVSAFE_EXPECTS(has_ladder(), "no degradation ladder armed");
-    return ladder_ ? ladder_->stats() : fleet_ladder_->stats(ladder_slot_);
+    return ladder_->stats();
   }
 
   std::string_view name() const override { return name_; }
@@ -286,10 +235,6 @@ class CompoundPlanner final : public PlannerBase<World> {
   std::vector<SwitchEvent> switch_events_;
   bool last_was_emergency_ = false;
   std::optional<DegradationLadder> ladder_;
-  /// Pool-resident ladder state (enable_degradation_pooled); mutually
-  /// exclusive with ladder_.
-  FleetLadder* fleet_ladder_ = nullptr;
-  std::size_t ladder_slot_ = 0;
   DegradationSignals signals_;
   obs::Recorder* recorder_ = nullptr;
   /// Shrunk (plan) or biased (monitor_gate) copy of the step's world;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <limits>
@@ -75,23 +74,6 @@ struct LadderConfig {
   void validate() const;
 };
 
-/// The level \p s calls for under \p config with budgets scaled by
-/// \p scale (1 for degrade decisions, recover_margin for the hysteretic
-/// recovery check). Shared by the per-episode DegradationLadder and the
-/// pool-resident FleetLadder so both run the identical threshold logic.
-inline DegradationLevel ladder_target(const LadderConfig& config,
-                                      const DegradationSignals& s,
-                                      double scale) {
-  if (!s.filter_consistent) return DegradationLevel::kEmergencyBiased;
-  if (!s.have_message || s.message_age > config.lost_budget * scale) {
-    return DegradationLevel::kSensorOnly;
-  }
-  if (s.message_age > config.stale_budget * scale) {
-    return DegradationLevel::kReachOnly;
-  }
-  return DegradationLevel::kFull;
-}
-
 /// One logged level change.
 struct LadderTransition {
   std::size_t step = 0;
@@ -130,7 +112,8 @@ class DegradationLadder {
   static constexpr std::size_t kMaxTransitions = 512;
 
  private:
-  /// The level the signals call for when budgets are scaled by \p scale.
+  /// The level \p s calls for with budgets scaled by \p scale (1 for
+  /// degrade decisions, recover_margin for the hysteretic recovery check).
   DegradationLevel target(const DegradationSignals& s, double scale) const;
 
   LadderConfig config_;
@@ -138,106 +121,6 @@ class DegradationLadder {
   std::size_t clear_streak_ = 0;
   DegradationStats stats_;
   std::vector<LadderTransition> transitions_;
-};
-
-/// Pool-resident SoA ladder state for the fleet engine: the hysteresis
-/// state (level, clear streak) and the occupancy/transition tallies of
-/// every resident episode live in per-field contiguous arrays, so the
-/// fleet gate/ladder sweep touches dense memory instead of one
-/// DegradationLadder object (with its transition-log vector) per lane.
-///
-/// update() is bit-identical to DegradationLadder::update on the same
-/// signal sequence — both call ladder_target for every decision. Neither
-/// ladder emits events: the compound planner records the transitions of
-/// both. The deliberate non-feature: no per-transition log.
-/// Slots are free-listed and reset on acquire; lane compaction in the
-/// episode pool never moves ladder state, only the runners that hold the
-/// slot handles.
-class FleetLadder {
- public:
-  FleetLadder() = default;
-
-  /// Claims a slot running \p config (validated), reset to kFull.
-  std::size_t acquire(const LadderConfig& config) {
-    config.validate();
-    if (free_.empty()) {
-      const std::size_t slot = config_.size();
-      config_.push_back(config);
-      level_.push_back(DegradationLevel::kFull);
-      clear_streak_.push_back(0);
-      steps_at_.resize(steps_at_.size() + kNumDegradationLevels, 0);
-      transitions_.push_back(0);
-      return slot;
-    }
-    const std::size_t slot = free_.back();
-    free_.pop_back();
-    config_[slot] = config;
-    level_[slot] = DegradationLevel::kFull;
-    clear_streak_[slot] = 0;
-    std::fill_n(steps_at_.begin() +
-                    static_cast<std::ptrdiff_t>(slot * kNumDegradationLevels),
-                kNumDegradationLevels, std::size_t{0});
-    transitions_[slot] = 0;
-    return slot;
-  }
-
-  /// Returns \p slot to the free list.
-  void release(std::size_t slot) { free_.push_back(slot); }
-
-  /// One control step of lane \p slot; same decision procedure as
-  /// DegradationLadder::update (degrade immediately, recover one rung
-  /// after recover_steps consecutive tightened-budget clears).
-  DegradationLevel update(std::size_t slot, const DegradationSignals& s) {
-    const LadderConfig& config = config_[slot];
-    DegradationLevel& level = level_[slot];
-    const DegradationLevel tgt = ladder_target(config, s, 1.0);
-    if (static_cast<int>(tgt) > static_cast<int>(level)) {
-      ++transitions_[slot];
-      level = tgt;
-      clear_streak_[slot] = 0;
-    } else if (static_cast<int>(tgt) < static_cast<int>(level)) {
-      if (static_cast<int>(ladder_target(config, s, config.recover_margin)) <
-          static_cast<int>(level)) {
-        ++clear_streak_[slot];
-      } else {
-        clear_streak_[slot] = 0;
-      }
-      if (clear_streak_[slot] >= config.recover_steps) {
-        ++transitions_[slot];
-        level = static_cast<DegradationLevel>(static_cast<int>(level) - 1);
-        clear_streak_[slot] = 0;
-      }
-    } else {
-      clear_streak_[slot] = 0;
-    }
-    ++steps_at_[slot * kNumDegradationLevels +
-                static_cast<std::size_t>(level)];
-    return level;
-  }
-
-  DegradationLevel level(std::size_t slot) const { return level_[slot]; }
-
-  /// Occupancy/transition tally of lane \p slot (same numbers a scalar
-  /// DegradationLadder::stats() would report).
-  DegradationStats stats(std::size_t slot) const {
-    DegradationStats out;
-    for (std::size_t i = 0; i < kNumDegradationLevels; ++i) {
-      out.steps_at[i] = steps_at_[slot * kNumDegradationLevels + i];
-    }
-    out.transitions = transitions_[slot];
-    return out;
-  }
-
-  std::size_t capacity() const { return config_.size(); }
-
- private:
-  std::vector<LadderConfig> config_;
-  std::vector<DegradationLevel> level_;
-  std::vector<std::size_t> clear_streak_;
-  /// Flattened occupancy counters, [slot * kNumDegradationLevels + level].
-  std::vector<std::size_t> steps_at_;
-  std::vector<std::size_t> transitions_;
-  std::vector<std::size_t> free_;
 };
 
 }  // namespace cvsafe::core

@@ -82,13 +82,6 @@ class FaultyChannel {
     inner_.collect_into(t, out);
   }
 
-  /// Same contract as Channel::collect_into_slab (the fleet batch pump;
-  /// fault reshaping happens at offer time, so collection is always a
-  /// pass-through).
-  void collect_into_slab(double t, comm::MessageSlab& slab) {
-    inner_.collect_into_slab(t, slab);
-  }
-
   const comm::CommConfig& config() const { return inner_.config(); }
   std::size_t in_flight() const { return inner_.in_flight(); }
   std::size_t sent_count() const { return inner_.sent_count(); }

@@ -5,17 +5,13 @@
 /// \file kalman_core.hpp
 /// The shared (position, velocity) Kalman arithmetic, Section III-B.
 ///
-/// Exactly one implementation of the model matrices and the predict /
-/// Joseph-form measurement-update cycle exists in the tree: the scalar
-/// KalmanFilter (kalman.hpp) and the pool-resident SoA FleetEstimator
-/// (fleet_estimator.hpp) both call these helpers, so the batched fleet
-/// sweeps are bit-identical to the per-lane filter *by construction* —
-/// not by parallel maintenance of two copies of the same formulas.
+/// The model matrices and the predict / Joseph-form measurement-update
+/// cycle of KalmanFilter (kalman.hpp), including its rollback replay.
 ///
-/// KalmanView is the read-only snapshot either store materializes for
-/// consumers that need the filter's prediction at an arbitrary time but
-/// must not depend on the storage layout (the plausibility gate's
-/// innovation screen, diagnostics).
+/// KalmanView is the read-only snapshot the filter materializes for
+/// consumers that need its prediction at an arbitrary time but must not
+/// depend on its storage (the plausibility gate's innovation screen,
+/// diagnostics).
 
 namespace cvsafe::filter::kalman_core {
 
@@ -56,10 +52,9 @@ inline void joseph_update(util::Vec2& x, util::Mat2& p, const util::Vec2& z,
   p = ik * p * ik.transpose() + k * r * k.transpose();
 }
 
-/// Read-only snapshot of a Kalman filter's anchored state, independent of
-/// whether the state lives in a scalar KalmanFilter or a FleetEstimator
-/// lane. `t` is the time of the last absorbed measurement; `delta_a` the
-/// sensor acceleration half-width driving the extrapolation process noise.
+/// Read-only snapshot of a Kalman filter's anchored state. `t` is the time
+/// of the last absorbed measurement; `delta_a` the sensor acceleration
+/// half-width driving the extrapolation process noise.
 struct KalmanView {
   bool initialized = false;
   double t = 0.0;

@@ -108,10 +108,8 @@ class PlausibilityGate {
   /// staleness (vs \p newest_time, the newest information the estimator
   /// has absorbed), set membership (vs \p fused propagated to the payload
   /// time), innovation (vs \p kalman, may be null). The Kalman state is
-  /// passed as a layout-independent KalmanView so scalar filters and
-  /// pool-resident FleetEstimator lanes screen through the identical
-  /// code path. Returns the payload on acceptance, nullopt on rejection;
-  /// counters updated either way.
+  /// passed as a layout-independent KalmanView. Returns the payload on
+  /// acceptance, nullopt on rejection; counters updated either way.
   std::optional<ScreenedMessage> screen(const comm::Message& msg,
                                         const vehicle::VehicleLimits& limits,
                                         double newest_time,

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <span>
-
 #include "cvsafe/util/interval.hpp"
 #include "cvsafe/vehicle/dynamics.hpp"
 
@@ -38,38 +36,5 @@ struct StateBounds {
 /// Propagating to t <= bounds.t returns the input unchanged.
 StateBounds propagate(const StateBounds& bounds, double t,
                       const vehicle::VehicleLimits& limits);
-
-/// SoA entry point for the fleet engine: propagates a contiguous array of
-/// bounds (one per pooled episode) to their per-lane target times under a
-/// shared limit set. Element i is bit-identical to
-/// propagate(bounds[i], t[i], limits); batching exists so the pool can
-/// advance every resident episode's reachable set in one cache-friendly
-/// sweep instead of per-episode virtual dispatch.
-void propagate_batch(std::span<const StateBounds> bounds,
-                     std::span<const double> t,
-                     const vehicle::VehicleLimits& limits,
-                     std::span<StateBounds> out);
-
-/// Per-field SoA views of a reach sweep's source bounds: lane i holds
-/// StateBounds{t0[i], [p_lo[i], p_hi[i]], [v_lo[i], v_hi[i]]} and a target
-/// time t[i]. All spans must share one extent.
-struct ReachLanes {
-  std::span<const double> t0;
-  std::span<const double> p_lo, p_hi;
-  std::span<const double> v_lo, v_hi;
-  std::span<const double> t;  ///< per-lane propagation target time
-};
-
-/// Fully-SoA reach sweep: lane i of the output arrays is bit-identical to
-/// propagate({t0[i], ...}, t[i], limits) — including the dt <= 0 branch,
-/// which reproduces the source bounds (out_t[i] == t0[i], not t[i]).
-/// This is the fleet shard-step's reachability kernel: the per-field
-/// arrays keep the sweep resident in cache at 8k pooled episodes where
-/// per-lane StateBounds objects would not be.
-void propagate_batch(const ReachLanes& in,
-                     const vehicle::VehicleLimits& limits,
-                     std::span<double> out_t, std::span<double> out_p_lo,
-                     std::span<double> out_p_hi, std::span<double> out_v_lo,
-                     std::span<double> out_v_hi);
 
 }  // namespace cvsafe::filter

@@ -18,7 +18,6 @@
 #include "cvsafe/filter/info_filter.hpp"
 #include "cvsafe/obs/recorder.hpp"
 #include "cvsafe/sensing/sensor.hpp"
-#include "cvsafe/sim/fleet_context.hpp"
 #include "cvsafe/sim/run_config.hpp"
 #include "cvsafe/sim/run_result.hpp"
 #include "cvsafe/sim/seeding.hpp"
@@ -105,6 +104,15 @@ inline fault::FaultySensor actor_sensor(const RunConfig& config,
                         2ULL * actor_id + 1ULL));
 }
 
+/// True when the traffic start-speed range [\p lo, \p hi] is ordered and
+/// lies within \p limits' speeds, as AccelProfile::random needs of every
+/// start speed drawn from it. Each adapter contract-checks its range at
+/// construction, naming the config fields.
+inline bool start_speeds_within(double lo, double hi,
+                                const vehicle::VehicleLimits& limits) {
+  return limits.v_min <= lo && lo <= hi && hi <= limits.v_max;
+}
+
 /// Information-quality signals of one estimator at time \p t (input to
 /// the degradation ladder; see core/degradation.hpp).
 inline core::DegradationSignals degradation_signals(
@@ -180,68 +188,6 @@ class Episode {
   virtual void observe(World& world, double t, std::size_t step,
                        util::Rng& rng) = 0;
 
-  // --- Fleet batched-sweep seam ---------------------------------------
-  // The fleet engine decomposes observe() into fleet-wide sweeps so the
-  // heavy arithmetic (Kalman update/predict, reachability propagation)
-  // runs batched over every resident lane. The decomposition preserves
-  // each lane's op and RNG order exactly — pump (channel offer + drain),
-  // deliver (screened message absorption), sense (sensor sample), stage
-  // (sweep staging), build (world assembly) happen in the same per-lane
-  // sequence observe() runs them in; only *cross-lane* interleaving
-  // changes, and lanes share no state beyond the pool-resident SoA slots
-  // each owns exclusively. Scenarios opt in by overriding bind_fleet to
-  // return true (and their adapter's fleet_sweeps()); with the defaults
-  // each fleet lane runs its own observe() inside the cohort step.
-
-  /// Binds the episode's pool-resident state (Kalman lanes, ladder slot)
-  /// into \p ctx; returns true when the episode supports the sweep
-  /// decomposition. Called once at fleet admission, before any step.
-  virtual bool bind_fleet(FleetStackContext& ctx) {
-    (void)ctx;
-    return false;
-  }
-
-  /// Sweep 1 of observe(): broadcasts the traffic snapshot(s) on the
-  /// channel (episode-RNG draws) and drains due messages into the slab's
-  /// open lane.
-  virtual void sweep_pump(double t, std::size_t step, util::Rng& rng,
-                          comm::MessageSlab& slab) {
-    (void)t, (void)step, (void)rng, (void)slab;
-    CVSAFE_EXPECTS(false, "episode does not implement fleet sweeps");
-  }
-
-  /// Sweep 2: absorbs slab entries [first, last) — this episode's
-  /// delivered messages, in delivery order — into the estimator stack.
-  virtual void sweep_deliver(const comm::MessageSlab& slab,
-                             std::size_t first, std::size_t last) {
-    (void)slab, (void)first, (void)last;
-    CVSAFE_EXPECTS(false, "episode does not implement fleet sweeps");
-  }
-
-  /// Sweep 3: samples the sensor(s) (episode-RNG draws) and feeds the
-  /// readings to the estimator stack (pooled Kalman lanes stage them for
-  /// FleetEstimator::update_batch).
-  virtual void sweep_sense(double t, std::size_t step, util::Rng& rng) {
-    (void)t, (void)step, (void)rng;
-    CVSAFE_EXPECTS(false, "episode does not implement fleet sweeps");
-  }
-
-  /// Sweep 4 staging: queues the reachability propagation(s) to query
-  /// time \p t into \p reach and the Kalman extrapolations into the
-  /// bound fleet estimator. Runs after update_batch absorbed this step's
-  /// readings.
-  virtual void sweep_stage(double t, filter::ReachSweep& reach) {
-    (void)t, (void)reach;
-    CVSAFE_EXPECTS(false, "episode does not implement fleet sweeps");
-  }
-
-  /// Sweep 5: fills the scenario fields of \p world (t/ego already set),
-  /// reading the caches the batched sweeps produced.
-  virtual void sweep_build(World& world) {
-    (void)world;
-    CVSAFE_EXPECTS(false, "episode does not implement fleet sweeps");
-  }
-
   /// Steps all traffic with the scenario dynamics.
   virtual void advance_traffic(std::size_t step, double dt) = 0;
 
@@ -299,11 +245,9 @@ class ScenarioAdapter {
       util::Rng& rng, std::size_t total_steps,
       std::uint64_t seed) const = 0;
 
-  /// True when every episode this adapter creates implements the fleet
-  /// sweep decomposition (Episode::bind_fleet and the sweep_* overrides).
-  /// The fleet engine only runs the batched sweeps for adapters that
-  /// promise this; with the default each lane runs its own observe()
-  /// inside the same cohort step.
+  /// Compile-only seam for bench/e2e/replica.hpp, which still asks for
+  /// the deleted SoA sweeps: no adapter overrides it, so the replica takes
+  /// its per-lane branch. Delete with ROADMAP item 5's benchmark change.
   virtual bool fleet_sweeps() const { return false; }
 };
 
@@ -355,9 +299,8 @@ class EpisodeRunner {
     return world_;
   }
 
-  /// Phase 1 bookkeeping only (fleet sweep path): step timing, the
-  /// step-begin hook and the world skeleton (t/ego), without the
-  /// episode's observe work — the pool drives that through the sweeps.
+  /// Phase 1 bookkeeping only: step timing, the step-begin stamp and the
+  /// world skeleton (t/ego), without the episode's observe work.
   /// observe() == observe_begin() + Episode::observe.
   void observe_begin() {
     CVSAFE_EXPECTS(!done(), "observe() after the episode finished");
@@ -375,11 +318,6 @@ class EpisodeRunner {
     world_.ego = ego_;
   }
 
-  /// Fleet bind at admission (pool-resident estimator/ladder slots).
-  bool bind_fleet(FleetStackContext& ctx) {
-    return episode_->bind_fleet(ctx);
-  }
-
   /// Attaches the episode's event sink (a traced run's recorder or a
   /// pool lane's armed one): the runner stamps each step into it
   /// (observe_begin) and records plan clamps (advance_begin); the episode
@@ -389,24 +327,17 @@ class EpisodeRunner {
     episode_->attach_recorder(recorder);
   }
 
-  // Fleet sweep wrappers: forward the current (t, step) and the episode
-  // RNG so the per-lane draw order matches observe() exactly. Valid only
-  // between observe_begin() and advance_begin().
-  void sweep_pump(comm::MessageSlab& slab) {
-    episode_->sweep_pump(t_, step_, rng_, slab);
+  // Compile-only seam for bench/e2e/replica.hpp: the names of the
+  // deleted SoA sweep phases. No adapter promises fleet_sweeps(), so none
+  // is reached; each fails its contract if one is. Delete with ROADMAP
+  // item 5's benchmark change.
+  void sweep_pump(const auto&) { CVSAFE_EXPECTS(false, "no fleet sweeps"); }
+  void sweep_deliver(const auto&, std::size_t, std::size_t) {
+    CVSAFE_EXPECTS(false, "no fleet sweeps");
   }
-  void sweep_deliver(const comm::MessageSlab& slab, std::size_t first,
-                     std::size_t last) {
-    episode_->sweep_deliver(slab, first, last);
-  }
-  void sweep_sense() { episode_->sweep_sense(t_, step_, rng_); }
-  void sweep_stage(filter::ReachSweep& reach) {
-    episode_->sweep_stage(t_, reach);
-  }
-  const World& sweep_build() {
-    episode_->sweep_build(world_);
-    return world_;
-  }
+  void sweep_sense() { CVSAFE_EXPECTS(false, "no fleet sweeps"); }
+  void sweep_stage(const auto&) { CVSAFE_EXPECTS(false, "no fleet sweeps"); }
+  void sweep_build() { CVSAFE_EXPECTS(false, "no fleet sweeps"); }
 
   /// Phase 2a (single-episode path): full planner dispatch.
   double plan() { return episode_->planner().plan(world_); }

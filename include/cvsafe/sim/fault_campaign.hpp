@@ -84,7 +84,7 @@ struct FaultCondition {
 /// "lane-change", "intersection", "multi-vehicle".
 ///
 /// \p sinks wires fleet-engine observability into the untraced path:
-/// per-lane flight recorders (sinks.dumps + sinks.flight) and per-sweep
+/// per-lane flight recorders (sinks.dumps + sinks.flight) and per-phase
 /// span accounting (sinks.spans). Traced cells ignore it — they already
 /// carry full causal JSONL through the mounted recorder.
 std::vector<RunResult> run_campaign_cell(const std::string& scenario,
@@ -136,7 +136,7 @@ struct CampaignResult {
 
 /// Optional campaign observability, all opt-in and orthogonal:
 /// triggered flight-recorder dumps, streaming safety telemetry and
-/// per-sweep wall-clock accounting.
+/// per-phase wall-clock accounting.
 struct CampaignObs {
   /// Ring sizing + trigger thresholds of the per-lane flight recorders.
   obs::FlightRecorderConfig flight{};
@@ -154,8 +154,8 @@ struct CampaignObs {
   /// walks episode order, never completion order.
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// When non-null the fleet workers' per-sweep span accounting (count +
-  /// total ns per pump/deliver/estimate/reach-gate/plan/advance sweep)
+  /// When non-null the fleet workers' per-phase span accounting (count +
+  /// total ns per observe/plan/infer/advance phase of the cohort step)
   /// merges here. Spans are wall-clock measurements: both counts and
   /// durations depend on work-stealing schedules, so they belong in a
   /// separate artifact and are never byte-compared.

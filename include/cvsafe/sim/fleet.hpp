@@ -84,19 +84,15 @@ struct FleetConfig {
   std::size_t threads = 0;  ///< worker count, 0 = hardware concurrency
   SeedPolicy policy = SeedPolicy::kPaired;
 
-  /// Run the observe phase of the cohort step as batched sweeps (pump ->
-  /// deliver -> estimate -> reach) over pool-resident SoA stacks —
-  /// engaged only for adapters promising the sweep decomposition
-  /// (ScenarioAdapter::fleet_sweeps). False keeps scalar per-episode
-  /// stacks, each lane running its own observe() inside the same cohort
-  /// step; both are byte-identical (pinned by tests/sim_fleet_sweeps_test).
+  /// Compile-only seam for bench/e2e/replica.hpp; nothing in the library
+  /// reads it. Delete with ROADMAP item 5's benchmark change.
   bool batched_sweeps = true;
 };
 
-/// Wall-clock span accounting for the shard-step's sweep phases: one
-/// count + total-ns cell per phase, sampled cohort-granularly (one lap
-/// per phase per cohort step). A pool without batched sweeps has no
-/// pump..reach phases: its per-lane observe() is timed inside kPlan.
+/// Wall-clock span accounting for the phases of the cohort step: one
+/// count + total-ns cell per phase, sampled cohort-granularly (one span
+/// per phase per cohort step; kObserve and kPlan sum their per-lane
+/// times, kInfer counts only steps that made the batched kappa_n call).
 ///
 /// Spans measure *time*, so unlike every other fleet artifact they are
 /// scheduling-dependent — both the ns totals and (with work stealing)
@@ -104,12 +100,10 @@ struct FleetConfig {
 /// explicitly excluded from the byte-identity contract.
 struct SweepSpans {
   enum Kind : std::size_t {
-    kPump = 0,   ///< slab open + observe_begin + channel pump
-    kDeliver,    ///< screened slab absorption
-    kEstimate,   ///< sensor sampling + Kalman update_batch
-    kReachGate,  ///< reach staging + predict_batch + reach run
-    kPlan,       ///< world build or observe() + monitor gate + NN plan
-    kAdvance,    ///< advance bookkeeping + SoA dynamics sweep
+    kObserve = 0,  ///< per-lane EpisodeRunner::observe()
+    kPlan,         ///< per-lane monitor_gate + nn_world, or plan()
+    kInfer,        ///< the batched kappa_n call
+    kAdvance,      ///< advance bookkeeping + SoA dynamics sweep
     kNumKinds,
   };
 
@@ -133,7 +127,7 @@ struct SweepSpans {
     }
   }
 
-  /// Stable lowercase phase name ("pump", "deliver", ...).
+  /// Stable lowercase phase name ("observe", "plan", ...).
   static const char* kind_name(std::size_t kind);
 };
 
@@ -169,17 +163,17 @@ struct FleetObsSinks {
   /// non-null).
   obs::FlightRecorderConfig flight{};
 
-  /// When non-null, per-sweep wall-clock span accounting is merged here
+  /// When non-null, per-phase wall-clock span accounting is merged here
   /// (scheduling-dependent; see SweepSpans).
   SweepSpanSink* spans = nullptr;
 };
 
-/// Lane-cohort tile of the batched shard-step: the five sweeps run over
-/// cohorts of this many lanes so one cohort's episode objects stay
-/// cache-resident from pump through build. Tiling only changes cross-lane
-/// interleaving (lanes are independent), never any per-lane computation;
-/// 64 lanes keeps a cohort's per-episode state comfortably inside L2 while
-/// the SoA kernels still amortize their sweep setup.
+/// Lane-cohort tile of the shard-step: one EpisodePool::step_cohort call
+/// steps this many lanes, so one cohort's episode objects stay
+/// cache-resident from observe through advance. Tiling only changes
+/// cross-lane interleaving (lanes are independent), never any per-lane
+/// computation; 64 lanes keeps a cohort's per-episode state comfortably
+/// inside L2 while the batched kappa_n call still sees wide batches.
 inline constexpr std::size_t kSweepBlock = 64;
 
 /// Consecutive steps a cohort runs before the worker moves to the next
@@ -189,7 +183,7 @@ inline constexpr std::size_t kSweepBlock = 64;
 /// L2-sized cohort for kCohortSteps steps amortizes that reload across
 /// the block. Episodes are mutually independent and their records are
 /// keyed by episode index, so cohort-major step order changes no output
-/// byte (pinned by tests/sim_fleet_sweeps_test). The trade-off is
+/// byte (pinned by tests/sim_fleet_test). The trade-off is
 /// retire/refill latency — a lane that finishes mid-block idles (one
 /// done() check per step) until the cohort boundary — which caps the
 /// useful block length.
@@ -254,6 +248,28 @@ using FleetBatchPlanner =
 template <typename World>
 using FleetPlannerFactory = std::function<FleetBatchPlanner<World>()>;
 
+/// Compile-only seam for bench/e2e/replica.hpp: the names it still spells
+/// from the deleted pool-resident SoA sweep stack. Every method does
+/// nothing, and no pool accepts a context. Delete with ROADMAP item 5's
+/// benchmark change.
+struct FleetStackContext {
+  struct {
+    void clear() {}
+    void begin_lane() {}
+    std::pair<std::size_t, std::size_t> lane_range(std::size_t) const {
+      return {0, 0};
+    }
+  } slab;
+  struct {
+    void update_batch() {}
+    void predict_batch() {}
+  } estimator;
+  struct {
+    void clear() {}
+    void run() {}
+  } reach;
+};
+
 /// One worker's resident half of the fleet: SoA lanes for the engine-owned
 /// ego state plus the per-lane runners. Lanes [0, active) are contiguous;
 /// retiring compacts by swapping the last active lane down, admission
@@ -264,10 +280,8 @@ using FleetPlannerFactory = std::function<FleetBatchPlanner<World>()>;
 template <typename World>
 class EpisodePool {
  public:
-  /// \p ctx, when non-null, switches admission to pool-resident stacks:
-  /// every admitted episode must bind into it (the adapter promised
-  /// fleet_sweeps()). The context must outlive the pool — retiring
-  /// episodes release their slots into the context's free lists.
+  /// \p ctx belongs to the FleetStackContext seam: it must be null, and
+  /// goes with it in ROADMAP item 5's benchmark change.
   /// \p dumps, when non-null, arms one obs::Recorder per lane (its ring
   /// preallocated here, the only allocating point of the recorder path)
   /// sized/configured by \p flight; triggered episodes dump into it at
@@ -283,8 +297,8 @@ class EpisodePool {
         policy_(policy),
         next_(&next_episode),
         n_(n),
-        ctx_(ctx),
         dumps_(dumps) {
+    CVSAFE_EXPECTS(ctx == nullptr, "no pool runs the deleted SoA sweeps");
     runners_.resize(lanes);
     index_.resize(lanes, 0);
     ego_p_.resize(lanes, 0.0);
@@ -315,8 +329,9 @@ class EpisodePool {
   /// dynamics in one SoA sweep, then commits the stepped states (traffic
   /// advance + outcome classification) lane by lane. Call after every
   /// lane's acceleration has been planned and advance_begin() has run.
-  /// Whole-pool form for callers driving their own step loop; the engine
-  /// steps through step_cohort().
+  /// Whole-pool form for bench/e2e/replica.hpp's per-lane branch; the
+  /// engine steps through step_cohort(). Part of the replica's seam:
+  /// delete with ROADMAP item 5's benchmark change.
   void step_dynamics() {
     if (active_ == 0) return;
     const RunConfig& config = runners_[0]->config();
@@ -359,79 +374,41 @@ class EpisodePool {
   }
 
   /// One shard-step of the lane cohort [base, end), the engine's only
-  /// step: every live lane observes — through the pump, deliver,
-  /// estimate and reach sweeps plus a world build with a
-  /// FleetStackContext, else through its own EpisodeRunner::observe() —
-  /// the monitor decides first, ONE \p batch_plan call plans the lanes it
-  /// hands to kappa_n (empty \p batch_plan: per-lane plan(), exactly as
+  /// step: every live lane runs its own EpisodeRunner::observe() and the
+  /// monitor decides; ONE \p batch_plan call plans the lanes it hands to
+  /// kappa_n (empty \p batch_plan: per-lane plan(), exactly as
   /// run_episode), then the split advance runs. Each lane's op and RNG
   /// order is run_episode's; only cross-lane interleaving differs. Done
   /// lanes are skipped, not retired (retire_and_refill() does that at the
   /// cohort boundary). Returns false, stepping nothing, when every lane
-  /// has finished. \p spans, when non-null, receives one lap per phase.
+  /// has finished. \p spans, when non-null, receives one span per phase:
+  /// observe and plan time summed over the lanes, infer, advance.
   bool step_cohort(std::size_t base, std::size_t end,
                    const FleetBatchPlanner<World>& batch_plan,
                    SweepSpans* spans = nullptr) {
+    // Wall clock, read only with spans: lap(kind) charges the time since
+    // the previous lap to kind.
     using Clock = std::chrono::steady_clock;
+    std::array<std::uint64_t, SweepSpans::kNumKinds> phase_ns{};
     Clock::time_point t0;
     if (spans != nullptr) t0 = Clock::now();
     const auto lap = [&](SweepSpans::Kind kind) {
       if (spans == nullptr) return;
       const Clock::time_point t1 = Clock::now();
-      spans->add(kind, static_cast<std::uint64_t>(
-                           std::chrono::duration_cast<
-                               std::chrono::nanoseconds>(t1 - t0)
-                               .count()));
+      phase_ns[kind] += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count());
       t0 = t1;
     };
-    const auto live = [&](std::size_t lane) {
-      return !runners_[lane]->done();
-    };
-    if (ctx_ != nullptr) {
-      ctx_->slab.clear();
-      bool any_live = false;
-      for (std::size_t lane = base; lane < end; ++lane) {
-        // Slab lanes are positional: open one per cohort lane (empty for
-        // done lanes) so slab lane i maps to pool lane base + i below.
-        ctx_->slab.begin_lane();
-        if (!live(lane)) continue;
-        any_live = true;
-        runners_[lane]->observe_begin();
-        runners_[lane]->sweep_pump(ctx_->slab);
-      }
-      if (!any_live) return false;
-      lap(SweepSpans::kPump);
-      for (std::size_t lane = base; lane < end; ++lane) {
-        if (!live(lane)) continue;
-        const auto [first, last] = ctx_->slab.lane_range(lane - base);
-        runners_[lane]->sweep_deliver(ctx_->slab, first, last);
-      }
-      lap(SweepSpans::kDeliver);
-      for (std::size_t lane = base; lane < end; ++lane) {
-        if (live(lane)) runners_[lane]->sweep_sense();
-      }
-      ctx_->estimator.update_batch();
-      lap(SweepSpans::kEstimate);
-      ctx_->reach.clear();
-      for (std::size_t lane = base; lane < end; ++lane) {
-        if (live(lane)) runners_[lane]->sweep_stage(ctx_->reach);
-      }
-      ctx_->estimator.predict_batch();
-      ctx_->reach.run();
-      lap(SweepSpans::kReachGate);
-    }
     worlds_.clear();
     pending_.clear();
     bool any_live = false;
     for (std::size_t lane = base; lane < end; ++lane) {
-      if (!live(lane)) continue;
-      any_live = true;
       EpisodeRunner<World>& runner = *runners_[lane];
-      if (ctx_ != nullptr) {
-        runner.sweep_build();
-      } else {
-        runner.observe();
-      }
+      if (runner.done()) continue;
+      any_live = true;
+      runner.observe();
+      lap(SweepSpans::kObserve);
       if (!batch_plan) {
         accel_[lane] = runner.plan();
       } else if (const auto emergency = runner.monitor_gate()) {
@@ -440,23 +417,31 @@ class EpisodePool {
         pending_.push_back(lane);
         worlds_.push_back(runner.nn_world());
       }
+      lap(SweepSpans::kPlan);
     }
     if (!any_live) return false;
-    if (!pending_.empty()) {
+    const bool infer = !pending_.empty();
+    if (infer) {
       plans_.resize(worlds_.size());
       batch_plan(worlds_, plans_);
       for (std::size_t j = 0; j < pending_.size(); ++j) {
         accel_[pending_[j]] = plans_[j];
       }
+      lap(SweepSpans::kInfer);
     }
-    lap(SweepSpans::kPlan);
     for (std::size_t lane = base; lane < end; ++lane) {
-      if (!live(lane)) continue;
+      if (runners_[lane]->done()) continue;
       runners_[lane]->advance_begin(accel_[lane]);
       stage_lane(lane);
     }
     step_dynamics_range(base, end);
     lap(SweepSpans::kAdvance);
+    if (spans != nullptr) {
+      for (std::size_t k = 0; k < SweepSpans::kNumKinds; ++k) {
+        if (k == SweepSpans::kInfer && !infer) continue;
+        spans->add(static_cast<SweepSpans::Kind>(k), phase_ns[k]);
+      }
+    }
     return true;
   }
 
@@ -504,11 +489,6 @@ class EpisodePool {
     const std::size_t i = next_->fetch_add(1, std::memory_order_relaxed);
     if (i >= n_) return false;
     runners_[lane].emplace(*adapter_, episode_seed(base_seed_, i, policy_));
-    if (ctx_ != nullptr) {
-      const bool bound = runners_[lane]->bind_fleet(*ctx_);
-      CVSAFE_EXPECTS(bound, "adapter promised fleet sweeps (fleet_sweeps"
-                            "() true) but the episode did not bind");
-    }
     if (!recorders_.empty()) {
       recorders_[lane]->clear();
       runners_[lane]->attach_recorder(recorders_[lane].get());
@@ -536,7 +516,6 @@ class EpisodePool {
   SeedPolicy policy_;
   std::atomic<std::size_t>* next_;
   std::size_t n_;
-  FleetStackContext* ctx_;  ///< non-owning; null = scalar stacks
   obs::FlightDumpCollector* dumps_;  ///< non-owning; null = unrecorded
   std::size_t active_ = 0;
 
@@ -561,27 +540,18 @@ namespace detail {
 /// One worker: drives its pool to exhaustion, each kSweepBlock-lane
 /// cohort running up to kCohortSteps EpisodePool::step_cohort calls
 /// while its episode objects sit in L2; finished lanes retire and refill
-/// at the block boundary. With \p batched_sweeps (the adapter must
-/// promise fleet_sweeps()) the pool binds every episode into a
-/// worker-local FleetStackContext. Neither choice nor the cohort-major
-/// order changes any output byte (pinned by tests/sim_fleet_sweeps_test
-/// and tests/sim_fleet_differential_test).
+/// at the block boundary. The cohort-major order changes no output byte
+/// (pinned by tests/sim_fleet_test and tests/sim_fleet_differential_test).
 template <typename World>
 void run_fleet_worker(const ScenarioAdapter<World>& adapter,
                       std::size_t lanes, std::uint64_t base_seed,
                       SeedPolicy policy,
                       std::atomic<std::size_t>& next_episode, std::size_t n,
                       const FleetBatchPlanner<World>& batch_plan,
-                      bool batched_sweeps,
                       std::span<FleetRecord> records,
                       const FleetObsSinks& sinks = {}) {
-  // The context must outlive the pool: retiring runners release their
-  // estimator/ladder slots into it.
-  std::optional<FleetStackContext> ctx;
-  if (batched_sweeps) ctx.emplace();
   EpisodePool<World> pool(adapter, lanes, base_seed, policy, next_episode,
-                          n, ctx ? &*ctx : nullptr, sinks.dumps,
-                          sinks.flight);
+                          n, nullptr, sinks.dumps, sinks.flight);
   // Span accounting: a worker-local tally, merged once at exit.
   SweepSpans local_spans;
   SweepSpans* const spans = sinks.spans != nullptr ? &local_spans : nullptr;
@@ -623,15 +593,11 @@ std::vector<FleetRecord> run_fleet_records(
   const std::size_t lanes = std::max<std::size_t>(1, resident / workers);
   std::atomic<std::size_t> next_episode{0};
   std::span<FleetRecord> out(records);
-  // Batched sweeps need the adapter's promise that every episode
-  // implements the sweep decomposition.
-  const bool batched_sweeps = config.batched_sweeps && adapter.fleet_sweeps();
   const auto worker_body = [&] {
     const FleetBatchPlanner<World> batch_plan =
         planner_factory ? planner_factory() : FleetBatchPlanner<World>{};
     detail::run_fleet_worker(adapter, lanes, base_seed, config.policy,
-                             next_episode, n, batch_plan, batched_sweeps,
-                             out, sinks);
+                             next_episode, n, batch_plan, out, sinks);
   };
   if (workers <= 1) {
     worker_body();

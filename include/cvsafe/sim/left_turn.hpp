@@ -90,19 +90,6 @@ class LeftTurnEpisode final : public Episode<scenario::LeftTurnWorld> {
   void observe(scenario::LeftTurnWorld& world, double t, std::size_t step,
                util::Rng& rng) override;
 
-  /// Fleet sweep decomposition of observe(): the per-lane op and RNG
-  /// order (offer -> drain -> deliver -> sense -> build) is identical;
-  /// the heavy arithmetic runs in the pool's batched sweeps between
-  /// sweep_stage and sweep_build.
-  bool bind_fleet(FleetStackContext& ctx) override;
-  void sweep_pump(double t, std::size_t step, util::Rng& rng,
-                  comm::MessageSlab& slab) override;
-  void sweep_deliver(const comm::MessageSlab& slab, std::size_t first,
-                     std::size_t last) override;
-  void sweep_sense(double t, std::size_t step, util::Rng& rng) override;
-  void sweep_stage(double t, filter::ReachSweep& reach) override;
-  void sweep_build(scenario::LeftTurnWorld& world) override;
-
   void advance_traffic(std::size_t step, double dt) override;
   StepStatus check(const vehicle::VehicleState& ego) const override;
 
@@ -135,17 +122,19 @@ class LeftTurnEpisode final : public Episode<scenario::LeftTurnWorld> {
 class LeftTurnAdapter final : public ScenarioAdapter<scenario::LeftTurnWorld> {
  public:
   LeftTurnAdapter(LeftTurnSimConfig config, AgentBlueprint blueprint)
-      : config_(std::move(config)), blueprint_(std::move(blueprint)) {}
+      : config_(std::move(config)), blueprint_(std::move(blueprint)) {
+    CVSAFE_EXPECTS(start_speeds_within(config_.workload.v1_init_min,
+                                       config_.workload.v1_init_max,
+                                       config_.c1_limits),
+                   "left turn: [workload.v1_init_min, workload.v1_init_max]"
+                   " must be an ordered range within c1_limits' speeds");
+  }
 
   std::string_view name() const override { return "left-turn"; }
   const RunConfig& run() const override { return config_; }
   std::unique_ptr<Episode<scenario::LeftTurnWorld>> make_episode(
       util::Rng& rng, std::size_t total_steps,
       std::uint64_t seed) const override;
-
-  /// Every LeftTurnEpisode implements the sweep decomposition (for any
-  /// agent configuration), so the fleet engine may batch the shard-step.
-  bool fleet_sweeps() const override { return true; }
 
   const LeftTurnSimConfig& config() const { return config_; }
   const AgentBlueprint& blueprint() const { return blueprint_; }

@@ -15,7 +15,6 @@
 #include "cvsafe/planners/nn_planner.hpp"
 #include "cvsafe/scenario/safety_model.hpp"
 #include "cvsafe/sensing/sensor.hpp"
-#include "cvsafe/sim/fleet_context.hpp"
 
 /// \file left_turn_stack.hpp
 /// Assembly of one ego-vehicle control stack for the left-turn scenario:
@@ -89,17 +88,6 @@ class LeftTurnStack {
   LeftTurnStack(std::shared_ptr<const scenario::LeftTurnScenario> scenario,
                 std::vector<std::shared_ptr<const nn::Mlp>> ensemble,
                 sensing::SensorConfig sensor, AgentConfig config);
-
-  /// Binds the stack's pool-resident state into a fleet worker context:
-  /// every information filter's Kalman lane (no-op for configurations
-  /// without Kalman fusion) and the compound planner's ladder slot.
-  /// Called once at fleet admission, before the first observation.
-  void bind_fleet(FleetStackContext& ctx);
-
-  /// Stages the per-step sweep work of every information filter at query
-  /// time \p t (reachability propagation + pooled Kalman extrapolation);
-  /// the fleet engine runs the batched sweeps before build_world.
-  void stage_sweeps(double t, filter::ReachSweep& reach);
 
   /// Feeds a sensor reading of the oncoming vehicle.
   void observe_sensor(const sensing::SensorReading& reading);

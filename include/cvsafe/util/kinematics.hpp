@@ -40,8 +40,8 @@ inline bool cap_binding(double v, double a, double v_limit) {
 /// Works for both upper caps (a > 0, v_limit >= v) and lower caps
 /// (a < 0, v_limit <= v). When a == 0 the result is v dt.
 ///
-/// Defined inline: the fleet engine's SoA reachability sweep runs this in
-/// its innermost loop over every pooled episode.
+/// Defined inline: every information filter's reachability propagation
+/// runs this each control step.
 inline double displacement_with_speed_cap(double v, double a, double dt,
                                           double v_limit) {
   CVSAFE_EXPECTS(dt >= 0.0, "displacement needs dt >= 0");

@@ -49,7 +49,8 @@ class AccelProfile {
   /// limits, starting from speed \p v0, stepping every \p dt seconds.
   /// The generated sequence respects both acceleration limits and
   /// (via clipping) velocity limits when integrated. \p rng is left
-  /// exactly where drawing all \p num_steps would leave it.
+  /// exactly where drawing all \p num_steps would leave it. Expects valid
+  /// \p limits and \p v0 in [v_min, v_max].
   static AccelProfile random(std::size_t num_steps, double dt, double v0,
                              const VehicleLimits& limits,
                              const AccelProfileParams& params,

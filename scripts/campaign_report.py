@@ -12,10 +12,10 @@ Combines the artifact families that `cvsafe_cli` can emit:
     episode) — both one header line per episode, one line per event,
   * the deterministic telemetry registry (`--telemetry tel.prom`) plus
     its wall-clock sibling `tel.prom.spans` — min-eta histogram,
-    rejection reasons, ladder occupancy, per-sweep time accounting.
+    rejection reasons, ladder occupancy, per-phase time accounting.
 
 into one human-readable markdown report: invariant verdict, worst cells,
-eta distribution, rejection/ladder breakdowns, per-sweep time split, the
+eta distribution, rejection/ladder breakdowns, per-phase time split, the
 recorded episodes' kappa_e entries, ladder timeline, gate rejections,
 fault actions, Kalman rollbacks and outcomes, and the worst triggered
 episodes with their events inlined. Every input is optional — sections
@@ -261,11 +261,11 @@ def section_spans(lines: list[str], spans_path: str) -> None:
         return
     total_ns = sum(ns for _, ns, _ in rows)
     rows.sort(key=lambda r: -r[1])
-    lines.append("## Per-sweep time breakdown (wall clock)")
+    lines.append("## Per-phase time breakdown (wall clock)")
     lines.append("")
     lines.append("Scheduling-dependent — never byte-compared across runs.")
     lines.append("")
-    lines.append("| sweep | total ms | share | sweeps | ns/sweep |")
+    lines.append("| phase | total ms | share | steps | ns/step |")
     lines.append("|---|---|---|---|---|")
     for sweep, ns, steps in rows:
         share = ns / total_ns if total_ns else 0.0

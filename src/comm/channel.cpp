@@ -129,12 +129,4 @@ void Channel::collect_into(double t, std::vector<Message>& out) {
   }
 }
 
-void Channel::collect_into_slab(double t, MessageSlab& slab) {
-  while (!pending_.empty() &&
-         pending_.top().delivery_time <= t + kTimeEps) {
-    slab.push(pending_.top().msg);
-    pending_.pop();
-  }
-}
-
 }  // namespace cvsafe::comm

@@ -31,7 +31,14 @@ void LadderConfig::validate() const {
 
 DegradationLevel DegradationLadder::target(const DegradationSignals& s,
                                            double scale) const {
-  return ladder_target(config_, s, scale);
+  if (!s.filter_consistent) return DegradationLevel::kEmergencyBiased;
+  if (!s.have_message || s.message_age > config_.lost_budget * scale) {
+    return DegradationLevel::kSensorOnly;
+  }
+  if (s.message_age > config_.stale_budget * scale) {
+    return DegradationLevel::kReachOnly;
+  }
+  return DegradationLevel::kFull;
 }
 
 DegradationLevel DegradationLadder::update(std::size_t step,

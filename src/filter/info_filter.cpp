@@ -1,9 +1,5 @@
 #include "cvsafe/filter/info_filter.hpp"
 
-#include <algorithm>
-#include <span>
-#include <utility>
-
 #include "cvsafe/obs/profile.hpp"
 #include "cvsafe/util/contracts.hpp"
 
@@ -33,59 +29,15 @@ InformationFilter::InformationFilter(vehicle::VehicleLimits limits,
                                      InfoFilterOptions options,
                                      GateConfig gate)
     : limits_(limits), sensor_(sensor), options_(options), gate_(gate) {
-  if (options_.use_kalman) kalman_.emplace(kalman_config());
-}
-
-InformationFilter::InformationFilter(InformationFilter&& other) noexcept
-    : limits_(other.limits_),
-      sensor_(other.sensor_),
-      options_(other.options_),
-      kalman_(std::move(other.kalman_)),
-      fleet_(other.fleet_),
-      fleet_slot_(other.fleet_slot_),
-      gate_(std::move(other.gate_)),
-      fused_(other.fused_),
-      reach_cache_(other.reach_cache_),
-      reach_cache_query_(other.reach_cache_query_),
-      last_msg_accel_(other.last_msg_accel_),
-      last_sense_accel_(other.last_sense_accel_),
-      last_msg_time_(other.last_msg_time_),
-      last_sense_time_(other.last_sense_time_) {
-  other.fleet_ = nullptr;  // the slot moved with us
-}
-
-InformationFilter::~InformationFilter() {
-  if (fleet_ != nullptr) fleet_->release(fleet_slot_);
-}
-
-KalmanConfig InformationFilter::kalman_config() const {
-  return KalmanConfig{sensor_.period, sensor_.delta_p, sensor_.delta_v,
-                      sensor_.delta_a, 3.0, 64};
-}
-
-void InformationFilter::bind_fleet(FleetEstimator& fleet) {
-  if (!options_.use_kalman) return;
-  CVSAFE_EXPECTS(fleet_ == nullptr, "filter is already pool-bound");
-  CVSAFE_EXPECTS(!kalman_->initialized(),
-                 "bind_fleet must run before the first reading");
-  fleet_ = &fleet;
-  fleet_slot_ = fleet.acquire(kalman_config());
-  kalman_.reset();  // the Kalman state now lives in the pool lane
-}
-
-void InformationFilter::stage_sweeps(double t, ReachSweep& reach) {
-  if (fused_) reach.stage(*this, t);
-  if (options_.use_kalman && fleet_ != nullptr &&
-      fleet_->initialized(fleet_slot_)) {
-    fleet_->stage_predict(fleet_slot_, t);
+  if (options_.use_kalman) {
+    kalman_.emplace(KalmanConfig{sensor_.period, sensor_.delta_p,
+                                 sensor_.delta_v, sensor_.delta_a, 3.0, 64});
   }
 }
 
 void InformationFilter::fuse(const StateBounds& incoming) {
   CVSAFE_EXPECTS(!incoming.p.empty() && !incoming.v.empty(),
                  "fused information must describe a non-empty state set");
-  // Any change to the fused bounds voids the sweep's propagated cache.
-  reach_cache_.reset();
   if (!fused_) {
     fused_ = incoming;
     return;
@@ -119,19 +71,7 @@ void InformationFilter::on_sensor(const sensing::SensorReading& reading) {
     last_sense_accel_ = reading.a;
     last_sense_time_ = reading.t;
   }
-  if (options_.use_kalman) {
-    if (fleet_ != nullptr) {
-      // Pooled mode defers the arithmetic to the fleet-wide measurement
-      // sweep. Bit-safe: nothing reads this lane's Kalman state between
-      // the sense sweep and update_batch (interval fusion above is
-      // independent of it, and this step's messages were delivered
-      // before the sense sweep — the same message-before-sensor order
-      // the scalar loop runs within a step).
-      fleet_->stage(fleet_slot_, reading);
-    } else {
-      kalman_->update(reading);
-    }
-  }
+  if (options_.use_kalman) kalman_->update(reading);
 }
 
 void InformationFilter::on_message(const comm::Message& msg) {
@@ -164,13 +104,8 @@ void InformationFilter::on_message(const comm::Message& msg) {
     }
   }
   if (options_.use_kalman && options_.kalman_message_rollback) {
-    if (fleet_ != nullptr) {
-      fleet_->correct_with_message(fleet_slot_, screened->t, screened->p,
-                                   screened->v, screened->a);
-    } else {
-      kalman_->correct_with_message(screened->t, screened->p, screened->v,
-                                    screened->a);
-    }
+    kalman_->correct_with_message(screened->t, screened->p, screened->v,
+                                  screened->a);
   }
 }
 
@@ -185,20 +120,12 @@ StateEstimate InformationFilter::estimate(double t) const {
   Interval v_bound{limits_.v_min, limits_.v_max};
   bool have_sound = false;
   if (fused_) {
-    // Pooled mode: the ReachSweep already propagated these bounds to t —
-    // reuse its cache (bit-identical; same kernel, same inputs).
-    // cvsafe-lint: allow(float-compare) exact cache-key match
-    const StateBounds reach = (reach_cache_ && reach_cache_query_ == t)
-                                  ? *reach_cache_
-                                  : propagate(*fused_, t, limits_);
+    const StateBounds reach = propagate(*fused_, t, limits_);
     p_bound = p_bound.intersect(reach.p);
     v_bound = v_bound.intersect(reach.v);
     have_sound = true;
   }
-  const bool kalman_ready =
-      options_.use_kalman && (fleet_ != nullptr
-                                  ? fleet_->initialized(fleet_slot_)
-                                  : kalman_->initialized());
+  const bool kalman_ready = options_.use_kalman && kalman_->initialized();
   if (!have_sound && !kalman_ready) {
     est.valid = false;
     return est;
@@ -209,24 +136,17 @@ StateEstimate InformationFilter::estimate(double t) const {
 
   // 2. Join with the Kalman confidence interval (the paper's information
   //    filter). If the probabilistic interval misses the sound bounds
-  //    entirely, the sound bounds win. Pooled lanes read the fleet
-  //    estimator (whose predict sweep cached the extrapolation to t).
+  //    entirely, the sound bounds win.
   double p_hat;
   double v_hat;
   if (kalman_ready) {
-    const Interval pk = fleet_ != nullptr
-                            ? fleet_->position_interval(fleet_slot_, t)
-                            : kalman_->position_interval(t);
-    const Interval vk = fleet_ != nullptr
-                            ? fleet_->velocity_interval(fleet_slot_, t)
-                            : kalman_->velocity_interval(t);
+    const Interval pk = kalman_->position_interval(t);
+    const Interval vk = kalman_->velocity_interval(t);
     const Interval pj = p_joined.intersect(pk);
     const Interval vj = v_joined.intersect(vk);
     if (!pj.empty()) p_joined = pj;
     if (!vj.empty()) v_joined = vj;
-    const util::Vec2 x = fleet_ != nullptr
-                             ? fleet_->state_at(fleet_slot_, t)
-                             : kalman_->state_at(t);
+    const util::Vec2 x = kalman_->state_at(t);
     p_hat = p_joined.empty() ? x.x : p_joined.clamp(x.x);
     v_hat = v_joined.empty() ? x.y : v_joined.clamp(x.y);
   } else {
@@ -248,77 +168,6 @@ StateEstimate InformationFilter::estimate(double t) const {
   CVSAFE_ENSURES(est.p.contains(est.p_hat) && est.v.contains(est.v_hat),
                  "point estimate must lie inside its own bounds");
   return est;
-}
-
-namespace {
-
-bool same_limits(const vehicle::VehicleLimits& a,
-                 const vehicle::VehicleLimits& b) {
-  // cvsafe-lint: allow(float-compare) exact batching key, not a tolerance
-  return a.v_min == b.v_min && a.v_max == b.v_max && a.a_min == b.a_min &&
-         a.a_max == b.a_max;
-}
-
-}  // namespace
-
-void ReachSweep::clear() {
-  filters_.clear();
-  limits_.clear();
-  t0_.clear();
-  p_lo_.clear();
-  p_hi_.clear();
-  v_lo_.clear();
-  v_hi_.clear();
-  t_.clear();
-}
-
-void ReachSweep::stage(InformationFilter& filter, double t) {
-  const auto& fused = filter.fused_bounds();
-  if (!fused) return;
-  filters_.push_back(&filter);
-  limits_.push_back(filter.limits());
-  t0_.push_back(fused->t);
-  p_lo_.push_back(fused->p.lo);
-  p_hi_.push_back(fused->p.hi);
-  v_lo_.push_back(fused->v.lo);
-  v_hi_.push_back(fused->v.hi);
-  t_.push_back(t);
-}
-
-void ReachSweep::run() {
-  CVSAFE_PROFILE_SPAN("reach_sweep.run");
-  const std::size_t n = filters_.size();
-  out_t_.resize(n);
-  out_p_lo_.resize(n);
-  out_p_hi_.resize(n);
-  out_v_lo_.resize(n);
-  out_v_hi_.resize(n);
-  // One kernel call per run of value-identical limits; a homogeneous
-  // fleet pool is a single run.
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i + 1;
-    while (j < n && same_limits(limits_[j], limits_[i])) ++j;
-    const std::size_t len = j - i;
-    propagate_batch(
-        ReachLanes{std::span(t0_).subspan(i, len),
-                   std::span(p_lo_).subspan(i, len),
-                   std::span(p_hi_).subspan(i, len),
-                   std::span(v_lo_).subspan(i, len),
-                   std::span(v_hi_).subspan(i, len),
-                   std::span(t_).subspan(i, len)},
-        limits_[i], std::span(out_t_).subspan(i, len),
-        std::span(out_p_lo_).subspan(i, len),
-        std::span(out_p_hi_).subspan(i, len),
-        std::span(out_v_lo_).subspan(i, len),
-        std::span(out_v_hi_).subspan(i, len));
-    i = j;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    filters_[k]->set_reach_cache(
-        t_[k], StateBounds{out_t_[k], Interval{out_p_lo_[k], out_p_hi_[k]},
-                           Interval{out_v_lo_[k], out_v_hi_[k]}});
-  }
 }
 
 }  // namespace cvsafe::filter

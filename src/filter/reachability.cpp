@@ -56,57 +56,4 @@ StateBounds propagate(const StateBounds& bounds, double t,
   return out;
 }
 
-void propagate_batch(std::span<const StateBounds> bounds,
-                     std::span<const double> t,
-                     const vehicle::VehicleLimits& limits,
-                     std::span<StateBounds> out) {
-  CVSAFE_EXPECTS(bounds.size() == t.size() && bounds.size() == out.size(),
-                 "propagate_batch lanes must have matching extents");
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    out[i] = propagate(bounds[i], t[i], limits);
-  }
-}
-
-void propagate_batch(const ReachLanes& in,
-                     const vehicle::VehicleLimits& limits,
-                     std::span<double> out_t, std::span<double> out_p_lo,
-                     std::span<double> out_p_hi, std::span<double> out_v_lo,
-                     std::span<double> out_v_hi) {
-  const std::size_t n = in.t0.size();
-  CVSAFE_EXPECTS(in.p_lo.size() == n && in.p_hi.size() == n &&
-                     in.v_lo.size() == n && in.v_hi.size() == n &&
-                     in.t.size() == n && out_t.size() == n &&
-                     out_p_lo.size() == n && out_p_hi.size() == n &&
-                     out_v_lo.size() == n && out_v_hi.size() == n,
-                 "propagate_batch lanes must have matching extents");
-  CVSAFE_EXPECTS(limits.valid(), "vehicle limits must be well-formed");
-  // Hot loop of the fleet reach sweep: the scalar propagate()'s branch
-  // structure inlined over per-field arrays (the kinematics helpers are
-  // header-inline for exactly this loop).
-  for (std::size_t i = 0; i < n; ++i) {
-    CVSAFE_EXPECTS(in.p_lo[i] <= in.p_hi[i] && in.v_lo[i] <= in.v_hi[i],
-                   "cannot propagate empty state bounds");
-    const double dt = in.t[i] - in.t0[i];
-    if (dt <= 0.0) {
-      out_t[i] = in.t0[i];
-      out_p_lo[i] = in.p_lo[i];
-      out_p_hi[i] = in.p_hi[i];
-      out_v_lo[i] = in.v_lo[i];
-      out_v_hi[i] = in.v_hi[i];
-      continue;
-    }
-    out_t[i] = in.t[i];
-    out_p_lo[i] = in.p_lo[i] + util::displacement_with_speed_cap(
-                                   in.v_lo[i], limits.a_min, dt, limits.v_min);
-    out_p_hi[i] = in.p_hi[i] + util::displacement_with_speed_cap(
-                                   in.v_hi[i], limits.a_max, dt, limits.v_max);
-    out_v_lo[i] = util::speed_after(in.v_lo[i], limits.a_min, dt,
-                                    limits.v_min);
-    out_v_hi[i] = util::speed_after(in.v_hi[i], limits.a_max, dt,
-                                    limits.v_max);
-    CVSAFE_ENSURES(out_p_lo[i] <= out_p_hi[i] && out_v_lo[i] <= out_v_hi[i],
-                   "propagation must preserve non-empty bounds");
-  }
-}
-
 }  // namespace cvsafe::filter

@@ -9,16 +9,12 @@ namespace cvsafe::sim {
 
 const char* SweepSpans::kind_name(std::size_t kind) {
   switch (kind) {
-    case kPump:
-      return "pump";
-    case kDeliver:
-      return "deliver";
-    case kEstimate:
-      return "estimate";
-    case kReachGate:
-      return "reach_gate";
+    case kObserve:
+      return "observe";
     case kPlan:
       return "plan";
+    case kInfer:
+      return "infer";
     case kAdvance:
       return "advance";
     default:

@@ -205,7 +205,12 @@ IntersectionAdapter::IntersectionAdapter(IntersectionSimConfig config,
                                          bool use_compound)
     : config_(std::move(config)),
       use_compound_(use_compound),
-      scn_(config_.make_scenario()) {}
+      scn_(config_.make_scenario()) {
+  CVSAFE_EXPECTS(start_speeds_within(config_.v_init_min, config_.v_init_max,
+                                     config_.cross_limits),
+                 "intersection: [v_init_min, v_init_max] must be an ordered"
+                 " range within cross_limits' speeds");
+}
 
 std::unique_ptr<Episode<IntersectionWorld>>
 IntersectionAdapter::make_episode(util::Rng& rng, std::size_t total_steps,

@@ -130,7 +130,12 @@ LaneChangeAdapter::LaneChangeAdapter(LaneChangeSimConfig config,
                                      LaneChangePlannerConfig planner_cfg)
     : config_(std::move(config)),
       planner_cfg_(planner_cfg),
-      scn_(config_.make_scenario()) {}
+      scn_(config_.make_scenario()) {
+  CVSAFE_EXPECTS(start_speeds_within(config_.c1_v_min, config_.c1_v_max,
+                                     config_.c1_limits),
+                 "lane change: [c1_v_min, c1_v_max] must be an ordered range"
+                 " within c1_limits' speeds");
+}
 
 std::unique_ptr<Episode<LaneChangeWorld>> LaneChangeAdapter::make_episode(
     util::Rng& rng, std::size_t total_steps, std::uint64_t seed) const {

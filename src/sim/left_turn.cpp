@@ -82,46 +82,6 @@ void LeftTurnEpisode::observe(scenario::LeftTurnWorld& world, double t,
   stack_->build_world(world);
 }
 
-bool LeftTurnEpisode::bind_fleet(FleetStackContext& ctx) {
-  stack_->bind_fleet(ctx);
-  return true;
-}
-
-void LeftTurnEpisode::sweep_pump(double t, std::size_t step, util::Rng& rng,
-                                 comm::MessageSlab& slab) {
-  // The front half of broadcast_and_observe: snapshot + channel offer
-  // (same episode-RNG draw) and the slab drain (same selection/order as
-  // collect_into).
-  const double accel = c1_.profile.at(step);
-  c1_snapshot_ = vehicle::VehicleSnapshot{t, c1_.state, accel};
-  c1_.channel.offer(comm::Message{c1_.id, c1_snapshot_}, rng);
-  c1_.channel.collect_into_slab(t, slab);
-}
-
-void LeftTurnEpisode::sweep_deliver(const comm::MessageSlab& slab,
-                                    std::size_t first, std::size_t last) {
-  for (std::size_t i = first; i < last; ++i) {
-    stack_->observe_message(slab.message(i));
-  }
-}
-
-void LeftTurnEpisode::sweep_sense(double t, std::size_t step,
-                                  util::Rng& rng) {
-  (void)t;
-  (void)step;
-  if (const auto reading = c1_.sensor.sense(c1_snapshot_, rng)) {
-    stack_->observe_sensor(*reading);
-  }
-}
-
-void LeftTurnEpisode::sweep_stage(double t, filter::ReachSweep& reach) {
-  stack_->stage_sweeps(t, reach);
-}
-
-void LeftTurnEpisode::sweep_build(scenario::LeftTurnWorld& world) {
-  stack_->build_world(world);
-}
-
 void LeftTurnEpisode::advance_traffic(std::size_t step, double dt) {
   c1_.state = c1_dyn_.step(c1_.state, c1_.profile.at(step), dt);
 }

@@ -106,21 +106,6 @@ LeftTurnStack::LeftTurnStack(
   setup(std::move(inner), sensor);
 }
 
-void LeftTurnStack::bind_fleet(FleetStackContext& ctx) {
-  for (filter::InformationFilter* f : {nn_filter_, monitor_filter_}) {
-    if (f != nullptr) f->bind_fleet(ctx.estimator);
-  }
-  if (compound_ != nullptr && config_.ladder) {
-    compound_->rebind_ladder_pooled(ctx.ladder);
-  }
-}
-
-void LeftTurnStack::stage_sweeps(double t, filter::ReachSweep& reach) {
-  for (filter::InformationFilter* f : {nn_filter_, monitor_filter_}) {
-    if (f != nullptr) f->stage_sweeps(t, reach);
-  }
-}
-
 void LeftTurnStack::observe_sensor(const sensing::SensorReading& reading) {
   nn_estimator_->on_sensor(reading);
   if (monitor_estimator_) monitor_estimator_->on_sensor(reading);

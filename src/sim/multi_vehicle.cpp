@@ -180,7 +180,14 @@ MultiVehicleAdapter::MultiVehicleAdapter(LeftTurnSimConfig config,
       multi_(multi),
       setup_(std::move(setup)),
       math_(std::make_shared<const scenario::MultiVehicleLeftTurn>(
-          setup_.scenario)) {}
+          setup_.scenario)) {
+  CVSAFE_EXPECTS(start_speeds_within(config_.workload.v1_init_min,
+                                     config_.workload.v1_init_max,
+                                     config_.c1_limits),
+                 "multi-vehicle: [workload.v1_init_min,"
+                 " workload.v1_init_max] must be an ordered range within"
+                 " c1_limits' speeds");
+}
 
 std::unique_ptr<Episode<LeftTurnMultiWorld>>
 MultiVehicleAdapter::make_episode(util::Rng& rng, std::size_t total_steps,

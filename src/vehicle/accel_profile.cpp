@@ -1,7 +1,8 @@
 #include "cvsafe/vehicle/accel_profile.hpp"
 
 #include <algorithm>
-#include <cassert>
+
+#include "cvsafe/util/contracts.hpp"
 
 namespace cvsafe::vehicle {
 
@@ -41,7 +42,11 @@ AccelProfile AccelProfile::random(std::size_t num_steps, double dt, double v0,
                                   const VehicleLimits& limits,
                                   const AccelProfileParams& params,
                                   util::Rng& rng) {
-  assert(limits.valid());
+  CVSAFE_EXPECTS(limits.valid(), "vehicle limits must be well-formed");
+  // The walk's speed clip needs v in [v_min, v_max]: a start outside it
+  // hands std::clamp lo > hi and the profile breaks the limits.
+  CVSAFE_EXPECTS(v0 >= limits.v_min && v0 <= limits.v_max,
+                 "start speed must lie within the vehicle's speed limits");
   std::vector<double> accels;
   accels.reserve(num_steps);
   Walk walk{rng, limits, params, dt, 0.0, v0};

@@ -4,8 +4,9 @@
 // EpisodeRunner::observe_begin must not touch the heap — nor may emitting
 // into an armed obs::Recorder, or into a growable one that a previous
 // episode warmed, nor whole engine steps that read the traffic's
-// acceleration profiles past their eager prefix. A global operator new
-// that counts every allocation makes that observable.
+// acceleration profiles past their eager prefix, nor a warmed left-turn
+// fleet pool's production cohort step. A global operator new that counts
+// every allocation makes that observable.
 //
 // Worlds are chosen so the monitor's verdict does not switch between
 // calls: a switch appends a SwitchEvent to the planner's log, which grows
@@ -20,6 +21,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -27,12 +29,16 @@
 #include "cvsafe/core/degradation.hpp"
 #include "cvsafe/fault/fault_plan.hpp"
 #include "cvsafe/filter/plausibility.hpp"
+#include "cvsafe/nn/mlp.hpp"
+#include "cvsafe/obs/flight_recorder.hpp"
 #include "cvsafe/obs/recorder.hpp"
 #include "cvsafe/planners/expert.hpp"
+#include "cvsafe/planners/nn_planner.hpp"
 #include "cvsafe/scenario/intersection.hpp"
 #include "cvsafe/scenario/multi_vehicle.hpp"
 #include "cvsafe/sim/cruise_planner.hpp"
 #include "cvsafe/sim/engine.hpp"
+#include "cvsafe/sim/fleet.hpp"
 #include "cvsafe/sim/intersection.hpp"
 #include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/sim/multi_vehicle.hpp"
@@ -491,6 +497,62 @@ TEST(MonitorZeroAlloc, MultiVehicleStepsPastProfilePrefix) {
   ASSERT_GT(config.total_steps(), vehicle::AccelProfile::kEagerSteps + 40);
   sim::EpisodeRunner<LeftTurnMultiWorld> runner(adapter, 7);
   expect_steps_past_profile_prefix_allocation_free(runner);
+}
+
+/// A warmed 64-lane left-turn pool's production step — step_cohort, each
+/// lane observing through its own stack and kappa_n planned by one
+/// plan_batch call, then the retire scan — allocates nothing, with the
+/// lanes' flight recorders armed or not. The ladder stays off, as in the
+/// fleet_steady_step bench: DegradationLadder logs its transitions into
+/// a vector that grows. No lane finishes (the target is out of reach),
+/// and the measured steps read past the profiles' eager prefix.
+void expect_left_turn_cohort_step_allocation_free(bool armed) {
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
+  config.horizon = 60.0;
+  config.geometry.ego_target = 1.0e6;
+  util::Rng net_rng(42);
+  sim::AgentBlueprint bp;
+  bp.name = "nn";
+  bp.scenario = config.make_scenario();
+  bp.net = std::make_shared<const nn::Mlp>(nn::MlpSpec{{4, 16, 16, 1}},
+                                           net_rng);
+  bp.sensor = config.sensor;
+  bp.config = sim::AgentConfig::ultimate_compound();
+  const sim::LeftTurnAdapter adapter(config, bp);
+  constexpr std::size_t kLanes = 64;
+  std::atomic<std::size_t> next{0};
+  std::vector<sim::FleetRecord> records(kLanes);
+  obs::FlightDumpCollector dumps;
+  sim::EpisodePool<scenario::LeftTurnWorld> pool(
+      adapter, kLanes, 1, sim::SeedPolicy::kPaired, next, records.size(),
+      nullptr, armed ? &dumps : nullptr);
+  planners::NnPlanner planner(bp.net, planners::InputEncoding{}, "nn");
+  const sim::FleetBatchPlanner<scenario::LeftTurnWorld> batch_plan =
+      [&planner](std::span<const scenario::LeftTurnWorld> worlds,
+                 std::span<double> out) { planner.plan_batch(worlds, out); };
+  bool stepped = true;
+  std::size_t retired = 0;
+  const auto shard_step = [&] {
+    stepped = pool.step_cohort(0, pool.active(), batch_plan) && stepped;
+    retired += pool.retire_and_refill(records);
+  };
+  constexpr std::size_t kWarmup = vehicle::AccelProfile::kEagerSteps + 64;
+  ASSERT_GT(config.total_steps(), kWarmup + 64);
+  for (std::size_t step = 0; step < kWarmup; ++step) shard_step();
+  for (std::size_t step = 0; step < 64; ++step) {
+    EXPECT_EQ(allocations_of(shard_step), 0u) << "step " << step;
+  }
+  EXPECT_TRUE(stepped);
+  EXPECT_EQ(retired, 0u);
+  EXPECT_EQ(pool.active(), kLanes);
+}
+
+TEST(FleetZeroAlloc, LeftTurnCohortStep) {
+  expect_left_turn_cohort_step_allocation_free(/*armed=*/false);
+}
+
+TEST(FleetZeroAlloc, LeftTurnCohortStepArmed) {
+  expect_left_turn_cohort_step_allocation_free(/*armed=*/true);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Fleet engine equivalence: the pooled SoA engine (sim/fleet.hpp) must be
+// Fleet engine equivalence: the pooled engine (sim/fleet.hpp) must be
 // byte-identical to the per-episode oracle (run_episodes) — same stats,
 // same seed-aligned eta order, same metrics text — for any worker count or
 // pool capacity. This is the contract that lets every batch entry point
@@ -9,10 +9,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cvsafe/eval/batch.hpp"
 #include "cvsafe/eval/experiments.hpp"
+#include "cvsafe/fault/fault_plan.hpp"
+#include "cvsafe/filter/plausibility.hpp"
 #include "cvsafe/nn/mlp.hpp"
 #include "cvsafe/sim/fleet.hpp"
 #include "cvsafe/sim/intersection.hpp"
@@ -79,23 +82,136 @@ sim::AgentBlueprint nn_blueprint(const sim::LeftTurnSimConfig& cfg,
 TEST(SimFleet, MatchesPerEpisodeAcrossVariantsThreadsAndPools) {
   sim::LeftTurnSimConfig cfg = sim::LeftTurnSimConfig::paper_defaults();
   cfg.comm = comm::CommConfig::delayed(0.4, 0.25);
+  // Kalman + ladder under a hardened gate with payload corruption: every
+  // stage of each lane's stack does work (rollbacks, rejections, ladder
+  // transitions).
+  sim::LeftTurnSimConfig corrupted = cfg;
+  corrupted.faults = fault::FaultPlan::corruption();
+  sim::AgentConfig laddered = sim::AgentConfig::ultimate_compound();
+  laddered.gate = filter::GateConfig::hardened();
+  laddered.ladder = core::LadderConfig{};
 
-  for (const auto& agent : {sim::AgentConfig::pure_nn(),
-                            sim::AgentConfig::basic_compound(),
-                            sim::AgentConfig::ultimate_compound()}) {
-    const auto bp = nn_blueprint(cfg, agent);
-    const sim::LeftTurnAdapter adapter(cfg, bp);
-    const auto baseline = sim::BatchStats::from_results(sim::run_episodes(
-        adapter, /*n=*/12, /*base_seed=*/601, /*threads=*/2));
+  const std::vector<std::pair<sim::LeftTurnSimConfig, sim::AgentConfig>>
+      cases = {{cfg, sim::AgentConfig::pure_nn()},
+               {cfg, sim::AgentConfig::basic_compound()},
+               {cfg, sim::AgentConfig::ultimate_compound()},
+               {corrupted, laddered}};
+  for (const auto& [config, agent] : cases) {
+    const auto bp = nn_blueprint(config, agent);
+    const sim::LeftTurnAdapter adapter(config, bp);
+    const auto results = sim::run_episodes(adapter, /*n=*/12,
+                                           /*base_seed=*/601, /*threads=*/2);
+    const auto baseline = sim::BatchStats::from_results(results);
     for (const std::size_t threads : {1u, 4u, 7u}) {
       // Pool smaller than the batch forces compact/refill churn; pool
-      // larger than the batch exercises the everything-resident path.
-      for (const std::size_t pool : {3u, 12u, 64u}) {
+      // larger than the batch exercises the everything-resident path, up
+      // to the production capacity.
+      for (const std::size_t pool : {3u, 12u, 64u, 8192u}) {
         sim::FleetConfig fc;
         fc.pool_capacity = pool;
         fc.threads = threads;
-        const auto fleet = sim::run_left_turn_fleet(cfg, bp, 12, 601, fc);
-        expect_stats_equal(fleet.stats, baseline);
+        const auto records =
+            sim::run_left_turn_fleet_records(config, bp, 12, 601, fc);
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << threads << " pool=" << pool);
+        expect_records_match_results(records, results);
+        expect_stats_equal(sim::stats_from_records(records), baseline);
+      }
+    }
+  }
+}
+
+TEST(SimFleet, RejectionTalliesIdenticalAcrossPoolsAndEngines) {
+  // Plausibility-gate accounting must be a pure function of the episode
+  // seed: the per-episode accepted/rejected tallies — and therefore the
+  // fleet totals — are identical across pool sizes and between the fleet
+  // engine and the per-episode engine. A lane-compaction bug that
+  // double-counts (or drops) a relocated episode's gate counters shifts
+  // these totals and fails here.
+  sim::LeftTurnSimConfig cfg = sim::LeftTurnSimConfig::paper_defaults();
+  cfg.comm = comm::CommConfig::delayed(0.4, 0.25);
+  cfg.faults = fault::FaultPlan::corruption();
+  sim::AgentConfig agent = sim::AgentConfig::ultimate_compound();
+  agent.gate = filter::GateConfig::hardened();
+  const auto bp = nn_blueprint(cfg, agent);
+
+  const sim::LeftTurnAdapter adapter(cfg, bp);
+  const auto episode_results = sim::run_episodes(adapter, 12, 903,
+                                                 /*threads=*/2);
+  ASSERT_EQ(episode_results.size(), 12u);
+  std::size_t expect_accepted = 0;
+  std::size_t expect_rejected = 0;
+  for (const auto& r : episode_results) {
+    expect_accepted += r.messages_accepted;
+    expect_rejected += r.messages_rejected;
+  }
+  // The corruption plan against the hardened gate must actually reject —
+  // otherwise this test pins nothing.
+  ASSERT_GT(expect_rejected, 0u);
+  ASSERT_GT(expect_accepted, 0u);
+
+  for (const std::size_t pool : {3u, 64u, 8192u}) {
+    sim::FleetConfig fc;
+    fc.pool_capacity = pool;
+    fc.threads = 4;
+    const auto records =
+        sim::run_left_turn_fleet_records(cfg, bp, 12, 903, fc);
+    ASSERT_EQ(records.size(), episode_results.size());
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].messages_accepted,
+                episode_results[i].messages_accepted)
+          << "pool=" << pool << " episode " << i;
+      EXPECT_EQ(records[i].messages_rejected,
+                episode_results[i].messages_rejected)
+          << "pool=" << pool << " episode " << i;
+      accepted += records[i].messages_accepted;
+      rejected += records[i].messages_rejected;
+    }
+    EXPECT_EQ(accepted, expect_accepted) << "pool=" << pool;
+    EXPECT_EQ(rejected, expect_rejected) << "pool=" << pool;
+  }
+}
+
+TEST(SimFleetSweeps, BatchedMatchesReferenceAcrossVariantsThreadsAndPools) {
+  // FleetConfig::batched_sweeps stays only as a compile-only seam for
+  // bench/e2e/replica.hpp and nothing in the library reads it: true and
+  // false must give the same records for every stack shape (no Kalman,
+  // Kalman, Kalman + ladder under a hardened gate with corruption), worker
+  // count and pool capacity. Delete with the seam.
+  sim::LeftTurnSimConfig cfg = sim::LeftTurnSimConfig::paper_defaults();
+  cfg.comm = comm::CommConfig::delayed(0.4, 0.25);
+  cfg.faults = fault::FaultPlan::corruption();
+  sim::AgentConfig laddered = sim::AgentConfig::ultimate_compound();
+  laddered.gate = filter::GateConfig::hardened();
+  laddered.ladder = core::LadderConfig{};
+
+  for (const auto& agent : {sim::AgentConfig::basic_compound(),
+                            sim::AgentConfig::ultimate_compound(), laddered}) {
+    const auto bp = nn_blueprint(cfg, agent);
+
+    sim::FleetConfig ref;
+    ref.pool_capacity = 12;
+    ref.threads = 2;
+    ref.batched_sweeps = false;
+    std::vector<sim::RunResult> reference;
+    for (const auto& rec :
+         sim::run_left_turn_fleet_records(cfg, bp, 12, 901, ref)) {
+      reference.push_back(sim::record_to_result(rec));
+    }
+
+    for (const std::size_t threads : {1u, 4u, 7u}) {
+      for (const std::size_t pool : {3u, 64u, 8192u}) {
+        sim::FleetConfig fc;
+        fc.pool_capacity = pool;
+        fc.threads = threads;
+        fc.batched_sweeps = true;
+        const auto batched =
+            sim::run_left_turn_fleet_records(cfg, bp, 12, 901, fc);
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << threads << " pool=" << pool);
+        expect_records_match_results(batched, reference);
       }
     }
   }

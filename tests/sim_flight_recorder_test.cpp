@@ -2,11 +2,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cvsafe/adv/search.hpp"
+#include "cvsafe/nn/mlp.hpp"
 #include "cvsafe/obs/flight_recorder.hpp"
 #include "cvsafe/obs/metrics.hpp"
 #include "cvsafe/sim/fault_campaign.hpp"
@@ -17,9 +19,9 @@
 /// The flight recorder's fleet-level determinism contract: a hardened
 /// campaign cell with recorders armed produces at least one triggered
 /// dump, and the dump bytes (and the deterministic telemetry fold) are
-/// identical across thread counts, pool capacities and batched sweeps /
-/// scalar stacks. Also covers the campaign-level CampaignObs wiring
-/// and the adversarial-search metrics satellite.
+/// identical across thread counts and pool capacities. Also covers the
+/// campaign-level CampaignObs wiring, the cohort-step spans and the
+/// adversarial-search metrics satellite.
 
 namespace {
 
@@ -56,14 +58,12 @@ sim::AgentBlueprint hardened_blueprint(const sim::LeftTurnSimConfig& config) {
 /// Runs the hardened cell on the fleet engine with recorders armed and
 /// returns {dump JSONL, deterministic telemetry text}.
 std::pair<std::string, std::string> run_armed(std::size_t threads,
-                                              std::size_t pool,
-                                              bool batched_sweeps) {
+                                              std::size_t pool) {
   const sim::LeftTurnSimConfig config = hardened_config();
   const sim::AgentBlueprint bp = hardened_blueprint(config);
   sim::FleetConfig fleet;
   fleet.threads = threads;
   fleet.pool_capacity = pool;
-  fleet.batched_sweeps = batched_sweeps;
   fleet.policy = sim::SeedPolicy::kDerived;
   obs::FlightDumpCollector dumps;
   sim::FleetObsSinks sinks;
@@ -82,7 +82,7 @@ std::pair<std::string, std::string> run_armed(std::size_t threads,
 
 TEST(FlightRecorderFleet, DumpsAreByteIdenticalAcrossEngineShapes) {
   const auto [baseline_jsonl, baseline_telemetry] =
-      run_armed(/*threads=*/1, /*pool=*/8192, /*batched_sweeps=*/true);
+      run_armed(/*threads=*/1, /*pool=*/8192);
   ASSERT_FALSE(baseline_jsonl.empty())
       << "the hardened corruption cell must trip at least one dump";
   EXPECT_NE(baseline_jsonl.find("\"flight\""), std::string::npos);
@@ -92,15 +92,11 @@ TEST(FlightRecorderFleet, DumpsAreByteIdenticalAcrossEngineShapes) {
                                     std::size_t{7}}) {
     for (const std::size_t pool : {std::size_t{3}, std::size_t{64},
                                    std::size_t{8192}}) {
-      for (const bool batched : {true, false}) {
-        const auto [jsonl, telemetry] = run_armed(threads, pool, batched);
-        EXPECT_EQ(jsonl, baseline_jsonl)
-            << "threads=" << threads << " pool=" << pool
-            << " batched=" << batched;
-        EXPECT_EQ(telemetry, baseline_telemetry)
-            << "threads=" << threads << " pool=" << pool
-            << " batched=" << batched;
-      }
+      const auto [jsonl, telemetry] = run_armed(threads, pool);
+      EXPECT_EQ(jsonl, baseline_jsonl)
+          << "threads=" << threads << " pool=" << pool;
+      EXPECT_EQ(telemetry, baseline_telemetry)
+          << "threads=" << threads << " pool=" << pool;
     }
   }
 }
@@ -166,11 +162,31 @@ TEST(FlightRecorderFleet, CampaignObsEmitsLabeledDumpsAndTelemetry) {
             8u);
   EXPECT_TRUE(telemetry.histograms().count("cvsafe_fleet_eta"));
 
-  // Spans measured some work (wall clock — only existence is asserted).
+  // Spans count the phases of the cohort step (wall clock — only counts
+  // are asserted). The campaign runs the expert kappa, which makes no
+  // batched kappa_n call.
   const sim::SweepSpans total = spans.total();
-  std::uint64_t steps = 0;
-  for (const auto& span : total.spans) steps += span.count;
-  EXPECT_GT(steps, 0u);
+  EXPECT_GT(total.spans[sim::SweepSpans::kObserve].count, 0u);
+  EXPECT_GT(total.spans[sim::SweepSpans::kPlan].count, 0u);
+  EXPECT_EQ(total.spans[sim::SweepSpans::kInfer].count, 0u);
+  EXPECT_GT(total.spans[sim::SweepSpans::kAdvance].count, 0u);
+
+  // A left-turn NN fleet counts all four phases.
+  const sim::LeftTurnSimConfig nn_config = hardened_config();
+  sim::AgentBlueprint nn_bp = hardened_blueprint(nn_config);
+  nn_bp.config.use_expert_planner = false;
+  util::Rng net_rng(42);
+  nn_bp.net = std::make_shared<const nn::Mlp>(nn::MlpSpec{{4, 16, 16, 1}},
+                                              net_rng);
+  sim::SweepSpanSink nn_spans;
+  sim::FleetObsSinks sinks;
+  sinks.spans = &nn_spans;
+  sim::run_left_turn_fleet_records(nn_config, nn_bp, kEpisodes, kSeed, {},
+                                   sinks);
+  const sim::SweepSpans nn_total = nn_spans.total();
+  for (std::size_t k = 0; k < sim::SweepSpans::kNumKinds; ++k) {
+    EXPECT_GT(nn_total.spans[k].count, 0u) << sim::SweepSpans::kind_name(k);
+  }
 
   // The same campaign with observability off is byte-identical on the
   // deterministic artifact (the CSV): observation never perturbs runs.

@@ -17,9 +17,15 @@
 #include "cvsafe/core/preimage.hpp"
 #include "cvsafe/filter/kalman.hpp"
 #include "cvsafe/filter/reachability.hpp"
+#include "cvsafe/sim/intersection.hpp"
+#include "cvsafe/sim/lane_change.hpp"
+#include "cvsafe/sim/left_turn.hpp"
+#include "cvsafe/sim/multi_vehicle.hpp"
 #include "cvsafe/util/interval.hpp"
 #include "cvsafe/util/interval_set.hpp"
+#include "cvsafe/util/rng.hpp"
 #include "cvsafe/util/thread_pool.hpp"
+#include "cvsafe/vehicle/accel_profile.hpp"
 #include "cvsafe/vehicle/dynamics.hpp"
 
 namespace cvsafe::util {
@@ -130,9 +136,67 @@ TEST(ContractsChain, DynamicsAndPoolPreconditionsFire) {
   EXPECT_THROW(dyn.step(vehicle::VehicleState{0.0, 5.0}, 1.0, 0.0),
                ContractViolation);
 
+  // A random profile's start speed must lie within the speed limits (the
+  // walk's clip would otherwise drive it past a_min), and the limits must
+  // be well-formed.
+  Rng rng(1);
+  const vehicle::VehicleLimits cross{2.0, 14.0, -3.0, 3.0};
+  for (const double v0 : {17.0, 1.0, std::nan("")}) {
+    EXPECT_THROW(vehicle::AccelProfile::random(10, 0.05, v0, cross, {}, rng),
+                 ContractViolation)
+        << "v0=" << v0;
+  }
+  const vehicle::VehicleLimits inverted{14.0, 2.0, -3.0, 3.0};
+  EXPECT_THROW(vehicle::AccelProfile::random(10, 0.05, 8.0, inverted, {}, rng),
+               ContractViolation);
+  EXPECT_NO_THROW(vehicle::AccelProfile::random(10, 0.05, 14.0, cross, {},
+                                                rng));
+
   ThreadPool pool(1);
   EXPECT_THROW(pool.submit(nullptr), ContractViolation);
   EXPECT_THROW(parallel_for(4, nullptr, 2), ContractViolation);
+}
+
+TEST(ContractsChain, TrafficStartSpeedRangesFire) {
+  // Every adapter rejects, at construction, a traffic start-speed range
+  // that is inverted or leaves its traffic's speed limits.
+  ScopedContractMode mode(ContractMode::kThrow);
+  const auto expect_rejected = [](double lo, double hi) {
+    sim::IntersectionSimConfig intersection;  // cross_limits v in [2, 14]
+    intersection.v_init_min = lo;
+    intersection.v_init_max = hi;
+    EXPECT_THROW(sim::IntersectionAdapter(intersection, true),
+                 ContractViolation)
+        << "intersection [" << lo << ", " << hi << "]";
+
+    sim::LaneChangeSimConfig lane_change;  // c1_limits v in [3, 15]
+    lane_change.c1_v_min = lo + 1.0;
+    lane_change.c1_v_max = hi + 1.0;
+    EXPECT_THROW(
+        sim::LaneChangeAdapter(lane_change, sim::LaneChangePlannerConfig{}),
+        ContractViolation)
+        << "lane change [" << lo + 1.0 << ", " << hi + 1.0 << "]";
+
+    sim::LeftTurnSimConfig left_turn =
+        sim::LeftTurnSimConfig::paper_defaults();  // c1_limits v in [2, 15]
+    left_turn.workload.v1_init_min = lo + 1.0;
+    left_turn.workload.v1_init_max = hi + 1.0;
+    sim::AgentBlueprint blueprint;
+    blueprint.scenario = left_turn.make_scenario();
+    EXPECT_THROW(sim::LeftTurnAdapter(left_turn, blueprint),
+                 ContractViolation)
+        << "left turn [" << lo + 1.0 << ", " << hi + 1.0 << "]";
+    sim::MultiAgentSetup setup;
+    setup.scenario = left_turn.make_scenario();
+    EXPECT_THROW(
+        sim::MultiVehicleAdapter(left_turn, sim::MultiVehicleConfig{}, setup),
+        ContractViolation)
+        << "multi-vehicle [" << lo + 1.0 << ", " << hi + 1.0 << "]";
+  };
+  expect_rejected(16.0, 18.0);  // above v_max
+  expect_rejected(0.5, 6.0);    // below v_min
+  expect_rejected(9.0, 7.0);    // inverted
+  expect_rejected(std::nan(""), 7.0);
 }
 
 TEST(ContractsChain, PreimagePreconditionsFire) {

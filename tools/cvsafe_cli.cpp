@@ -61,7 +61,7 @@
 //                            rejections, ladder occupancy, episode
 //                            residency): CSV when FILE ends in .csv,
 //                            Prometheus text otherwise. Wall-clock
-//                            per-sweep span accounting goes to
+//                            per-phase span accounting goes to
 //                            FILE.spans — scheduling-dependent, never
 //                            byte-compared.
 //

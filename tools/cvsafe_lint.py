@@ -58,22 +58,9 @@ include/):
                      std::fma are banned; the directed equivalents live
                      in util::rounded (prev/next/widen_ulps/...), which
                      centralise the infinity fixed-point handling
-  no-scalar-stack-in-fleet
-                     inside the fleet engine sources (the file set in
-                     FLEET_ENGINE_FILES) the scalar safety-stack types
-                     and entry points (KalmanFilter, DegradationLadder,
-                     per-lane propagate() calls) are banned: the batched
-                     shard-step must go through the pool-resident SoA
-                     sweeps (FleetEstimator::update_batch/predict_batch,
-                     ReachSweep::run, FleetLadder) or it silently
-                     reintroduces the per-lane cache-residency regression
-                     the SoA refactor removed. A pool without a
-                     FleetStackContext reaches the scalar stack only
-                     through the episode's virtual observe(), which this
-                     rule does not flag; annotate any legitimate direct
-                     use
   no-episode-recorder-in-fleet-sweep
-                     same file set: the fleet engine may arm
+                     inside the fleet engine sources (the file set in
+                     FLEET_ENGINE_FILES) the fleet engine may arm
                      obs::Recorders (Recorder::arm — a fixed ring whose
                      only allocation is at pool construction) but must
                      not switch one into the growable traced mode
@@ -197,22 +184,11 @@ RE_UNROUNDED_BOUND = re.compile(
     r"|\.\s*(?:mid|shifted|inflated)\s*\("
     r"|\bInterval\s*::\s*centered\s*\("
 )
-# The fleet engine sources: the shard-step must reach estimator/ladder/
-# reachability state through the pool-resident SoA sweeps, never through
-# the scalar per-lane stack (which reintroduces one cold ~5 KB object per
-# lane per step — the pool8k cache-residency regression).
+# The fleet engine sources: the shard-step runs every resident lane with
+# an armed, fixed-size flight-recorder ring.
 FLEET_ENGINE_FILES = (
     "include/cvsafe/sim/fleet.hpp",
     "src/sim/fleet.cpp",
-)
-# Scalar safety-stack types / entry points banned inside the fleet
-# engine: the scalar filter and ladder classes, and per-lane propagate()
-# calls (propagate_batch / ReachSweep::run are the sweep entry points and
-# do not match).
-RE_SCALAR_STACK = re.compile(
-    r"\bKalmanFilter\b"
-    r"|\bDegradationLadder\b"
-    r"|\bpropagate\s*\("
 )
 # The growable (traced-episode) recorder mode inside the fleet engine:
 # any set_enabled( call. Arming (Recorder::arm, the Recorder(config)
@@ -378,12 +354,6 @@ class FileLinter:
                             "round-to-nearest interval helper in a sound-"
                             "certifier source; use the util::rounded "
                             "directed equivalent")
-            if self.fleet_rules and RE_SCALAR_STACK.search(code):
-                self.report(line_no, "no-scalar-stack-in-fleet",
-                            "scalar safety-stack use in the fleet engine; "
-                            "the shard-step goes through the pool-resident "
-                            "SoA sweeps (FleetEstimator, ReachSweep, "
-                            "FleetLadder)")
             if self.fleet_rules and RE_EPISODE_RECORDER.search(code):
                 self.report(line_no, "no-episode-recorder-in-fleet-sweep",
                             "growable obs::Recorder mode in the fleet "
@@ -551,40 +521,6 @@ SELF_TEST_CASES: list[tuple[str, str, dict, str, set[str]]] = [
     ("unrounded-comment-does-not-fire", "sound.cpp", {"sound_rules": True},
      "// one nextafter step outward; see Interval::centered for contrast\n"
      "double v() { return 0.0; }\n",
-     set()),
-    ("fleet-clean-soa-sweeps", "fleet.hpp", {"fleet_rules": True},
-     "#pragma once\n"
-     "void step(FleetStackContext& ctx) {\n"
-     "  ctx.estimator.update_batch();\n"
-     "  ctx.estimator.predict_batch();\n"
-     "  ctx.reach.run();  // ReachSweep: SoA propagate_batch inside\n"
-     "}\n",
-     set()),
-    ("fleet-scalar-kalman", "fleet.hpp", {"fleet_rules": True},
-     "#pragma once\n"
-     "void step(filter::KalmanFilter& kf, const Reading& r) {\n"
-     "  kf.update(r);\n"
-     "}\n",
-     {"no-scalar-stack-in-fleet"}),
-    ("fleet-scalar-propagate", "fleet.cpp", {"fleet_rules": True},
-     "void sweep(const filter::StateBounds& b, double t) {\n"
-     "  g = filter::propagate(b, t, limits_);\n"
-     "}\n",
-     {"no-scalar-stack-in-fleet"}),
-    ("fleet-batch-propagate-is-fine", "fleet.cpp", {"fleet_rules": True},
-     "void sweep(const filter::ReachLanes& in) {\n"
-     "  filter::propagate_batch(in, limits_, t_, pl_, ph_, vl_, vh_);\n"
-     "}\n",
-     set()),
-    ("fleet-scalar-ladder-allowed-reference", "fleet.hpp",
-     {"fleet_rules": True},
-     "#pragma once\n"
-     "// Reference path. cvsafe-lint: allow(no-scalar-stack-in-fleet)\n"
-     "core::DegradationLadder ladder{config};\n",
-     set()),
-    ("fleet-rule-out-of-scope", "engine.hpp", {"fleet_rules": False},
-     "#pragma once\n"
-     "filter::KalmanFilter kf{config};\n",
      set()),
     ("fleet-armed-recorder-is-fine", "fleet.hpp", {"fleet_rules": True},
      "#pragma once\n"
