@@ -775,7 +775,7 @@ std::vector<Bench> build_registry() {
           eval::PlannerVariant::kUltimate);
       const sim::LeftTurnAdapter adapter(cfg, bp);
       std::atomic<std::size_t> next{0};
-      std::vector<sim::FleetRecord> records(4096);
+      std::vector<sim::RunResult> records(4096);
       obs::FlightDumpCollector dumps;
       sim::EpisodePool<scenario::LeftTurnWorld> pool(
           adapter, 64, 1, sim::SeedPolicy::kPaired, next, records.size(),

@@ -21,7 +21,7 @@ inline sim::BatchStats run_batch(const sim::LeftTurnSimConfig& config,
                                  std::size_t threads = 0) {
   sim::FleetConfig fleet;
   fleet.threads = threads;
-  return sim::stats_from_records(sim::run_left_turn_fleet_records(
+  return sim::BatchStats::from_results(sim::run_left_turn_fleet_records(
       config, blueprint, n, base_seed, fleet));
 }
 

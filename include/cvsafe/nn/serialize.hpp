@@ -22,7 +22,9 @@ void save_mlp(const Mlp& net, std::ostream& os);
 bool save_mlp_file(const Mlp& net, const std::string& path);
 
 /// Reads a network previously written by save_mlp.
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input: a bad header, a layer
+/// whose input width is not the previous layer's output width, or a
+/// weight or bias token that is not entirely a finite number.
 Mlp load_mlp(std::istream& is);
 
 /// Convenience: loads from a file. Throws on I/O or parse failure.

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "cvsafe/comm/channel.hpp"
@@ -124,6 +123,21 @@ inline core::DegradationSignals degradation_signals(
   return s;
 }
 
+/// Adds one information filter's plausibility-gate tally to \p result:
+/// accepted and rejected messages, and the rejections per gate reason
+/// (obs::GateRejectReason order). Every scenario's finalize calls it once
+/// per filter of the episode.
+inline void add_gate_tally(RunResult& result,
+                           const filter::InformationFilter& filt) {
+  const filter::RejectionCounters& c = filt.rejections();
+  result.messages_accepted += c.accepted;
+  result.messages_rejected += c.total_rejected();
+  result.rejection_reasons[0] += c.non_finite;
+  result.rejection_reasons[1] += c.out_of_range;
+  result.rejection_reasons[2] += c.stale;
+  result.rejection_reasons[3] += c.implausible;
+}
+
 /// Worst-case signal aggregation across the episode's observed vehicles:
 /// start from a perfect signal set and fold each vehicle in.
 struct SignalAccumulator {
@@ -194,7 +208,8 @@ class Episode {
   /// Classifies the post-step configuration (unsafe / target set).
   virtual StepStatus check(const vehicle::VehicleState& ego) const = 0;
 
-  /// Attaches scenario extras to the finished result (default: none).
+  /// Adds the episode's gate tallies (add_gate_tally per information
+  /// filter) to the finished result (default: none).
   virtual void finalize(RunResult& result) const { (void)result; }
 
   /// Wires an obs::Recorder through the episode's control stack — the
@@ -412,7 +427,8 @@ class EpisodeRunner {
   /// The engine-facing loop parameters of this episode's scenario.
   const RunConfig& config() const { return *config_; }
 
-  /// Seals the episode: eta evaluation, scenario extras, finish hook.
+  /// Seals the episode: eta evaluation, ladder occupancy, the scenario's
+  /// gate tallies, finish hook.
   RunResult finish() {
     if (hook_ != nullptr) hook_->on_finish(*episode_);
     core::EpisodeOutcome outcome;
@@ -427,7 +443,7 @@ class EpisodeRunner {
       result_.ladder_transitions = ladder_stats.transitions;
     }
     episode_->finalize(result_);
-    return std::move(result_);
+    return result_;
   }
 
   const Episode<World>& episode() const { return *episode_; }

@@ -39,41 +39,22 @@
 ///  * imbalanced episode lengths steal work instead of idling a worker
 ///    (the atomic counter is the work-stealing deque, one episode at a
 ///    time);
-///  * per-episode outputs are folded into compact FleetRecords — no
-///    RunResult extras, no trajectory retention — so memory stays
-///    O(pool + episodes * sizeof(FleetRecord)).
+///  * each finished episode leaves only its RunResult (trivially
+///    copyable, no trajectory retention), so memory stays
+///    O(pool + episodes * sizeof(RunResult)).
 ///
 /// Determinism contract: the episode index -> seed map (seeding.hpp) is
 /// untouched — lanes are *slots*, the RNG stream belongs to the episode
 /// index claimed into the slot, so admission order cannot reorder any
 /// draw. Each episode's closed loop is bit-identical to run_episode, the
 /// scalar oracle (plan_batch is row-independent and bit-identical to
-/// plan(); step_batch is lane-wise bit-identical to step()). Records land
+/// plan(); step_batch is lane-wise bit-identical to step()). Results land
 /// at records[episode index], and every fold (BatchStats, metrics) runs
 /// serially in index order after the pool drains — so CSVs, eta sequences
 /// and metrics are byte-identical for 1, 4 or 7 threads, any pool size,
 /// and to run_episodes over the same seeds.
 
 namespace cvsafe::sim {
-
-/// Compact per-episode outcome retained by the fleet engine: every field
-/// the batch aggregates and metrics folds consume, none of the typed
-/// extras. Trivially copyable; the records array is the engine's only
-/// O(episodes) state.
-struct FleetRecord {
-  double eta = 0.0;
-  double reach_time = 0.0;
-  std::size_t steps = 0;
-  std::size_t emergency_steps = 0;
-  std::array<std::size_t, core::kNumDegradationLevels> ladder_steps{};
-  std::size_t ladder_transitions = 0;
-  std::size_t messages_accepted = 0;
-  std::size_t messages_rejected = 0;
-  /// Per-reason rejection split (obs::GateRejectReason order).
-  std::array<std::size_t, 4> rejection_reasons{};
-  bool collided = false;
-  bool reached = false;
-};
 
 /// Fleet execution parameters.
 struct FleetConfig {
@@ -88,6 +69,14 @@ struct FleetConfig {
   /// reads it. Delete with ROADMAP item 5's benchmark change.
   bool batched_sweeps = true;
 };
+
+// Compile-only seam for bench/e2e, which still spells the deleted fleet
+// record type and its two converters: the fleet stores RunResults, so
+// each name is the identity. Delete the three `// seam` lines with
+// ROADMAP item 5's benchmark change.
+using FleetRecord = RunResult;  // seam
+inline RunResult record_to_result(const RunResult& r) { return r; }  // seam
+inline RunResult record_from_result(const RunResult& r) { return r; }  // seam
 
 /// Wall-clock span accounting for the phases of the cohort step: one
 /// count + total-ns cell per phase, sampled cohort-granularly (one span
@@ -196,34 +185,12 @@ struct FleetResult {
   obs::MetricsRegistry metrics;
 };
 
-/// Converts a compact record back to the equivalent RunResult (extras
-/// slot empty). Field-for-field; exists so fleet output can flow through
-/// every existing RunResult consumer (campaign aggregation, metrics).
-RunResult record_to_result(const FleetRecord& record);
-
-/// FleetRecord from a finished episode's RunResult (drops the extras).
-FleetRecord record_from_result(const RunResult& result);
-
-/// Index-ordered fold of records into BatchStats — the same accumulation,
-/// in the same order, as BatchStats::from_results over seed-ordered
-/// results (pinned by tests/sim_fleet_test).
-BatchStats stats_from_records(std::span<const FleetRecord> records);
-
-/// Index-ordered fold of records into the metrics registry, identical to
-/// collect_metrics over the seed-ordered RunResults.
-void collect_record_metrics(obs::MetricsRegistry& registry,
-                            std::span<const FleetRecord> records);
-
 /// Deterministic fleet telemetry fold: fixed-bucket histograms and
-/// counters over the index-ordered records — min-eta distribution,
+/// counters over the index-ordered results — min-eta distribution,
 /// rejections split by gate reason, ladder-level occupancy, and the
 /// episode-length (pool residency) distribution. Byte-identical across
-/// threads x pool sizes x engines (it reads only the records), so its
+/// threads x pool sizes x engines (it reads only the results), so its
 /// export is cmp-gated in CI alongside the flight dumps.
-void collect_fleet_telemetry(obs::MetricsRegistry& registry,
-                             std::span<const FleetRecord> records);
-
-/// Same fold over seed-ordered RunResults (the campaign-cell shape).
 void collect_fleet_telemetry(obs::MetricsRegistry& registry,
                              std::span<const RunResult> results);
 
@@ -445,10 +412,11 @@ class EpisodePool {
     return true;
   }
 
-  /// Retires every finished lane into \p records (at its episode index)
-  /// and refills the slot from the shared counter; compacts the active
-  /// prefix when the counter is exhausted. Returns the number retired.
-  std::size_t retire_and_refill(std::span<FleetRecord> records) {
+  /// Retires every finished lane's RunResult into \p records (at its
+  /// episode index) and refills the slot from the shared counter;
+  /// compacts the active prefix when the counter is exhausted. Returns
+  /// the number retired.
+  std::size_t retire_and_refill(std::span<RunResult> records) {
     std::size_t retired = 0;
     std::size_t lane = 0;
     while (lane < active_) {
@@ -456,8 +424,8 @@ class EpisodePool {
         ++lane;
         continue;
       }
-      const RunResult result = runners_[lane]->finish();
-      records[index_[lane]] = record_from_result(result);
+      RunResult& result = records[index_[lane]];
+      result = runners_[lane]->finish();
       if (!recorders_.empty()) maybe_dump(lane, result);
       ++retired;
       if (admit(lane)) {
@@ -548,7 +516,7 @@ void run_fleet_worker(const ScenarioAdapter<World>& adapter,
                       SeedPolicy policy,
                       std::atomic<std::size_t>& next_episode, std::size_t n,
                       const FleetBatchPlanner<World>& batch_plan,
-                      std::span<FleetRecord> records,
+                      std::span<RunResult> records,
                       const FleetObsSinks& sinks = {}) {
   EpisodePool<World> pool(adapter, lanes, base_seed, policy, next_episode,
                           n, nullptr, sinks.dumps, sinks.flight);
@@ -570,12 +538,12 @@ void run_fleet_worker(const ScenarioAdapter<World>& adapter,
 
 }  // namespace detail
 
-/// Runs \p n episodes through the fleet engine and returns the compact
-/// records in episode-index (seed) order. \p planner_factory, when
+/// Runs \p n episodes through the fleet engine and returns their
+/// RunResults in episode-index (seed) order. \p planner_factory, when
 /// non-empty, enables mega-batched planning (one batch call per worker
 /// shard-step); otherwise every episode dispatches its own planner.
 template <typename World>
-std::vector<FleetRecord> run_fleet_records(
+std::vector<RunResult> run_fleet_records(
     const ScenarioAdapter<World>& adapter, std::size_t n,
     std::uint64_t base_seed, const FleetConfig& config = {},
     const FleetPlannerFactory<World>& planner_factory = {},
@@ -583,7 +551,7 @@ std::vector<FleetRecord> run_fleet_records(
   CVSAFE_EXPECTS(n > 0, "fleet must contain at least one episode");
   CVSAFE_EXPECTS(config.pool_capacity > 0,
                  "fleet pool capacity must be positive");
-  std::vector<FleetRecord> records(n);
+  std::vector<RunResult> records(n);
   std::size_t workers =
       config.threads != 0
           ? config.threads
@@ -592,7 +560,7 @@ std::vector<FleetRecord> run_fleet_records(
   const std::size_t resident = std::min(config.pool_capacity, n);
   const std::size_t lanes = std::max<std::size_t>(1, resident / workers);
   std::atomic<std::size_t> next_episode{0};
-  std::span<FleetRecord> out(records);
+  std::span<RunResult> out(records);
   const auto worker_body = [&] {
     const FleetBatchPlanner<World> batch_plan =
         planner_factory ? planner_factory() : FleetBatchPlanner<World>{};
@@ -621,12 +589,12 @@ FleetResult run_fleet(const ScenarioAdapter<World>& adapter, std::size_t n,
                       std::uint64_t base_seed, const FleetConfig& config = {},
                       const FleetPlannerFactory<World>& planner_factory = {},
                       const FleetObsSinks& sinks = {}) {
-  const std::vector<FleetRecord> records =
+  const std::vector<RunResult> records =
       run_fleet_records(adapter, n, base_seed, config, planner_factory,
                         sinks);
   FleetResult result;
-  result.stats = stats_from_records(records);
-  collect_record_metrics(result.metrics, records);
+  result.stats = BatchStats::from_results(records);
+  collect_metrics(result.metrics, records);
   return result;
 }
 

@@ -166,10 +166,10 @@ FleetResult run_left_turn_fleet(const LeftTurnSimConfig& config,
                                 const FleetConfig& fleet = {},
                                 const FleetObsSinks& sinks = {});
 
-/// The fleet-engine records (seed-ordered, pre-fold) of the same run —
-/// the campaign layer folds these itself to keep per-cell CSVs
-/// byte-identical.
-std::vector<FleetRecord> run_left_turn_fleet_records(
+/// The fleet engine's RunResults (seed-ordered, pre-fold) of the same
+/// run, for callers that fold them themselves (eval::run_batch, the CLI
+/// batch's telemetry).
+std::vector<RunResult> run_left_turn_fleet_records(
     const LeftTurnSimConfig& config, const AgentBlueprint& blueprint,
     std::size_t n, std::uint64_t base_seed = 1,
     const FleetConfig& fleet = {}, const FleetObsSinks& sinks = {});

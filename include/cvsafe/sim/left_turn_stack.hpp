@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cvsafe/core/compound_planner.hpp"
@@ -106,19 +105,15 @@ class LeftTurnStack {
   /// True iff the last planning step was handled by the emergency planner.
   bool last_was_emergency() const;
 
-  /// Monitor statistics (empty stats when not a compound stack).
-  core::MonitorStats monitor_stats() const;
-
   /// Planner hand-over events (empty when not a compound stack).
   std::vector<core::SwitchEvent> switch_events() const;
 
-  /// Plausibility-gate tally summed over the stack's information
-  /// filters: {messages accepted, messages rejected}.
-  std::pair<std::size_t, std::size_t> message_tally() const;
-
-  /// Rejections summed per gate reason (obs::GateRejectReason order:
-  /// non_finite, out_of_range, stale, implausible).
-  std::array<std::size_t, 4> message_reasons() const;
+  /// The stack's information filters, the NN's and the monitor's; an
+  /// entry is null where that estimator is not an information filter.
+  std::array<const filter::InformationFilter*, 2> information_filters()
+      const {
+    return {nn_filter_, monitor_filter_};
+  }
 
   const AgentConfig& config() const { return config_; }
 

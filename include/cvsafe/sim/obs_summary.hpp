@@ -1,6 +1,5 @@
 #pragma once
 
-#include <span>
 #include <string>
 
 #include "cvsafe/obs/metrics.hpp"
@@ -12,21 +11,13 @@
 /// renders the human-readable run summary lines the CLI prints.
 ///
 /// The bridge is the per-shard accumulation story: every RunResult folds
-/// into a registry with collect_run_metrics, shard registries merge with
+/// into a registry with collect_run_metrics (declared next to RunResult,
+/// so the fleet engine's header sees it), shard registries merge with
 /// MetricsRegistry::merge, and because both the fold and the merge are
 /// name-ordered and order-insensitive over seed-ordered results, the
 /// exported text is deterministic regardless of thread count.
 
 namespace cvsafe::sim {
-
-/// Folds one episode outcome into \p reg: episode/collision/reach/step
-/// counters, ladder occupancy per level, message tallies, and the eta /
-/// reach-time histograms.
-void collect_run_metrics(obs::MetricsRegistry& reg, const RunResult& result);
-
-/// collect_run_metrics over a seed-ordered batch.
-void collect_metrics(obs::MetricsRegistry& reg,
-                     std::span<const RunResult> results);
 
 /// Folds a finished campaign into \p reg: the global counters plus
 /// per-cell labeled counters (fault/scenario label pairs).

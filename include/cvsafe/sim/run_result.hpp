@@ -2,9 +2,8 @@
 
 #include <array>
 #include <cstddef>
-#include <memory>
 #include <span>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "cvsafe/core/degradation.hpp"
@@ -12,9 +11,13 @@
 /// \file run_result.hpp
 /// The unified episode outcome and batch aggregate shared by every
 /// scenario: one RunResult / BatchStats family instead of the four
-/// per-driver copies the eval layer used to carry. Scenario-specific
-/// extras (e.g. the monitor statistics of a compound run) travel in a
-/// typed extension slot rather than per-scenario result structs.
+/// per-scenario copies the eval layer used to carry. run_episode returns
+/// a RunResult and the fleet engine stores the same struct per episode,
+/// so every fold below reads one type.
+
+namespace cvsafe::obs {
+class MetricsRegistry;
+}  // namespace cvsafe::obs
 
 namespace cvsafe::sim {
 
@@ -47,33 +50,11 @@ struct RunResult {
   /// order: non_finite, out_of_range, stale, implausible. Sums to
   /// messages_rejected; feeds the fleet telemetry's per-reason counters.
   std::array<std::size_t, 4> rejection_reasons{};
-
-  /// Attaches a scenario-specific extra (at most one per result; a second
-  /// set_extra replaces the first). The slot is typed: extra<T>() returns
-  /// the value only when queried with the type that stored it.
-  template <typename T>
-  void set_extra(T value) {
-    extra_ = std::make_shared<T>(std::move(value));
-    extra_tag_ = tag<T>();
-  }
-
-  /// The stored extra of type T, or nullptr when absent / different type.
-  template <typename T>
-  const T* extra() const {
-    return extra_tag_ == tag<T>() ? static_cast<const T*>(extra_.get())
-                                  : nullptr;
-  }
-
- private:
-  template <typename T>
-  static const void* tag() {
-    static const char id = 0;
-    return &id;
-  }
-
-  std::shared_ptr<void> extra_;
-  const void* extra_tag_ = nullptr;
 };
+
+// The fleet keeps one RunResult per episode; its memory bound,
+// O(pool + episodes * sizeof(RunResult)), relies on a plain value type.
+static_assert(std::is_trivially_copyable_v<RunResult>);
 
 /// Aggregate over a batch of episodes — the single implementation of the
 /// safe-rate / reaching-time / emergency-frequency accumulation reported
@@ -107,5 +88,14 @@ struct BatchStats {
   /// Merges another batch (weighted means; etas concatenated in order).
   void merge(const BatchStats& other);
 };
+
+/// Folds one episode outcome into \p reg: episode/collision/reach/step
+/// counters, ladder occupancy per level, message tallies, and the eta /
+/// reach-time histograms (defined in obs_summary.cpp).
+void collect_run_metrics(obs::MetricsRegistry& reg, const RunResult& result);
+
+/// collect_run_metrics over a seed-ordered batch.
+void collect_metrics(obs::MetricsRegistry& reg,
+                     std::span<const RunResult> results);
 
 }  // namespace cvsafe::sim

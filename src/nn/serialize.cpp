@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -14,6 +16,23 @@ namespace cvsafe::nn {
 namespace {
 constexpr const char* kMagic = "cvsafe-mlp";
 constexpr int kVersion = 1;
+
+/// Reads the next parameter token of \p is: the whole token must be one
+/// finite number (strtod alone stops silently at garbage). \p what names
+/// the part for the error message.
+double read_parameter(std::istream& is, const char* what) {
+  std::string tok;
+  if (!(is >> tok)) {
+    throw std::runtime_error(std::string("load_mlp: truncated ") + what);
+  }
+  char* end = nullptr;
+  const double x = std::strtod(tok.c_str(), &end);
+  if (end != tok.c_str() + tok.size() || !std::isfinite(x)) {
+    throw std::runtime_error(std::string("load_mlp: ") + what +
+                             " token is not a finite number: " + tok);
+  }
+  return x;
+}
 }  // namespace
 
 void save_mlp(const Mlp& net, std::ostream& os) {
@@ -77,18 +96,16 @@ Mlp load_mlp(std::istream& is) {
     if (!(is >> in >> out >> act_name) || in == 0 || out == 0) {
       throw std::runtime_error("load_mlp: bad layer header");
     }
+    if (l > 0 && in != layers.back().out_dim()) {
+      throw std::runtime_error(
+          "load_mlp: layer " + std::to_string(l) + " takes " +
+          std::to_string(in) + " inputs, the layer before gives " +
+          std::to_string(layers.back().out_dim()));
+    }
     Matrix w(out, in);
-    for (auto& x : w.data()) {
-      std::string tok;
-      if (!(is >> tok)) throw std::runtime_error("load_mlp: truncated weights");
-      x = std::strtod(tok.c_str(), nullptr);
-    }
+    for (auto& x : w.data()) x = read_parameter(is, "weights");
     Matrix b(1, out);
-    for (auto& x : b.data()) {
-      std::string tok;
-      if (!(is >> tok)) throw std::runtime_error("load_mlp: truncated bias");
-      x = std::strtod(tok.c_str(), nullptr);
-    }
+    for (auto& x : b.data()) x = read_parameter(is, "bias");
     layers.emplace_back(std::move(w), std::move(b),
                         activation_from_name(act_name));
   }

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "cvsafe/util/contracts.hpp"
+
 namespace cvsafe::planners {
 
 EnsemblePlanner::EnsemblePlanner(
@@ -13,11 +15,14 @@ EnsemblePlanner::EnsemblePlanner(
       encoding_(encoding),
       name_(std::move(name)),
       sigma_penalty_(sigma_penalty) {
-  assert(!members_.empty());
-  for ([[maybe_unused]] const auto& m : members_) {
-    assert(m != nullptr);
-    assert(m->input_dim() == InputEncoding::dim());
-    assert(m->output_dim() == 1);
+  CVSAFE_EXPECTS(!members_.empty(), "EnsemblePlanner needs a member");
+  for (const auto& m : members_) {
+    CVSAFE_EXPECTS(m != nullptr, "EnsemblePlanner member is null");
+    CVSAFE_EXPECTS(m->input_dim() == InputEncoding::dim(),
+                   "EnsemblePlanner member must read InputEncoding::dim() "
+                   "inputs");
+    CVSAFE_EXPECTS(m->output_dim() == 1,
+                   "EnsemblePlanner member must write one output");
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cassert>
 
 #include "cvsafe/obs/profile.hpp"
+#include "cvsafe/util/contracts.hpp"
 
 namespace cvsafe::planners {
 
@@ -37,9 +38,11 @@ void InputEncoding::encode_into(double t, double p0, double v0,
 NnPlanner::NnPlanner(std::shared_ptr<const nn::Mlp> net,
                      InputEncoding encoding, std::string name)
     : net_(std::move(net)), encoding_(encoding), name_(std::move(name)) {
-  assert(net_ != nullptr);
-  assert(net_->input_dim() == InputEncoding::dim());
-  assert(net_->output_dim() == 1);
+  CVSAFE_EXPECTS(net_ != nullptr, "NnPlanner needs a network");
+  CVSAFE_EXPECTS(net_->input_dim() == InputEncoding::dim(),
+                 "NnPlanner network must read InputEncoding::dim() inputs");
+  CVSAFE_EXPECTS(net_->output_dim() == 1,
+                 "NnPlanner network must write one output");
 }
 
 double NnPlanner::plan(const scenario::LeftTurnWorld& world) {

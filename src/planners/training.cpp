@@ -236,8 +236,14 @@ std::shared_ptr<const nn::Mlp> cached_planner_network(
     try {
       auto net = std::make_shared<const nn::Mlp>(
           nn::load_mlp_file(path.string()));
-      g_memory_cache[key] = net;
-      return net;
+      // A well-formed model of the wrong shape is as corrupt as a
+      // malformed one: kappa_n reads InputEncoding::dim() inputs and
+      // writes one output.
+      if (net->input_dim() == InputEncoding::dim() &&
+          net->output_dim() == 1) {
+        g_memory_cache[key] = net;
+        return net;
+      }
     } catch (const std::exception&) {
       // Corrupt cache entry: fall through and retrain.
     }

@@ -45,20 +45,13 @@ std::vector<RunResult> run_cell_episodes(const ScenarioAdapter<World>& adapter,
                                          const FleetObsSinks& sinks) {
   if (trace == nullptr) {
     // Untraced cells run on the fleet engine: pooled episodes with
-    // work-stealing refill instead of one task per episode. Records are
+    // work-stealing refill instead of one task per episode. Results are
     // seed-ordered and per-episode bit-identical to run_episodes, so the
     // cell aggregation (and the golden campaign CSV) is byte-identical.
     FleetConfig fleet;
     fleet.threads = threads;
     fleet.policy = SeedPolicy::kDerived;
-    const std::vector<FleetRecord> records =
-        run_fleet_records(adapter, episodes, seed, fleet, {}, sinks);
-    std::vector<RunResult> results;
-    results.reserve(records.size());
-    for (const FleetRecord& r : records) {
-      results.push_back(record_to_result(r));
-    }
-    return results;
+    return run_fleet_records(adapter, episodes, seed, fleet, {}, sinks);
   }
   return run_traced_episodes(adapter, episodes, seed, threads,
                              SeedPolicy::kDerived, *trace,

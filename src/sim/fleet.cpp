@@ -3,7 +3,6 @@
 #include <string>
 
 #include "cvsafe/obs/event.hpp"
-#include "cvsafe/sim/obs_summary.hpp"
 
 namespace cvsafe::sim {
 
@@ -22,78 +21,8 @@ const char* SweepSpans::kind_name(std::size_t kind) {
   }
 }
 
-RunResult record_to_result(const FleetRecord& record) {
-  RunResult result;
-  result.collided = record.collided;
-  result.reached = record.reached;
-  result.reach_time = record.reach_time;
-  result.eta = record.eta;
-  result.steps = record.steps;
-  result.emergency_steps = record.emergency_steps;
-  result.ladder_steps = record.ladder_steps;
-  result.ladder_transitions = record.ladder_transitions;
-  result.messages_accepted = record.messages_accepted;
-  result.messages_rejected = record.messages_rejected;
-  result.rejection_reasons = record.rejection_reasons;
-  return result;
-}
-
-FleetRecord record_from_result(const RunResult& result) {
-  FleetRecord record;
-  record.eta = result.eta;
-  record.reach_time = result.reach_time;
-  record.steps = result.steps;
-  record.emergency_steps = result.emergency_steps;
-  record.ladder_steps = result.ladder_steps;
-  record.ladder_transitions = result.ladder_transitions;
-  record.messages_accepted = result.messages_accepted;
-  record.messages_rejected = result.messages_rejected;
-  record.rejection_reasons = result.rejection_reasons;
-  record.collided = result.collided;
-  record.reached = result.reached;
-  return record;
-}
-
-BatchStats stats_from_records(std::span<const FleetRecord> records) {
-  // Mirrors BatchStats::from_results accumulation term for term (same
-  // order, same arithmetic) so the fleet aggregate is bit-identical to
-  // from_results over the seed-ordered RunResults.
-  BatchStats stats;
-  stats.n = records.size();
-  stats.etas.reserve(records.size());
-  double reach_time_sum = 0.0;
-  double eta_sum = 0.0;
-  for (const FleetRecord& r : records) {
-    stats.etas.push_back(r.eta);
-    eta_sum += r.eta;
-    if (!r.collided) ++stats.safe_count;
-    if (r.reached) {
-      ++stats.reached_count;
-      reach_time_sum += r.reach_time;
-    }
-    stats.total_steps += r.steps;
-    stats.emergency_steps += r.emergency_steps;
-  }
-  if (stats.n > 0) {
-    stats.mean_eta = eta_sum / static_cast<double>(stats.n);
-  }
-  stats.mean_reach_time =
-      stats.reached_count > 0
-          ? reach_time_sum / static_cast<double>(stats.reached_count)
-          : 0.0;
-  return stats;
-}
-
-void collect_record_metrics(obs::MetricsRegistry& registry,
-                            std::span<const FleetRecord> records) {
-  for (const FleetRecord& r : records) {
-    const RunResult result = record_to_result(r);
-    collect_run_metrics(registry, result);
-  }
-}
-
 void collect_fleet_telemetry(obs::MetricsRegistry& registry,
-                             std::span<const FleetRecord> records) {
+                             std::span<const RunResult> results) {
   // Bucket layouts are fixed at the fold (never data-dependent) so two
   // runs of the same cell produce byte-identical exports.
   obs::Histogram& eta = registry.histogram(
@@ -102,7 +31,7 @@ void collect_fleet_telemetry(obs::MetricsRegistry& registry,
   obs::Histogram& residency = registry.histogram(
       "cvsafe_fleet_episode_steps",
       {32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0});
-  for (const FleetRecord& r : records) {
+  for (const RunResult& r : results) {
     eta.observe(r.eta);
     residency.observe(static_cast<double>(r.steps));
     registry.counter("cvsafe_fleet_episodes_total").inc();
@@ -128,14 +57,6 @@ void collect_fleet_telemetry(obs::MetricsRegistry& registry,
           .inc(r.ladder_steps[level]);
     }
   }
-}
-
-void collect_fleet_telemetry(obs::MetricsRegistry& registry,
-                             std::span<const RunResult> results) {
-  std::vector<FleetRecord> records;
-  records.reserve(results.size());
-  for (const RunResult& r : results) records.push_back(record_from_result(r));
-  collect_fleet_telemetry(registry, records);
 }
 
 void collect_sweep_spans(obs::MetricsRegistry& registry,

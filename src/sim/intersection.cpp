@@ -100,15 +100,7 @@ class IntersectionEpisode final : public Episode<IntersectionWorld> {
   }
 
   void finalize(RunResult& result) const override {
-    for (const auto* f : filters_) {
-      const filter::RejectionCounters& c = f->rejections();
-      result.messages_accepted += c.accepted;
-      result.messages_rejected += c.total_rejected();
-      result.rejection_reasons[0] += c.non_finite;
-      result.rejection_reasons[1] += c.out_of_range;
-      result.rejection_reasons[2] += c.stale;
-      result.rejection_reasons[3] += c.implausible;
-    }
+    for (const auto* f : filters_) add_gate_tally(result, *f);
   }
 
   void attach_recorder(obs::Recorder* recorder) override {
@@ -234,7 +226,8 @@ BatchStats run_intersection_batch(const IntersectionSimConfig& config,
   FleetConfig fleet;
   fleet.threads = threads;
   fleet.policy = policy;
-  return stats_from_records(run_fleet_records(adapter, n, base_seed, fleet));
+  return BatchStats::from_results(
+      run_fleet_records(adapter, n, base_seed, fleet));
 }
 
 }  // namespace cvsafe::sim

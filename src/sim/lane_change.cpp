@@ -64,13 +64,7 @@ class LaneChangeEpisode final : public Episode<LaneChangeWorld> {
   }
 
   void finalize(RunResult& result) const override {
-    const filter::RejectionCounters& c = c1_filter_->rejections();
-    result.messages_accepted += c.accepted;
-    result.messages_rejected += c.total_rejected();
-    result.rejection_reasons[0] += c.non_finite;
-    result.rejection_reasons[1] += c.out_of_range;
-    result.rejection_reasons[2] += c.stale;
-    result.rejection_reasons[3] += c.implausible;
+    add_gate_tally(result, *c1_filter_);
   }
 
   void attach_recorder(obs::Recorder* recorder) override {
@@ -159,7 +153,8 @@ BatchStats run_lane_change_batch(const LaneChangeSimConfig& config,
   FleetConfig fleet;
   fleet.threads = threads;
   fleet.policy = policy;
-  return stats_from_records(run_fleet_records(adapter, n, base_seed, fleet));
+  return BatchStats::from_results(
+      run_fleet_records(adapter, n, base_seed, fleet));
 }
 
 }  // namespace cvsafe::sim

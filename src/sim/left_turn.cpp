@@ -97,15 +97,8 @@ StepStatus LeftTurnEpisode::check(const vehicle::VehicleState& ego) const {
 }
 
 void LeftTurnEpisode::finalize(RunResult& result) const {
-  if (stack_->compound() != nullptr) {
-    result.set_extra(stack_->monitor_stats());
-  }
-  const auto [accepted, rejected] = stack_->message_tally();
-  result.messages_accepted += accepted;
-  result.messages_rejected += rejected;
-  const std::array<std::size_t, 4> reasons = stack_->message_reasons();
-  for (std::size_t i = 0; i < reasons.size(); ++i) {
-    result.rejection_reasons[i] += reasons[i];
+  for (const filter::InformationFilter* f : stack_->information_filters()) {
+    if (f != nullptr) add_gate_tally(result, *f);
   }
 }
 
@@ -201,7 +194,7 @@ FleetResult run_left_turn_fleet(const LeftTurnSimConfig& config,
                    fleet_planner_factory(blueprint), sinks);
 }
 
-std::vector<FleetRecord> run_left_turn_fleet_records(
+std::vector<RunResult> run_left_turn_fleet_records(
     const LeftTurnSimConfig& config, const AgentBlueprint& blueprint,
     std::size_t n, std::uint64_t base_seed, const FleetConfig& fleet,
     const FleetObsSinks& sinks) {

@@ -141,10 +141,6 @@ bool LeftTurnStack::last_was_emergency() const {
   return compound_ != nullptr && compound_->last_was_emergency();
 }
 
-core::MonitorStats LeftTurnStack::monitor_stats() const {
-  return compound_ != nullptr ? compound_->stats() : core::MonitorStats{};
-}
-
 std::vector<core::SwitchEvent> LeftTurnStack::switch_events() const {
   return compound_ != nullptr ? compound_->switch_events()
                               : std::vector<core::SwitchEvent>{};
@@ -155,30 +151,6 @@ void LeftTurnStack::attach_recorder(obs::Recorder* recorder) {
   for (filter::InformationFilter* f : {nn_filter_, monitor_filter_}) {
     if (f != nullptr) f->set_recorder(recorder);
   }
-}
-
-std::array<std::size_t, 4> LeftTurnStack::message_reasons() const {
-  std::array<std::size_t, 4> reasons{};
-  for (const filter::InformationFilter* f : {nn_filter_, monitor_filter_}) {
-    if (f == nullptr) continue;
-    const filter::RejectionCounters& c = f->rejections();
-    reasons[0] += c.non_finite;
-    reasons[1] += c.out_of_range;
-    reasons[2] += c.stale;
-    reasons[3] += c.implausible;
-  }
-  return reasons;
-}
-
-std::pair<std::size_t, std::size_t> LeftTurnStack::message_tally() const {
-  std::size_t accepted = 0;
-  std::size_t rejected = 0;
-  for (const filter::InformationFilter* f : {nn_filter_, monitor_filter_}) {
-    if (f == nullptr) continue;
-    accepted += f->rejections().accepted;
-    rejected += f->rejections().total_rejected();
-  }
-  return {accepted, rejected};
 }
 
 }  // namespace cvsafe::sim

@@ -30,7 +30,6 @@ class MultiVehicleEpisode final : public Episode<LeftTurnMultiWorld> {
         math_(std::move(math)),
         c1_dyn_(config.c1_limits) {
     assert(scn_ != nullptr);
-    assert(multi.num_oncoming >= 1);
 
     const auto& wl = config.workload;
     assert(!wl.p1_grid.empty());
@@ -123,15 +122,7 @@ class MultiVehicleEpisode final : public Episode<LeftTurnMultiWorld> {
 
   void finalize(RunResult& result) const override {
     for (const auto* list : {&monitor_filters_, &nn_filters_}) {
-      for (const auto* f : *list) {
-        const filter::RejectionCounters& c = f->rejections();
-        result.messages_accepted += c.accepted;
-        result.messages_rejected += c.total_rejected();
-        result.rejection_reasons[0] += c.non_finite;
-        result.rejection_reasons[1] += c.out_of_range;
-        result.rejection_reasons[2] += c.stale;
-        result.rejection_reasons[3] += c.implausible;
-      }
+      for (const auto* f : *list) add_gate_tally(result, *f);
     }
   }
 
@@ -181,6 +172,8 @@ MultiVehicleAdapter::MultiVehicleAdapter(LeftTurnSimConfig config,
       setup_(std::move(setup)),
       math_(std::make_shared<const scenario::MultiVehicleLeftTurn>(
           setup_.scenario)) {
+  CVSAFE_EXPECTS(multi_.num_oncoming >= 1,
+                 "multi-vehicle: multi.num_oncoming must be at least 1");
   CVSAFE_EXPECTS(start_speeds_within(config_.workload.v1_init_min,
                                      config_.workload.v1_init_max,
                                      config_.c1_limits),
@@ -213,7 +206,8 @@ BatchStats run_multi_batch(const LeftTurnSimConfig& config,
   FleetConfig fleet;
   fleet.threads = threads;
   fleet.policy = policy;
-  return stats_from_records(run_fleet_records(adapter, n, base_seed, fleet));
+  return BatchStats::from_results(
+      run_fleet_records(adapter, n, base_seed, fleet));
 }
 
 }  // namespace cvsafe::sim

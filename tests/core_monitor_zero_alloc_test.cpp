@@ -521,7 +521,7 @@ void expect_left_turn_cohort_step_allocation_free(bool armed) {
   const sim::LeftTurnAdapter adapter(config, bp);
   constexpr std::size_t kLanes = 64;
   std::atomic<std::size_t> next{0};
-  std::vector<sim::FleetRecord> records(kLanes);
+  std::vector<sim::RunResult> records(kLanes);
   obs::FlightDumpCollector dumps;
   sim::EpisodePool<scenario::LeftTurnWorld> pool(
       adapter, kLanes, 1, sim::SeedPolicy::kPaired, next, records.size(),

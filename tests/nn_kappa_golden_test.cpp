@@ -71,7 +71,7 @@ std::string g17(double v) {
 }
 
 void emit(std::vector<std::string>& lines, const std::string& key,
-          const sim::FleetRecord& r) {
+          const sim::RunResult& r) {
   lines.push_back(key + ".eta," + g17(r.eta));
   lines.push_back(key + ".steps," + std::to_string(r.steps));
   lines.push_back(key + ".emergency_steps," +
@@ -129,7 +129,7 @@ std::vector<std::string> collect_lines() {
       const sim::RunResult result = sim::run_episode(
           adapter, sim::episode_seed(kBaseSeed, i, fleet.policy));
       emit(lines, std::string(s.name) + ".oracle.ep" + std::to_string(i),
-           sim::record_from_result(result));
+           result);
     }
   }
   return lines;

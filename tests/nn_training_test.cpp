@@ -170,6 +170,23 @@ TEST(Serialize, RejectsGarbage) {
   EXPECT_THROW(load_mlp(ss), std::runtime_error);
   std::stringstream truncated("cvsafe-mlp 1\n1\n2 3 tanh\n0.5");
   EXPECT_THROW(load_mlp(truncated), std::runtime_error);
+  // Layers that do not chain: 2 -> 2, then a layer reading 3 inputs.
+  std::stringstream unchained(
+      "cvsafe-mlp 1\n2\n2 2 tanh\n0.5 0.5\n0.5 0.5\n0 0\n"
+      "3 1 identity\n1 1 1\n0\n");
+  EXPECT_THROW(load_mlp(unchained), std::runtime_error);
+  // Parameter tokens that are not entirely one finite number.
+  for (const char* token : {"0.5zz", "abc", "nan", "inf", "-inf", "1e999"}) {
+    std::stringstream bad(std::string("cvsafe-mlp 1\n1\n2 1 identity\n") +
+                          "0.5 " + token + "\n0\n");
+    EXPECT_THROW(load_mlp(bad), std::runtime_error) << token;
+    std::stringstream bad_bias(
+        std::string("cvsafe-mlp 1\n1\n2 1 identity\n0.5 0.5\n") + token +
+        "\n");
+    EXPECT_THROW(load_mlp(bad_bias), std::runtime_error) << token;
+  }
+  std::stringstream good("cvsafe-mlp 1\n1\n2 1 identity\n0.5 -0x1p-2\n0\n");
+  EXPECT_EQ(load_mlp(good).layer(0).weights()(0, 1), -0.25);
 }
 
 TEST(Serialize, FileRoundTrip) {

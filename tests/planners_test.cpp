@@ -3,9 +3,11 @@
 #include <cmath>
 
 #include "cvsafe/nn/optimizer.hpp"
+#include "cvsafe/planners/ensemble.hpp"
 #include "cvsafe/planners/expert.hpp"
 #include "cvsafe/planners/nn_planner.hpp"
 #include "cvsafe/planners/training.hpp"
+#include "cvsafe/util/contracts.hpp"
 
 namespace cvsafe::planners {
 namespace {
@@ -163,6 +165,29 @@ TEST(NnPlanner, WrapsNetworkAsPlanner) {
   world.tau1_nn = util::Interval{30.0, 34.0};
   const double a = planner.plan(world);
   EXPECT_TRUE(std::isfinite(a));
+}
+
+TEST(NnPlanner, RejectsNetworksThatDoNotFitKappaN) {
+  // kappa_n reads InputEncoding::dim() inputs and writes one output; a
+  // network of another shape would read or write past its buffers.
+  util::ScopedContractMode mode(util::ContractMode::kThrow);
+  util::Rng rng(3);
+  const auto six_in =
+      std::make_shared<const nn::Mlp>(nn::MlpSpec{{6, 24, 1}}, rng);
+  const auto two_out =
+      std::make_shared<const nn::Mlp>(nn::MlpSpec{{4, 24, 2}}, rng);
+  const auto fits =
+      std::make_shared<const nn::Mlp>(nn::MlpSpec{{4, 24, 1}}, rng);
+  for (const auto& net : {std::shared_ptr<const nn::Mlp>{}, six_in, two_out}) {
+    EXPECT_THROW(NnPlanner(net, InputEncoding{}, "nn"),
+                 util::ContractViolation);
+    EXPECT_THROW(EnsemblePlanner({fits, net}, InputEncoding{}, "ensemble"),
+                 util::ContractViolation);
+  }
+  EXPECT_THROW(EnsemblePlanner({}, InputEncoding{}, "ensemble"),
+               util::ContractViolation);
+  EXPECT_NO_THROW(NnPlanner(fits, InputEncoding{}, "nn"));
+  EXPECT_NO_THROW(EnsemblePlanner({fits}, InputEncoding{}, "ensemble"));
 }
 
 TEST(Training, CachedNetworkIsReusedInMemory) {

@@ -2,10 +2,11 @@
 // scalar oracle. A fixed seed schedule draws cases — scenario (all four),
 // a point of the adversarial fault space decoded to a FaultPlan, a seed
 // and seed policy, a pool capacity in {1, 3, 64, 8192} and a worker count
-// in {1, 2, 3} — and every FleetRecord of run_fleet_records must equal
-// record_from_result(run_episode(...)) of the same episode, eta and reach
-// time bit for bit. The fixed grids of
-// sim_fleet_test pin chosen corners; this walks the space between them.
+// in {1, 2, 3} — and every RunResult of run_fleet_records must equal
+// run_episode(...) of the same episode, eta and reach time bit for bit,
+// with its gate rejections summing to their per-reason split. The fixed
+// grids of sim_fleet_test pin chosen corners; this walks the space
+// between them.
 // No safety property is asserted: the oracle, not the theorem, is the
 // reference here.
 
@@ -102,12 +103,22 @@ void apply_faults(sim::RunConfig& config, const Case& c) {
   config.ladder = core::LadderConfig{};
 }
 
-void expect_same_records(const std::vector<sim::FleetRecord>& fleet,
-                         const std::vector<sim::FleetRecord>& oracle) {
+void expect_same_records(const std::vector<sim::RunResult>& fleet,
+                         const std::vector<sim::RunResult>& oracle) {
   ASSERT_EQ(fleet.size(), oracle.size());
   for (std::size_t i = 0; i < fleet.size(); ++i) {
-    const sim::FleetRecord& f = fleet[i];
-    const sim::FleetRecord& o = oracle[i];
+    const sim::RunResult& f = fleet[i];
+    const sim::RunResult& o = oracle[i];
+    // Fleet and oracle share the one gate-tally helper, so comparing them
+    // cannot catch a slip in it; the per-reason split must sum to the
+    // rejected count on its own.
+    std::size_t reasons = 0;
+    for (const std::size_t n : f.rejection_reasons) reasons += n;
+    if (f.messages_rejected != reasons) {
+      ADD_FAILURE() << "episode " << i << ": " << f.messages_rejected
+                    << " rejected, per-reason split sums to " << reasons;
+      return;
+    }
     const bool same =
         std::bit_cast<std::uint64_t>(f.eta) ==
             std::bit_cast<std::uint64_t>(o.eta) &&
@@ -136,13 +147,13 @@ void expect_same_records(const std::vector<sim::FleetRecord>& fleet,
 }
 
 template <typename World>
-std::vector<sim::FleetRecord> oracle_records(
+std::vector<sim::RunResult> oracle_records(
     const sim::ScenarioAdapter<World>& adapter, const Case& c) {
-  std::vector<sim::FleetRecord> records;
+  std::vector<sim::RunResult> records;
   records.reserve(c.episodes);
   for (std::size_t i = 0; i < c.episodes; ++i) {
-    records.push_back(sim::record_from_result(
-        sim::run_episode(adapter, sim::episode_seed(c.seed, i, c.policy))));
+    records.push_back(
+        sim::run_episode(adapter, sim::episode_seed(c.seed, i, c.policy)));
   }
   return records;
 }

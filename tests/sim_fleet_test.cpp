@@ -44,11 +44,11 @@ void expect_stats_equal(const sim::BatchStats& a, const sim::BatchStats& b) {
 }
 
 void expect_records_match_results(
-    const std::vector<sim::FleetRecord>& records,
+    const std::vector<sim::RunResult>& records,
     const std::vector<sim::RunResult>& results) {
   ASSERT_EQ(records.size(), results.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const sim::RunResult r = sim::record_to_result(records[i]);
+    const sim::RunResult& r = records[i];
     EXPECT_EQ(r.collided, results[i].collided) << "episode " << i;
     EXPECT_EQ(r.reached, results[i].reached) << "episode " << i;
     EXPECT_EQ(r.reach_time, results[i].reach_time) << "episode " << i;
@@ -115,7 +115,7 @@ TEST(SimFleet, MatchesPerEpisodeAcrossVariantsThreadsAndPools) {
         SCOPED_TRACE(::testing::Message()
                      << "threads=" << threads << " pool=" << pool);
         expect_records_match_results(records, results);
-        expect_stats_equal(sim::stats_from_records(records), baseline);
+        expect_stats_equal(sim::BatchStats::from_results(records), baseline);
       }
     }
   }
@@ -195,11 +195,8 @@ TEST(SimFleetSweeps, BatchedMatchesReferenceAcrossVariantsThreadsAndPools) {
     ref.pool_capacity = 12;
     ref.threads = 2;
     ref.batched_sweeps = false;
-    std::vector<sim::RunResult> reference;
-    for (const auto& rec :
-         sim::run_left_turn_fleet_records(cfg, bp, 12, 901, ref)) {
-      reference.push_back(sim::record_to_result(rec));
-    }
+    const std::vector<sim::RunResult> reference =
+        sim::run_left_turn_fleet_records(cfg, bp, 12, 901, ref);
 
     for (const std::size_t threads : {1u, 4u, 7u}) {
       for (const std::size_t pool : {3u, 64u, 8192u}) {
@@ -412,24 +409,6 @@ TEST(FoldDeterminism, MetricsRegistryMergeIsShardCountInvariant) {
     // are exact, so the full exposition text matches byte for byte.
     EXPECT_EQ(merged.prometheus_text(), expected) << "shards=" << shards;
   }
-}
-
-TEST(FoldDeterminism, StatsFromRecordsMirrorsFromResults) {
-  const auto results = synthetic_results();
-  std::vector<sim::FleetRecord> records;
-  records.reserve(results.size());
-  for (const auto& r : results) {
-    records.push_back(sim::record_from_result(r));
-  }
-  const auto via_records = sim::stats_from_records(records);
-  const auto via_results = sim::BatchStats::from_results(results);
-  expect_stats_equal(via_records, via_results);
-
-  obs::MetricsRegistry reg_records;
-  sim::collect_record_metrics(reg_records, records);
-  obs::MetricsRegistry reg_results;
-  sim::collect_metrics(reg_results, results);
-  EXPECT_EQ(reg_records.prometheus_text(), reg_results.prometheus_text());
 }
 
 }  // namespace

@@ -68,15 +68,14 @@ std::pair<std::string, std::string> run_armed(std::size_t threads,
   obs::FlightDumpCollector dumps;
   sim::FleetObsSinks sinks;
   sinks.dumps = &dumps;
-  const std::vector<sim::FleetRecord> records =
+  const std::vector<sim::RunResult> results =
       sim::run_left_turn_fleet_records(config, bp, kEpisodes, kSeed, fleet,
                                        sinks);
   std::ostringstream jsonl;
   obs::write_flight_dumps_jsonl(jsonl, dumps.take_sorted(), "left-turn",
                                 "corruption");
   obs::MetricsRegistry reg;
-  sim::collect_fleet_telemetry(reg,
-                               std::span<const sim::FleetRecord>(records));
+  sim::collect_fleet_telemetry(reg, results);
   return {jsonl.str(), reg.prometheus_text()};
 }
 

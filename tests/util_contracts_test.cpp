@@ -199,6 +199,21 @@ TEST(ContractsChain, TrafficStartSpeedRangesFire) {
   expect_rejected(std::nan(""), 7.0);
 }
 
+TEST(ContractsChain, MultiVehicleNeedsOncomingTraffic) {
+  // An empty platoon would run episodes with no oncoming vehicle at all.
+  ScopedContractMode mode(ContractMode::kThrow);
+  const sim::LeftTurnSimConfig config =
+      sim::LeftTurnSimConfig::paper_defaults();
+  sim::MultiAgentSetup setup;
+  setup.scenario = config.make_scenario();
+  sim::MultiVehicleConfig empty;
+  empty.num_oncoming = 0;
+  EXPECT_THROW(sim::MultiVehicleAdapter(config, empty, setup),
+               ContractViolation);
+  EXPECT_NO_THROW(
+      sim::MultiVehicleAdapter(config, sim::MultiVehicleConfig{}, setup));
+}
+
 TEST(ContractsChain, PreimagePreconditionsFire) {
   ScopedContractMode mode(ContractMode::kThrow);
   EXPECT_THROW(core::sample_controls(1.0, -1.0, 5), ContractViolation);

@@ -15,6 +15,11 @@
 // commands()), and run/batch one the chosen --scenario does not read:
 // --trace/--profile/--metrics/--pool/--flight-recorder/--telemetry/--style
 // are left-turn only, --cars multi only, --config left-turn or multi.
+// A numeric flag whose whole token is not a number of its kind is
+// rejected the same way before any work (see number_flags()): counts,
+// seeds and --threads are whole numbers (counts at least 1), --drop,
+// --delay, --delta and --stealth finite numbers. A token such as -3 is a
+// value, not a flag, so a negative count is rejected rather than dropped.
 //
 // Common options:
 //   --scenario left-turn|lane-change|intersection|multi  (run/batch,
@@ -90,15 +95,20 @@
 //                            SearchTrace CSV goes to stdout
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <map>
-#include <span>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <fstream>
@@ -127,6 +137,27 @@ namespace {
 
 using namespace cvsafe;
 
+/// The whole number spelled by all of \p text (std::from_chars: no sign,
+/// no space, no fraction, no exponent, no overflow), if it is one.
+std::optional<std::uint64_t> parse_whole(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// The finite number spelled by all of \p text, if it is one.
+std::optional<double> parse_real(const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> values;
@@ -142,10 +173,16 @@ struct Args {
     const auto it = values.find(name);
     return it == values.end() ? dflt : it->second;
   }
+  /// A whole-number flag (\p dflt when absent). main() has already
+  /// rejected a token that is not one (reject_malformed_numbers).
+  std::uint64_t whole(const std::string& name, std::uint64_t dflt) const {
+    const auto it = values.find(name);
+    return it == values.end() ? dflt : parse_whole(it->second).value();
+  }
+  /// A finite-number flag (\p dflt when absent), vetted the same way.
   double number(const std::string& name, double dflt) const {
     const auto it = values.find(name);
-    return it == values.end() ? dflt : std::strtod(it->second.c_str(),
-                                                   nullptr);
+    return it == values.end() ? dflt : parse_real(it->second).value();
   }
 };
 
@@ -156,8 +193,11 @@ Args parse_args(int argc, char** argv) {
     std::string token = argv[i];
     if (token.rfind("--", 0) != 0) continue;
     token = token.substr(2);
-    // Value options take the next token; boolean flags stand alone.
-    if (i + 1 < argc && argv[i + 1][0] != '-') {
+    // Value options take the next token, a negative number such as -3
+    // included; boolean flags stand alone.
+    const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (next != nullptr &&
+        (next[0] != '-' || std::isdigit(static_cast<unsigned char>(next[1])))) {
       args.values[token] = argv[++i];
     } else {
       args.flags.push_back(token);
@@ -322,9 +362,9 @@ int print_stats(const std::string& title, const sim::BatchStats& stats) {
 int run_other_scenario(const std::string& scenario, const Args& args,
                        bool batch) {
   const std::string variant = args.value("variant", "ultimate");
-  const auto seed = static_cast<std::uint64_t>(args.number("seed", 1));
-  const auto n = static_cast<std::size_t>(args.number("sims", 500));
-  const auto threads = static_cast<std::size_t>(args.number("threads", 0));
+  const std::uint64_t seed = args.whole("seed", 1);
+  const std::size_t n = args.whole("sims", 500);
+  const std::size_t threads = args.whole("threads", 0);
 
   if (scenario == "lane-change") {
     sim::LaneChangeSimConfig config;
@@ -365,8 +405,7 @@ int run_other_scenario(const std::string& scenario, const Args& args,
   if (scenario == "multi") {
     sim::LeftTurnSimConfig config = build_config(args);
     sim::MultiVehicleConfig multi;
-    multi.num_oncoming =
-        static_cast<std::size_t>(args.number("cars", 2));
+    multi.num_oncoming = args.whole("cars", 2);
     sim::MultiAgentSetup setup;
     setup.scenario = config.make_scenario();  // expert kappa_n
     if (variant == "pure") setup.use_compound = false;
@@ -407,7 +446,7 @@ int cmd_run(const Args& args) {
   // does. Defaults are identical, so this is a no-op without --faults.
   bp.config.gate = config.gate;
   bp.config.ladder = config.ladder;
-  const auto seed = static_cast<std::uint64_t>(args.number("seed", 1));
+  const std::uint64_t seed = args.whole("seed", 1);
 
   const bool want_trace = args.values.count("trace") > 0;
   const std::string trace_path = args.value("trace", "trace.csv");
@@ -495,14 +534,14 @@ int cmd_batch(const Args& args) {
       eval::make_nn_blueprint(config, parse_style(args), parse_variant(args));
   bp.config.gate = config.gate;
   bp.config.ladder = config.ladder;
-  const auto n = static_cast<std::size_t>(args.number("sims", 500));
-  const auto seed = static_cast<std::uint64_t>(args.number("seed", 1));
-  const auto threads = static_cast<std::size_t>(args.number("threads", 0));
-  const auto pool = static_cast<std::size_t>(args.number("pool", 8192));
+  const std::size_t n = args.whole("sims", 500);
+  const std::uint64_t seed = args.whole("seed", 1);
+  const std::size_t threads = args.whole("threads", 0);
+  const std::size_t pool = args.whole("pool", 8192);
   const bool want_flight = args.values.count("flight-recorder") > 0;
   const bool want_telemetry = args.values.count("telemetry") > 0;
 
-  // The records stay in episode order so the deterministic telemetry fold
+  // The results stay in episode order so the deterministic telemetry fold
   // can walk them.
   obs::FlightDumpCollector dumps;
   sim::SweepSpanSink spans;
@@ -512,7 +551,7 @@ int cmd_batch(const Args& args) {
   sim::FleetConfig fleet;
   fleet.threads = threads;
   fleet.pool_capacity = pool;
-  const std::vector<sim::FleetRecord> records =
+  const std::vector<sim::RunResult> results =
       sim::run_left_turn_fleet_records(config, bp, n, seed, fleet, sinks);
   if (want_flight &&
       !write_flight_dumps(args.value("flight-recorder", "flight.jsonl"),
@@ -521,15 +560,14 @@ int cmd_batch(const Args& args) {
   }
   if (want_telemetry) {
     obs::MetricsRegistry reg;
-    sim::collect_fleet_telemetry(reg,
-                                 std::span<const sim::FleetRecord>(records));
+    sim::collect_fleet_telemetry(reg, results);
     const std::string path = args.value("telemetry", "telemetry.prom");
     if (!dump_metrics(reg, path)) return 1;
     if (!dump_spans(spans, path)) return 1;
   }
   return print_stats("batch: " + bp.name + " under " +
                          channel_label(config, args),
-                     sim::stats_from_records(records));
+                     sim::BatchStats::from_results(results));
 }
 
 int cmd_train(const Args& args) {
@@ -538,7 +576,7 @@ int cmd_train(const Args& args) {
   const std::string out_dir = args.value("out", ".");
   planners::TrainingOptions options;
   if (args.values.count("sims")) {
-    options.num_samples = static_cast<std::size_t>(args.number("sims", 0));
+    options.num_samples = args.whole("sims", 0);
   }
   for (const auto style : {planners::PlannerStyle::kConservative,
                            planners::PlannerStyle::kAggressive}) {
@@ -564,12 +602,10 @@ int cmd_sweep(const Args& args) {
                                         : eval::CommSetting::kDelayed;
   const auto grid = kind == "sensor" ? eval::sensor_delta_grid()
                                      : eval::drop_prob_grid();
-  const auto points =
-      std::min<std::size_t>(grid.size(),
-                            static_cast<std::size_t>(
-                                args.number("points", 10)));
-  const auto sims = static_cast<std::size_t>(args.number("sims", 200));
-  const auto threads = static_cast<std::size_t>(args.number("threads", 0));
+  const std::size_t points =
+      std::min<std::size_t>(grid.size(), args.whole("points", 10));
+  const std::size_t sims = args.whole("sims", 200);
+  const std::size_t threads = args.whole("threads", 0);
   const sim::LeftTurnSimConfig base = build_config(args);
   const auto style = parse_style(args);
 
@@ -612,13 +648,12 @@ int cmd_campaign(const Args& args) {
     return 2;
   }
   if (args.values.count("sims")) {
-    config.episodes_per_cell =
-        static_cast<std::size_t>(args.number("sims", 8));
+    config.episodes_per_cell = args.whole("sims", 8);
   }
   if (args.values.count("seed")) {
-    config.base_seed = static_cast<std::uint64_t>(args.number("seed", 2026));
+    config.base_seed = args.whole("seed", 2026);
   }
-  config.threads = static_cast<std::size_t>(args.number("threads", 0));
+  config.threads = args.whole("threads", 0);
 
   std::ofstream trace_out;
   const bool want_trace = args.values.count("trace") > 0;
@@ -720,39 +755,29 @@ int cmd_campaign(const Args& args) {
 
 int cmd_attack(const Args& args) {
   adv::SearchConfig config = adv::SearchConfig::ci();
-  const std::string budget = args.value("budget", "ci");
-  if (budget != "ci") {
-    const auto iterations = static_cast<std::size_t>(
-        std::strtoul(budget.c_str(), nullptr, 10));
-    if (iterations == 0) {
-      std::fprintf(stderr, "--budget must be ci or a positive iteration "
-                           "count, got %s\n",
-                   budget.c_str());
-      return 2;
-    }
-    config.iterations = iterations;
+  if (args.value("budget", "ci") != "ci") {
+    config.iterations = args.whole("budget", config.iterations);
   }
   std::string scenario = args.value("scenario", config.scenario);
   if (scenario == "multi") scenario = "multi-vehicle";
   config.scenario = scenario;
   config.optimizer = args.value("optimizer", config.optimizer);
   if (args.values.count("seed")) {
-    config.search_seed = static_cast<std::uint64_t>(args.number("seed", 7));
+    config.search_seed = args.whole("seed", 7);
   }
   if (args.values.count("eval-seed")) {
-    config.eval_seed =
-        static_cast<std::uint64_t>(args.number("eval-seed", 2026));
+    config.eval_seed = args.whole("eval-seed", 2026);
   }
   if (args.values.count("sims")) {
-    config.episodes_per_eval = static_cast<std::size_t>(args.number("sims", 4));
+    config.episodes_per_eval = args.whole("sims", 4);
   }
   if (args.values.count("topk")) {
-    config.top_k = static_cast<std::size_t>(args.number("topk", 3));
+    config.top_k = args.whole("topk", 3);
   }
   if (args.values.count("stealth")) {
     config.stealth_threshold = args.number("stealth", 0.25);
   }
-  config.threads = static_cast<std::size_t>(args.number("threads", 0));
+  config.threads = args.whole("threads", 0);
 
   const adv::SearchResult result = adv::run_search(config);
   const std::string csv = adv::search_csv(result);
@@ -853,7 +878,7 @@ int cmd_attack(const Args& args) {
 int cmd_certify(const Args& args) {
   const sim::LeftTurnSimConfig config = build_config(args);
   const auto scenario = config.make_scenario();
-  util::Rng rng(static_cast<std::uint64_t>(args.number("seed", 20230417)));
+  util::Rng rng(args.whole("seed", 20230417));
 
   int failures = 0;
   const auto report = [&failures](const verify::Certificate& cert) {
@@ -872,7 +897,7 @@ int cmd_certify(const Args& args) {
   // artifact (--cert FILE; revalidate with scripts/check_certificate.py).
   obs::MetricsRegistry metrics;
   verify::SoundBnbOptions sound_options;
-  sound_options.threads = static_cast<std::size_t>(args.number("threads", 0));
+  sound_options.threads = args.whole("threads", 0);
   sound_options.metrics = &metrics;
   const auto style = args.value("style", "cons") == "aggr"
                          ? planners::PlannerStyle::kAggressive
@@ -994,6 +1019,58 @@ int reject_unread_flags(const CommandSpec& command, const Args& args) {
   return 0;
 }
 
+/// What a numeric flag's token must spell. The same flag means the same
+/// thing in every command.
+enum class Number {
+  kWhole,  ///< a whole number (seeds; --threads, where 0 = hardware)
+  kCount,  ///< a whole number of at least 1
+  kReal,   ///< a finite number
+};
+
+const std::vector<std::pair<const char*, Number>>& number_flags() {
+  static const std::vector<std::pair<const char*, Number>> table = {
+      {"seed", Number::kWhole},   {"eval-seed", Number::kWhole},
+      {"threads", Number::kWhole},
+      {"sims", Number::kCount},   {"pool", Number::kCount},
+      {"cars", Number::kCount},   {"points", Number::kCount},
+      {"topk", Number::kCount},   {"budget", Number::kCount},
+      {"drop", Number::kReal},    {"delay", Number::kReal},
+      {"delta", Number::kReal},   {"stealth", Number::kReal}};
+  return table;
+}
+
+/// Exit status 2, with a message naming the flag and its value, for the
+/// first numeric flag of \p args whose token is not a number of its kind
+/// (or that has no value); 0 when all are. Runs before the command, so a
+/// malformed number stops the CLI before any work.
+int reject_malformed_numbers(const Args& args) {
+  for (const auto& [name, kind] : number_flags()) {
+    if (args.has_flag(name)) {
+      std::fprintf(stderr, "--%s needs a value\n", name);
+      return 2;
+    }
+    const auto it = args.values.find(name);
+    if (it == args.values.end()) continue;
+    const std::string& text = it->second;
+    if (std::strcmp(name, "budget") == 0 && text == "ci") continue;
+    bool ok = false;
+    if (kind == Number::kReal) {
+      ok = parse_real(text).has_value();
+    } else {
+      const std::optional<std::uint64_t> value = parse_whole(text);
+      ok = value && (kind == Number::kWhole || *value >= 1);
+    }
+    if (ok) continue;
+    std::fprintf(stderr, "--%s expects %s, got %s\n", name,
+                 kind == Number::kReal    ? "a finite number"
+                 : kind == Number::kCount ? "a whole number of at least 1"
+                                          : "a whole number",
+                 text.c_str());
+    return 2;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1003,6 +1080,7 @@ int main(int argc, char** argv) {
     if (const int rc = reject_unread_flags(command, args); rc != 0) {
       return rc;
     }
+    if (const int rc = reject_malformed_numbers(args); rc != 0) return rc;
     try {
       return command.run(args);
     } catch (const std::exception& e) {
