@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -36,6 +37,7 @@
 #include "cvsafe/eval/experiments.hpp"
 #include "cvsafe/fault/fault_plan.hpp"
 #include "cvsafe/fault/faulty_channel.hpp"
+#include "cvsafe/filter/estimate.hpp"
 #include "cvsafe/filter/kalman.hpp"
 #include "cvsafe/filter/reachability.hpp"
 #include "cvsafe/nn/interval_mlp.hpp"
@@ -48,9 +50,12 @@
 #include "cvsafe/planners/expert.hpp"
 #include "cvsafe/planners/nn_planner.hpp"
 #include "cvsafe/planners/training.hpp"
+#include "cvsafe/scenario/intersection.hpp"
 #include "cvsafe/scenario/left_turn.hpp"
+#include "cvsafe/scenario/multi_vehicle.hpp"
 #include "cvsafe/scenario/safety_model.hpp"
 #include "cvsafe/sim/fleet.hpp"
+#include "cvsafe/sim/intersection.hpp"
 #include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/verify/sound.hpp"
 #include "support/legacy_reference.hpp"
@@ -125,6 +130,19 @@ struct Options {
 
 double elapsed_s(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// The oncoming-vehicle estimate the window and X_b benches work on,
+/// \p gap metres further from the conflict zone.
+cvsafe::filter::StateEstimate oncoming_estimate(double gap) {
+  cvsafe::filter::StateEstimate est;
+  est.t = 1.0;
+  est.p = cvsafe::util::Interval{-45.0 - gap, -43.0 - gap};
+  est.v = cvsafe::util::Interval{8.0, 10.0};
+  est.p_hat = est.p.mid();
+  est.v_hat = 9.0;
+  est.valid = true;
+  return est;
 }
 
 /// Runs fn(iters) batches, growing iters until the batch takes at least
@@ -375,6 +393,97 @@ std::vector<Bench> build_registry() {
                      });
   }});
 
+  // One op = one sensor update plus one V2V message 1 s old: the Kalman
+  // rollback to the message's time and the replay of the readings of the
+  // second after it (the delayed-channel path of every information
+  // filter).
+  benches.push_back({"kalman_message_rollback", [](const Options& o) {
+    filter::KalmanFilter kf({0.1, 1.0, 1.0, 1.0, 3.0, 64});
+    double t = 0.0;
+    for (int i = 0; i < 64; ++i) {
+      kf.update({t, -50.0 + 9.0 * t, 9.0, 0.0});
+      t += 0.1;
+    }
+    return run_bench("kalman_message_rollback", o.min_time_s,
+                     [&](std::uint64_t n) {
+                       for (std::uint64_t it = 0; it < n; ++it) {
+                         kf.update({t, -50.0 + 9.0 * t, 9.0, 0.0});
+                         const double t_k = t - 1.0;
+                         kf.correct_with_message(t_k, -50.0 + 9.0 * t_k,
+                                                 9.0, 0.0);
+                         g_sink = kf.state_at(t).x;
+                         t += 0.1;
+                       }
+                     });
+  }});
+
+  // One op = one left-turn occupancy window (Eq. 7 conservative, Eq. 8
+  // aggressive) from an estimate of the oncoming vehicle.
+  for (const bool aggressive : {false, true}) {
+    const std::string name =
+        aggressive ? "window_aggressive" : "window_conservative";
+    benches.push_back({name, [name, aggressive](const Options& o) {
+      const auto scn = sim::LeftTurnSimConfig::paper_defaults().make_scenario();
+      const filter::StateEstimate est = oncoming_estimate(0.0);
+      return run_bench(name, o.min_time_s, [&](std::uint64_t n) {
+        for (std::uint64_t it = 0; it < n; ++it) {
+          g_sink = aggressive ? scn->c1_window_aggressive(
+                                    est, scenario::AggressiveBuffers{}).lo
+                              : scn->c1_window_conservative(est).lo;
+        }
+      });
+    }});
+  }
+
+  // One op = one X_b membership test of the monitor: left turn,
+  // multi-vehicle against 1, 4 and 16 oncoming cars, intersection.
+  benches.push_back({"boundary_check_left_turn", [](const Options& o) {
+    const auto scn = sim::LeftTurnSimConfig::paper_defaults().make_scenario();
+    const util::Interval tau1{3.0, 6.0};
+    return run_bench("boundary_check_left_turn", o.min_time_s,
+                     [&](std::uint64_t n) {
+                       for (std::uint64_t it = 0; it < n; ++it) {
+                         g_sink = scn->in_boundary_safe_set(1.0, -10.0, 9.0,
+                                                            tau1);
+                       }
+                     });
+  }});
+  for (const std::size_t cars :
+       {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+    const std::string name = "boundary_check_multi_" + std::to_string(cars);
+    benches.push_back({name, [name, cars](const Options& o) {
+      const scenario::MultiVehicleLeftTurn math(
+          sim::LeftTurnSimConfig::paper_defaults().make_scenario());
+      std::vector<filter::StateEstimate> oncoming;
+      for (std::size_t i = 0; i < cars; ++i) {
+        oncoming.push_back(oncoming_estimate(25.0 * static_cast<double>(i)));
+      }
+      util::IntervalSet tau;
+      math.conservative_windows(oncoming, tau);
+      return run_bench(name, o.min_time_s, [&](std::uint64_t n) {
+        for (std::uint64_t it = 0; it < n; ++it) {
+          g_sink = math.in_boundary_safe_set(1.0, -10.0, 9.0, tau);
+        }
+      });
+    }});
+  }
+  benches.push_back({"boundary_check_intersection", [](const Options& o) {
+    const scenario::IntersectionScenario scn(
+        scenario::IntersectionGeometry{},
+        sim::IntersectionSimConfig{}.ego_limits, 0.05);
+    scenario::IntersectionWorld w;
+    w.t = 1.0;
+    w.ego = {-10.0, 9.0};
+    w.tau_a = util::IntervalSet{{3.0, 5.0}, {9.0, 11.0}};
+    w.tau_b = util::IntervalSet{{2.5, 4.0}};
+    return run_bench("boundary_check_intersection", o.min_time_s,
+                     [&](std::uint64_t n) {
+                       for (std::uint64_t it = 0; it < n; ++it) {
+                         g_sink = scn.in_boundary_safe_set(w);
+                       }
+                     });
+  }});
+
   benches.push_back({"boundary_grid_serial", [](const Options& o) {
     core::PreimageGrid grid;
     grid.nx = o.grid;
@@ -521,38 +630,6 @@ std::vector<Bench> build_registry() {
                      });
   }});
 
-  // One op = one compound-planner step with the degradation ladder armed
-  // and signals sweeping across every rung threshold (the ladder-update +
-  // monitor-gate hot path of a faulted episode).
-  benches.push_back({"compound_step_degradation", [](const Options& o) {
-    const auto cfg = sim::LeftTurnSimConfig::paper_defaults();
-    const auto scn = cfg.make_scenario();
-    auto inner = std::make_shared<planners::ExpertPlanner>(
-        scn, planners::ExpertParams::conservative(), "expert");
-    auto model = std::make_shared<scenario::LeftTurnSafetyModel>(scn);
-    core::CompoundPlanner<scenario::LeftTurnWorld> compound(
-        std::move(inner), std::move(model));
-    compound.enable_degradation(core::LadderConfig{});
-    scenario::LeftTurnWorld world;
-    world.t = 1.0;
-    world.ego = vehicle::VehicleState{cfg.geometry.ego_start, 8.0};
-    world.tau1_monitor = util::Interval{5.0, 8.0};
-    world.tau1_nn = world.tau1_monitor;
-    double age = 0.0;
-    return run_bench(
-        "compound_step_degradation", o.min_time_s, [&](std::uint64_t n) {
-          for (std::uint64_t it = 0; it < n; ++it) {
-            core::DegradationSignals signals;
-            signals.have_message = true;
-            signals.message_age = age;
-            signals.filter_consistent = (it & 63u) != 0;
-            compound.note_signals(signals);
-            g_sink = compound.plan(world);
-            age = age < 1.2 ? age + 0.05 : 0.0;
-          }
-        });
-  }});
-
   // One op = one compound-planner step with no observability attached:
   // the untraced baseline the tracing-overhead gate compares against.
   benches.push_back({"compound_step", [](const Options& o) {
@@ -666,6 +743,30 @@ std::vector<Bench> build_registry() {
                              eval::run_batch(cfg, bp, 8, seed, 1);
                          g_sink = stats.mean_eta;
                          seed += 8;
+                       }
+                     });
+  }});
+
+  // One op = one control step of the ultimate compound planner around
+  // the conservative kappa_n, on the scalar engine: EpisodeRunner observe,
+  // plan and advance, seed 1, 2, ... in turn; each new episode's set-up
+  // counts into the step that starts it.
+  benches.push_back({"control_step_ultimate_nn", [](const Options& o) {
+    const auto cfg = sim::LeftTurnSimConfig::paper_defaults();
+    const sim::LeftTurnAdapter adapter(
+        cfg, eval::make_nn_blueprint(cfg, planners::PlannerStyle::kConservative,
+                                     eval::PlannerVariant::kUltimate));
+    std::uint64_t seed = 1;
+    std::optional<sim::EpisodeRunner<scenario::LeftTurnWorld>> runner;
+    runner.emplace(adapter, seed);
+    return run_bench("control_step_ultimate_nn", o.min_time_s,
+                     [&](std::uint64_t n) {
+                       for (std::uint64_t it = 0; it < n; ++it) {
+                         if (runner->done()) runner.emplace(adapter, ++seed);
+                         runner->observe();
+                         const double a0 = runner->plan();
+                         runner->advance(a0);
+                         g_sink = a0;
                        }
                      });
   }});

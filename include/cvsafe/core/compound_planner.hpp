@@ -36,21 +36,6 @@ struct CompoundOptions {
   bool aggressive_unsafe_set = false;
 };
 
-/// Per-run statistics of the monitor's decisions.
-struct MonitorStats {
-  std::size_t total_steps = 0;      ///< plan() invocations
-  std::size_t emergency_steps = 0;  ///< steps controlled by kappa_e
-
-  /// Fraction of steps controlled by kappa_e ("emergency frequency"
-  /// column of Tables I and II).
-  double emergency_frequency() const {
-    return total_steps == 0
-               ? 0.0
-               : static_cast<double>(emergency_steps) /
-                     static_cast<double>(total_steps);
-  }
-};
-
 /// One planner hand-over recorded by the monitor.
 struct SwitchEvent {
   std::size_t step = 0;       ///< plan() invocation index (0-based)
@@ -99,7 +84,7 @@ class CompoundPlanner final : public PlannerBase<World> {
   /// must then be evaluated on planner_view(world)). Exactly one of
   /// monitor_gate()/plan() may be called per control step.
   std::optional<double> monitor_gate(const World& world) {
-    const std::size_t step = stats_.total_steps++;
+    const std::size_t step = step_++;
     // Degradation ladder (degradation.hpp): at EMERGENCY-BIASED the X_b
     // membership test runs on the biased (inflated) view, so the monitor
     // fires earlier while the estimators are suspect. kappa_e itself is
@@ -124,7 +109,6 @@ class CompoundPlanner final : public PlannerBase<World> {
     const World& check = biased ? scratch_ : world;
     if (on) recorder_->eta_sample(safety_model_->boundary_slack(check));
     if (safety_model_->in_boundary_safe_set(check)) {
-      ++stats_.emergency_steps;
       if (!last_was_emergency_) {
         if (on) {
           recorder_->gate_verdict(true, safety_model_->boundary_slack(check));
@@ -195,12 +179,6 @@ class CompoundPlanner final : public PlannerBase<World> {
   /// True iff the most recent plan() was handled by kappa_e.
   bool last_was_emergency() const { return last_was_emergency_; }
 
-  const MonitorStats& stats() const { return stats_; }
-  void reset_stats() {
-    stats_ = {};
-    switch_events_.clear();
-  }
-
   /// Planner hand-overs in order (capped at kMaxSwitchEvents; the cap is
   /// generous — a well-behaved run switches a handful of times).
   const std::vector<SwitchEvent>& switch_events() const {
@@ -231,7 +209,7 @@ class CompoundPlanner final : public PlannerBase<World> {
   std::shared_ptr<const SafetyModelBase<World>> safety_model_;
   CompoundOptions options_;
   std::string name_;
-  MonitorStats stats_;
+  std::size_t step_ = 0;  ///< monitor_gate() invocations so far
   std::vector<SwitchEvent> switch_events_;
   bool last_was_emergency_ = false;
   std::optional<DegradationLadder> ladder_;

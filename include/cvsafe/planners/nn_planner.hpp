@@ -72,7 +72,8 @@ class NnPlanner final : public core::PlannerBase<scenario::LeftTurnWorld> {
   std::string name_;
   nn::Workspace workspace_;  ///< per-planner scratch; planners are
                              ///< per-episode objects, never shared across
-                             ///< threads (see AgentBlueprint::make)
+                             ///< threads (each left-turn episode
+                             ///< builds its own kappa_n)
 };
 
 }  // namespace cvsafe::planners

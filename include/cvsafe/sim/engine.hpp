@@ -32,9 +32,10 @@
 /// scenario shares, parameterized by a ScenarioAdapter. The engine owns
 /// the step sequencing — traffic broadcast, channel delivery, estimator
 /// update, planner dispatch (monitor query included via the compound
-/// planner seam), dynamics stepping, eta/trace recording — while the
-/// adapter owns what is genuinely scenario-specific: workload generation,
-/// world-view construction and unsafe/target classification.
+/// planner seam), dynamics stepping, gate tallies, recorder wiring,
+/// eta/trace recording — while the adapter owns what is genuinely
+/// scenario-specific: workload generation, world-view construction and
+/// unsafe/target classification.
 ///
 /// Determinism contract: one util::Rng drives an entire episode. The
 /// draw order is fixed — workload draws in ScenarioAdapter::make_episode
@@ -66,13 +67,13 @@ struct TrafficActor {
   /// Estimators fed by pump(), updated in vector order per delivery.
   std::vector<std::unique_ptr<filter::Estimator>> estimators;
 
-  /// Delivery scratch reused by broadcast_and_observe: after the first
+  /// Delivery scratch reused by pump: after the first
   /// few deliveries warm its capacity, draining the channel allocates
   /// nothing (part of the zero-alloc steady-state episode step).
   std::vector<comm::Message> inbox;
 
   /// Wires \p recorder into the channel and sensor fault stages (the
-  /// estimators are wired by the episode, which knows their types).
+  /// estimators are wired through the episode's typed filter views).
   void set_recorder(obs::Recorder* recorder) {
     channel.set_recorder(recorder);
     sensor.set_recorder(recorder);
@@ -125,8 +126,8 @@ inline core::DegradationSignals degradation_signals(
 
 /// Adds one information filter's plausibility-gate tally to \p result:
 /// accepted and rejected messages, and the rejections per gate reason
-/// (obs::GateRejectReason order). Every scenario's finalize calls it once
-/// per filter of the episode.
+/// (obs::GateRejectReason order). Episode::finalize calls it once per
+/// information filter of the episode.
 inline void add_gate_tally(RunResult& result,
                            const filter::InformationFilter& filt) {
   const filter::RejectionCounters& c = filt.rejections();
@@ -154,63 +155,59 @@ struct SignalAccumulator {
 };
 
 /// The per-actor half of an engine step: the actor broadcasts its current
-/// snapshot on its channel, due messages are delivered and a sensor
-/// sample is (possibly) taken, each forwarded to the estimator sinks.
-/// RNG draw order: channel offer, then sensor sample. Returns the
-/// pre-step snapshot (used by traces and for the dynamics step).
-template <typename OnMessage, typename OnSensor>
-vehicle::VehicleSnapshot broadcast_and_observe(TrafficActor& actor, double t,
-                                               std::size_t step,
-                                               util::Rng& rng,
-                                               OnMessage&& on_message,
-                                               OnSensor&& on_sensor) {
-  const double accel = actor.profile.at(step);
-  const vehicle::VehicleSnapshot snapshot{t, actor.state, accel};
+/// snapshot {t, state, profile.at(step)} on its channel, due messages are
+/// delivered and a sensor sample is (possibly) taken, each forwarded to
+/// the actor's estimators in vector order. RNG draw order: channel offer,
+/// then sensor sample.
+inline void pump(TrafficActor& actor, double t, std::size_t step,
+                 util::Rng& rng) {
+  const vehicle::VehicleSnapshot snapshot{t, actor.state,
+                                          actor.profile.at(step)};
   actor.channel.offer(comm::Message{actor.id, snapshot}, rng);
   actor.channel.collect_into(t, actor.inbox);
-  for (const auto& msg : actor.inbox) on_message(msg);
-  if (const auto reading = actor.sensor.sense(snapshot, rng)) {
-    on_sensor(*reading);
+  for (const auto& msg : actor.inbox) {
+    for (const auto& est : actor.estimators) est->on_message(msg);
   }
-  return snapshot;
+  if (const auto reading = actor.sensor.sense(snapshot, rng)) {
+    for (const auto& est : actor.estimators) est->on_sensor(*reading);
+  }
 }
 
-/// broadcast_and_observe into the actor's own estimators.
-inline vehicle::VehicleSnapshot pump(TrafficActor& actor, double t,
-                                     std::size_t step, util::Rng& rng) {
-  return broadcast_and_observe(
-      actor, t, step, rng,
-      [&](const comm::Message& msg) {
-        for (const auto& est : actor.estimators) est->on_message(msg);
-      },
-      [&](const sensing::SensorReading& reading) {
-        for (const auto& est : actor.estimators) est->on_sensor(reading);
-      });
-}
-
-/// Per-episode scenario state: traffic, estimators and the assembled
-/// control stack. Instances are created fresh by ScenarioAdapter for
-/// every episode (estimator and monitor state is per episode).
+/// Per-episode scenario state: the traffic with its estimators and the
+/// assembled control stack. Instances are created fresh by
+/// ScenarioAdapter for every episode (estimator and monitor state is per
+/// episode). The engine pumps, advances, tallies and wires the traffic;
+/// a scenario supplies its workload draw (its constructor), its world
+/// view (build_world) and its unsafe/target classification (check).
 template <typename World>
 class Episode {
  public:
   virtual ~Episode() = default;
 
-  /// Pumps every traffic actor's channel/sensor at (t, step) and fills
-  /// the scenario fields of \p world (estimates, occupancy windows). The
-  /// engine has already set world.t and world.ego.
-  virtual void observe(World& world, double t, std::size_t step,
-                       util::Rng& rng) = 0;
-
-  /// Steps all traffic with the scenario dynamics.
-  virtual void advance_traffic(std::size_t step, double dt) = 0;
+  /// Fills the scenario fields of \p world (estimates, occupancy windows)
+  /// from the traffic's estimators, which the engine has just pumped, and
+  /// refreshes the degradation ladder's signals. The engine has already
+  /// set world.t (== \p t) and world.ego.
+  virtual void build_world(World& world, double t) = 0;
 
   /// Classifies the post-step configuration (unsafe / target set).
   virtual StepStatus check(const vehicle::VehicleState& ego) const = 0;
 
-  /// Adds the episode's gate tallies (add_gate_tally per information
-  /// filter) to the finished result (default: none).
-  virtual void finalize(RunResult& result) const { (void)result; }
+  /// Steps every traffic actor with the traffic dynamics, in creation
+  /// order.
+  void advance_traffic(std::size_t step, double dt) {
+    for (TrafficActor& actor : traffic_) {
+      actor.state = traffic_dyn_.step(actor.state, actor.profile.at(step),
+                                      dt);
+    }
+  }
+
+  /// Adds every information filter's gate tally to the finished result.
+  void finalize(RunResult& result) const {
+    for (const filter::InformationFilter* f : filters_) {
+      add_gate_tally(result, *f);
+    }
+  }
 
   /// Wires an obs::Recorder through the episode's control stack — the
   /// compound planner (monitor verdicts, eta samples, ladder
@@ -219,21 +216,71 @@ class Episode {
   /// instrumentation points emit events. Called by
   /// EpisodeRunner::attach_recorder before the first step. Pass nullptr
   /// to detach.
-  virtual void attach_recorder(obs::Recorder* recorder) = 0;
+  void attach_recorder(obs::Recorder* recorder) {
+    if (compound_ != nullptr) compound_->set_recorder(recorder);
+    for (filter::InformationFilter* f : filters_) f->set_recorder(recorder);
+    for (TrafficActor& actor : traffic_) actor.set_recorder(recorder);
+  }
+
+  /// The traffic in creation order: the order in which the engine pumps
+  /// and advances it.
+  std::vector<TrafficActor>& traffic() { return traffic_; }
+  const std::vector<TrafficActor>& traffic() const { return traffic_; }
 
   core::PlannerBase<World>& planner() { return *planner_; }
-  const std::shared_ptr<core::PlannerBase<World>>& planner_ptr() const {
-    return planner_;
-  }
   /// The compound planner wrapping kappa_n, or nullptr when the stack is
   /// unmonitored (pure-NN / raw baselines).
   core::CompoundPlanner<World>* compound() const { return compound_; }
   const vehicle::VehicleState& ego_init() const { return ego_init_; }
 
  protected:
+  /// \p traffic_limits bound the dynamics every traffic actor is stepped
+  /// with.
+  explicit Episode(const vehicle::VehicleLimits& traffic_limits)
+      : traffic_dyn_(traffic_limits) {}
+
+  /// A traffic estimator: an information filter, whose typed view the
+  /// episode keeps for the gate tallies and the recorder wiring.
+  std::unique_ptr<filter::Estimator> make_filter(
+      const vehicle::VehicleLimits& limits,
+      const sensing::SensorConfig& sensor,
+      const filter::InfoFilterOptions& options,
+      const filter::GateConfig& gate) {
+    auto f = std::make_unique<filter::InformationFilter>(limits, sensor,
+                                                         options, gate);
+    filters_.push_back(f.get());
+    return f;
+  }
+
+  /// Installs kappa_n (\p inner) as the episode's planner: wrapped in the
+  /// compound planner with \p model (monitor + kappa_e), and the
+  /// degradation ladder armed when \p ladder is set, or bare when
+  /// \p model is null.
+  void install_planner(
+      std::shared_ptr<core::PlannerBase<World>> inner,
+      std::shared_ptr<const core::SafetyModelBase<World>> model,
+      const std::optional<core::LadderConfig>& ladder,
+      core::CompoundOptions options = {}) {
+    if (model == nullptr) {
+      planner_ = std::move(inner);
+      return;
+    }
+    auto compound = std::make_shared<core::CompoundPlanner<World>>(
+        std::move(inner), std::move(model), options);
+    compound_ = compound.get();
+    planner_ = std::move(compound);
+    if (ladder) compound_->enable_degradation(*ladder);
+  }
+
+  std::vector<TrafficActor> traffic_;
+  /// Typed views of the traffic's information filters, in creation order.
+  std::vector<filter::InformationFilter*> filters_;
+  vehicle::VehicleState ego_init_{};
+
+ private:
+  vehicle::DoubleIntegrator traffic_dyn_;
   std::shared_ptr<core::PlannerBase<World>> planner_;
   core::CompoundPlanner<World>* compound_ = nullptr;  ///< non-owning view
-  vehicle::VehicleState ego_init_{};
 };
 
 /// Scenario plug-in: everything the engine cannot know. Stateless across
@@ -306,22 +353,27 @@ class EpisodeRunner {
 
   bool done() const { return finished_ || step_ >= total_steps_; }
 
-  /// Phase 1: traffic broadcast, channel delivery, estimator update;
-  /// builds the planner's world view for the current step.
+  /// Phase 1: every traffic actor, in creation order, broadcasts, gets
+  /// its channel delivered and its sensor sampled into its estimators
+  /// (pump); then the episode builds the planner's world view for the
+  /// current step.
   const World& observe() {
     observe_begin();
-    episode_->observe(world_, t_, step_, rng_);
+    for (TrafficActor& actor : episode_->traffic()) {
+      pump(actor, t_, step_, rng_);
+    }
+    episode_->build_world(world_, t_);
     return world_;
   }
 
   /// Phase 1 bookkeeping only: step timing, the step-begin stamp and the
-  /// world skeleton (t/ego), without the episode's observe work.
-  /// observe() == observe_begin() + Episode::observe.
+  /// world skeleton (t/ego), without pumping the traffic or building the
+  /// world.
   void observe_begin() {
     CVSAFE_EXPECTS(!done(), "observe() after the episode finished");
     t_ = static_cast<double>(step_) * config_->dt_c;
     if (recorder_ != nullptr) recorder_->begin_step(step_);
-    // World storage contract: Episode::observe fills every field, and a
+    // World storage contract: Episode::build_world fills every field, and a
     // world with containers clears them in place, so their storage
     // survives from step to step.
     if constexpr (requires(World& w) { w.clear(); }) {
@@ -335,8 +387,9 @@ class EpisodeRunner {
 
   /// Attaches the episode's event sink (a traced run's recorder or a
   /// pool lane's armed one): the runner stamps each step into it
-  /// (observe_begin) and records plan clamps (advance_begin); the episode
-  /// wires it through its control stack. Pass nullptr to detach.
+  /// (observe_begin) and records plan clamps (advance_begin);
+  /// Episode::attach_recorder wires it through the control stack and the
+  /// traffic. Pass nullptr to detach.
   void attach_recorder(obs::Recorder* recorder) {
     recorder_ = recorder;
     episode_->attach_recorder(recorder);

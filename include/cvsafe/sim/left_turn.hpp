@@ -2,13 +2,18 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cvsafe/core/compound_planner.hpp"
+#include "cvsafe/filter/info_filter.hpp"
+#include "cvsafe/planners/expert.hpp"
+#include "cvsafe/planners/nn_planner.hpp"
 #include "cvsafe/scenario/left_turn.hpp"
+#include "cvsafe/sensing/sensor.hpp"
 #include "cvsafe/sim/engine.hpp"
 #include "cvsafe/sim/fleet.hpp"
-#include "cvsafe/sim/left_turn_stack.hpp"
 #include "cvsafe/vehicle/accel_profile.hpp"
 #include "cvsafe/vehicle/trajectory.hpp"
 
@@ -17,6 +22,17 @@
 /// adapter: ego control stack vs an oncoming vehicle driving a random
 /// acceleration sequence, under a configurable communication / sensing
 /// disturbance.
+///
+/// The agent configuration covers every planner variant evaluated in the
+/// paper plus the ablation crosses:
+///
+///   pure NN            — naive estimator, no monitor;
+///   basic compound     — naive estimator for the NN, sound reachability
+///                        bounds for the monitor, no aggressive shrink;
+///   ultimate compound  — information filter (reachability ∩ Kalman) for
+///                        the NN, sound reachability bounds for the
+///                        monitor, aggressive unsafe set for the NN;
+///   ablations          — each technique toggled independently.
 
 namespace cvsafe::sim {
 
@@ -52,8 +68,48 @@ struct LeftTurnSimConfig : RunConfig {
   std::shared_ptr<const scenario::LeftTurnScenario> make_scenario() const;
 };
 
-/// Reusable description of an agent; make() produces a fresh control
-/// stack (estimator state is per episode).
+/// Which estimator feeds the embedded NN planner / the monitor.
+struct AgentConfig {
+  /// Wrap the planner in the compound planner (monitor + kappa_e).
+  bool use_compound = true;
+
+  /// Monitor + NN use the full information filter (Kalman fusion); when
+  /// false the monitor uses sound reachability bounds only and the NN
+  /// sees the naive extrapolation (pure-NN / basic behavior).
+  bool use_info_filter = false;
+
+  /// Feed the NN the aggressive (Eq. 8) window.
+  bool use_aggressive = false;
+
+  /// Buffers of the aggressive estimation.
+  scenario::AggressiveBuffers buffers;
+
+  /// Use the closed-form expert instead of a trained network as kappa_n
+  /// (fast tests / baselines; the framework wraps any planner).
+  bool use_expert_planner = false;
+  planners::ExpertParams expert_params = planners::ExpertParams::conservative();
+
+  /// Uncertainty-aversion of an ensemble kappa_n (only used when the
+  /// blueprint lists ensemble members): the commanded acceleration is
+  /// reduced by this many member standard deviations.
+  double ensemble_sigma_penalty = 0.0;
+
+  /// Message plausibility screens of every information filter in the
+  /// stack (filter/plausibility.hpp). Permissive default = non-finite
+  /// rejection only, bit-identical to the ungated stack.
+  filter::GateConfig gate;
+
+  /// Degradation-ladder thresholds (core/degradation.hpp); armed only on
+  /// compound stacks, disarmed (pre-ladder behavior) by default.
+  std::optional<core::LadderConfig> ladder;
+
+  static AgentConfig pure_nn();
+  static AgentConfig basic_compound();
+  static AgentConfig ultimate_compound();
+};
+
+/// Reusable description of an agent: each episode assembles a fresh
+/// control stack from it (estimator and monitor state is per episode).
 struct AgentBlueprint {
   std::string name;
   std::shared_ptr<const scenario::LeftTurnScenario> scenario;
@@ -63,8 +119,6 @@ struct AgentBlueprint {
   std::vector<std::shared_ptr<const nn::Mlp>> ensemble;
   sensing::SensorConfig sensor;
   AgentConfig config;
-
-  std::unique_ptr<LeftTurnStack> make() const;
 };
 
 /// Optional per-step recording for figures and examples.
@@ -77,52 +131,15 @@ struct SimTrace {
   std::vector<core::SwitchEvent> switches;  ///< monitor hand-overs
 };
 
-/// Per-episode left-turn state: the oncoming vehicle (its channel/sensor
-/// pair) plus the assembled ego control stack.
-class LeftTurnEpisode final : public Episode<scenario::LeftTurnWorld> {
- public:
-  /// Workload draw order (fixed; golden traces depend on it): oncoming
-  /// grid index, initial speed, acceleration profile.
-  LeftTurnEpisode(const LeftTurnSimConfig& config,
-                  const AgentBlueprint& blueprint, util::Rng& rng,
-                  std::size_t total_steps, std::uint64_t seed);
-
-  void observe(scenario::LeftTurnWorld& world, double t, std::size_t step,
-               util::Rng& rng) override;
-
-  void advance_traffic(std::size_t step, double dt) override;
-  StepStatus check(const vehicle::VehicleState& ego) const override;
-
-  /// Attaches the monitor statistics (compound stacks only) as a
-  /// RunResult extra.
-  void finalize(RunResult& result) const override;
-
-  /// Wires the recorder through the ego stack and the oncoming vehicle's
-  /// fault decorators (channel + sensor).
-  void attach_recorder(obs::Recorder* recorder) override;
-
-  LeftTurnStack& stack() { return *stack_; }
-  const LeftTurnStack& stack() const { return *stack_; }
-
-  /// The oncoming vehicle's ground-truth snapshot of the current step
-  /// (valid after observe(); used by trace recording).
-  const vehicle::VehicleSnapshot& c1_snapshot() const {
-    return c1_snapshot_;
-  }
-
- private:
-  const scenario::LeftTurnScenario* scn_;
-  vehicle::DoubleIntegrator c1_dyn_;
-  TrafficActor c1_;
-  std::unique_ptr<LeftTurnStack> stack_;
-  vehicle::VehicleSnapshot c1_snapshot_{};
-};
-
 /// The left-turn scenario plugged into the generic engine.
 class LeftTurnAdapter final : public ScenarioAdapter<scenario::LeftTurnWorld> {
  public:
   LeftTurnAdapter(LeftTurnSimConfig config, AgentBlueprint blueprint)
       : config_(std::move(config)), blueprint_(std::move(blueprint)) {
+    CVSAFE_EXPECTS(blueprint_.scenario != nullptr,
+                   "left turn: blueprint.scenario must be set");
+    CVSAFE_EXPECTS(!config_.workload.p1_grid.empty(),
+                   "left turn: workload.p1_grid must not be empty");
     CVSAFE_EXPECTS(start_speeds_within(config_.workload.v1_init_min,
                                        config_.workload.v1_init_max,
                                        config_.c1_limits),

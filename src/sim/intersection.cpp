@@ -1,6 +1,7 @@
 #include "cvsafe/sim/intersection.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,82 +49,67 @@ class IntersectionEpisode final : public Episode<IntersectionWorld> {
  public:
   /// Workload draw order (fixed), per lane A then lane B: lead gap, then
   /// per vehicle its initial speed, acceleration profile and trailing
-  /// headway.
+  /// headway. The traffic holds lane A's vehicles, then lane B's.
   IntersectionEpisode(
       const IntersectionSimConfig& config,
       std::shared_ptr<const scenario::IntersectionScenario> scn,
       bool use_compound, util::Rng& rng, std::size_t total_steps,
       std::uint64_t seed)
-      : config_(&config),
-        scn_(std::move(scn)),
-        cross_dyn_(config.cross_limits) {
+      : Episode(config.cross_limits),
+        config_(&config),
+        scn_(std::move(scn)) {
+    traffic_.reserve(2 * config.vehicles_per_lane);
+    filters_.reserve(2 * config.vehicles_per_lane);
     // Actor ids stay unique across lanes so each actor gets its own
     // fault stream (actor_channel / actor_sensor derive by id).
-    lane_a_ = make_stream(config, rng, total_steps, seed, 1);
-    lane_b_ = make_stream(config, rng, total_steps, seed,
-                          1 + static_cast<std::uint32_t>(
-                                  config.vehicles_per_lane));
-    for (const auto* lane : {&lane_a_, &lane_b_}) {
-      for (const auto& car : *lane) {
-        filters_.push_back(static_cast<filter::InformationFilter*>(
-            car.estimators.front().get()));
+    for (int side = 0; side < 2; ++side) {
+      double p = config.cross_zone_front -
+                 rng.uniform(config.lead_gap_min, config.lead_gap_max);
+      for (std::size_t i = 0; i < config.vehicles_per_lane; ++i) {
+        const auto id = static_cast<std::uint32_t>(traffic_.size() + 1);
+        const double v0 = rng.uniform(config.v_init_min, config.v_init_max);
+        vehicle::AccelProfile profile = vehicle::AccelProfile::random(
+            total_steps, config.dt_c, v0, config.cross_limits, {}, rng);
+        std::vector<std::unique_ptr<filter::Estimator>> estimators;
+        estimators.push_back(make_filter(config.cross_limits, config.sensor,
+                                         filter::InfoFilterOptions::basic(),
+                                         config.gate));
+        traffic_.push_back(TrafficActor{id,
+                                        vehicle::VehicleState{p, v0},
+                                        std::move(profile),
+                                        actor_channel(config, id, seed),
+                                        actor_sensor(config, id, seed),
+                                        std::move(estimators),
+                                        {}});
+        p -= rng.uniform(config.headway_min, config.headway_max);
       }
     }
 
-    auto cruise = std::make_shared<CruisePlanner<IntersectionWorld>>(
-        11.0, config.ego_limits);
-    if (use_compound) {
-      auto model =
-          std::make_shared<scenario::IntersectionSafetyModel>(scn_);
-      auto compound =
-          std::make_shared<core::CompoundPlanner<IntersectionWorld>>(
-              std::move(cruise), std::move(model));
-      compound_ = compound.get();
-      planner_ = std::move(compound);
-      if (config.ladder) compound_->enable_degradation(*config.ladder);
-    } else {
-      planner_ = std::move(cruise);
-    }
+    install_planner(
+        std::make_shared<CruisePlanner<IntersectionWorld>>(
+            11.0, config.ego_limits),
+        use_compound
+            ? std::make_shared<scenario::IntersectionSafetyModel>(scn_)
+            : nullptr,
+        config.ladder);
     ego_init_ =
         vehicle::VehicleState{config.geometry.ego_start, config.ego_v0};
   }
 
-  void observe(IntersectionWorld& world, double t, std::size_t step,
-               util::Rng& rng) override {
-    update_stream(lane_a_, t, step, rng, world.tau_a);
-    update_stream(lane_b_, t, step, rng, world.tau_b);
-    if (compound_ != nullptr && compound_->has_ladder()) {
+  void build_world(IntersectionWorld& world, double t) override {
+    add_windows(lane(0), t, world.tau_a);
+    add_windows(lane(1), t, world.tau_b);
+    if (compound() != nullptr && compound()->has_ladder()) {
       SignalAccumulator acc;
       for (const auto* f : filters_) acc.add(degradation_signals(*f, t));
-      compound_->note_signals(acc.worst);
-    }
-  }
-
-  void finalize(RunResult& result) const override {
-    for (const auto* f : filters_) add_gate_tally(result, *f);
-  }
-
-  void attach_recorder(obs::Recorder* recorder) override {
-    if (compound_ != nullptr) compound_->set_recorder(recorder);
-    for (auto* f : filters_) f->set_recorder(recorder);
-    for (auto* stream : {&lane_a_, &lane_b_}) {
-      for (auto& car : *stream) car.set_recorder(recorder);
-    }
-  }
-
-  void advance_traffic(std::size_t step, double dt) override {
-    for (auto& car : lane_a_) {
-      car.state = cross_dyn_.step(car.state, car.profile.at(step), dt);
-    }
-    for (auto& car : lane_b_) {
-      car.state = cross_dyn_.step(car.state, car.profile.at(step), dt);
+      compound()->note_signals(acc.worst);
     }
   }
 
   StepStatus check(const vehicle::VehicleState& ego) const override {
     StepStatus status;
-    if ((scn_->in_zone_a(ego.p) && stream_occupies(lane_a_)) ||
-        (scn_->in_zone_b(ego.p) && stream_occupies(lane_b_))) {
+    if ((scn_->in_zone_a(ego.p) && occupies(lane(0))) ||
+        (scn_->in_zone_b(ego.p) && occupies(lane(1)))) {
       status.collided = true;
     } else if (ego.p >= config_->geometry.ego_target) {
       status.reached = true;
@@ -132,48 +118,23 @@ class IntersectionEpisode final : public Episode<IntersectionWorld> {
   }
 
  private:
-  static std::vector<TrafficActor> make_stream(
-      const IntersectionSimConfig& config, util::Rng& rng,
-      std::size_t total_steps, std::uint64_t seed,
-      std::uint32_t id_base) {
-    std::vector<TrafficActor> stream;
-    stream.reserve(config.vehicles_per_lane);
-    double p = config.cross_zone_front -
-               rng.uniform(config.lead_gap_min, config.lead_gap_max);
-    for (std::size_t i = 0; i < config.vehicles_per_lane; ++i) {
-      const auto id = id_base + static_cast<std::uint32_t>(i);
-      const double v0 = rng.uniform(config.v_init_min, config.v_init_max);
-      vehicle::AccelProfile profile = vehicle::AccelProfile::random(
-          total_steps, config.dt_c, v0, config.cross_limits, {}, rng);
-      std::vector<std::unique_ptr<filter::Estimator>> estimators;
-      estimators.push_back(std::make_unique<filter::InformationFilter>(
-          config.cross_limits, config.sensor,
-          filter::InfoFilterOptions::basic(), config.gate));
-      stream.push_back(TrafficActor{id,
-                                    vehicle::VehicleState{p, v0},
-                                    std::move(profile),
-                                    actor_channel(config, id, seed),
-                                    actor_sensor(config, id, seed),
-                                    std::move(estimators),
-                                    {}});
-      p -= rng.uniform(config.headway_min, config.headway_max);
-    }
-    return stream;
+  /// Lane A's vehicles (\p k = 0) or lane B's (\p k = 1).
+  std::span<const TrafficActor> lane(std::size_t k) const {
+    const std::size_t n = config_->vehicles_per_lane;
+    return std::span<const TrafficActor>(traffic_).subspan(k * n, n);
   }
 
-  void update_stream(std::vector<TrafficActor>& stream, double t,
-                     std::size_t step, util::Rng& rng,
-                     util::IntervalSet& tau) {
-    for (auto& car : stream) {
-      pump(car, t, step, rng);
+  void add_windows(std::span<const TrafficActor> cars, double t,
+                   util::IntervalSet& tau) const {
+    for (const auto& car : cars) {
       tau.insert(conservative_window(
           car.estimators.front()->estimate(t), config_->cross_zone_front,
           config_->cross_zone_back, config_->cross_limits));
     }
   }
 
-  bool stream_occupies(const std::vector<TrafficActor>& stream) const {
-    for (const auto& car : stream) {
+  bool occupies(std::span<const TrafficActor> cars) const {
+    for (const auto& car : cars) {
       if (car.state.p > config_->cross_zone_front &&
           car.state.p < config_->cross_zone_back) {
         return true;
@@ -184,11 +145,6 @@ class IntersectionEpisode final : public Episode<IntersectionWorld> {
 
   const IntersectionSimConfig* config_;
   std::shared_ptr<const scenario::IntersectionScenario> scn_;
-  vehicle::DoubleIntegrator cross_dyn_;
-  std::vector<TrafficActor> lane_a_;
-  std::vector<TrafficActor> lane_b_;
-  /// Typed views of every actor's estimator (signals, gate tallies).
-  std::vector<filter::InformationFilter*> filters_;
 };
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "cvsafe/sim/multi_vehicle.hpp"
 
-#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -16,6 +15,11 @@ using scenario::LeftTurnMultiWorld;
 
 namespace {
 
+/// The monitor's filter of an oncoming car (its first estimator).
+const filter::InformationFilter& monitor_filter(const TrafficActor& car) {
+  return static_cast<const filter::InformationFilter&>(*car.estimators[0]);
+}
+
 class MultiVehicleEpisode final : public Episode<LeftTurnMultiWorld> {
  public:
   /// Workload draw order (fixed): platoon lead grid index, then per
@@ -26,19 +30,17 @@ class MultiVehicleEpisode final : public Episode<LeftTurnMultiWorld> {
       const MultiAgentSetup& setup,
       std::shared_ptr<const scenario::MultiVehicleLeftTurn> math,
       util::Rng& rng, std::size_t total_steps, std::uint64_t seed)
-      : scn_(setup.scenario.get()),
-        math_(std::move(math)),
-        c1_dyn_(config.c1_limits) {
-    assert(scn_ != nullptr);
-
+      : Episode(config.c1_limits),
+        scn_(setup.scenario.get()),
+        math_(std::move(math)) {
     const auto& wl = config.workload;
-    assert(!wl.p1_grid.empty());
     const auto grid_idx = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(wl.p1_grid.size()) - 1));
     const double lead_u =
         scenario::LeftTurnGeometry::oncoming_to_frame(wl.p1_grid[grid_idx]);
 
-    cars_.reserve(multi.num_oncoming);
+    traffic_.reserve(multi.num_oncoming);
+    filters_.reserve(2 * multi.num_oncoming);
     double u = lead_u;
     for (std::size_t i = 0; i < multi.num_oncoming; ++i) {
       const double v0 = rng.uniform(wl.v1_init_min, wl.v1_init_max);
@@ -47,28 +49,24 @@ class MultiVehicleEpisode final : public Episode<LeftTurnMultiWorld> {
       // Estimator order [monitor, nn] fixes the per-delivery update order.
       const auto id = static_cast<std::uint32_t>(i + 1);
       std::vector<std::unique_ptr<filter::Estimator>> estimators;
-      auto monitor_filter = std::make_unique<filter::InformationFilter>(
-          config.c1_limits, config.sensor,
-          filter::InfoFilterOptions::basic(), config.gate);
-      monitor_filters_.push_back(monitor_filter.get());
-      estimators.push_back(std::move(monitor_filter));
+      estimators.push_back(make_filter(config.c1_limits, config.sensor,
+                                       filter::InfoFilterOptions::basic(),
+                                       config.gate));
       if (setup.use_info_filter) {
-        auto nn_filter = std::make_unique<filter::InformationFilter>(
-            config.c1_limits, config.sensor,
-            filter::InfoFilterOptions::ultimate(), config.gate);
-        nn_filters_.push_back(nn_filter.get());
-        estimators.push_back(std::move(nn_filter));
+        estimators.push_back(make_filter(config.c1_limits, config.sensor,
+                                         filter::InfoFilterOptions::ultimate(),
+                                         config.gate));
       } else {
         estimators.push_back(std::make_unique<filter::NaiveExtrapolator>(
             config.sensor.delta_p, config.sensor.delta_v));
       }
-      cars_.push_back(TrafficActor{id,
-                                   vehicle::VehicleState{u, v0},
-                                   std::move(profile),
-                                   actor_channel(config, id, seed),
-                                   actor_sensor(config, id, seed),
-                                   std::move(estimators),
-                                   {}});
+      traffic_.push_back(TrafficActor{id,
+                                      vehicle::VehicleState{u, v0},
+                                      std::move(profile),
+                                      actor_channel(config, id, seed),
+                                      actor_sensor(config, id, seed),
+                                      std::move(estimators),
+                                      {}});
       u -= multi.platoon_spacing +
            rng.uniform(-multi.spacing_jitter, multi.spacing_jitter);
     }
@@ -81,68 +79,37 @@ class MultiVehicleEpisode final : public Episode<LeftTurnMultiWorld> {
       single = std::make_shared<planners::ExpertPlanner>(
           setup.scenario, setup.expert_params, "expert");
     }
-    auto adapted =
-        std::make_shared<scenario::FirstConflictAdapter>(std::move(single));
-    if (setup.use_compound) {
-      auto model = std::make_shared<scenario::MultiVehicleSafetyModel>(
-          math_, setup.buffers);
-      auto compound =
-          std::make_shared<core::CompoundPlanner<LeftTurnMultiWorld>>(
-              std::move(adapted), std::move(model),
-              core::CompoundOptions{setup.use_aggressive});
-      compound_ = compound.get();
-      planner_ = std::move(compound);
-      if (config.ladder) compound_->enable_degradation(*config.ladder);
-    } else {
-      planner_ = std::move(adapted);
-    }
+    install_planner(
+        std::make_shared<scenario::FirstConflictAdapter>(std::move(single)),
+        setup.use_compound ? std::make_shared<scenario::MultiVehicleSafetyModel>(
+                                 math_, setup.buffers)
+                           : nullptr,
+        config.ladder, core::CompoundOptions{setup.use_aggressive});
     ego_init_ =
         vehicle::VehicleState{config.geometry.ego_start, config.ego_v0};
   }
 
-  void observe(LeftTurnMultiWorld& world, double t, std::size_t step,
-               util::Rng& rng) override {
-    world.oncoming_monitor.reserve(cars_.size());
-    world.oncoming_nn.reserve(cars_.size());
-    for (auto& car : cars_) {
-      pump(car, t, step, rng);
+  void build_world(LeftTurnMultiWorld& world, double t) override {
+    world.oncoming_monitor.reserve(traffic_.size());
+    world.oncoming_nn.reserve(traffic_.size());
+    for (const auto& car : traffic_) {
       world.oncoming_monitor.push_back(car.estimators[0]->estimate(t));
       world.oncoming_nn.push_back(car.estimators[1]->estimate(t));
     }
     math_->conservative_windows(world.oncoming_monitor, world.tau_monitor);
     math_->conservative_windows(world.oncoming_nn, world.tau_nn);
-    if (compound_ != nullptr && compound_->has_ladder()) {
+    if (compound() != nullptr && compound()->has_ladder()) {
       SignalAccumulator acc;
-      for (const auto* f : monitor_filters_) {
-        acc.add(degradation_signals(*f, t));
+      for (const auto& car : traffic_) {
+        acc.add(degradation_signals(monitor_filter(car), t));
       }
-      compound_->note_signals(acc.worst);
-    }
-  }
-
-  void finalize(RunResult& result) const override {
-    for (const auto* list : {&monitor_filters_, &nn_filters_}) {
-      for (const auto* f : *list) add_gate_tally(result, *f);
-    }
-  }
-
-  void attach_recorder(obs::Recorder* recorder) override {
-    if (compound_ != nullptr) compound_->set_recorder(recorder);
-    for (auto* list : {&monitor_filters_, &nn_filters_}) {
-      for (auto* f : *list) f->set_recorder(recorder);
-    }
-    for (auto& car : cars_) car.set_recorder(recorder);
-  }
-
-  void advance_traffic(std::size_t step, double dt) override {
-    for (auto& car : cars_) {
-      car.state = c1_dyn_.step(car.state, car.profile.at(step), dt);
+      compound()->note_signals(acc.worst);
     }
   }
 
   StepStatus check(const vehicle::VehicleState& ego) const override {
     StepStatus status;
-    for (const auto& car : cars_) {
+    for (const auto& car : traffic_) {
       if (scn_->collision(ego.p, car.state.p)) status.collided = true;
     }
     if (!status.collided && scn_->ego_reached_target(ego.p)) {
@@ -154,12 +121,6 @@ class MultiVehicleEpisode final : public Episode<LeftTurnMultiWorld> {
  private:
   const scenario::LeftTurnScenario* scn_;
   std::shared_ptr<const scenario::MultiVehicleLeftTurn> math_;
-  vehicle::DoubleIntegrator c1_dyn_;
-  std::vector<TrafficActor> cars_;
-  /// Typed views per car (signals, gate tallies); nn_filters_ is empty
-  /// when the NN side uses the naive extrapolator.
-  std::vector<filter::InformationFilter*> monitor_filters_;
-  std::vector<filter::InformationFilter*> nn_filters_;
 };
 
 }  // namespace
@@ -167,11 +128,11 @@ class MultiVehicleEpisode final : public Episode<LeftTurnMultiWorld> {
 MultiVehicleAdapter::MultiVehicleAdapter(LeftTurnSimConfig config,
                                          MultiVehicleConfig multi,
                                          MultiAgentSetup setup)
-    : config_(std::move(config)),
-      multi_(multi),
-      setup_(std::move(setup)),
-      math_(std::make_shared<const scenario::MultiVehicleLeftTurn>(
-          setup_.scenario)) {
+    : config_(std::move(config)), multi_(multi), setup_(std::move(setup)) {
+  CVSAFE_EXPECTS(setup_.scenario != nullptr,
+                 "multi-vehicle: setup.scenario must be set");
+  CVSAFE_EXPECTS(!config_.workload.p1_grid.empty(),
+                 "multi-vehicle: workload.p1_grid must not be empty");
   CVSAFE_EXPECTS(multi_.num_oncoming >= 1,
                  "multi-vehicle: multi.num_oncoming must be at least 1");
   CVSAFE_EXPECTS(start_speeds_within(config_.workload.v1_init_min,
@@ -180,6 +141,8 @@ MultiVehicleAdapter::MultiVehicleAdapter(LeftTurnSimConfig config,
                  "multi-vehicle: [workload.v1_init_min,"
                  " workload.v1_init_max] must be an ordered range within"
                  " c1_limits' speeds");
+  math_ = std::make_shared<const scenario::MultiVehicleLeftTurn>(
+      setup_.scenario);
 }
 
 std::unique_ptr<Episode<LeftTurnMultiWorld>>

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "cvsafe/util/contracts.hpp"
+
 namespace cvsafe::util {
 namespace {
 
@@ -49,7 +51,7 @@ double Rng::uniform(double lo, double hi) {
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
+  CVSAFE_EXPECTS(lo <= hi, "Rng::uniform_int needs lo <= hi");
   const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
   if (range == 0) return static_cast<std::int64_t>(next_u64());  // full range
   // Rejection sampling to avoid modulo bias.

@@ -77,18 +77,6 @@ TEST(CompoundPlanner, ShrinkAppliedOnlyWhenEnabled) {
   EXPECT_TRUE(nn->saw_shrunk);
 }
 
-TEST(CompoundPlanner, StatsCountEmergencyFrequency) {
-  auto nn = std::make_shared<ToyPlanner>();
-  CompoundPlanner<ToyWorld> compound(nn, std::make_shared<ToySafetyModel>());
-  for (int i = 0; i < 8; ++i) compound.plan(ToyWorld{0.1, false});
-  for (int i = 0; i < 2; ++i) compound.plan(ToyWorld{0.8, false});
-  EXPECT_EQ(compound.stats().total_steps, 10u);
-  EXPECT_EQ(compound.stats().emergency_steps, 2u);
-  EXPECT_NEAR(compound.stats().emergency_frequency(), 0.2, 1e-12);
-  compound.reset_stats();
-  EXPECT_EQ(compound.stats().total_steps, 0u);
-}
-
 TEST(CompoundPlanner, NameReflectsConfiguration) {
   auto nn = std::make_shared<ToyPlanner>();
   CompoundPlanner<ToyWorld> basic(nn, std::make_shared<ToySafetyModel>());
@@ -96,10 +84,6 @@ TEST(CompoundPlanner, NameReflectsConfiguration) {
   CompoundPlanner<ToyWorld> ult(nn, std::make_shared<ToySafetyModel>(),
                                 CompoundOptions{true});
   EXPECT_EQ(ult.name(), "compound(toy, aggressive)");
-}
-
-TEST(MonitorStats, EmptyFrequencyIsZero) {
-  EXPECT_EQ(MonitorStats{}.emergency_frequency(), 0.0);
 }
 
 TEST(CompoundPlanner, RecordsSwitchEvents) {
@@ -120,9 +104,6 @@ TEST(CompoundPlanner, RecordsSwitchEvents) {
   EXPECT_FALSE(events[1].to_emergency);
   EXPECT_EQ(events[2].step, 4u);
   EXPECT_TRUE(events[2].to_emergency);
-
-  compound.reset_stats();
-  EXPECT_TRUE(compound.switch_events().empty());
 }
 
 TEST(CompoundPlanner, SwitchEventsAreBounded) {

@@ -6,6 +6,7 @@
 
 #include "cvsafe/eval/batch.hpp"
 #include "cvsafe/eval/experiments.hpp"
+#include "cvsafe/planners/ensemble.hpp"
 #include "cvsafe/sim/left_turn.hpp"
 
 namespace cvsafe::eval {

@@ -10,10 +10,12 @@
 #include <memory>
 #include <vector>
 
+#include "cvsafe/fault/fault_plan.hpp"
 #include "cvsafe/sim/intersection.hpp"
 #include "cvsafe/sim/lane_change.hpp"
 #include "cvsafe/sim/left_turn.hpp"
 #include "cvsafe/sim/multi_vehicle.hpp"
+#include "cvsafe/sim/trace.hpp"
 
 namespace {
 
@@ -21,44 +23,57 @@ using namespace cvsafe;
 
 // --- one fixture per adapter ------------------------------------------------
 
+// The disturbance every fixture runs under; \p hardened adds corruption
+// faults, the hardened plausibility gate and the armed degradation ladder.
+void disturb(sim::RunConfig& cfg, bool hardened) {
+  cfg.comm = comm::CommConfig::delayed(0.3, 0.25);
+  if (!hardened) return;
+  cfg.faults = fault::FaultPlan::corruption();
+  cfg.gate = filter::GateConfig::hardened();
+  cfg.ladder = core::LadderConfig{};
+}
+
 struct LeftTurnFixture {
   using Adapter = sim::LeftTurnAdapter;
-  static Adapter make() {
+  static Adapter make(bool hardened = false) {
     sim::LeftTurnSimConfig cfg = sim::LeftTurnSimConfig::paper_defaults();
-    cfg.comm = comm::CommConfig::delayed(0.3, 0.25);
+    disturb(cfg, hardened);
     sim::AgentBlueprint bp;
     bp.name = "expert";
     bp.scenario = cfg.make_scenario();
     bp.sensor = cfg.sensor;
     bp.config = sim::AgentConfig::ultimate_compound();
     bp.config.use_expert_planner = true;
+    // The left turn's stack takes its gate and ladder from the blueprint.
+    bp.config.gate = cfg.gate;
+    bp.config.ladder = cfg.ladder;
     return Adapter(cfg, bp);
   }
 };
 
 struct LaneChangeFixture {
   using Adapter = sim::LaneChangeAdapter;
-  static Adapter make() {
+  static Adapter make(bool hardened = false) {
     sim::LaneChangeSimConfig cfg;
-    cfg.comm = comm::CommConfig::delayed(0.3, 0.25);
+    disturb(cfg, hardened);
     return Adapter(cfg, sim::LaneChangePlannerConfig{});
   }
 };
 
 struct IntersectionFixture {
   using Adapter = sim::IntersectionAdapter;
-  static Adapter make() {
+  static Adapter make(bool hardened = false) {
     sim::IntersectionSimConfig cfg;
-    cfg.comm = comm::CommConfig::delayed(0.3, 0.25);
+    disturb(cfg, hardened);
     return Adapter(cfg, /*use_compound=*/true);
   }
 };
 
 struct MultiVehicleFixture {
   using Adapter = sim::MultiVehicleAdapter;
-  static Adapter make() {
+  static Adapter make(bool hardened = false) {
     sim::LeftTurnSimConfig cfg = sim::LeftTurnSimConfig::paper_defaults();
-    cfg.comm = comm::CommConfig::delayed(0.3, 0.25);
+    disturb(cfg, hardened);
     sim::MultiAgentSetup setup;
     setup.scenario = cfg.make_scenario();
     return Adapter(cfg, sim::MultiVehicleConfig{}, setup);
@@ -177,6 +192,43 @@ TYPED_TEST(AdapterConformance, BatchMatchesIndependentEpisodes) {
   EXPECT_EQ(stats.total_steps, steps);
   EXPECT_LE(stats.safe_count, kN);
   EXPECT_LE(stats.reached_count, kN);
+}
+
+TYPED_TEST(AdapterConformance, TracedEpisodesMatchPlainOnesAndTheirGateTally) {
+  // The engine wires the recorder through, and tallies the gate of, the
+  // same information filters: a traced episode runs exactly like a plain
+  // one, and its accept/reject events count what its result tallies.
+  const auto adapter = TypeParam::make(/*hardened=*/true);
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    const sim::RunResult plain = sim::run_episode(adapter, seed);
+    const auto [traced, dump] = sim::trace_episode(adapter, 0, seed);
+    EXPECT_EQ(traced.collided, plain.collided);
+    EXPECT_EQ(traced.reached, plain.reached);
+    EXPECT_EQ(traced.reach_time, plain.reach_time);  // exact
+    EXPECT_EQ(traced.eta, plain.eta);                // exact
+    EXPECT_EQ(traced.steps, plain.steps);
+    EXPECT_EQ(traced.emergency_steps, plain.emergency_steps);
+    EXPECT_EQ(traced.ladder_steps, plain.ladder_steps);
+    EXPECT_EQ(traced.ladder_transitions, plain.ladder_transitions);
+    EXPECT_EQ(traced.messages_accepted, plain.messages_accepted);
+    EXPECT_EQ(traced.messages_rejected, plain.messages_rejected);
+    EXPECT_EQ(traced.rejection_reasons, plain.rejection_reasons);
+
+    EXPECT_EQ(dump.overwritten, 0u);
+    std::size_t accepts = 0;
+    std::size_t rejects = 0;
+    for (const obs::Event& e : dump.events) {
+      const auto kind = static_cast<obs::EventKind>(e.kind);
+      if (kind == obs::EventKind::kMessageAccept) ++accepts;
+      if (kind == obs::EventKind::kMessageReject) ++rejects;
+    }
+    EXPECT_EQ(accepts, traced.messages_accepted);
+    EXPECT_EQ(rejects, traced.messages_rejected);
+    rejected += rejects;
+  }
+  EXPECT_GT(rejected, 0u) << "corruption faults never reached the gate";
 }
 
 }  // namespace

@@ -199,6 +199,40 @@ TEST(ContractsChain, TrafficStartSpeedRangesFire) {
   expect_rejected(std::nan(""), 7.0);
 }
 
+TEST(ContractsChain, LeftTurnTrafficNeedsScenarioAndStartGrid) {
+  // The left-turn and multi-vehicle episodes draw their oncoming start
+  // from workload.p1_grid and ask the blueprint's (setup's) scenario for
+  // their limits: both adapters reject, at construction, an empty grid
+  // (a default LeftTurnSimConfig has one) and a null scenario, and the
+  // grid draw itself rejects the empty range it would be asked for.
+  ScopedContractMode mode(ContractMode::kThrow);
+  const sim::LeftTurnSimConfig paper = sim::LeftTurnSimConfig::paper_defaults();
+  const sim::LeftTurnSimConfig no_grid;
+  ASSERT_TRUE(no_grid.workload.p1_grid.empty());
+
+  sim::AgentBlueprint blueprint;
+  blueprint.scenario = paper.make_scenario();
+  EXPECT_THROW(sim::LeftTurnAdapter(no_grid, blueprint), ContractViolation);
+  EXPECT_THROW(sim::LeftTurnAdapter(paper, sim::AgentBlueprint{}),
+               ContractViolation);
+  EXPECT_NO_THROW(sim::LeftTurnAdapter(paper, blueprint));
+
+  sim::MultiAgentSetup setup;
+  setup.scenario = paper.make_scenario();
+  EXPECT_THROW(
+      sim::MultiVehicleAdapter(no_grid, sim::MultiVehicleConfig{}, setup),
+      ContractViolation);
+  EXPECT_THROW(sim::MultiVehicleAdapter(paper, sim::MultiVehicleConfig{},
+                                        sim::MultiAgentSetup{}),
+               ContractViolation);
+  EXPECT_NO_THROW(
+      sim::MultiVehicleAdapter(paper, sim::MultiVehicleConfig{}, setup));
+
+  Rng rng(1);
+  EXPECT_THROW(rng.uniform_int(0, -1), ContractViolation);
+  EXPECT_EQ(rng.uniform_int(3, 3), 3);
+}
+
 TEST(ContractsChain, MultiVehicleNeedsOncomingTraffic) {
   // An empty platoon would run episodes with no oncoming vehicle at all.
   ScopedContractMode mode(ContractMode::kThrow);

@@ -20,7 +20,7 @@ function(expect_rejected expected)
 endfunction()
 
 # Left-turn-only flags of run and batch, and flags they never read.
-set(_left_turn_only_run trace profile metrics style)
+set(_left_turn_only_run style)
 set(_left_turn_only_batch flight-recorder telemetry pool style)
 set(_unread_run flight-recorder telemetry pool engine sims threads)
 set(_unread_batch engine trace profile metrics)
@@ -40,6 +40,12 @@ foreach(_cmd run batch)
   expect_rejected("--config requires --scenario left-turn\\|multi"
                   ${_cmd} --scenario lane-change --config x.ini)
   expect_rejected("--cars requires --scenario multi" ${_cmd} --cars 3)
+endforeach()
+
+# Every scenario traces to JSONL; the CSV trace is the left turn's.
+foreach(_scenario lane-change intersection multi)
+  expect_rejected("--trace out.csv: the CSV trace is left-turn only"
+                  run --scenario ${_scenario} --trace out.csv)
 endforeach()
 
 # The default scenario (left turn), and the other commands' own lists.

@@ -13,8 +13,9 @@
 //
 // Every command rejects a flag it does not read (exit 2, naming it; see
 // commands()), and run/batch one the chosen --scenario does not read:
-// --trace/--profile/--metrics/--pool/--flight-recorder/--telemetry/--style
-// are left-turn only, --cars multi only, --config left-turn or multi.
+// --pool/--flight-recorder/--telemetry/--style are left-turn only, as is
+// a run --trace FILE not ending in .jsonl (the CSV trace), --cars multi
+// only, --config left-turn or multi.
 // A numeric flag whose whole token is not a number of its kind is
 // rejected the same way before any work (see number_flags()): counts,
 // seeds and --threads are whole numbers (counts at least 1), --drop,
@@ -42,7 +43,8 @@
 //   --pool N                 (batch) fleet pool capacity  (default 8192)
 //   --trace FILE             (run) per-step trace: the episode's events
 //                            as JSONL in the flight-dump format when FILE
-//                            ends in .jsonl, legacy CSV otherwise;
+//                            ends in .jsonl, legacy CSV (left turn only)
+//                            otherwise;
 //                            (campaign) the same JSONL for every episode,
 //                            cell-major seed-minor
 //   --metrics FILE           (run/campaign/certify) metrics registry dump:
@@ -102,6 +104,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -357,6 +360,78 @@ int print_stats(const std::string& title, const sim::BatchStats& stats) {
   return stats.safe_count == stats.n ? 0 : 1;
 }
 
+/// `run` for every scenario: episode \p seed of \p adapter, printed with
+/// \p planner and the \p channel line. None of --trace FILE.jsonl (the
+/// episode's events, via sim::trace_episode), --metrics and --profile
+/// depends on the scenario. A --trace path not ending in .jsonl asks for
+/// the left turn's CSV trace: \p run_csv runs the episode into it and
+/// \p write_csv writes it after the result; other scenarios pass neither
+/// and exit 2 before any work.
+template <typename World>
+int run_and_report(
+    const sim::ScenarioAdapter<World>& adapter, const std::string& planner,
+    const std::string& channel, std::uint64_t seed, const Args& args,
+    const std::function<sim::RunResult()>& run_csv = {},
+    const std::function<bool(const std::string&)>& write_csv = {}) {
+  const bool want_trace = args.values.count("trace") > 0;
+  const std::string trace_path = args.value("trace", "trace.csv");
+  const bool structured = want_trace && ends_with(trace_path, ".jsonl");
+  if (want_trace && !structured && !run_csv) {
+    std::fprintf(stderr,
+                 "--trace %s: the CSV trace is left-turn only; --scenario %s"
+                 " writes JSONL (a FILE ending in .jsonl)\n",
+                 trace_path.c_str(), args.value("scenario", "").c_str());
+    return 2;
+  }
+  const bool want_profile = args.values.count("profile") > 0;
+  if (want_profile) {
+    obs::Profiler::instance().clear();
+    obs::Profiler::instance().set_enabled(true);
+  }
+  obs::FlightDump dump;
+  sim::RunResult r;
+  if (structured) {
+    std::tie(r, dump) = sim::trace_episode(adapter, 0, seed);
+  } else if (want_trace) {
+    r = run_csv();
+  } else {
+    r = sim::run_episode(adapter, seed);
+  }
+  if (want_profile) obs::Profiler::instance().set_enabled(false);
+
+  print_result(planner, channel, seed, r);
+  if (structured) {
+    std::ofstream out(trace_path, std::ios::binary);
+    if (!out.good()) {
+      std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
+      return 1;
+    }
+    obs::write_flight_dump_jsonl(out, dump, std::string(adapter.name()),
+                                 channel_label(adapter.run(), args));
+    std::printf("trace      %s (%zu events)\n", trace_path.c_str(),
+                dump.events.size());
+  } else if (want_trace) {
+    if (!write_csv(trace_path)) return 1;
+    std::printf("trace      %s\n", trace_path.c_str());
+  }
+
+  if (args.values.count("metrics")) {
+    obs::MetricsRegistry reg;
+    sim::collect_run_metrics(reg, r);
+    if (!dump_metrics(reg, args.value("metrics", "run.prom"))) return 1;
+  }
+  if (want_profile) {
+    const std::string path = args.value("profile", "profile.json");
+    if (!write_text_file(path,
+                         obs::Profiler::instance().chrome_trace_json())) {
+      return 1;
+    }
+    std::printf("profile    %s (%zu spans)\n", path.c_str(),
+                obs::Profiler::instance().spans().size());
+  }
+  return r.collided ? 1 : 0;
+}
+
 /// The non-left-turn scenarios behind --scenario; each maps the shared
 /// --variant flag onto its own compound/estimator switches.
 int run_other_scenario(const std::string& scenario, const Args& args,
@@ -378,9 +453,9 @@ int run_other_scenario(const std::string& scenario, const Args& args,
           "batch: " + name + " under " + channel_label(config, args),
           sim::run_lane_change_batch(config, planner, n, seed, threads));
     }
-    const auto r = sim::run_lane_change_simulation(config, planner, seed);
-    print_result(name, channel_label(config, args), seed, r);
-    return r.collided ? 1 : 0;
+    const sim::LaneChangeAdapter adapter(config, planner);
+    return run_and_report(adapter, name, channel_label(config, args), seed,
+                          args);
   }
 
   if (scenario == "intersection") {
@@ -396,10 +471,9 @@ int run_other_scenario(const std::string& scenario, const Args& args,
           sim::run_intersection_batch(config, use_compound, n, seed,
                                       threads));
     }
-    const auto r =
-        sim::run_intersection_simulation(config, use_compound, seed);
-    print_result(name, channel_label(config, args), seed, r);
-    return r.collided ? 1 : 0;
+    const sim::IntersectionAdapter adapter(config, use_compound);
+    return run_and_report(adapter, name, channel_label(config, args), seed,
+                          args);
   }
 
   if (scenario == "multi") {
@@ -420,10 +494,9 @@ int run_other_scenario(const std::string& scenario, const Args& args,
           "batch: " + name + " under " + channel_label(config, args),
           sim::run_multi_batch(config, multi, setup, n, seed, threads));
     }
-    const auto r =
-        sim::run_multi_left_turn_simulation(config, multi, setup, seed);
-    print_result(name, channel_label(config, args), seed, r);
-    return r.collided ? 1 : 0;
+    const sim::MultiVehicleAdapter adapter(config, multi, setup);
+    return run_and_report(adapter, name, channel_label(config, args), seed,
+                          args);
   }
 
   std::fprintf(stderr,
@@ -448,80 +521,31 @@ int cmd_run(const Args& args) {
   bp.config.ladder = config.ladder;
   const std::uint64_t seed = args.whole("seed", 1);
 
-  const bool want_trace = args.values.count("trace") > 0;
-  const std::string trace_path = args.value("trace", "trace.csv");
-  const bool structured = want_trace && ends_with(trace_path, ".jsonl");
-  const bool want_profile = args.values.count("profile") > 0;
-  if (want_profile) {
-    obs::Profiler::instance().clear();
-    obs::Profiler::instance().set_enabled(true);
-  }
-
+  char delta[64];
+  std::snprintf(delta, sizeof delta, ", sensor delta %.2f",
+                config.sensor.delta_p);
   sim::SimTrace trace;
-  obs::FlightDump dump;
-  sim::RunResult r;
-  if (structured) {
-    sim::LeftTurnAdapter adapter(config, bp);
-    std::tie(r, dump) = sim::trace_episode(adapter, 0, seed);
-  } else {
-    r = sim::run_left_turn_simulation(config, bp, seed,
-                                       want_trace ? &trace : nullptr);
-  }
-  if (want_profile) obs::Profiler::instance().set_enabled(false);
-
-  std::printf("planner    %s\n", bp.name.c_str());
-  std::printf("channel    %s, sensor delta %.2f\n",
-              channel_label(config, args).c_str(), config.sensor.delta_p);
-  std::printf("seed       %llu\n", static_cast<unsigned long long>(seed));
-  std::printf("collided   %s\n", r.collided ? "YES" : "no");
-  std::printf("reached    %s\n", r.reached ? "yes" : "no");
-  if (r.reached) std::printf("t_r        %.3f s\n", r.reach_time);
-  std::printf("eta        %.4f\n", r.eta);
-  std::printf("emergency  %zu / %zu steps\n", r.emergency_steps, r.steps);
-  std::fputs(sim::run_summary_text(r).c_str(), stdout);
-
-  if (structured) {
-    std::ofstream out(trace_path, std::ios::binary);
-    if (!out.good()) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-      return 1;
-    }
-    obs::write_flight_dump_jsonl(out, dump, "left-turn",
-                                 channel_label(config, args));
-    std::printf("trace      %s (%zu events)\n", trace_path.c_str(),
-                dump.events.size());
-  } else if (want_trace) {
-    util::CsvWriter csv(trace_path);
-    if (!csv.ok()) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-      return 1;
-    }
-    csv.header({"t", "ego_p", "ego_v", "a_cmd", "c1_u", "c1_v", "emergency",
-                "tau1_lo", "tau1_hi"});
-    for (std::size_t i = 0; i < trace.ego.size(); ++i) {
-      csv.row({trace.ego[i].t, trace.ego[i].state.p, trace.ego[i].state.v,
-               trace.accel_commands[i], trace.c1[i].state.p,
-               trace.c1[i].state.v, trace.emergency_flags[i] ? 1.0 : 0.0,
-               trace.tau1_lo[i], trace.tau1_hi[i]});
-    }
-    std::printf("trace      %s\n", trace_path.c_str());
-  }
-
-  if (args.values.count("metrics")) {
-    obs::MetricsRegistry reg;
-    sim::collect_run_metrics(reg, r);
-    if (!dump_metrics(reg, args.value("metrics", "run.prom"))) return 1;
-  }
-  if (want_profile) {
-    const std::string path = args.value("profile", "profile.json");
-    if (!write_text_file(path,
-                         obs::Profiler::instance().chrome_trace_json())) {
-      return 1;
-    }
-    std::printf("profile    %s (%zu spans)\n", path.c_str(),
-                obs::Profiler::instance().spans().size());
-  }
-  return r.collided ? 1 : 0;
+  const sim::LeftTurnAdapter adapter(config, bp);
+  return run_and_report(
+      adapter, bp.name, channel_label(config, args) + delta, seed, args,
+      [&] { return sim::run_left_turn_simulation(config, bp, seed, &trace); },
+      [&](const std::string& path) {
+        util::CsvWriter csv(path);
+        if (!csv.ok()) {
+          std::fprintf(stderr, "cannot write %s\n", path.c_str());
+          return false;
+        }
+        csv.header({"t", "ego_p", "ego_v", "a_cmd", "c1_u", "c1_v",
+                    "emergency", "tau1_lo", "tau1_hi"});
+        for (std::size_t i = 0; i < trace.ego.size(); ++i) {
+          csv.row({trace.ego[i].t, trace.ego[i].state.p,
+                   trace.ego[i].state.v, trace.accel_commands[i],
+                   trace.c1[i].state.p, trace.c1[i].state.v,
+                   trace.emergency_flags[i] ? 1.0 : 0.0, trace.tau1_lo[i],
+                   trace.tau1_hi[i]});
+        }
+        return true;
+      });
 }
 
 int cmd_batch(const Args& args) {
@@ -961,8 +985,7 @@ const std::vector<CommandSpec>& commands() {
   static const std::vector<CommandSpec> table = {
       {"run", cmd_run,
        disturbance({{"scenario"}, {"seed"}, {"variant"}, {"style", lt},
-                    {"trace", lt}, {"profile", lt}, {"metrics", lt},
-                    {"cars", "multi"}},
+                    {"trace"}, {"profile"}, {"metrics"}, {"cars", "multi"}},
                    "left-turn|multi")},
       {"batch", cmd_batch,
        disturbance({{"scenario"}, {"seed"}, {"variant"}, {"sims"},
