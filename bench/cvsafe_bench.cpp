@@ -46,6 +46,7 @@
 #include "cvsafe/nn/trainer.hpp"
 #include "cvsafe/nn/workspace.hpp"
 #include "cvsafe/obs/flight_recorder.hpp"
+#include "cvsafe/obs/metrics.hpp"
 #include "cvsafe/obs/recorder.hpp"
 #include "cvsafe/planners/expert.hpp"
 #include "cvsafe/planners/nn_planner.hpp"
@@ -124,7 +125,6 @@ struct Options {
   std::string filter;            // substring match on bench names
   double min_time_s = 0.25;      // measured time per benchmark
   std::size_t grid = 512;        // boundary-grid side length
-  std::size_t grid_threads = 8;  // worker count for the parallel grid
   bool list = false;
 };
 
@@ -501,67 +501,6 @@ std::vector<Bench> build_registry() {
         });
   }});
 
-  benches.push_back({"boundary_grid_parallel", [](const Options& o) {
-    core::PreimageGrid grid;
-    grid.nx = o.grid;
-    grid.nv = o.grid;
-    const auto controls = core::sample_controls(-3.0, 3.0, 8);
-    const core::StepFn step = grid_step;
-    const core::UnsafeFn unsafe = BandUnsafe{};
-    return run_bench(
-        "boundary_grid_parallel", o.min_time_s, [&](std::uint64_t n) {
-          for (std::uint64_t it = 0; it < n; ++it) {
-            const auto res = core::compute_boundary_grid_parallel(
-                grid, step, unsafe, controls, o.grid_threads);
-            g_sink = static_cast<double>(res.count(core::RegionLabel::kBoundary));
-          }
-        });
-  }});
-
-  benches.push_back({"boundary_grid_memoized_full", [](const Options& o) {
-    core::PreimageGrid grid;
-    grid.nx = o.grid;
-    grid.nv = o.grid;
-    core::IncrementalBoundaryGrid inc(grid, grid_step,
-                                      core::sample_controls(-3.0, 3.0, 8));
-    const core::UnsafeFn unsafe = BandUnsafe{};
-    return run_bench(
-        "boundary_grid_memoized_full", o.min_time_s, [&](std::uint64_t n) {
-          for (std::uint64_t it = 0; it < n; ++it) {
-            const auto& res = inc.relabel(unsafe);
-            g_sink = static_cast<double>(res.count(core::RegionLabel::kBoundary));
-          }
-        });
-  }});
-
-  benches.push_back({"boundary_grid_incremental", [](const Options& o) {
-    core::PreimageGrid grid;
-    grid.nx = o.grid;
-    grid.nv = o.grid;
-    core::IncrementalBoundaryGrid inc(grid, grid_step,
-                                      core::sample_controls(-3.0, 3.0, 8));
-    BandUnsafe band;
-    inc.relabel(core::UnsafeFn(band));  // prime
-    double phase = 0.0;
-    // Per step the unsafe band drifts by ~one cell, the Eq.-8 common case:
-    // relabel only the footprint-intersecting sliver.
-    return run_bench(
-        "boundary_grid_incremental", o.min_time_s, [&](std::uint64_t n) {
-          for (std::uint64_t it = 0; it < n; ++it) {
-            const BandUnsafe old_band = band;
-            phase += 0.002;
-            if (phase > 0.2) phase = 0.0;
-            band.lo = 0.4 + phase;
-            band.hi = 0.6 + phase;
-            const core::ChangedRegion changed{
-                std::min(old_band.lo, band.lo), std::max(old_band.hi, band.hi),
-                grid.v_min, grid.v_max};
-            const auto& res = inc.relabel(core::UnsafeFn(band), changed);
-            g_sink = static_cast<double>(res.count(core::RegionLabel::kBoundary));
-          }
-        });
-  }});
-
   // One op = one control step of a V2V channel: offer the current
   // snapshot, drain due messages. channel_plain is the undecorated
   // baseline; channel_faulty_nofault is the FaultyChannel decorator with
@@ -845,9 +784,13 @@ std::vector<Bench> build_registry() {
       sim::FleetConfig fleet;
       fleet.pool_capacity = pool_cap;
       return run_bench(name, o.min_time_s, [&](std::uint64_t n) {
-        const auto result =
-            sim::run_left_turn_fleet(cfg, bp, 8 * n, seed, fleet, sinks);
-        g_sink = result.stats.mean_eta;
+        const std::vector<sim::RunResult> records =
+            sim::run_left_turn_fleet_records(cfg, bp, 8 * n, seed, fleet,
+                                             sinks);
+        const auto stats = sim::BatchStats::from_results(records);
+        obs::MetricsRegistry metrics;
+        sim::collect_metrics(metrics, records);
+        g_sink = stats.mean_eta;
         seed += 8 * n;
       });
     }});
@@ -990,7 +933,6 @@ void write_json(const Options& opt, const std::vector<BenchResult>& results) {
   std::fprintf(f, "  \"config\": {\n");
   std::fprintf(f, "    \"min_time_s\": %g,\n", opt.min_time_s);
   std::fprintf(f, "    \"grid\": %zu,\n", opt.grid);
-  std::fprintf(f, "    \"grid_threads\": %zu,\n", opt.grid_threads);
   std::fprintf(f, "    \"hardware_threads\": %u\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  },\n");
@@ -1013,7 +955,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--out FILE] [--filter SUBSTR] [--min-time SECONDS]\n"
-      "          [--grid N] [--grid-threads N] [--list]\n",
+      "          [--grid N] [--list]\n",
       argv0);
   return 2;
 }
@@ -1038,8 +980,6 @@ int main(int argc, char** argv) {
       opt.min_time_s = std::atof(next());
     } else if (arg == "--grid") {
       opt.grid = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--grid-threads") {
-      opt.grid_threads = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--list") {
       opt.list = true;
     } else {

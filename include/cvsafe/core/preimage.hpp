@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <utility>
@@ -84,90 +83,8 @@ PreimageResult compute_boundary_grid(const PreimageGrid& grid,
                                      const UnsafeFn& unsafe,
                                      const std::vector<double>& controls);
 
-/// Row-parallel variant of compute_boundary_grid: distributes grid rows
-/// over \p threads workers (0 = hardware concurrency) via
-/// util::parallel_for. Every cell's label is computed by exactly the same
-/// sequence of step/unsafe evaluations as the serial sweep, so the result
-/// is bit-exact label-for-label. \p step and \p unsafe must be safe to
-/// invoke concurrently (pure functions of their arguments).
-PreimageResult compute_boundary_grid_parallel(
-    const PreimageGrid& grid, const StepFn& step, const UnsafeFn& unsafe,
-    const std::vector<double>& controls, std::size_t threads = 0);
-
 /// Uniformly spaced control samples in [u_min, u_max].
 std::vector<double> sample_controls(double u_min, double u_max,
                                     std::size_t count);
-
-/// Axis-aligned region of the state slice in which unsafe-set membership
-/// may have changed between two relabeling passes.
-struct ChangedRegion {
-  double x_min = 0.0, x_max = 0.0;
-  double v_min = 0.0, v_max = 0.0;
-
-  /// The union of two unsafe-set bands (before and after a window update).
-  static ChangedRegion hull(const ChangedRegion& a, const ChangedRegion& b) {
-    return ChangedRegion{std::min(a.x_min, b.x_min), std::max(a.x_max, b.x_max),
-                         std::min(a.v_min, b.v_min), std::max(a.v_max, b.v_max)};
-  }
-};
-
-/// Memoized boundary-grid operator for monitors that re-evaluate the
-/// preimage every control step while only the unsafe set moves (the
-/// common case under the aggressive window of Eq. 8: the window — hence
-/// the unsafe band — shifts slightly between steps, the dynamics do not).
-///
-/// The expensive, dynamics-dependent part of the sweep — the one-step
-/// successor of every (cell, control) pair — is computed once and cached;
-/// every relabel() pass then only evaluates the unsafe predicate on cached
-/// successor states. The incremental overload additionally skips every
-/// cell whose footprint (its own state plus all cached successors) lies
-/// outside the caller-declared ChangedRegion: such a cell's label cannot
-/// have changed, so its previous label is kept.
-///
-/// Memory: (nx * nv * n_controls) cached successor pairs — e.g. a 512x512
-/// grid with 8 controls caches ~32 MiB. Not thread-safe; use one instance
-/// per thread (relabel() itself can parallelize internally over rows).
-class IncrementalBoundaryGrid {
- public:
-  /// Caches the successor table up front (the only step() calls ever made).
-  IncrementalBoundaryGrid(const PreimageGrid& grid, const StepFn& step,
-                          std::vector<double> controls,
-                          std::size_t threads = 1);
-
-  /// Full relabel from cached successors. Bit-exact with
-  /// compute_boundary_grid(grid, step, unsafe, controls).
-  const PreimageResult& relabel(const UnsafeFn& unsafe);
-
-  /// Incremental relabel: only cells whose footprint intersects \p changed
-  /// are re-evaluated; all other labels are carried over from the previous
-  /// pass. The caller guarantees unsafe-set membership is unchanged
-  /// outside \p changed since the last relabel. Requires a prior full
-  /// relabel (enforced by contract).
-  const PreimageResult& relabel(const UnsafeFn& unsafe,
-                                const ChangedRegion& changed);
-
-  const PreimageResult& result() const { return result_; }
-  const std::vector<double>& controls() const { return controls_; }
-
- private:
-  struct Footprint {
-    double x_min, x_max, v_min, v_max;
-    bool intersects(const ChangedRegion& r) const {
-      return x_min <= r.x_max && r.x_min <= x_max && v_min <= r.v_max &&
-             r.v_min <= v_max;
-    }
-  };
-
-  RegionLabel label_cell(std::size_t i, std::size_t j,
-                         const UnsafeFn& unsafe) const;
-
-  std::vector<double> controls_;
-  std::vector<std::pair<double, double>> successors_;  ///< cell-major, then
-                                                       ///< control index
-  std::vector<Footprint> footprints_;
-  PreimageResult result_;
-  std::size_t threads_;
-  bool primed_ = false;
-};
 
 }  // namespace cvsafe::core

@@ -14,7 +14,7 @@ namespace cvsafe::eval {
 /// Runs \p n left-turn simulations with seeds base_seed .. base_seed +
 /// n - 1 on the fleet engine at \p threads workers (0 = hardware): two
 /// batches over one seed range see *paired* workloads and disturbances.
-/// For a pool capacity or sinks, call sim::run_left_turn_fleet.
+/// For a pool capacity or sinks, call sim::run_left_turn_fleet_records.
 inline sim::BatchStats run_batch(const sim::LeftTurnSimConfig& config,
                                  const sim::AgentBlueprint& blueprint,
                                  std::size_t n, std::uint64_t base_seed = 1,

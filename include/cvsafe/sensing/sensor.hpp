@@ -25,6 +25,10 @@ struct SensorConfig {
   /// Uniform scalar uncertainty: delta_p = delta_v = delta_a = delta,
   /// as swept in the paper's "messages lost" experiments.
   static SensorConfig uniform(double delta, double period = 0.1);
+
+  /// Contract check: period > 0, every delta >= 0, all values finite
+  /// (NaN fails every comparison and is rejected).
+  void validate() const;
 };
 
 /// One noisy measurement of another vehicle's state.
@@ -35,10 +39,13 @@ struct SensorReading {
   double a = 0.0;  ///< measured acceleration [m/s^2]
 };
 
-/// Periodic noisy observer of a single vehicle.
+/// Periodic noisy observer of a single vehicle. Construction validates
+/// the configuration (SensorConfig::validate()).
 class Sensor {
  public:
-  explicit Sensor(SensorConfig config) : config_(config) {}
+  explicit Sensor(SensorConfig config) : config_(config) {
+    config_.validate();
+  }
 
   const SensorConfig& config() const { return config_; }
 

@@ -178,13 +178,6 @@ inline constexpr std::size_t kSweepBlock = 64;
 /// useful block length.
 inline constexpr std::size_t kCohortSteps = 32;
 
-/// Result of a fleet run: the standard batch aggregate plus the
-/// deterministic metrics fold over every episode.
-struct FleetResult {
-  BatchStats stats;
-  obs::MetricsRegistry metrics;
-};
-
 /// Deterministic fleet telemetry fold: fixed-bucket histograms and
 /// counters over the index-ordered results — min-eta distribution,
 /// rejections split by gate reason, ladder-level occupancy, and the
@@ -581,21 +574,6 @@ std::vector<RunResult> run_fleet_records(
     for (auto& t : threads) t.join();
   }
   return records;
-}
-
-/// run_fleet_records + the deterministic index-ordered folds.
-template <typename World>
-FleetResult run_fleet(const ScenarioAdapter<World>& adapter, std::size_t n,
-                      std::uint64_t base_seed, const FleetConfig& config = {},
-                      const FleetPlannerFactory<World>& planner_factory = {},
-                      const FleetObsSinks& sinks = {}) {
-  const std::vector<RunResult> records =
-      run_fleet_records(adapter, n, base_seed, config, planner_factory,
-                        sinks);
-  FleetResult result;
-  result.stats = BatchStats::from_results(records);
-  collect_metrics(result.metrics, records);
-  return result;
 }
 
 }  // namespace cvsafe::sim

@@ -172,20 +172,13 @@ RunResult run_left_turn_simulation(const LeftTurnSimConfig& config,
 
 /// Runs \p n left-turn episodes through the fleet engine (fleet.hpp),
 /// with one NnPlanner::plan_batch call per cohort step for single-network
-/// NN blueprints. Under SeedPolicy::kPaired (the default) seeds are
-/// base_seed .. base_seed + n - 1, so batches over one seed range are
-/// *paired*. Stats and metrics are byte-identical to run_episodes over
-/// the same seeds for any thread count or pool capacity (pinned by
+/// NN blueprints, and returns their RunResults in seed order for the
+/// caller to fold (BatchStats::from_results, collect_metrics,
+/// collect_fleet_telemetry). Under SeedPolicy::kPaired (the default)
+/// seeds are base_seed .. base_seed + n - 1, so batches over one seed
+/// range are *paired*. Every result is byte-identical to run_episodes
+/// over the same seeds for any thread count or pool capacity (pinned by
 /// tests/sim_fleet_test).
-FleetResult run_left_turn_fleet(const LeftTurnSimConfig& config,
-                                const AgentBlueprint& blueprint,
-                                std::size_t n, std::uint64_t base_seed = 1,
-                                const FleetConfig& fleet = {},
-                                const FleetObsSinks& sinks = {});
-
-/// The fleet engine's RunResults (seed-ordered, pre-fold) of the same
-/// run, for callers that fold them themselves (eval::run_batch, the CLI
-/// batch's telemetry).
 std::vector<RunResult> run_left_turn_fleet_records(
     const LeftTurnSimConfig& config, const AgentBlueprint& blueprint,
     std::size_t n, std::uint64_t base_seed = 1,

@@ -15,7 +15,6 @@ baseline's hardware:
 
     bench_compare.py BENCH_micro.json \
         --require-speedup mlp_forward_alloc:mlp_forward_workspace:1.5 \
-        --require-speedup boundary_grid_serial:boundary_grid_incremental:3 \
         --require-zero-alloc mlp_forward_workspace
 
 --require-max-ratio is the inverse gate: it bounds how much slower NUM may
@@ -33,7 +32,7 @@ skips itself — with a note, never a failure — on single-thread runners,
 where a parallel implementation cannot be expected to beat the serial one:
 
     bench_compare.py BENCH_micro.json \
-        --require-parallel-speedup boundary_grid_serial:boundary_grid_parallel:1.1
+        --require-parallel-speedup run_batch_episodes8:fleet_pool8k_episodes8:1.0
 
 Exit status is non-zero if any gate or regression check fails.
 """

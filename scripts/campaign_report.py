@@ -12,7 +12,9 @@ Combines the artifact families that `cvsafe_cli` can emit:
     episode) — both one header line per episode, one line per event,
   * the deterministic telemetry registry (`--telemetry tel.prom`) plus
     its wall-clock sibling `tel.prom.spans` — min-eta histogram,
-    rejection reasons, ladder occupancy, per-phase time accounting.
+    rejection reasons, ladder occupancy, per-phase time accounting,
+  * a per-phase span registry on its own (`--spans`): a `.spans` file or
+    the Prometheus-text `run --profile p.prom`, one episode's phases.
 
 into one human-readable markdown report: invariant verdict, worst cells,
 eta distribution, rejection/ladder breakdowns, per-phase time split, the
@@ -24,6 +26,7 @@ without data are skipped.
     python3 scripts/campaign_report.py --csv camp.csv \
         --flights flight.jsonl --telemetry tel.prom --out report.md
     python3 scripts/campaign_report.py --flights campaign_trace.jsonl
+    python3 scripts/campaign_report.py --spans p.prom
 
 Exit status: 0 on success; 1 on malformed inputs or when a traced
 episode (one that carries step/episode_end events) lost events to
@@ -258,7 +261,7 @@ def section_spans(lines: list[str], spans_path: str) -> None:
         steps = series.get(f'cvsafe_sweep_steps_total{{sweep="{sweep}"}}', 0)
         rows.append((sweep, ns, steps))
     if not rows:
-        return
+        raise ValueError(f"{spans_path}: no cvsafe_sweep_ns_total series")
     total_ns = sum(ns for _, ns, _ in rows)
     rows.sort(key=lambda r: -r[1])
     lines.append("## Per-phase time breakdown (wall clock)")
@@ -405,17 +408,18 @@ def main() -> int:
     ap.add_argument("--telemetry",
                     help="deterministic telemetry registry (--telemetry)")
     ap.add_argument("--spans",
-                    help="sweep-span registry (default: TELEMETRY.spans "
-                         "when present)")
+                    help="per-phase span registry: a .spans file or "
+                         "run --profile (default: TELEMETRY.spans when "
+                         "present)")
     ap.add_argument("--worst", type=int, default=5,
                     help="cells / flight dumps to detail (default 5)")
     ap.add_argument("--max-events", type=int, default=40,
                     help="events inlined per dump (default 40)")
     ap.add_argument("--out", help="output markdown path (default stdout)")
     args = ap.parse_args()
-    if not (args.csv or args.flights or args.telemetry):
-        print("need at least one of --csv / --flights / --telemetry",
-              file=sys.stderr)
+    if not (args.csv or args.flights or args.telemetry or args.spans):
+        print("need at least one of --csv / --flights / --telemetry / "
+              "--spans", file=sys.stderr)
         return 2
 
     lines: list[str] = ["# cvsafe campaign report", ""]

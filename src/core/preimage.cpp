@@ -1,15 +1,13 @@
 #include "cvsafe/core/preimage.hpp"
 
-#include "cvsafe/obs/profile.hpp"
 #include "cvsafe/util/contracts.hpp"
-#include "cvsafe/util/thread_pool.hpp"
 
 namespace cvsafe::core {
 
 namespace {
 
-/// Labels one cell exactly as the serial sweep does: unsafe first, then
-/// controls in order with early exit on the first unsafe successor.
+/// Labels one cell: unsafe first, then controls in order with early exit
+/// on the first unsafe successor.
 RegionLabel label_one(double x, double v, const StepFn& step,
                       const UnsafeFn& unsafe,
                       const std::vector<double>& controls) {
@@ -40,7 +38,6 @@ PreimageResult compute_boundary_grid(const PreimageGrid& grid,
                                      const StepFn& step,
                                      const UnsafeFn& unsafe,
                                      const std::vector<double>& controls) {
-  CVSAFE_PROFILE_SPAN("preimage.grid");
   CVSAFE_EXPECTS(!controls.empty(), "boundary grid needs control samples");
   CVSAFE_EXPECTS(grid.nx > 0 && grid.nv > 0, "preimage grid must be non-empty");
   CVSAFE_EXPECTS(step != nullptr && unsafe != nullptr,
@@ -55,115 +52,6 @@ PreimageResult compute_boundary_grid(const PreimageGrid& grid,
     }
   }
   return result;
-}
-
-PreimageResult compute_boundary_grid_parallel(
-    const PreimageGrid& grid, const StepFn& step, const UnsafeFn& unsafe,
-    const std::vector<double>& controls, std::size_t threads) {
-  CVSAFE_PROFILE_SPAN("preimage.grid_parallel");
-  CVSAFE_EXPECTS(!controls.empty(), "boundary grid needs control samples");
-  CVSAFE_EXPECTS(grid.nx > 0 && grid.nv > 0, "preimage grid must be non-empty");
-  CVSAFE_EXPECTS(step != nullptr && unsafe != nullptr,
-                 "step and unsafe predicates must be callable");
-  PreimageResult result;
-  result.grid = grid;
-  result.labels.assign(grid.nx * grid.nv, RegionLabel::kSafe);
-  // Each row is an independent slab of the label array; cells are labeled
-  // by the same evaluation sequence as the serial sweep, so the two
-  // results are bit-exact.
-  util::parallel_for(
-      grid.nv,
-      [&](std::size_t j) {
-        const double v = grid.v_at(j);
-        RegionLabel* row = result.labels.data() + j * grid.nx;
-        for (std::size_t i = 0; i < grid.nx; ++i) {
-          row[i] = label_one(grid.x_at(i), v, step, unsafe, controls);
-        }
-      },
-      threads);
-  return result;
-}
-
-IncrementalBoundaryGrid::IncrementalBoundaryGrid(const PreimageGrid& grid,
-                                                 const StepFn& step,
-                                                 std::vector<double> controls,
-                                                 std::size_t threads)
-    : controls_(std::move(controls)), threads_(threads) {
-  CVSAFE_EXPECTS(!controls_.empty(), "boundary grid needs control samples");
-  CVSAFE_EXPECTS(grid.nx > 0 && grid.nv > 0, "preimage grid must be non-empty");
-  CVSAFE_EXPECTS(step != nullptr, "step predicate must be callable");
-  result_.grid = grid;
-  result_.labels.assign(grid.nx * grid.nv, RegionLabel::kSafe);
-  const std::size_t nu = controls_.size();
-  successors_.resize(grid.nx * grid.nv * nu);
-  footprints_.resize(grid.nx * grid.nv);
-  util::parallel_for(
-      grid.nv,
-      [&](std::size_t j) {
-        const double v = grid.v_at(j);
-        for (std::size_t i = 0; i < grid.nx; ++i) {
-          const double x = grid.x_at(i);
-          const std::size_t cell = j * grid.nx + i;
-          Footprint fp{x, x, v, v};
-          for (std::size_t u = 0; u < nu; ++u) {
-            const auto [xn, vn] = step(x, v, controls_[u]);
-            successors_[cell * nu + u] = {xn, vn};
-            fp.x_min = std::min(fp.x_min, xn);
-            fp.x_max = std::max(fp.x_max, xn);
-            fp.v_min = std::min(fp.v_min, vn);
-            fp.v_max = std::max(fp.v_max, vn);
-          }
-          footprints_[cell] = fp;
-        }
-      },
-      threads_);
-}
-
-RegionLabel IncrementalBoundaryGrid::label_cell(std::size_t i, std::size_t j,
-                                                const UnsafeFn& unsafe) const {
-  const auto& grid = result_.grid;
-  const std::size_t cell = j * grid.nx + i;
-  if (unsafe(grid.x_at(i), grid.v_at(j))) return RegionLabel::kUnsafe;
-  const std::size_t nu = controls_.size();
-  // Same control order and early exit as the direct sweep -> same label.
-  for (std::size_t u = 0; u < nu; ++u) {
-    const auto& [xn, vn] = successors_[cell * nu + u];
-    if (unsafe(xn, vn)) return RegionLabel::kBoundary;
-  }
-  return RegionLabel::kSafe;
-}
-
-const PreimageResult& IncrementalBoundaryGrid::relabel(const UnsafeFn& unsafe) {
-  CVSAFE_EXPECTS(unsafe != nullptr, "unsafe predicate must be callable");
-  const auto& grid = result_.grid;
-  util::parallel_for(
-      grid.nv,
-      [&](std::size_t j) {
-        for (std::size_t i = 0; i < grid.nx; ++i) {
-          result_.labels[j * grid.nx + i] = label_cell(i, j, unsafe);
-        }
-      },
-      threads_);
-  primed_ = true;
-  return result_;
-}
-
-const PreimageResult& IncrementalBoundaryGrid::relabel(
-    const UnsafeFn& unsafe, const ChangedRegion& changed) {
-  CVSAFE_EXPECTS(unsafe != nullptr, "unsafe predicate must be callable");
-  CVSAFE_EXPECTS(primed_, "incremental relabel requires a prior full relabel");
-  const auto& grid = result_.grid;
-  util::parallel_for(
-      grid.nv,
-      [&](std::size_t j) {
-        for (std::size_t i = 0; i < grid.nx; ++i) {
-          const std::size_t cell = j * grid.nx + i;
-          if (!footprints_[cell].intersects(changed)) continue;
-          result_.labels[cell] = label_cell(i, j, unsafe);
-        }
-      },
-      threads_);
-  return result_;
 }
 
 }  // namespace cvsafe::core

@@ -1,6 +1,5 @@
 #include "cvsafe/filter/info_filter.hpp"
 
-#include "cvsafe/obs/profile.hpp"
 #include "cvsafe/util/contracts.hpp"
 
 namespace cvsafe::filter {
@@ -110,7 +109,6 @@ void InformationFilter::on_message(const comm::Message& msg) {
 }
 
 StateEstimate InformationFilter::estimate(double t) const {
-  CVSAFE_PROFILE_SPAN("filter.estimate");
   StateEstimate est;
   est.t = t;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cvsafe/obs/profile.hpp"
 #include "cvsafe/util/contracts.hpp"
 
 namespace cvsafe::filter {
@@ -42,7 +41,6 @@ void KalmanFilter::history_push(const HistoryEntry& entry) {
 }
 
 void KalmanFilter::update(const sensing::SensorReading& reading) {
-  CVSAFE_PROFILE_SPAN("kalman.update");
   CVSAFE_EXPECTS(!initialized_ || reading.t >= t_,
                  "sensor readings must arrive in time order");
   if (!initialized_) {

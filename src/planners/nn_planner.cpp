@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 
-#include "cvsafe/obs/profile.hpp"
 #include "cvsafe/util/contracts.hpp"
 
 namespace cvsafe::planners {
@@ -46,7 +45,6 @@ NnPlanner::NnPlanner(std::shared_ptr<const nn::Mlp> net,
 }
 
 double NnPlanner::plan(const scenario::LeftTurnWorld& world) {
-  CVSAFE_PROFILE_SPAN("nn.plan");
   std::array<double, InputEncoding::dim()> x;
   encoding_.encode_into(world.t, world.ego.p, world.ego.v, world.tau1_nn, x);
   return net_->predict_scalar(x, workspace_);
@@ -54,7 +52,6 @@ double NnPlanner::plan(const scenario::LeftTurnWorld& world) {
 
 void NnPlanner::plan_batch(std::span<const scenario::LeftTurnWorld> worlds,
                            std::span<double> out) {
-  CVSAFE_PROFILE_SPAN("nn.plan_batch");
   assert(worlds.size() == out.size());
   // Tiled evaluation: the workspace (input staging + two activation
   // buffers) grows monotonically with the largest batch seen, so an

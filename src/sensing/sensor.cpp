@@ -1,5 +1,9 @@
 #include "cvsafe/sensing/sensor.hpp"
 
+#include <cmath>
+
+#include "cvsafe/util/contracts.hpp"
+
 namespace cvsafe::sensing {
 namespace {
 constexpr double kTimeEps = 1e-9;
@@ -7,6 +11,15 @@ constexpr double kTimeEps = 1e-9;
 
 SensorConfig SensorConfig::uniform(double delta, double period) {
   return SensorConfig{period, delta, delta, delta};
+}
+
+void SensorConfig::validate() const {
+  CVSAFE_EXPECTS(std::isfinite(period) && period > 0.0,
+                 "sensing period must be positive and finite");
+  for (const double delta : {delta_p, delta_v, delta_a}) {
+    CVSAFE_EXPECTS(std::isfinite(delta) && delta >= 0.0,
+                   "sensor uncertainty must be non-negative and finite");
+  }
 }
 
 std::optional<SensorReading> Sensor::sense(

@@ -242,16 +242,6 @@ FleetPlannerFactory<LeftTurnWorld> fleet_planner_factory(
 
 }  // namespace
 
-FleetResult run_left_turn_fleet(const LeftTurnSimConfig& config,
-                                const AgentBlueprint& blueprint,
-                                std::size_t n, std::uint64_t base_seed,
-                                const FleetConfig& fleet,
-                                const FleetObsSinks& sinks) {
-  LeftTurnAdapter adapter(config, blueprint);
-  return run_fleet(adapter, n, base_seed, fleet,
-                   fleet_planner_factory(blueprint), sinks);
-}
-
 std::vector<RunResult> run_left_turn_fleet_records(
     const LeftTurnSimConfig& config, const AgentBlueprint& blueprint,
     std::size_t n, std::uint64_t base_seed, const FleetConfig& fleet,

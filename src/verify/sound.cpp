@@ -9,7 +9,6 @@
 #include "cvsafe/nn/interval_mlp.hpp"
 #include "cvsafe/nn/serialize.hpp"
 #include "cvsafe/obs/metrics.hpp"
-#include "cvsafe/obs/profile.hpp"
 #include "cvsafe/util/contracts.hpp"
 #include "cvsafe/util/rounded_interval.hpp"
 #include "cvsafe/util/thread_pool.hpp"
@@ -175,7 +174,6 @@ NnInputDomain NnInputDomain::planner_view(
 
 Eq4SoundResult certify_eq4_sound(const scenario::LeftTurnScenario& scenario,
                                  const SoundBnbOptions& options) {
-  CVSAFE_PROFILE_SPAN("verify.sound.eq4");
   // Exact precondition, not a tolerance. cvsafe-lint: allow(float-compare)
   CVSAFE_EXPECTS(scenario.ego_limits().v_min == 0.0,
                  "Theorem A's band parameterization assumes v_min == 0");
@@ -210,7 +208,6 @@ Eq4SoundResult certify_eq4_sound(const scenario::LeftTurnScenario& scenario,
     util::parallel_for(
         frontier.size(),
         [&](std::size_t i) {
-          CVSAFE_PROFILE_SPAN("verify.sound.eq4_leaf");
           const Node& node = frontier[i];
           Outcome& o = outcomes[i];
           const Eq4Eval ev = eval_eq4_box(c, node.v, node.s);
@@ -292,7 +289,6 @@ NnBoundsResult certify_nn_bounds_sound(const nn::Mlp& net,
                                        const planners::InputEncoding& encoding,
                                        const NnInputDomain& domain,
                                        const SoundBnbOptions& options) {
-  CVSAFE_PROFILE_SPAN("verify.sound.nn");
   CVSAFE_EXPECTS(net.input_dim() == planners::InputEncoding::dim() &&
                      net.output_dim() == 1,
                  "Theorem B expects the planner network shape");
@@ -331,7 +327,6 @@ NnBoundsResult certify_nn_bounds_sound(const nn::Mlp& net,
     util::parallel_for(
         frontier.size(),
         [&](std::size_t i) {
-          CVSAFE_PROFILE_SPAN("verify.sound.nn_leaf");
           const Node& node = frontier[i];
           Outcome& o = outcomes[i];
           nn::IntervalWorkspace ws;

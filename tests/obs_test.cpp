@@ -12,7 +12,6 @@
 #include "cvsafe/obs/flight_recorder.hpp"
 #include "cvsafe/obs/jsonl.hpp"
 #include "cvsafe/obs/metrics.hpp"
-#include "cvsafe/obs/profile.hpp"
 #include "cvsafe/obs/recorder.hpp"
 
 /// \file obs_test.cpp
@@ -20,9 +19,8 @@
 /// (enable gating, step stamping, the overflow cap), the deterministic
 /// JSONL serializer (fixed key order, every event kind, %.17g doubles,
 /// non-finite -> null, string escaping), the metrics registry (bucket
-/// semantics, the shard-merge contract, the text exports) and the
-/// profiling spans. The armed recorder's ring mechanics live in
-/// obs_flight_recorder_test.cpp.
+/// semantics, the shard-merge contract and the text exports). The armed
+/// recorder's ring mechanics live in obs_flight_recorder_test.cpp.
 
 namespace cvsafe {
 namespace {
@@ -368,56 +366,6 @@ TEST(Metrics, CsvShape) {
             std::string::npos);
   EXPECT_NE(csv.find("histogram_sum,\"lat\",0.5"), std::string::npos);
   EXPECT_NE(csv.find("histogram_count,\"lat\",1"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Profiling spans (process-global singleton: each test resets it)
-
-class ProfilerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    obs::Profiler::instance().set_enabled(false);
-    obs::Profiler::instance().clear();
-  }
-  void TearDown() override {
-    obs::Profiler::instance().set_enabled(false);
-    obs::Profiler::instance().clear();
-  }
-};
-
-TEST_F(ProfilerTest, DisabledSpansRecordNothing) {
-  { CVSAFE_PROFILE_SPAN("test.disabled"); }
-  EXPECT_TRUE(obs::Profiler::instance().spans().empty());
-}
-
-TEST_F(ProfilerTest, EnabledSpansRecordNameAndDuration) {
-  obs::Profiler::instance().set_enabled(true);
-  { CVSAFE_PROFILE_SPAN("test.outer"); }
-  obs::Profiler::instance().set_enabled(false);
-  const auto spans = obs::Profiler::instance().spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_STREQ(spans[0].name, "test.outer");
-}
-
-TEST_F(ProfilerTest, ChromeTraceJsonShape) {
-  auto& profiler = obs::Profiler::instance();
-  profiler.record("b_second", 2000, 500);
-  profiler.record("a_first", 1000, 250);
-  const std::string json = profiler.chrome_trace_json();
-  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  // Sorted by start time, not recording order.
-  EXPECT_LT(json.find("a_first"), json.find("b_second"));
-  EXPECT_NE(json.find("\"ts\":1.000,\"dur\":0.250"), std::string::npos);
-}
-
-TEST_F(ProfilerTest, OverflowIsCounted) {
-  auto& profiler = obs::Profiler::instance();
-  for (std::size_t i = 0; i < obs::Profiler::kMaxSpans + 2; ++i) {
-    profiler.record("spam", i, 1);
-  }
-  EXPECT_EQ(profiler.spans().size(), obs::Profiler::kMaxSpans);
-  EXPECT_EQ(profiler.dropped(), 2u);
 }
 
 }  // namespace

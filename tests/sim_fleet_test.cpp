@@ -229,14 +229,16 @@ TEST(SimFleet, MetricsFoldMatchesPerEpisodePath) {
   for (const std::size_t threads : {1u, 4u, 7u}) {
     sim::FleetConfig fc;
     fc.threads = threads;
-    const auto fleet = sim::run_left_turn_fleet(cfg, bp, 9, 702, fc);
-    EXPECT_EQ(fleet.metrics.prometheus_text(), expected.prometheus_text())
+    obs::MetricsRegistry fleet;
+    sim::collect_metrics(
+        fleet, sim::run_left_turn_fleet_records(cfg, bp, 9, 702, fc));
+    EXPECT_EQ(fleet.prometheus_text(), expected.prometheus_text())
         << "threads=" << threads;
     // Thread-count invariance of the full text, byte for byte.
     if (text.empty()) {
-      text = fleet.metrics.prometheus_text();
+      text = fleet.prometheus_text();
     } else {
-      EXPECT_EQ(fleet.metrics.prometheus_text(), text);
+      EXPECT_EQ(fleet.prometheus_text(), text);
     }
   }
 }
@@ -299,8 +301,10 @@ TEST(SimFleet, ExpertBlueprintUsesGenericPathBitExactly) {
       sim::run_episodes(adapter, 8, 801, /*threads=*/2));
   sim::FleetConfig fc;
   fc.threads = 3;
-  const auto fleet = sim::run_left_turn_fleet(cfg, bp, 8, 801, fc);
-  expect_stats_equal(fleet.stats, per_episode);
+  expect_stats_equal(sim::BatchStats::from_results(
+                         sim::run_left_turn_fleet_records(cfg, bp, 8, 801,
+                                                          fc)),
+                     per_episode);
 }
 
 TEST(SimFleet, RunSettingEnginesAreByteIdentical) {

@@ -17,6 +17,7 @@
 #include "cvsafe/core/preimage.hpp"
 #include "cvsafe/filter/kalman.hpp"
 #include "cvsafe/filter/reachability.hpp"
+#include "cvsafe/sensing/sensor.hpp"
 #include "cvsafe/sim/intersection.hpp"
 #include "cvsafe/sim/lane_change.hpp"
 #include "cvsafe/sim/left_turn.hpp"
@@ -112,6 +113,28 @@ TEST(ContractsChain, KalmanPreconditionsFire) {
   EXPECT_THROW(filter.correct_with_message(
                    std::numeric_limits<double>::quiet_NaN(), 0.0, 5.0, 0.0),
                ContractViolation);
+}
+
+TEST(ContractsChain, SensorConfigBoundsFire) {
+  ScopedContractMode mode(ContractMode::kThrow);
+  EXPECT_NO_THROW(sensing::Sensor{sensing::SensorConfig{}});
+  EXPECT_NO_THROW(sensing::Sensor{sensing::SensorConfig::uniform(0.0)});
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -0.1, inf, std::nan("")}) {
+    EXPECT_THROW(sensing::Sensor{sensing::SensorConfig::uniform(1.0, bad)},
+                 ContractViolation)
+        << "period=" << bad;
+  }
+  for (double sensing::SensorConfig::*delta :
+       {&sensing::SensorConfig::delta_p, &sensing::SensorConfig::delta_v,
+        &sensing::SensorConfig::delta_a}) {
+    for (const double bad : {-1.0, inf, std::nan("")}) {
+      sensing::SensorConfig config;
+      config.*delta = bad;
+      EXPECT_THROW(sensing::Sensor{config}, ContractViolation)
+          << "delta=" << bad;
+    }
+  }
 }
 
 TEST(ContractsChain, ReachabilityPreconditionsFire) {

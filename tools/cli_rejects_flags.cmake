@@ -1,6 +1,7 @@
 # Checks that `cvsafe_cli` refuses every flag the command (or, for run and
-# batch, the chosen --scenario) does not read: exit status 2 and a message
-# naming the flag, before any work starts.
+# batch, the chosen --scenario) does not read, and every value a flag does
+# not take: exit status 2 and a message naming the flag, before any work
+# starts.
 #
 #   cmake -DCLI=path/to/cvsafe_cli -P tools/cli_rejects_flags.cmake
 if(NOT CLI)
@@ -89,3 +90,45 @@ expect_rejected("--stealth ${_real} inf" attack --stealth inf)
 expect_rejected("--drop ${_real} 0.2x" run --drop 0.2x)
 expect_rejected("--delay ${_real} nan" batch --delay nan)
 expect_rejected("--delta ${_real} abc" certify --delta abc)
+
+# In range: the same checks name a finite number outside its flag's range
+# (--drop and --stealth in [0, 1], --delay > 0, --delta >= 0) before any
+# model loads or episode runs.
+set(_fraction "expects a number in \\[0, 1\\], got")
+expect_rejected("--delay expects a number > 0, got -1" run --delay -1)
+expect_rejected("--delay expects a number > 0, got 0"
+                run --drop 0.2 --delay 0)
+expect_rejected("--delta expects a number >= 0, got -1" run --delta -1)
+expect_rejected("--delta expects a number >= 0, got -1"
+                run --delta -1 --variant pure)
+expect_rejected("--delta expects a number >= 0, got -1"
+                run --scenario intersection --delta -1 --variant pure)
+expect_rejected("--delta expects a number >= 0, got -1"
+                batch --delta -1 --variant pure --sims 500)
+expect_rejected("--drop ${_fraction} 2" run --drop 2)
+expect_rejected("--drop ${_fraction} -0.1" sweep --drop -0.1)
+expect_rejected("--stealth ${_fraction} 5" attack --stealth 5)
+
+# Word-valued flags take one of their words (word_flags()), or the CLI
+# exits 2 naming the flag and the value before any work.
+expect_rejected("--variant expects one of pure\\|basic\\|ultimate, got foo"
+                run --variant foo)
+expect_rejected("--variant expects one of pure\\|basic\\|ultimate, got foo"
+                run --scenario lane-change --variant foo)
+expect_rejected("--variant needs a value" batch --variant)
+expect_rejected("--profile needs a value" run --profile)
+expect_rejected("--trace needs a value" run --scenario multi --trace)
+expect_rejected("--style expects one of cons\\|aggr, got foo"
+                run --style foo)
+expect_rejected("--kind expects one of drop\\|sensor, got foo"
+                sweep --kind foo)
+expect_rejected("--preset expects one of ci\\|smoke, got foo"
+                campaign --preset foo)
+expect_rejected("--optimizer expects one of cma\\|coord, got foo"
+                attack --optimizer foo)
+expect_rejected("--scenario expects one of left-turn\\|lane-change\\|"
+                attack --scenario foo)
+expect_rejected("--scenario expects one of left-turn\\|lane-change\\|"
+                run --scenario foo)
+expect_rejected("--scenario expects one of left-turn\\|lane-change\\|"
+                batch --scenario multi-vehicle)

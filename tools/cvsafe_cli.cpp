@@ -16,11 +16,15 @@
 // --pool/--flight-recorder/--telemetry/--style are left-turn only, as is
 // a run --trace FILE not ending in .jsonl (the CSV trace), --cars multi
 // only, --config left-turn or multi.
-// A numeric flag whose whole token is not a number of its kind is
-// rejected the same way before any work (see number_flags()): counts,
-// seeds and --threads are whole numbers (counts at least 1), --drop,
-// --delay, --delta and --stealth finite numbers. A token such as -3 is a
-// value, not a flag, so a negative count is rejected rather than dropped.
+// Every flag but --lost takes a value; one given without is rejected
+// the same way before any work, as is a numeric flag whose whole token
+// is not a number of its kind (see number_flags()): counts,
+// seeds and --threads are whole numbers (counts at least 1), --drop and
+// --stealth numbers in [0, 1], --delay a number > 0, --delta a number
+// >= 0. A token such as -3 is a value, not a flag, so a negative count is
+// rejected rather than dropped. So is a word-valued flag (--scenario,
+// --variant, --style, --kind, --preset, --optimizer) whose value is not
+// one of its words (see word_flags()).
 //
 // Common options:
 //   --scenario left-turn|lane-change|intersection|multi  (run/batch,
@@ -29,7 +33,8 @@
 //   --style cons|aggr        embedded NN planner style   (default cons)
 //   --variant pure|basic|ultimate                        (default ultimate)
 //   --drop P                 message drop probability    (default 0)
-//   --delay D                message delay [s]           (default 0)
+//   --delay D                message delay [s] (default 0.25 when
+//                            --drop is above 0, else none)
 //   --lost                   drop every message
 //   --delta X                sensor uncertainty          (default 1.0)
 //   --faults NAME|FILE       fault-injection plan: a FaultPlan preset
@@ -53,8 +58,12 @@
 //   --cert FILE              (certify) write the sound branch-and-bound
 //                            proof as a machine-checkable JSON certificate
 //                            (revalidate with scripts/check_certificate.py)
-//   --profile FILE           (run) Chrome trace-event JSON of the hot-path
-//                            profiling spans (open in Perfetto)
+//   --profile FILE           (run) per-phase wall-clock spans of the
+//                            episode, rerun through the fleet's cohort
+//                            step with one lane: the registry batch and
+//                            campaign --telemetry write to FILE.spans
+//                            (Prometheus text, CSV when FILE ends in
+//                            .csv; read by campaign_report.py --spans)
 //   --out DIR|FILE           (train) output directory; (campaign) CSV path
 //   --flight-recorder FILE   (batch / campaign / attack) arm a per-lane
 //                            flight recorder ring; triggered episode dumps
@@ -122,7 +131,6 @@
 #include "cvsafe/nn/serialize.hpp"
 #include "cvsafe/obs/flight_recorder.hpp"
 #include "cvsafe/obs/metrics.hpp"
-#include "cvsafe/obs/profile.hpp"
 #include "cvsafe/sim/fault_campaign.hpp"
 #include "cvsafe/sim/intersection.hpp"
 #include "cvsafe/sim/lane_change.hpp"
@@ -177,7 +185,7 @@ struct Args {
     return it == values.end() ? dflt : it->second;
   }
   /// A whole-number flag (\p dflt when absent). main() has already
-  /// rejected a token that is not one (reject_malformed_numbers).
+  /// rejected a token that is not one (reject_bad_values).
   std::uint64_t whole(const std::string& name, std::uint64_t dflt) const {
     const auto it = values.find(name);
     return it == values.end() ? dflt : parse_whole(it->second).value();
@@ -224,12 +232,16 @@ bool write_text_file(const std::string& path, const std::string& text) {
   return true;
 }
 
-/// Dumps the registry as Prometheus text (or CSV for .csv paths) and
-/// prints the summary line. Shared by `run` and `campaign`.
+/// Writes the registry as Prometheus text (or CSV for .csv paths).
+bool write_registry(const obs::MetricsRegistry& reg, const std::string& path) {
+  return write_text_file(
+      path, ends_with(path, ".csv") ? reg.csv() : reg.prometheus_text());
+}
+
+/// Dumps the registry (write_registry) and prints the summary line.
+/// Shared by `run` and `campaign`.
 bool dump_metrics(const obs::MetricsRegistry& reg, const std::string& path) {
-  const std::string text =
-      ends_with(path, ".csv") ? reg.csv() : reg.prometheus_text();
-  if (!write_text_file(path, text)) return false;
+  if (!write_registry(reg, path)) return false;
   std::printf("metrics    %s\n", path.c_str());
   return true;
 }
@@ -252,15 +264,15 @@ bool write_flight_dumps(const std::string& path,
   return true;
 }
 
-/// Dumps the wall-clock sweep-span registry as a sibling artifact of the
-/// deterministic telemetry file. Kept separate because span counts and
-/// durations depend on work-stealing schedules — CI byte-compares the
-/// telemetry file but never this one.
-bool dump_spans(const sim::SweepSpanSink& spans,
-                const std::string& telemetry_path) {
+/// The wall-clock per-phase span registry of a fleet run. Written as a
+/// sibling artifact of the deterministic telemetry file (FILE.spans) and
+/// by `run --profile`: span counts and durations depend on the clock and
+/// the schedule, so CI byte-compares the telemetry file but never this
+/// one.
+obs::MetricsRegistry span_registry(const sim::SweepSpanSink& spans) {
   obs::MetricsRegistry reg;
   sim::collect_sweep_spans(reg, spans.total());
-  return dump_metrics(reg, telemetry_path + ".spans");
+  return reg;
 }
 
 int usage() {
@@ -363,10 +375,12 @@ int print_stats(const std::string& title, const sim::BatchStats& stats) {
 /// `run` for every scenario: episode \p seed of \p adapter, printed with
 /// \p planner and the \p channel line. None of --trace FILE.jsonl (the
 /// episode's events, via sim::trace_episode), --metrics and --profile
-/// depends on the scenario. A --trace path not ending in .jsonl asks for
-/// the left turn's CSV trace: \p run_csv runs the episode into it and
-/// \p write_csv writes it after the result; other scenarios pass neither
-/// and exit 2 before any work.
+/// depends on the scenario. --profile FILE runs the episode once more
+/// through the fleet's cohort step with one lane and writes its
+/// per-phase spans, the registry `--telemetry` writes to FILE.spans. A
+/// --trace path not ending in .jsonl asks for the left turn's CSV trace:
+/// \p run_csv runs the episode into it and \p write_csv writes it after
+/// the result; other scenarios pass neither and exit 2 before any work.
 template <typename World>
 int run_and_report(
     const sim::ScenarioAdapter<World>& adapter, const std::string& planner,
@@ -383,11 +397,6 @@ int run_and_report(
                  trace_path.c_str(), args.value("scenario", "").c_str());
     return 2;
   }
-  const bool want_profile = args.values.count("profile") > 0;
-  if (want_profile) {
-    obs::Profiler::instance().clear();
-    obs::Profiler::instance().set_enabled(true);
-  }
   obs::FlightDump dump;
   sim::RunResult r;
   if (structured) {
@@ -397,7 +406,6 @@ int run_and_report(
   } else {
     r = sim::run_episode(adapter, seed);
   }
-  if (want_profile) obs::Profiler::instance().set_enabled(false);
 
   print_result(planner, channel, seed, r);
   if (structured) {
@@ -420,14 +428,19 @@ int run_and_report(
     sim::collect_run_metrics(reg, r);
     if (!dump_metrics(reg, args.value("metrics", "run.prom"))) return 1;
   }
-  if (want_profile) {
-    const std::string path = args.value("profile", "profile.json");
-    if (!write_text_file(path,
-                         obs::Profiler::instance().chrome_trace_json())) {
-      return 1;
-    }
-    std::printf("profile    %s (%zu spans)\n", path.c_str(),
-                obs::Profiler::instance().spans().size());
+  if (args.values.count("profile")) {
+    sim::SweepSpanSink spans;
+    sim::FleetObsSinks sinks;
+    sinks.spans = &spans;
+    sim::FleetConfig fleet;
+    fleet.pool_capacity = 1;
+    fleet.threads = 1;
+    const std::vector<sim::RunResult> profiled =
+        sim::run_fleet_records(adapter, 1, seed, fleet, {}, sinks);
+    const std::string path = args.value("profile", "profile.prom");
+    if (!write_registry(span_registry(spans), path)) return 1;
+    std::printf("profile    %s (%zu steps)\n", path.c_str(),
+                profiled.front().steps);
   }
   return r.collided ? 1 : 0;
 }
@@ -476,34 +489,27 @@ int run_other_scenario(const std::string& scenario, const Args& args,
                           args);
   }
 
-  if (scenario == "multi") {
-    sim::LeftTurnSimConfig config = build_config(args);
-    sim::MultiVehicleConfig multi;
-    multi.num_oncoming = args.whole("cars", 2);
-    sim::MultiAgentSetup setup;
-    setup.scenario = config.make_scenario();  // expert kappa_n
-    if (variant == "pure") setup.use_compound = false;
-    if (variant == "basic") {
-      setup.use_info_filter = false;
-      setup.use_aggressive = false;
-    }
-    const std::string name = "multi-vehicle expert (" + variant + ", " +
-                             std::to_string(multi.num_oncoming) + " cars)";
-    if (batch) {
-      return print_stats(
-          "batch: " + name + " under " + channel_label(config, args),
-          sim::run_multi_batch(config, multi, setup, n, seed, threads));
-    }
-    const sim::MultiVehicleAdapter adapter(config, multi, setup);
-    return run_and_report(adapter, name, channel_label(config, args), seed,
-                          args);
+  // multi: main() admits no other --scenario (word_flags()).
+  sim::LeftTurnSimConfig config = build_config(args);
+  sim::MultiVehicleConfig multi;
+  multi.num_oncoming = args.whole("cars", 2);
+  sim::MultiAgentSetup setup;
+  setup.scenario = config.make_scenario();  // expert kappa_n
+  if (variant == "pure") setup.use_compound = false;
+  if (variant == "basic") {
+    setup.use_info_filter = false;
+    setup.use_aggressive = false;
   }
-
-  std::fprintf(stderr,
-               "unknown --scenario %s "
-               "(left-turn|lane-change|intersection|multi)\n",
-               scenario.c_str());
-  return 2;
+  const std::string name = "multi-vehicle expert (" + variant + ", " +
+                           std::to_string(multi.num_oncoming) + " cars)";
+  if (batch) {
+    return print_stats(
+        "batch: " + name + " under " + channel_label(config, args),
+        sim::run_multi_batch(config, multi, setup, n, seed, threads));
+  }
+  const sim::MultiVehicleAdapter adapter(config, multi, setup);
+  return run_and_report(adapter, name, channel_label(config, args), seed,
+                        args);
 }
 
 int cmd_run(const Args& args) {
@@ -587,7 +593,7 @@ int cmd_batch(const Args& args) {
     sim::collect_fleet_telemetry(reg, results);
     const std::string path = args.value("telemetry", "telemetry.prom");
     if (!dump_metrics(reg, path)) return 1;
-    if (!dump_spans(spans, path)) return 1;
+    if (!dump_metrics(span_registry(spans), path + ".spans")) return 1;
   }
   return print_stats("batch: " + bp.name + " under " +
                          channel_label(config, args),
@@ -662,15 +668,9 @@ int cmd_sweep(const Args& args) {
 
 int cmd_campaign(const Args& args) {
   const std::string preset = args.value("preset", "ci");
-  sim::CampaignConfig config;
-  if (preset == "ci") {
-    config = sim::CampaignConfig::ci();
-  } else if (preset == "smoke") {
-    config = sim::CampaignConfig::smoke();
-  } else {
-    std::fprintf(stderr, "unknown --preset %s (ci|smoke)\n", preset.c_str());
-    return 2;
-  }
+  sim::CampaignConfig config = preset == "smoke"
+                                   ? sim::CampaignConfig::smoke()
+                                   : sim::CampaignConfig::ci();
   if (args.values.count("sims")) {
     config.episodes_per_cell = args.whole("sims", 8);
   }
@@ -726,7 +726,7 @@ int cmd_campaign(const Args& args) {
   if (want_telemetry) {
     const std::string path = args.value("telemetry", "campaign.prom");
     if (!dump_metrics(telemetry, path)) return 1;
-    if (!dump_spans(spans, path)) return 1;
+    if (!dump_metrics(span_registry(spans), path + ".spans")) return 1;
   }
   if (args.values.count("metrics")) {
     obs::MetricsRegistry reg;
@@ -955,6 +955,14 @@ int cmd_certify(const Args& args) {
   return failures == 0 ? 0 : 1;
 }
 
+/// The --scenario values of run and batch.
+constexpr const char* kScenarios = "left-turn|lane-change|intersection|multi";
+
+/// Whether the '|'-separated \p list names \p item.
+bool listed(const std::string& list, const std::string& item) {
+  return ("|" + list + "|").find("|" + item + "|") != std::string::npos;
+}
+
 /// One flag a command reads. For run and batch, \p scenarios lists the
 /// --scenario values that read it, '|'-separated; null means all.
 struct FlagSpec {
@@ -1013,14 +1021,10 @@ const std::vector<CommandSpec>& commands() {
 
 /// Exit status 2, with a message naming the flag, for the first flag of
 /// \p args that \p command (or its --scenario) does not read; 0 when
-/// all are read. An unknown scenario is left to the command to report.
+/// all are read. An unknown scenario is left to reject_bad_values.
 int reject_unread_flags(const CommandSpec& command, const Args& args) {
-  const auto listed = [](const std::string& list, const std::string& item) {
-    return ("|" + list + "|").find("|" + item + "|") != std::string::npos;
-  };
   const std::string scenario = args.value("scenario", "left-turn");
-  const bool known =
-      listed("left-turn|lane-change|intersection|multi", scenario);
+  const bool known = listed(kScenarios, scenario);
   std::vector<std::string> given = args.flags;
   for (const auto& [name, value] : args.values) given.push_back(name);
   for (const std::string& name : given) {
@@ -1045,51 +1049,102 @@ int reject_unread_flags(const CommandSpec& command, const Args& args) {
 /// What a numeric flag's token must spell. The same flag means the same
 /// thing in every command.
 enum class Number {
-  kWhole,  ///< a whole number (seeds; --threads, where 0 = hardware)
-  kCount,  ///< a whole number of at least 1
-  kReal,   ///< a finite number
+  kWhole,        ///< a whole number (seeds; --threads, where 0 = hardware)
+  kCount,        ///< a whole number of at least 1
+  kFraction,     ///< a finite number in [0, 1]
+  kPositive,     ///< a finite number > 0
+  kNonNegative,  ///< a finite number >= 0
 };
 
 const std::vector<std::pair<const char*, Number>>& number_flags() {
   static const std::vector<std::pair<const char*, Number>> table = {
-      {"seed", Number::kWhole},   {"eval-seed", Number::kWhole},
+      {"seed", Number::kWhole},       {"eval-seed", Number::kWhole},
       {"threads", Number::kWhole},
-      {"sims", Number::kCount},   {"pool", Number::kCount},
-      {"cars", Number::kCount},   {"points", Number::kCount},
-      {"topk", Number::kCount},   {"budget", Number::kCount},
-      {"drop", Number::kReal},    {"delay", Number::kReal},
-      {"delta", Number::kReal},   {"stealth", Number::kReal}};
+      {"sims", Number::kCount},       {"pool", Number::kCount},
+      {"cars", Number::kCount},       {"points", Number::kCount},
+      {"topk", Number::kCount},       {"budget", Number::kCount},
+      {"drop", Number::kFraction},    {"delay", Number::kPositive},
+      {"delta", Number::kNonNegative}, {"stealth", Number::kFraction}};
   return table;
 }
 
-/// Exit status 2, with a message naming the flag and its value, for the
-/// first numeric flag of \p args whose token is not a number of its kind
-/// (or that has no value); 0 when all are. Runs before the command, so a
-/// malformed number stops the CLI before any work.
-int reject_malformed_numbers(const Args& args) {
-  for (const auto& [name, kind] : number_flags()) {
-    if (args.has_flag(name)) {
-      std::fprintf(stderr, "--%s needs a value\n", name);
-      return 2;
-    }
-    const auto it = args.values.find(name);
-    if (it == args.values.end()) continue;
-    const std::string& text = it->second;
-    if (std::strcmp(name, "budget") == 0 && text == "ci") continue;
-    bool ok = false;
-    if (kind == Number::kReal) {
-      ok = parse_real(text).has_value();
-    } else {
-      const std::optional<std::uint64_t> value = parse_whole(text);
-      ok = value && (kind == Number::kWhole || *value >= 1);
-    }
-    if (ok) continue;
-    std::fprintf(stderr, "--%s expects %s, got %s\n", name,
-                 kind == Number::kReal    ? "a finite number"
-                 : kind == Number::kCount ? "a whole number of at least 1"
-                                          : "a whole number",
+/// What \p text fails to be as a number of \p kind ("a whole number",
+/// ...), or null when it is one. A real-valued kind names its range only
+/// once the token is a finite number.
+const char* number_error(Number kind, const std::string& text) {
+  if (kind == Number::kWhole) {
+    return parse_whole(text) ? nullptr : "a whole number";
+  }
+  if (kind == Number::kCount) {
+    const std::optional<std::uint64_t> value = parse_whole(text);
+    return value && *value >= 1 ? nullptr : "a whole number of at least 1";
+  }
+  const std::optional<double> value = parse_real(text);
+  if (!value) return "a finite number";
+  if (kind == Number::kFraction) {
+    return *value >= 0.0 && *value <= 1.0 ? nullptr : "a number in [0, 1]";
+  }
+  if (kind == Number::kPositive) {
+    return *value > 0.0 ? nullptr : "a number > 0";
+  }
+  return *value >= 0.0 ? nullptr : "a number >= 0";
+}
+
+/// The words a word-valued flag accepts, '|'-separated; \p command, when
+/// set, limits the entry to that command.
+struct WordFlag {
+  const char* name;
+  const char* words;
+  const char* command = nullptr;
+};
+
+const std::vector<WordFlag>& word_flags() {
+  static const std::vector<WordFlag> table = {
+      {"scenario", kScenarios, "run"},
+      {"scenario", kScenarios, "batch"},
+      {"scenario", "left-turn|lane-change|intersection|multi|multi-vehicle",
+       "attack"},
+      {"variant", "pure|basic|ultimate"},
+      {"style", "cons|aggr"},
+      {"kind", "drop|sensor"},
+      {"preset", "ci|smoke"},
+      {"optimizer", "cma|coord"}};
+  return table;
+}
+
+/// Exit status 2, with a message naming the flag, for the first flag of
+/// \p args that has no value (every flag but --lost takes one), then for
+/// the first numeric or word-valued flag whose token is not a number of
+/// its kind or one of its words; 0 when all are good. Runs before the
+/// command, so a bad value stops the CLI before any work.
+int reject_bad_values(const CommandSpec& command, const Args& args) {
+  for (const std::string& name : args.flags) {
+    if (name == "lost") continue;  // the one flag that takes no value
+    std::fprintf(stderr, "--%s needs a value\n", name.c_str());
+    return 2;
+  }
+  const auto reject = [](const char* name, const std::string& expects,
+                         const std::string& text) {
+    std::fprintf(stderr, "--%s expects %s, got %s\n", name, expects.c_str(),
                  text.c_str());
     return 2;
+  };
+  for (const auto& [name, kind] : number_flags()) {
+    const auto it = args.values.find(name);
+    if (it == args.values.end()) continue;
+    if (std::strcmp(name, "budget") == 0 && it->second == "ci") continue;
+    if (const char* expects = number_error(kind, it->second)) {
+      return reject(name, expects, it->second);
+    }
+  }
+  for (const WordFlag& flag : word_flags()) {
+    if (flag.command != nullptr &&
+        std::strcmp(flag.command, command.name) != 0) {
+      continue;
+    }
+    const auto it = args.values.find(flag.name);
+    if (it == args.values.end() || listed(flag.words, it->second)) continue;
+    return reject(flag.name, std::string("one of ") + flag.words, it->second);
   }
   return 0;
 }
@@ -1103,7 +1158,7 @@ int main(int argc, char** argv) {
     if (const int rc = reject_unread_flags(command, args); rc != 0) {
       return rc;
     }
-    if (const int rc = reject_malformed_numbers(args); rc != 0) return rc;
+    if (const int rc = reject_bad_values(command, args); rc != 0) return rc;
     try {
       return command.run(args);
     } catch (const std::exception& e) {

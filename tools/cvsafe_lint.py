@@ -70,6 +70,14 @@ include/):
                      steady state and the pool's bounded memory. Traced
                      episodes run on the scalar oracle (run_episode,
                      sim/trace.hpp) — outside this file set
+  no-clock-read      library code reads a clock only at the span laps of
+                     the fleet's cohort step (EpisodePool::step_cohort in
+                     CLOCK_READ_FILES, tallied in sim::SweepSpans), the
+                     library's one timing mechanism: steady_clock,
+                     system_clock, high_resolution_clock, clock_gettime,
+                     gettimeofday and __rdtsc are banned everywhere else
+                     in src/ and include/, so a second span mechanism
+                     cannot grow back unnoticed
 
 A finding on a line that carries the annotation
     cvsafe-lint: allow(<rule>)
@@ -195,6 +203,12 @@ FLEET_ENGINE_FILES = (
 # constructor) and the recording() guard do not match; the leading \b
 # keeps longer identifiers ending in "set_enabled" out.
 RE_EPISODE_RECORDER = re.compile(r"\bset_enabled\s*\(")
+# The one file that may read a clock: the cohort step's span laps.
+CLOCK_READ_FILES = ("include/cvsafe/sim/fleet.hpp",)
+RE_CLOCK_READ = re.compile(
+    r"\b(?:steady_clock|system_clock|high_resolution_clock|clock_gettime"
+    r"|gettimeofday|__rdtscp?)\b"
+)
 RE_PRAGMA_ONCE = re.compile(r"^\s*#\s*pragma\s+once\b")
 RE_ALLOW = re.compile(r"cvsafe-lint:\s*allow\(([a-z0-9_,\- ]+)\)")
 RE_CLASS_DECL = re.compile(r"\b(?:class|struct)\s+(\w+)[^;{]*")
@@ -278,7 +292,8 @@ class FileLinter:
                  msg_fields_banned: bool = False,
                  raw_streams_banned: bool = False,
                  sound_rules: bool = False,
-                 fleet_rules: bool = False):
+                 fleet_rules: bool = False,
+                 clock_reads_banned: bool = False):
         self.path = path
         self.in_include_tree = in_include_tree
         self.adhoc_sim_banned = adhoc_sim_banned
@@ -286,6 +301,7 @@ class FileLinter:
         self.raw_streams_banned = raw_streams_banned
         self.sound_rules = sound_rules
         self.fleet_rules = fleet_rules
+        self.clock_reads_banned = clock_reads_banned
         self.raw = path.read_text(encoding="utf-8").splitlines()
         self.code = strip_comments_and_strings(self.raw)
         self.findings: list[Finding] = []
@@ -359,6 +375,11 @@ class FileLinter:
                             "growable obs::Recorder mode in the fleet "
                             "engine; it allocates as it grows — arm the "
                             "lane's recorder (Recorder::arm) instead")
+            if self.clock_reads_banned and RE_CLOCK_READ.search(code):
+                self.report(line_no, "no-clock-read",
+                            "clock read outside the cohort step's span "
+                            "laps; time a phase through sim::SweepSpans "
+                            "(EpisodePool::step_cohort)")
             if self.raw_streams_banned and RE_RAW_STREAM.search(code):
                 self.report(line_no, "no-raw-stream-logging",
                             "library code must not write to the global "
@@ -442,6 +463,12 @@ class FileLinter:
         return self.findings
 
 
+def clock_reads_banned(rel: str) -> bool:
+    """Whether the no-clock-read rule applies to the library file \p rel
+    (a path relative to the repo root)."""
+    return rel not in CLOCK_READ_FILES
+
+
 def lint_tree(root: pathlib.Path) -> list[Finding]:
     findings: list[Finding] = []
     for subdir in ("include", "src"):
@@ -463,7 +490,8 @@ def lint_tree(root: pathlib.Path) -> list[Finding]:
                                 msg_fields_banned=msg_banned,
                                 raw_streams_banned=(subdir == "src"),
                                 sound_rules=(rel in SOUND_VERIFIER_FILES),
-                                fleet_rules=(rel in FLEET_ENGINE_FILES))
+                                fleet_rules=(rel in FLEET_ENGINE_FILES),
+                                clock_reads_banned=clock_reads_banned(rel))
             findings.extend(linter.run())
     return findings
 
@@ -542,6 +570,31 @@ SELF_TEST_CASES: list[tuple[str, str, dict, str, set[str]]] = [
     ("growable-recorder-out-of-fleet", "trace.hpp", {"fleet_rules": False},
      "#pragma once\n"
      "void mount(obs::Recorder& rec) { rec.set_enabled(true); }\n",
+     set()),
+    ("clock-read-in-filter", "kalman.cpp",
+     {"clock_reads_banned": clock_reads_banned("src/filter/kalman.cpp")},
+     "#include <chrono>\n"
+     "auto t0() { return std::chrono::steady_clock::now(); }\n",
+     {"no-clock-read"}),
+    ("clock-read-raw-counters", "nn_planner.cpp",
+     {"clock_reads_banned": clock_reads_banned("src/planners/nn_planner.cpp")},
+     "unsigned long long c() { return __rdtsc(); }\n"
+     "void g(timespec* ts) { clock_gettime(CLOCK_MONOTONIC, ts); }\n",
+     {"no-clock-read"}),
+    ("clock-read-at-span-laps", "fleet.hpp",
+     {"clock_reads_banned":
+          clock_reads_banned("include/cvsafe/sim/fleet.hpp")},
+     "#pragma once\n"
+     "using Clock = std::chrono::steady_clock;\n",
+     set()),
+    ("clock-read-annotated", "thread_pool.cpp", {"clock_reads_banned": True},
+     "// A deadline, not a span. cvsafe-lint: allow(no-clock-read)\n"
+     "auto d = std::chrono::steady_clock::now();\n",
+     set()),
+    ("clock-in-comment-does-not-fire", "info_filter.cpp",
+     {"clock_reads_banned": True},
+     "// no steady_clock read here: spans live in the cohort step\n"
+     "int e() { return 0; }\n",
      set()),
     ("std-rand-still-fires", "noise.cpp", {},
      "int r() { return std::rand(); }\n",
