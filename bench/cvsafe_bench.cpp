@@ -257,28 +257,10 @@ std::vector<Bench> build_registry() {
                      });
   }});
 
-  benches.push_back({"matmul_transposed_64_into", [](const Options& o) {
-    util::Rng rng(1);
-    const nn::Matrix a = random_matrix(64, 64, rng);
-    const nn::Matrix b = random_matrix(64, 64, rng);
-    nn::Matrix out;
-    return run_bench("matmul_transposed_64_into", o.min_time_s,
-                     [&](std::uint64_t n) {
-                       for (std::uint64_t it = 0; it < n; ++it) {
-                         nn::matmul_transposed_into(a, b, out);
-                         g_sink = out(0, 0);
-                       }
-                     });
-  }});
-
-  // Matmul pair at a hidden layer's shape: 64 activation rows x 24
-  // against a 24 x 24 weight matrix. Inference with fresh W^T caches runs
-  // neither kernel (Mlp::forward_into's fused pass does); the transposed
-  // kernel is the stale-cache inference path (after mutable_weights())
-  // and Mlp::infer's, and the dense one serves Matrix::matmul and the
-  // training step's dL/dx when the local gradient is mostly zero. The CI
-  // gate keeps the transposed kernel at parity with the dense one at this
-  // shape.
+  // The dense kernel at a hidden layer's shape: 64 activation rows x 24
+  // against a 24 x 24 weight matrix. Inference runs the fused pass
+  // (mlp_forward_*); matmul_into serves Matrix::matmul and the training
+  // step's dL/dx when the local gradient is mostly zero.
   benches.push_back({"matmul_dense_infer24", [](const Options& o) {
     util::Rng rng(1);
     const nn::Matrix a = random_matrix(64, 24, rng);
@@ -289,31 +271,6 @@ std::vector<Bench> build_registry() {
                        for (std::uint64_t it = 0; it < n; ++it) {
                          nn::matmul_into(a, b, out);
                          g_sink = out(0, 0);
-                       }
-                     });
-  }});
-
-  benches.push_back({"matmul_transposed_infer24", [](const Options& o) {
-    util::Rng rng(1);
-    const nn::Matrix a = random_matrix(64, 24, rng);
-    const nn::Matrix bt = random_matrix(24, 24, rng);
-    nn::Matrix out;
-    return run_bench("matmul_transposed_infer24", o.min_time_s,
-                     [&](std::uint64_t n) {
-                       for (std::uint64_t it = 0; it < n; ++it) {
-                         nn::matmul_transposed_into(a, bt, out);
-                         g_sink = out(0, 0);
-                       }
-                     });
-  }});
-
-  benches.push_back({"mlp_forward_alloc", [](const Options& o) {
-    const nn::Mlp net = make_test_net();
-    const std::vector<double> x{-0.5, 0.6, 0.3, 0.7};
-    return run_bench("mlp_forward_alloc", o.min_time_s,
-                     [&](std::uint64_t n) {
-                       for (std::uint64_t it = 0; it < n; ++it) {
-                         g_sink = net.predict(x)[0];
                        }
                      });
   }});

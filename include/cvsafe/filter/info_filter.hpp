@@ -19,20 +19,14 @@
 
 namespace cvsafe::filter {
 
-/// Feature switches of the information filter.
+/// Feature switches of the information filter. Every stack runs the
+/// reachability propagation of the latest V2V message (Eq. 2) and of the
+/// latest raw sensor reading (measurement noise inflates its initial
+/// bounds); the ultimate stack adds the Kalman filter, with message
+/// rollback (the paper's extension).
 struct InfoFilterOptions {
-  /// Reachability propagation of the latest V2V message (Eq. 2).
-  bool use_message_reachability = true;
-
-  /// Reachability propagation of the latest raw sensor reading
-  /// (measurement noise inflates the initial bounds).
-  bool use_sensor_reachability = true;
-
   /// Kalman-filter interval fusion (the paper's information filter).
   bool use_kalman = false;
-
-  /// Message rollback inside the Kalman filter (paper's extension).
-  bool kalman_message_rollback = true;
 
   /// Options of the basic compound planner (sound bounds only).
   static InfoFilterOptions basic();

@@ -42,17 +42,6 @@ struct KalmanConfig {
 
   /// How many past periods are kept for message rollback.
   std::size_t history_depth = 64;
-
-  /// Adaptive process noise: when the NIS consistency monitor flags the
-  /// filter as overconfident (innovations larger than the covariance
-  /// claims — e.g. the observed vehicle maneuvers harder than the model
-  /// assumes), the process noise Q is scaled up geometrically until
-  /// consistency recovers, then decays back. Off by default so the
-  /// textbook filter of the paper is the baseline behavior.
-  bool adaptive = false;
-  double q_scale_max = 64.0;   ///< upper bound on the Q inflation
-  double q_scale_grow = 1.5;   ///< multiplier while inconsistent
-  double q_scale_decay = 0.95; ///< per-update decay toward 1 when calm
 };
 
 /// Two-state Kalman filter with message rollback.
@@ -104,10 +93,6 @@ class KalmanFilter {
   /// monitor resets whenever a message rollback re-anchors the state).
   const NisMonitor& nis() const { return nis_; }
 
-  /// Current process-noise inflation factor (1 unless adaptive mode has
-  /// reacted to inconsistent innovations).
-  double q_scale() const { return q_scale_; }
-
   /// Attach a trace sink; every message rollback/replay is emitted with
   /// its anchor time and replay extent. Pass nullptr to detach.
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
@@ -149,7 +134,6 @@ class KalmanFilter {
   std::size_t history_head_ = 0;  ///< index of the oldest retained entry
   std::size_t history_size_ = 0;  ///< number of valid entries
   NisMonitor nis_;
-  double q_scale_ = 1.0;
   obs::Recorder* recorder_ = nullptr;
 };
 

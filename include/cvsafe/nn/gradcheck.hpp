@@ -16,7 +16,8 @@ struct GradCheckResult {
 
 /// Compares the analytic gradients of the training step (TrainStep::
 /// gradients, trainer.hpp) against central finite differences of the MSE
-/// loss on the given batch.
+/// loss on the given batch, each loss from Mlp::forward_into. Every
+/// parameter of \p net is restored, with its W^T cache fresh.
 /// \param epsilon    finite-difference step
 /// \param tolerance  maximum allowed relative error
 GradCheckResult check_gradients(Mlp& net, const Matrix& inputs,

@@ -20,7 +20,7 @@
 ///       evaluation of this binary at any point of the box
 ///
 /// — (b) because the interval affine kernel accumulates over the input
-/// index in the same ascending order as the concrete kernels, so the
+/// index in the same ascending order as the one concrete kernel, so the
 /// directed partial sums bracket the round-to-nearest (or fused) partial
 /// sums step by step, and the activation enclosures carry a validated
 /// error margin over both `tanh` and `fast_tanh` (nn_interval_mlp_test.cpp
@@ -30,9 +30,9 @@
 /// tanh (fast_tanh-based enclosure). Sigmoid has no validated inclusion
 /// function here and is rejected by contract.
 ///
-/// The pass mirrors the zero-alloc Workspace shape of mlp.hpp: an
-/// IntervalWorkspace owns two ping-pong interval buffers that grow to the
-/// widest layer once and are reused across calls (the branch-and-bound
+/// Like the Workspace of mlp.hpp, an IntervalWorkspace makes the pass
+/// allocation-free: it owns two ping-pong interval buffers that grow to
+/// the widest layer once and are reused across calls (the branch-and-bound
 /// certifier evaluates millions of boxes).
 
 namespace cvsafe::nn {

@@ -26,8 +26,8 @@ class DenseLayer {
   const Matrix& weights() const { return weights_; }
   const Matrix& bias() const { return bias_; }
   /// Mutable access marks the inference transpose cache stale; call
-  /// refresh_inference_cache() after the last mutation to restore the
-  /// fused Mlp::forward_into pass (results are identical either way).
+  /// refresh_inference_cache() after the last mutation: until then
+  /// Mlp::forward_into and predict_scalar fail their contract.
   Matrix& mutable_weights() {
     wt_dirty_ = true;
     return weights_;
@@ -46,16 +46,6 @@ class DenseLayer {
   /// training step runs it after every update, since its forward pass
   /// reads W^T. Not thread-safe against concurrent inference.
   void refresh_inference_cache();
-
-  /// Forward pass (inference).
-  Matrix infer(const Matrix& x) const;
-
-  /// Forward pass writing into caller-provided storage (no allocation once
-  /// \p out capacity is warm). Bit-identical to infer(). Reads W, not the
-  /// W^T cache, so it is exact while that cache is stale (after
-  /// mutable_weights()); Mlp::forward_into runs it only then. \p out must
-  /// not alias \p x.
-  void infer_into(const Matrix& x, Matrix& out) const;
 
  private:
   Matrix weights_;    // out x in

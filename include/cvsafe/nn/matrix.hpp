@@ -59,17 +59,11 @@ class Matrix {
   /// Matrix product (this: m x k, other: k x n). Dimensions are asserted.
   Matrix matmul(const Matrix& other) const;
 
-  /// Product with the transpose of \p other (this: m x k, other: n x k).
-  Matrix matmul_transposed(const Matrix& other) const;
-
   Matrix transpose() const;
 
   Matrix operator+(const Matrix& other) const;
   Matrix operator-(const Matrix& other) const;
   Matrix operator*(double s) const;
-
-  /// Adds a 1 x cols row vector to every row (bias broadcast).
-  void add_row_broadcast(const Matrix& row);
 
   /// Largest absolute entry (0 for empty).
   double max_abs() const;
@@ -91,10 +85,6 @@ std::ostream& operator<<(std::ostream& os, const Matrix& m);
 /// \p out must not alias \p a or \p b.
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// out = a * b^T (a: m x k, b: n x k), same storage contract as
-/// matmul_into; bit-identical to Matrix::matmul_transposed.
-void matmul_transposed_into(const Matrix& a, const Matrix& b, Matrix& out);
-
 /// out = a^T * b (a: k x m, b: k x n): the weight gradient of a training
 /// step, with a the local gradient and b the layer input. Same storage
 /// contract as matmul_into. Every element is 0.0 plus its products in
@@ -103,9 +93,9 @@ void matmul_transposed_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// skipped, as in matmul_into.
 void transposed_matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// Instruction-set clone the NN kernels (the matmuls above, the activation
-/// kernels, the fused forward pass behind Mlp::forward_into, the training
-/// step) run on this host: "x86-64-v3" (AVX2 + FMA) or
+/// Instruction-set clone the NN kernels (the matmuls above, the fused
+/// forward pass behind Mlp::forward_into, the training step, Adam's
+/// update) run on this host: "x86-64-v3" (AVX2 + FMA) or
 /// "default" (baseline x86-64, and every build without runtime dispatch).
 /// Both clones produce bit-identical results.
 const char* kernel_isa() noexcept;

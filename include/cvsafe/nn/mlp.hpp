@@ -34,25 +34,19 @@ class Mlp {
   const DenseLayer& layer(std::size_t i) const { return layers_[i]; }
   DenseLayer& mutable_layer(std::size_t i) { return layers_[i]; }
 
-  /// Batch forward pass (allocating; see forward_into).
-  Matrix infer(const Matrix& x) const;
-
-  /// Single-sample inference convenience.
-  std::vector<double> predict(const std::vector<double>& x) const;
-
-  /// Batch inference into workspace storage. While every layer's W^T
-  /// cache is fresh, one fused kernel carries each row of \p x through
-  /// every layer (src/nn/mlp.cpp); otherwise each layer runs
-  /// DenseLayer::infer_into in turn. Returns a reference to the workspace
-  /// buffer holding the n x output_dim result (valid until the workspace
-  /// is next used). Bit-identical to infer(); performs no heap allocation
-  /// once the workspace is warm. \p x must not be a workspace buffer
-  /// other than input().
+  /// Batch inference: one fused kernel carries each row of \p x through
+  /// every layer (src/nn/mlp.cpp), the only forward pass an Mlp has.
+  /// Every layer's W^T cache must be fresh (a contract): after
+  /// mutable_weights(), call refresh_inference_cache() first. Returns a
+  /// reference to the workspace buffer holding the n x output_dim result
+  /// (valid until the workspace is next used); performs no heap allocation
+  /// once the workspace is warm. \p x must not be ws.output().
   const Matrix& forward_into(const Matrix& x, Workspace& ws) const;
 
-  /// Zero-allocation single-sample inference for 1-output networks
-  /// (the planner hot path): the fused kernel on \p x itself, one row.
-  /// \p x.size() must equal input_dim().
+  /// Single-sample inference for 1-output networks (the planner hot
+  /// path): the same kernel on \p x itself, one row, with the same bits
+  /// as that row of forward_into and the same contract. \p x.size() must
+  /// equal input_dim().
   double predict_scalar(std::span<const double> x, Workspace& ws) const;
 
   /// Total number of trainable parameters.

@@ -107,11 +107,12 @@ class TrainStep {
 /// Trains \p net on \p data with \p opt, one TrainStep per batch.
 /// Batches are reshuffled each epoch using \p rng, so results are
 /// deterministic given the seed. Leaves every W^T cache of a trained net
-/// fresh, so inference runs the fused pass.
+/// fresh, as Mlp::forward_into requires.
 TrainResult train(Mlp& net, const Dataset& data, Optimizer& opt,
                   const TrainConfig& config, util::Rng& rng);
 
-/// Mean loss of \p net on \p data without updating parameters.
+/// Mean loss of \p net on \p data without updating parameters, from
+/// Mlp::forward_into (every W^T cache must be fresh).
 double evaluate(const Mlp& net, const Dataset& data, double huber_delta = 0.0);
 
 }  // namespace cvsafe::nn

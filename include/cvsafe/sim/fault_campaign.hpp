@@ -102,6 +102,10 @@ std::vector<RunResult> run_campaign_cell(const std::string& scenario,
 CampaignCell aggregate_cell(std::string fault, std::string scenario,
                             std::span<const RunResult> results);
 
+/// True for the scenario names a campaign or an attack search accepts:
+/// "left-turn", "lane-change", "intersection" and "multi-vehicle".
+bool known_scenario(const std::string& name);
+
 /// Campaign shape: which fault conditions against which scenarios.
 ///
 /// Fault-axis names are FaultPlan preset names plus "burst", which runs

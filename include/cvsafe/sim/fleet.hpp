@@ -20,6 +20,7 @@
 #include "cvsafe/sim/run_result.hpp"
 #include "cvsafe/sim/seeding.hpp"
 #include "cvsafe/util/contracts.hpp"
+#include "cvsafe/util/thread_pool.hpp"
 #include "cvsafe/vehicle/dynamics.hpp"
 
 /// \file fleet.hpp
@@ -62,7 +63,9 @@ struct FleetConfig {
   /// (every resident episode owns its estimator/planner stack); the
   /// per-worker lane count is pool_capacity / workers, floored at 1.
   std::size_t pool_capacity = 8192;
-  std::size_t threads = 0;  ///< worker count, 0 = hardware concurrency
+  /// Worker count, 0 = hardware concurrency; an explicit count is at most
+  /// util::kMaxWorkerThreads (a contract of run_fleet_records).
+  std::size_t threads = 0;
   SeedPolicy policy = SeedPolicy::kPaired;
 
   /// Compile-only seam for bench/e2e/replica.hpp; nothing in the library
@@ -544,6 +547,8 @@ std::vector<RunResult> run_fleet_records(
   CVSAFE_EXPECTS(n > 0, "fleet must contain at least one episode");
   CVSAFE_EXPECTS(config.pool_capacity > 0,
                  "fleet pool capacity must be positive");
+  CVSAFE_EXPECTS(config.threads <= util::kMaxWorkerThreads,
+                 "fleet: at most util::kMaxWorkerThreads worker threads");
   std::vector<RunResult> records(n);
   std::size_t workers =
       config.threads != 0

@@ -11,6 +11,11 @@
 
 namespace cvsafe::util {
 
+/// \p value at printf's %.17g: 17 significant digits, which std::stod
+/// reads back bit-exactly. The campaign and search CSVs and the fault-plan
+/// INI files print their doubles this way.
+std::string format_exact(double value);
+
 /// Writes rows of doubles/strings to a CSV file with proper quoting.
 class CsvWriter {
  public:

@@ -1,15 +1,11 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 /// \file thread_pool.hpp
-/// A small fixed-size thread pool plus a parallel_for helper.
+/// Worker threads: the bound on an explicit worker count and the
+/// parallel_for helper.
 ///
 /// The batch simulation runner executes tens of thousands of independent
 /// simulations per experiment cell; each simulation carries its own PRNG
@@ -18,40 +14,17 @@
 
 namespace cvsafe::util {
 
-/// Fixed-size pool of worker threads consuming a task queue.
-class ThreadPool {
- public:
-  /// Spawns \p num_threads workers (hardware concurrency when 0).
-  explicit ThreadPool(std::size_t num_threads = 0);
+/// Most worker threads an explicit count may ask for (parallel_for,
+/// sim::run_fleet_records, cvsafe_cli --threads). Each worker is one OS
+/// thread started per call, so an unchecked count taken from a command
+/// line could start thousands of them; 256 is far above the core count
+/// of any host the project runs on.
+inline constexpr std::size_t kMaxWorkerThreads = 256;
 
-  /// Drains outstanding tasks, then joins all workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task for execution.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has completed.
-  void wait_idle();
-
-  std::size_t size() const { return workers_.size(); }
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mutex_;
-  std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  std::size_t active_ = 0;
-  bool stopping_ = false;
-};
-
-/// Runs body(i) for i in [0, n), distributing chunks over a transient pool.
-/// Falls back to serial execution when n is small or num_threads == 1.
+/// Runs body(i) for i in [0, n) on up to \p num_threads transient threads
+/// (hardware concurrency when 0; an explicit count must not exceed
+/// kMaxWorkerThreads, a contract). Falls back to serial execution when n
+/// is small or one thread is asked for.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   std::size_t num_threads = 0);
 

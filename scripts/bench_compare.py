@@ -14,7 +14,7 @@ usable in CI where absolute ns/op are not comparable to the committed
 baseline's hardware:
 
     bench_compare.py BENCH_micro.json \
-        --require-speedup mlp_forward_alloc:mlp_forward_workspace:1.5 \
+        --require-speedup compound_step:compound_step_traced_off:0.95 \
         --require-zero-alloc mlp_forward_workspace
 
 --require-max-ratio is the inverse gate: it bounds how much slower NUM may

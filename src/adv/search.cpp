@@ -1,7 +1,6 @@
 #include "cvsafe/adv/search.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -10,6 +9,7 @@
 #include "cvsafe/obs/flight_recorder.hpp"
 #include "cvsafe/obs/metrics.hpp"
 #include "cvsafe/util/contracts.hpp"
+#include "cvsafe/util/csv.hpp"
 
 namespace cvsafe::adv {
 namespace {
@@ -20,22 +20,10 @@ namespace {
 /// cliff.
 constexpr double kStealthPenalty = 1e3;
 
-// ([[maybe_unused]]: contract-free builds compile validate() out.)
-[[maybe_unused]] bool known_scenario(const std::string& name) {
-  return name == "left-turn" || name == "lane-change" ||
-         name == "intersection" || name == "multi-vehicle";
-}
-
-void emit_double(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  os << buf;
-}
-
 }  // namespace
 
 void SearchConfig::validate() const {
-  CVSAFE_EXPECTS(known_scenario(scenario), "unknown search scenario");
+  CVSAFE_EXPECTS(sim::known_scenario(scenario), "unknown search scenario");
   CVSAFE_EXPECTS(optimizer == "cma" || optimizer == "coord",
                  "unknown optimizer name");
   CVSAFE_EXPECTS(iterations >= 1, "search needs at least one iteration");
@@ -155,22 +143,15 @@ void write_search_csv(std::ostream& os, const SearchResult& result) {
   for (const CandidateRecord& r : result.trace.candidates) {
     const sim::CampaignCell& c = r.cell;
     os << r.iteration << ',' << r.index << ',' << (r.admissible ? 1 : 0)
-       << ',';
-    emit_double(os, r.score);
-    os << ',';
-    emit_double(os, c.min_eta);
-    os << ',';
-    emit_double(os, c.mean_eta);
+       << ',' << util::format_exact(r.score) << ','
+       << util::format_exact(c.min_eta) << ','
+       << util::format_exact(c.mean_eta);
     os << ',' << c.collisions << ',' << c.reached << ',' << c.episodes
        << ',' << c.steps << ',' << c.emergency_steps;
     for (const std::size_t n : c.ladder_steps) os << ',' << n;
     os << ',' << c.ladder_transitions << ',' << c.messages_accepted << ','
-       << c.messages_rejected << ',';
-    emit_double(os, c.rejection_rate());
-    for (const double p : r.params) {
-      os << ',';
-      emit_double(os, p);
-    }
+       << c.messages_rejected << ',' << util::format_exact(c.rejection_rate());
+    for (const double p : r.params) os << ',' << util::format_exact(p);
     os << '\n';
   }
 }

@@ -1,6 +1,5 @@
 #include "cvsafe/fault/fault_plan.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -8,6 +7,7 @@
 
 #include "cvsafe/util/config_file.hpp"
 #include "cvsafe/util/contracts.hpp"
+#include "cvsafe/util/csv.hpp"
 
 namespace cvsafe::fault {
 namespace {
@@ -31,21 +31,14 @@ void validate_windows(const std::vector<FaultWindow>& windows) {
   }
 }
 
-/// %.17g — enough digits that std::stod recovers the double bit-exactly.
-std::string fmt_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
 /// Serializes windows as the "b0:e0,b1:e1,..." form parse_windows reads.
 std::string format_windows(const std::vector<FaultWindow>& windows) {
   std::string out;
   for (std::size_t i = 0; i < windows.size(); ++i) {
     if (i > 0) out += ',';
-    out += fmt_double(windows[i].begin);
+    out += util::format_exact(windows[i].begin);
     out += ':';
-    out += fmt_double(windows[i].end);
+    out += util::format_exact(windows[i].end);
   }
   return out;
 }
@@ -233,25 +226,30 @@ std::string FaultPlan::to_ini() const {
   out += "# cvsafe fault plan (FaultPlan::to_ini); replay with --faults FILE\n";
   out += "name = " + name + "\n";
   out += "seed = " + std::to_string(seed) + "\n";
+  // One "key = value" line, the value at %.17g.
+  const auto put = [&out](const char* key, double value) {
+    out += key;
+    out += " = " + util::format_exact(value) + "\n";
+  };
   out += "\n[channel]\n";
-  out += "delay_jitter_max = " + fmt_double(channel.delay_jitter_max) + "\n";
-  out += "reorder_prob = " + fmt_double(channel.reorder_prob) + "\n";
-  out += "reorder_delay_min = " + fmt_double(channel.reorder_delay_min) + "\n";
-  out += "reorder_delay_max = " + fmt_double(channel.reorder_delay_max) + "\n";
-  out += "duplicate_prob = " + fmt_double(channel.duplicate_prob) + "\n";
-  out += "duplicate_lag_max = " + fmt_double(channel.duplicate_lag_max) + "\n";
-  out += "corrupt_prob = " + fmt_double(channel.corrupt_prob) + "\n";
-  out += "corrupt_delta_p = " + fmt_double(channel.corrupt_delta_p) + "\n";
-  out += "corrupt_delta_v = " + fmt_double(channel.corrupt_delta_v) + "\n";
-  out += "corrupt_delta_a = " + fmt_double(channel.corrupt_delta_a) + "\n";
-  out += "stale_spoof_prob = " + fmt_double(channel.stale_spoof_prob) + "\n";
-  out += "stale_spoof_max = " + fmt_double(channel.stale_spoof_max) + "\n";
+  put("delay_jitter_max", channel.delay_jitter_max);
+  put("reorder_prob", channel.reorder_prob);
+  put("reorder_delay_min", channel.reorder_delay_min);
+  put("reorder_delay_max", channel.reorder_delay_max);
+  put("duplicate_prob", channel.duplicate_prob);
+  put("duplicate_lag_max", channel.duplicate_lag_max);
+  put("corrupt_prob", channel.corrupt_prob);
+  put("corrupt_delta_p", channel.corrupt_delta_p);
+  put("corrupt_delta_v", channel.corrupt_delta_v);
+  put("corrupt_delta_a", channel.corrupt_delta_a);
+  put("stale_spoof_prob", channel.stale_spoof_prob);
+  put("stale_spoof_max", channel.stale_spoof_max);
   if (!channel.blackouts.empty()) {
     out += "blackouts = " + format_windows(channel.blackouts) + "\n";
   }
   out += "\n[sensor]\n";
-  out += "dropout_prob = " + fmt_double(sensor.dropout_prob) + "\n";
-  out += "bias_drift_rate = " + fmt_double(sensor.bias_drift_rate) + "\n";
+  put("dropout_prob", sensor.dropout_prob);
+  put("bias_drift_rate", sensor.bias_drift_rate);
   if (!sensor.stuck.empty()) {
     out += "stuck = " + format_windows(sensor.stuck) + "\n";
   }

@@ -8,18 +8,13 @@ using util::Interval;
 
 InfoFilterOptions InfoFilterOptions::basic() {
   InfoFilterOptions o;
-  o.use_message_reachability = true;
-  o.use_sensor_reachability = true;
   o.use_kalman = false;
   return o;
 }
 
 InfoFilterOptions InfoFilterOptions::ultimate() {
   InfoFilterOptions o;
-  o.use_message_reachability = true;
-  o.use_sensor_reachability = true;
   o.use_kalman = true;
-  o.kalman_message_rollback = true;
   return o;
 }
 
@@ -63,13 +58,11 @@ void InformationFilter::fuse(const StateBounds& incoming) {
 }
 
 void InformationFilter::on_sensor(const sensing::SensorReading& reading) {
-  if (options_.use_sensor_reachability) {
-    fuse(StateBounds::from_measurement(reading.t, reading.p, reading.v,
-                                       sensor_.delta_p, sensor_.delta_v,
-                                       limits_));
-    last_sense_accel_ = reading.a;
-    last_sense_time_ = reading.t;
-  }
+  fuse(StateBounds::from_measurement(reading.t, reading.p, reading.v,
+                                     sensor_.delta_p, sensor_.delta_v,
+                                     limits_));
+  last_sense_accel_ = reading.a;
+  last_sense_time_ = reading.t;
   if (options_.use_kalman) kalman_->update(reading);
 }
 
@@ -85,24 +78,22 @@ void InformationFilter::on_message(const comm::Message& msg) {
   const auto screened =
       gate_.screen(msg, limits_, newest_information_time(), fused_, kv);
   if (!screened) return;
-  if (options_.use_message_reachability) {
-    const GateConfig& g = gate_.config();
-    if (g.trust_margin_p > 0.0 || g.trust_margin_v > 0.0) {
-      // Suspect channel: a payload that survives screening may still be
-      // perturbed, so fuse it as a box rather than an exact point to
-      // keep the set-membership bounds sound.
-      fuse(StateBounds::from_measurement(screened->t, screened->p,
-                                         screened->v, g.trust_margin_p,
-                                         g.trust_margin_v, limits_));
-    } else {
-      fuse(StateBounds::exact(screened->t, screened->p, screened->v));
-    }
-    if (screened->t > last_msg_time_) {
-      last_msg_accel_ = screened->a;
-      last_msg_time_ = screened->t;
-    }
+  const GateConfig& g = gate_.config();
+  if (g.trust_margin_p > 0.0 || g.trust_margin_v > 0.0) {
+    // Suspect channel: a payload that survives screening may still be
+    // perturbed, so fuse it as a box rather than an exact point to keep
+    // the set-membership bounds sound.
+    fuse(StateBounds::from_measurement(screened->t, screened->p,
+                                       screened->v, g.trust_margin_p,
+                                       g.trust_margin_v, limits_));
+  } else {
+    fuse(StateBounds::exact(screened->t, screened->p, screened->v));
   }
-  if (options_.use_kalman && options_.kalman_message_rollback) {
+  if (screened->t > last_msg_time_) {
+    last_msg_accel_ = screened->a;
+    last_msg_time_ = screened->t;
+  }
+  if (options_.use_kalman) {
     kalman_->correct_with_message(screened->t, screened->p, screened->v,
                                   screened->a);
   }

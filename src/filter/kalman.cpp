@@ -57,7 +57,7 @@ void KalmanFilter::update(const sensing::SensorReading& reading) {
   const double dt = reading.t - t_;
   if (dt > 0.0) {
     kalman_core::predict(x_, p_, dt, last_a_,
-                         process_noise(dt, config_.delta_a) * q_scale_);
+                         process_noise(dt, config_.delta_a));
   }
   history_push(HistoryEntry{reading, x_, p_});
   if (config_.history_depth == 0) history_size_ = 0;
@@ -69,16 +69,6 @@ void KalmanFilter::update(const sensing::SensorReading& reading) {
 void KalmanFilter::apply_update(const sensing::SensorReading& reading) {
   const Vec2 z{reading.p, reading.v};
   nis_.update(z - x_, p_ + r_);
-  if (config_.adaptive) {
-    // Inflate the process noise while the innovations are implausibly
-    // large for the claimed covariance; relax back once consistent.
-    if (nis_.diverged()) {
-      q_scale_ = std::min(q_scale_ * config_.q_scale_grow,
-                          config_.q_scale_max);
-    } else {
-      q_scale_ = 1.0 + (q_scale_ - 1.0) * config_.q_scale_decay;
-    }
-  }
   kalman_core::joseph_update(x_, p_, z, r_);
   CVSAFE_ENSURES(p_.a >= 0.0 && p_.d >= 0.0,
                  "covariance diagonal must stay non-negative");

@@ -5,17 +5,18 @@
 /// fused inference pass (mlp.cpp) and the training step (trainer.cpp),
 /// and the density gate of the exact-zero skip (matrix.cpp, trainer.cpp).
 ///
-/// Each output element y_j = f(b_j + sum_k x_k * W_jk) is evaluated with
-/// the operations of the per-layer path (matmul_into +
-/// bias_activation_inplace), in its order:
+/// Each output element y_j = f(b_j + sum_k x_k * W_jk) is evaluated in
+/// one fixed order, which the tests' in-order loops (nn_fast_math_test,
+/// support/train_reference.hpp) spell out element by element:
 ///  - the accumulator starts at +0.0, not at the first product, so a sum
 ///    of -0.0 products stays +0.0;
 ///  - it adds x_k * W^T_kj for k ascending, a rounded multiply and then a
 ///    rounded add (no FMA: the project builds with -ffp-contract=off);
 ///  - then it adds b_j, and then it applies the activation to that sum.
-/// Every output therefore keeps its bits. A tile of R rows x W output
-/// columns is held in registers across the whole k loop, and bias +
-/// activation are applied before the tile is stored.
+/// Every output therefore has the same bits in both ISA clones and at
+/// every tile split. A tile of R rows x W output columns is held in
+/// registers across the whole k loop, and bias + activation are applied
+/// before the tile is stored.
 ///
 /// Without the epilogue (kBiasAct = false) the same tile computes a plain
 /// in-order product x * B for a k-major B: the training step's input
@@ -82,8 +83,8 @@ CVSAFE_ALWAYS_INLINE void dense_tile(const double* CVSAFE_RESTRICT x,
   } else {
     act = Activation::kIdentity;
   }
-  // The expressions of bias_activation_inplace, one loop nest per
-  // activation so the tanh loop vectorizes.
+  // One loop nest per activation (activation.hpp) so the tanh loop
+  // vectorizes.
   switch (act) {
     case Activation::kIdentity:
       for (std::size_t r = 0; r < R; ++r) {

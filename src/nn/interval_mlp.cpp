@@ -59,9 +59,10 @@ void interval_affine(const DenseLayer& layer, std::span<const Interval> in,
   const std::size_t out_dim = layer.out_dim();
   const std::size_t in_dim = layer.in_dim();
   for (std::size_t j = 0; j < out_dim; ++j) {
-    // Directed dot product, input index ascending — the same accumulation
-    // order as matmul_into / matmul_transposed_into, so the concrete
-    // partial sums stay bracketed op for op.
+    // Directed dot product, input index ascending from 0 — the order of
+    // the one concrete kernel, the fused forward pass's dense tiles
+    // (src/nn/dense_kernel.hpp) behind forward_into/predict_scalar, so the
+    // concrete partial sums stay bracketed op for op.
     Interval acc{0.0, 0.0};
     for (std::size_t k = 0; k < in_dim; ++k) {
       acc = rd::add(acc, rd::scale(in[k], w(j, k)));

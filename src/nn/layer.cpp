@@ -27,17 +27,4 @@ void DenseLayer::refresh_inference_cache() {
   wt_dirty_ = false;
 }
 
-Matrix DenseLayer::infer(const Matrix& x) const {
-  assert(x.cols() == in_dim());
-  Matrix z = x.matmul_transposed(weights_);
-  z.add_row_broadcast(bias_);
-  return apply_activation(act_, z);
-}
-
-void DenseLayer::infer_into(const Matrix& x, Matrix& out) const {
-  assert(x.cols() == in_dim());
-  matmul_transposed_into(x, weights_, out);
-  bias_activation_inplace(act_, bias_, out);
-}
-
 }  // namespace cvsafe::nn

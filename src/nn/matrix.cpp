@@ -14,47 +14,6 @@ namespace {
 
 using kernel::mostly_zero;
 
-/// Scalar tail for matmul_transposed_into: output columns [j0, n). Four
-/// independent accumulator chains per pass hide FP-add latency; each output
-/// element is still an in-order dot product over k, bit-identical to the
-/// historical single-column kernel.
-void transposed_cols_scalar(const double* CVSAFE_RESTRICT ap,
-                            const double* CVSAFE_RESTRICT bp,
-                            double* CVSAFE_RESTRICT op, std::size_t m,
-                            std::size_t kk, std::size_t n, std::size_t j0) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* CVSAFE_RESTRICT arow = ap + i * kk;
-    std::size_t j = j0;
-    for (; j + 4 <= n; j += 4) {
-      const double* CVSAFE_RESTRICT b0 = bp + (j + 0) * kk;
-      const double* CVSAFE_RESTRICT b1 = bp + (j + 1) * kk;
-      const double* CVSAFE_RESTRICT b2 = bp + (j + 2) * kk;
-      const double* CVSAFE_RESTRICT b3 = bp + (j + 3) * kk;
-      double s0 = 0.0;
-      double s1 = 0.0;
-      double s2 = 0.0;
-      double s3 = 0.0;
-      for (std::size_t k = 0; k < kk; ++k) {
-        const double av = arow[k];
-        s0 += av * b0[k];
-        s1 += av * b1[k];
-        s2 += av * b2[k];
-        s3 += av * b3[k];
-      }
-      op[i * n + j + 0] = s0;
-      op[i * n + j + 1] = s1;
-      op[i * n + j + 2] = s2;
-      op[i * n + j + 3] = s3;
-    }
-    for (; j < n; ++j) {
-      const double* CVSAFE_RESTRICT brow = bp + j * kk;
-      double s = 0.0;
-      for (std::size_t k = 0; k < kk; ++k) s += arow[k] * brow[k];
-      op[i * n + j] = s;
-    }
-  }
-}
-
 /// R output rows (columns i0.. of a) x W output columns (j0.. of b) of
 /// a^T b: out_ij = 0.0 + a_0i * b_0j + a_1i * b_1j + ..., k ascending,
 /// with the tile's sums in registers across the k sweep. \p a and \p b
@@ -175,64 +134,9 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   }
 }
 
-CVSAFE_NN_KERNEL
-void matmul_transposed_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.cols() == b.cols());
-  assert(&out != &a && &out != &b);
-  const std::size_t m = a.rows();
-  const std::size_t kk = a.cols();
-  const std::size_t n = b.rows();
-  out.resize(m, n);
-
-  const double* CVSAFE_RESTRICT ap = a.data().data();
-  const double* CVSAFE_RESTRICT bp = b.data().data();
-  double* CVSAFE_RESTRICT op = out.data().data();
-
-  // A dot-product loop over k cannot use SIMD without reordering the sum,
-  // which would break bit-identity with the dense kernel. Instead, repack
-  // an 8-column tile of b into k-major order on the stack: the inner loop
-  // then reads eight consecutive doubles per k and keeps eight accumulator
-  // chains in one vector register — the same axpy shape that lets the
-  // dense kernel vectorize. Lane c sums column j0+c's products over k in
-  // ascending order, so every output element accumulates in exactly the
-  // historical order and results stay bit-identical. The pack touches each
-  // b element once per tile and is amortized over all m rows.
-  constexpr std::size_t kTileCols = 8;
-  constexpr std::size_t kMaxPackedK = 256;
-  std::size_t j0 = 0;
-  if (kk <= kMaxPackedK) {
-    double tile[kTileCols * kMaxPackedK];
-    for (; j0 + kTileCols <= n; j0 += kTileCols) {
-      for (std::size_t c = 0; c < kTileCols; ++c) {
-        const double* CVSAFE_RESTRICT brow = bp + (j0 + c) * kk;
-        for (std::size_t k = 0; k < kk; ++k) tile[k * kTileCols + c] = brow[k];
-      }
-      for (std::size_t i = 0; i < m; ++i) {
-        const double* CVSAFE_RESTRICT arow = ap + i * kk;
-        double* CVSAFE_RESTRICT orow = op + i * n + j0;
-        for (std::size_t c = 0; c < kTileCols; ++c) orow[c] = 0.0;
-        for (std::size_t k = 0; k < kk; ++k) {
-          const double av = arow[k];
-          const double* CVSAFE_RESTRICT trow = tile + k * kTileCols;
-          for (std::size_t c = 0; c < kTileCols; ++c) orow[c] += av * trow[c];
-        }
-      }
-    }
-  }
-  // Remainder columns (and the rare kk > kMaxPackedK case) take the scalar
-  // multi-chain path — same per-element order, just without the repack.
-  transposed_cols_scalar(ap, bp, op, m, kk, n, j0);
-}
-
 Matrix Matrix::matmul(const Matrix& other) const {
   Matrix out;
   matmul_into(*this, other, out);
-  return out;
-}
-
-Matrix Matrix::matmul_transposed(const Matrix& other) const {
-  Matrix out;
-  matmul_transposed_into(*this, other, out);
   return out;
 }
 
@@ -301,12 +205,6 @@ Matrix Matrix::operator*(double s) const {
   Matrix out = *this;
   for (auto& x : out.data_) x *= s;
   return out;
-}
-
-void Matrix::add_row_broadcast(const Matrix& row) {
-  assert(row.rows_ == 1 && row.cols_ == cols_);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) (*this)(i, j) += row(0, j);
 }
 
 double Matrix::max_abs() const {

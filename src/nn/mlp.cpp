@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "cvsafe/util/contracts.hpp"
 #include "dense_kernel.hpp"
 #include "isa_dispatch.hpp"
 
@@ -16,9 +17,9 @@ using kernel::kRowTile;
 // --- Fused forward pass -------------------------------------------------
 //
 // forward_rows carries a tile of rows at a time through every layer with
-// the register-blocked tiles of dense_kernel.hpp: each output keeps the
-// bits of the per-layer path (matmul_into + bias_activation_inplace), and
-// a tile's activations go from layer to layer through the row scratch.
+// the register-blocked tiles of dense_kernel.hpp, in the per-element order
+// they document, and a tile's activations go from layer to layer through
+// the row scratch. It is the only way an Mlp runs.
 
 /// y = f(x W^T + b) for R rows of one layer, from its W^T cache.
 template <std::size_t R>
@@ -69,12 +70,14 @@ void forward_rows(std::span<const DenseLayer> layers, const double* x,
   }
 }
 
-/// Scratch width for forward_rows: the widest layer output, or 0 while
-/// some layer's W^T cache is stale (then the per-layer path runs).
+/// Scratch width for forward_rows: the widest layer output. Every layer's
+/// W^T cache must be fresh, since forward_rows reads nothing else.
 std::size_t fused_width(std::span<const DenseLayer> layers) {
   std::size_t width = 0;
   for (const DenseLayer& layer : layers) {
-    if (!layer.inference_cache_fresh()) return 0;
+    CVSAFE_EXPECTS(layer.inference_cache_fresh(),
+                   "stale W^T cache: call refresh_inference_cache() after "
+                   "mutable_weights()");
     width = std::max(width, layer.out_dim());
   }
   return width;
@@ -97,49 +100,25 @@ Mlp::Mlp(std::vector<DenseLayer> layers) : layers_(std::move(layers)) {
   assert(!layers_.empty());
 }
 
-Matrix Mlp::infer(const Matrix& x) const {
-  Matrix h = x;
-  for (const auto& layer : layers_) h = layer.infer(h);
-  return h;
-}
-
-std::vector<double> Mlp::predict(const std::vector<double>& x) const {
-  assert(x.size() == input_dim());
-  const Matrix y = infer(Matrix::row_vector(x));
-  return y.data();
-}
-
 const Matrix& Mlp::forward_into(const Matrix& x, Workspace& ws) const {
   assert(x.cols() == input_dim());
-  if (const std::size_t width = fused_width(layers_)) {
-    Matrix& out = ws.layer_out(0);
-    assert(&out != &x);
-    out.resize(x.rows(), output_dim());
-    double* scratch = ws.row_scratch(std::min(x.rows(), kRowTile), width);
-    forward_rows(layers_, x.data().data(), x.rows(), out.data().data(),
-                 scratch, width);
-    return out;
-  }
-  const Matrix* in = &x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    Matrix& out = ws.layer_out(i);
-    layers_[i].infer_into(*in, out);
-    in = &out;
-  }
-  return *in;
+  const std::size_t width = fused_width(layers_);
+  Matrix& out = ws.output();
+  assert(&out != &x);
+  out.resize(x.rows(), output_dim());
+  double* scratch = ws.row_scratch(std::min(x.rows(), kRowTile), width);
+  forward_rows(layers_, x.data().data(), x.rows(), out.data().data(), scratch,
+               width);
+  return out;
 }
 
 double Mlp::predict_scalar(std::span<const double> x, Workspace& ws) const {
   assert(x.size() == input_dim());
   assert(output_dim() == 1);
-  if (const std::size_t width = fused_width(layers_)) {
-    double y = 0.0;
-    forward_rows(layers_, x.data(), 1, &y, ws.row_scratch(1, width), width);
-    return y;
-  }
-  Matrix& in = ws.input(1, x.size());
-  std::copy(x.begin(), x.end(), in.data().begin());
-  return forward_into(in, ws)(0, 0);
+  const std::size_t width = fused_width(layers_);
+  double y = 0.0;
+  forward_rows(layers_, x.data(), 1, &y, ws.row_scratch(1, width), width);
+  return y;
 }
 
 void Mlp::refresh_inference_cache() {

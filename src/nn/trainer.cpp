@@ -270,7 +270,8 @@ TrainResult train(Mlp& net, const Dataset& data, Optimizer& opt,
 
 double evaluate(const Mlp& net, const Dataset& data, double huber_delta) {
   assert(data.size() > 0);
-  const Matrix pred = net.infer(data.inputs);
+  Workspace ws;
+  const Matrix& pred = net.forward_into(data.inputs, ws);
   return huber_delta > 0.0 ? huber_loss(pred, data.targets, huber_delta)
                            : mse_loss(pred, data.targets);
 }

@@ -53,14 +53,12 @@ double NnPlanner::plan(const scenario::LeftTurnWorld& world) {
 void NnPlanner::plan_batch(std::span<const scenario::LeftTurnWorld> worlds,
                            std::span<double> out) {
   assert(worlds.size() == out.size());
-  // Tiled evaluation: the workspace (input staging + two activation
-  // buffers) grows monotonically with the largest batch seen, so an
-  // unbounded batch from a fleet-sized pool would pin
-  // O(pool * max_layer_width) doubles per planner. Capping tiles at
-  // kTileRows bounds the workspace while keeping each matmul wide enough
-  // to amortize the weight traffic. Per-row arithmetic is independent of
-  // the tile split, so results stay bit-identical to one whole-batch
-  // call (and to plan() per row).
+  // Tiled evaluation: the workspace's input staging and output matrix
+  // grow monotonically with the largest batch seen, so an unbounded batch
+  // from a fleet-sized pool would pin O(pool * (inputs + outputs))
+  // doubles per planner. Capping tiles at kTileRows bounds the workspace.
+  // Per-row arithmetic is independent of the tile split, so results stay
+  // bit-identical to one whole-batch call (and to plan() per row).
   constexpr std::size_t kTileRows = 512;
   for (std::size_t base = 0; base < worlds.size(); base += kTileRows) {
     const std::size_t rows = std::min(kTileRows, worlds.size() - base);

@@ -1,7 +1,6 @@
 #include "cvsafe/sim/fault_campaign.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -12,16 +11,16 @@
 #include "cvsafe/sim/multi_vehicle.hpp"
 #include "cvsafe/sim/trace.hpp"
 #include "cvsafe/util/contracts.hpp"
+#include "cvsafe/util/csv.hpp"
 
 namespace cvsafe::sim {
 
-namespace {
-
-// ([[maybe_unused]]: contract-free builds compile validate() out.)
-[[maybe_unused]] bool known_scenario(const std::string& name) {
+bool known_scenario(const std::string& name) {
   return name == "left-turn" || name == "lane-change" ||
          name == "intersection" || name == "multi-vehicle";
 }
+
+namespace {
 
 /// Applies the campaign's robustness posture to an episode configuration:
 /// the cell's fault plan and channel, the hardened plausibility gate and
@@ -159,16 +158,6 @@ CampaignCell aggregate_cell(std::string fault, std::string scenario,
   return cell;
 }
 
-namespace {
-
-void emit_double(std::ostream& os, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  os << buf;
-}
-
-}  // namespace
-
 void CampaignConfig::validate() const {
   CVSAFE_EXPECTS(!faults.empty() && !scenarios.empty(),
                  "campaign axes must be non-empty");
@@ -266,11 +255,8 @@ void write_campaign_csv(std::ostream& os, const CampaignResult& result) {
        << c.emergency_steps;
     for (const std::size_t n : c.ladder_steps) os << ',' << n;
     os << ',' << c.ladder_transitions << ',' << c.messages_accepted << ','
-       << c.messages_rejected << ',';
-    emit_double(os, c.min_eta);
-    os << ',';
-    emit_double(os, c.mean_eta);
-    os << '\n';
+       << c.messages_rejected << ',' << util::format_exact(c.min_eta) << ','
+       << util::format_exact(c.mean_eta) << '\n';
   }
 }
 

@@ -1,8 +1,15 @@
 #include "cvsafe/util/csv.hpp"
 
+#include <cstdio>
 #include <sstream>
 
 namespace cvsafe::util {
+
+std::string format_exact(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
 
 CsvWriter::CsvWriter(const std::string& path) : out_(path) {}
 

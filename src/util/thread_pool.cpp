@@ -2,70 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
+#include <vector>
 
 #include "cvsafe/util/contracts.hpp"
 
 namespace cvsafe::util {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock(mutex_);
-    stopping_ = true;
-  }
-  task_available_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  CVSAFE_EXPECTS(task != nullptr, "cannot submit an empty task");
-  {
-    std::lock_guard lock(mutex_);
-    CVSAFE_EXPECTS(!stopping_, "cannot submit to a stopping pool");
-    tasks_.push(std::move(task));
-  }
-  task_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  all_done_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      task_available_.wait(lock,
-                           [this] { return stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stopping_ and drained
-      task = std::move(tasks_.front());
-      tasks_.pop();
-      ++active_;
-    }
-    task();
-    {
-      std::lock_guard lock(mutex_);
-      --active_;
-      if (tasks_.empty() && active_ == 0) all_done_.notify_all();
-    }
-  }
-}
-
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   std::size_t num_threads) {
   CVSAFE_EXPECTS(n == 0 || body != nullptr,
                  "parallel_for needs a callable body");
+  CVSAFE_EXPECTS(num_threads <= kMaxWorkerThreads,
+                 "parallel_for: at most kMaxWorkerThreads worker threads");
   if (n == 0) return;
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());

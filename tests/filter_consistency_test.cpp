@@ -105,47 +105,6 @@ TEST(KalmanNis, GrosslyUnderstatedNoiseIsFlagged) {
   EXPECT_TRUE(kf.nis().diverged());
 }
 
-TEST(KalmanAdaptive, InflatesQUnderModelMismatch) {
-  // Understated PROCESS model: the filter believes the vehicle barely
-  // maneuvers (delta_a = 0.01 -> Q ~ 0) while it actually swings within
-  // +-3 m/s^2, so the rigid filter over-smooths and lags. The adaptive
-  // filter detects the inconsistency, inflates Q, and tracks better.
-  const vehicle::VehicleLimits limits{2.0, 15.0, -3.0, 3.0};
-  KalmanConfig rigid_cfg{0.1, 3.0, 3.0, 0.01, 3.0, 64};
-  KalmanConfig adaptive_cfg = rigid_cfg;
-  adaptive_cfg.adaptive = true;
-  KalmanFilter rigid(rigid_cfg);
-  KalmanFilter adaptive(adaptive_cfg);
-
-  util::Rng rng(4);
-  vehicle::DoubleIntegrator dyn(limits);
-  vehicle::VehicleState s{-55.0, 9.0};
-  const auto profile =
-      vehicle::AccelProfile::random(600, 0.05, s.v, limits, {}, rng);
-  sensing::Sensor sensor(sensing::SensorConfig::uniform(3.0, 0.1));
-  double err_rigid = 0.0, err_adaptive = 0.0;
-  int n = 0;
-  for (std::size_t step = 0; step < 600; ++step) {
-    const double t = static_cast<double>(step) * 0.05;
-    if (const auto r = sensor.sense(
-            vehicle::VehicleSnapshot{t, s, profile.at(step)}, rng)) {
-      // Both filters absorb the identical reading stream.
-      rigid.update(*r);
-      adaptive.update(*r);
-      if (t > 10.0) {
-        err_rigid += std::abs(rigid.state_at(t).x - s.p);
-        err_adaptive += std::abs(adaptive.state_at(t).x - s.p);
-        ++n;
-      }
-    }
-    s = dyn.step(s, profile.at(step), 0.05);
-  }
-  ASSERT_GT(n, 0);
-  EXPECT_GT(adaptive.q_scale(), 1.5);          // it actually reacted
-  EXPECT_LT(err_adaptive, err_rigid);          // and it helped
-  EXPECT_EQ(rigid.q_scale(), 1.0);             // rigid never adapts
-}
-
 TEST(KalmanNis, RollbackResetsTheMonitor) {
   KalmanFilter kf({0.1, 1.0, 1.0, 1.0, 3.0, 64});
   kf.update({0.0, 0.0, 5.0, 0.0});

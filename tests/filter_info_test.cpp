@@ -19,12 +19,10 @@ comm::Message msg(double t, double p, double v, double a) {
 }
 
 TEST(InfoFilterOptions, Presets) {
-  const auto basic = InfoFilterOptions::basic();
-  EXPECT_FALSE(basic.use_kalman);
-  EXPECT_TRUE(basic.use_message_reachability);
-  const auto ult = InfoFilterOptions::ultimate();
-  EXPECT_TRUE(ult.use_kalman);
-  EXPECT_TRUE(ult.kalman_message_rollback);
+  // Both stacks fuse messages and readings by reachability; the Kalman
+  // filter (with message rollback) is what separates ultimate from basic.
+  EXPECT_FALSE(InfoFilterOptions::basic().use_kalman);
+  EXPECT_TRUE(InfoFilterOptions::ultimate().use_kalman);
 }
 
 TEST(InfoFilter, InvalidBeforeAnyInformation) {

@@ -169,6 +169,7 @@ TEST(Invariants, NnPlannerOutputBounded) {
   const auto net = planners::cached_planner_network(
       *scn, planners::PlannerStyle::kAggressive, options);
   const planners::InputEncoding enc;
+  nn::Workspace ws;
   util::Rng rng(5);
   for (int i = 0; i < 5000; ++i) {
     const double p0 = rng.uniform(-40, 25);
@@ -180,7 +181,7 @@ TEST(Invariants, NnPlannerOutputBounded) {
       const double lo = rng.uniform(-1.0, 20.0);
       tau1 = util::Interval{lo, lo + rng.uniform(0.1, 10.0)};
     }
-    const double a = net->predict(enc.encode(0.0, p0, v0, tau1))[0];
+    const double a = net->predict_scalar(enc.encode(0.0, p0, v0, tau1), ws);
     ASSERT_TRUE(std::isfinite(a));
     // tanh hidden layers + trained targets in [-6, 3]: stays in a sane
     // band even off-distribution.

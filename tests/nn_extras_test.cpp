@@ -211,8 +211,9 @@ TEST(Ensemble, MembersDifferAndMeanIsBetween) {
 
   const auto x = InputEncoding{}.encode(0.0, -20.0, 8.0, world.tau1_nn);
   double lo = 1e9, hi = -1e9;
+  nn::Workspace ws;
   for (const auto& m : members) {
-    const double y = m->predict(x)[0];
+    const double y = m->predict_scalar(x, ws);
     lo = std::min(lo, y);
     hi = std::max(hi, y);
   }

@@ -1,5 +1,6 @@
-// Accuracy and special-value tests for the vectorizable fast_tanh used by
-// the activation kernels. The bound asserted here (8 ulp) is deliberately
+// Accuracy and special-value tests for the vectorizable fast_tanh that the
+// fused forward pass and the training step apply, and the fused forward
+// pass bit for bit. The bound asserted here (8 ulp) is deliberately
 // looser than the observed maximum (~4 ulp) so a different FMA/rounding
 // environment doesn't flake, while still catching any real defect — a
 // wrong polynomial term or range-reduction bug shows up as thousands of
@@ -9,10 +10,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <iterator>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "cvsafe/nn/matrix.hpp"
 #include "cvsafe/nn/mlp.hpp"
 #include "cvsafe/nn/workspace.hpp"
+#include "cvsafe/util/contracts.hpp"
 #include "cvsafe/util/rng.hpp"
 
 namespace {
@@ -96,18 +98,15 @@ TEST(FastTanhTest, Pow2IntegralMatchesIntegerConversion) {
   }
 }
 
-// --- Runtime-dispatched activation kernels, bit for bit --------------------
+// --- Activations, bit for bit -----------------------------------------
 //
-// apply_activation_inplace and bias_activation_inplace are compiled for
-// baseline x86-64 and x86-64-v3 (src/nn/isa_dispatch.hpp); the v3 clone
-// runs fast_tanh as a vectorized loop with hardware FMA. The references
-// below are the same formulas written as scalar loops in this test, with
-// the baseline flags, so on an AVX2 + FMA host these tests hold the v3
-// clone to the baseline's bits. (The activation derivatives live in the
-// training step, which nn_train_step_test holds to the per-layer path.)
+// The fused forward pass applies the activations in a CVSAFE_NN_KERNEL
+// compiled for baseline x86-64 and x86-64-v3 (src/nn/isa_dispatch.hpp);
+// the v3 clone runs fast_tanh as a vectorized loop with hardware FMA. The
+// reference below is the same formula written as a scalar function in
+// this test, with the baseline flags, so on an AVX2 + FMA host the
+// FusedForward cases hold the v3 clone to the baseline's bits.
 
-constexpr std::size_t kRowShapes[] = {1, 7, 64, 513};
-constexpr std::size_t kWidthShapes[] = {1, 4, 24, 25, 257};
 constexpr Activation kActivations[] = {Activation::kIdentity,
                                        Activation::kRelu, Activation::kTanh,
                                        Activation::kSigmoid};
@@ -196,61 +195,12 @@ Matrix signed_zero_rows(std::size_t rows, std::size_t cols) {
   return z;
 }
 
-TEST(ActivationKernels, MatchScalarReferenceBitForBit) {
-  std::printf("[ kernels  ] NN kernels run the %s clone on this host\n",
-              cvsafe::nn::kernel_isa());
-  int exact_ties = 0;
-  const std::vector<double> edges = tanh_edge_inputs(&exact_ties);
-  ASSERT_GT(exact_ties, 0);
-  cvsafe::util::Rng rng(43);
-  std::size_t next_edge = 0;
-  for (const Activation act : kActivations) {
-    for (const std::size_t rows : kRowShapes) {
-      for (const std::size_t cols : kWidthShapes) {
-        SCOPED_TRACE(testing::Message()
-                     << cvsafe::nn::activation_name(act) << " " << rows
-                     << "x" << cols);
-        const Matrix random_z = activation_input(rows, cols, edges, rng,
-                                                 &next_edge);
-        Matrix random_bias(1, cols);
-        for (auto& b : random_bias.data()) b = rng.uniform(-1.0, 1.0);
-        Matrix zero_bias(1, cols);
-        for (auto& b : zero_bias.data()) b = -0.0;
-
-        for (const bool zeros : {false, true}) {
-          SCOPED_TRACE(zeros ? "signed-zero rows, -0.0 bias" : "random");
-          const Matrix z = zeros ? signed_zero_rows(rows, cols) : random_z;
-          const Matrix& bias = zeros ? zero_bias : random_bias;
-          Matrix applied = z;
-          cvsafe::nn::apply_activation_inplace(act, applied);
-          Matrix fused = z;
-          cvsafe::nn::bias_activation_inplace(act, bias, fused);
-
-          for (std::size_t i = 0; i < rows; ++i) {
-            for (std::size_t j = 0; j < cols; ++j) {
-              const double x = z(i, j);
-              ASSERT_EQ(bits(applied(i, j)),
-                        bits(reference_activation(act, x)))
-                  << "apply, x = " << std::hexfloat << x;
-              ASSERT_EQ(bits(fused(i, j)),
-                        bits(reference_activation(act, x + bias(0, j))))
-                  << "bias, x = " << std::hexfloat << x;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 // --- Fused forward pass, bit for bit -----------------------------------
 //
 // Mlp::forward_into and predict_scalar run one fused kernel through every
-// layer while each layer's W^T cache is fresh, and the per-layer
-// matmul_transposed_into path while one is stale. The reference is the
-// per-layer pass the fused kernel replaced: matmul_into against W^T, then
-// bias_activation_inplace, layer by layer. It is built from W itself, so
-// it holds for a stale cache too.
+// layer, from each layer's W^T cache, which must be fresh. The reference
+// is a per-layer pass built from W itself: matmul_into against W^T, then
+// the bias and reference_activation, layer by layer.
 
 // Around the fused kernel's four-row tiles, and its 24-, 8- and 4-column
 // tiles and single columns.
@@ -264,7 +214,12 @@ Matrix reference_forward(const Mlp& net, const Matrix& x) {
   for (std::size_t l = 0; l < net.layer_count(); ++l) {
     const auto& layer = net.layer(l);
     cvsafe::nn::matmul_into(h, layer.weights().transpose(), z);
-    cvsafe::nn::bias_activation_inplace(layer.activation(), layer.bias(), z);
+    for (std::size_t i = 0; i < z.rows(); ++i) {
+      for (std::size_t j = 0; j < z.cols(); ++j) {
+        z(i, j) = reference_activation(layer.activation(),
+                                       z(i, j) + layer.bias()(0, j));
+      }
+    }
     h = z;
   }
   return h;
@@ -322,14 +277,42 @@ Mlp fused_net(std::size_t in, std::size_t first_width, std::size_t depth,
   return net;
 }
 
+/// One-input layers with unit weights and -0.0 biases hand each row's x to
+/// the activation as it is (0.0 + x * 1.0 + -0.0 is x, or +0.0 for
+/// x = -0.0), so every edge value reaches the activation exactly, in
+/// every column: the vector lanes of the 24-, 8- and 4-column tiles and
+/// the single columns.
+void expect_edge_inputs_match(Activation act,
+                              const std::vector<double>& edges,
+                              cvsafe::util::Rng& rng,
+                              cvsafe::nn::Workspace& ws) {
+  const Matrix x(edges.size(), 1, edges);
+  for (const std::size_t width : kFusedWidths) {
+    SCOPED_TRACE(testing::Message() << "edge inputs, width " << width);
+    cvsafe::nn::MlpSpec spec;
+    spec.layer_sizes = {1, width};
+    spec.output_activation = act;
+    Mlp net(spec, rng);
+    for (auto& w : net.mutable_layer(0).mutable_weights().data()) w = 1.0;
+    for (auto& b : net.mutable_layer(0).mutable_bias().data()) b = -0.0;
+    net.refresh_inference_cache();
+    const Matrix want = reference_forward(net, x);
+    expect_same_bits(net.forward_into(x, ws), want);
+    if (width == 1) expect_predict_scalar_matches(net, x, want, ws);
+  }
+}
+
 TEST(FusedForward, MatchesPerLayerReferenceBitForBit) {
   int exact_ties = 0;
   const std::vector<double> edges = tanh_edge_inputs(&exact_ties);
+  ASSERT_GT(exact_ties, 0);
   cvsafe::util::Rng rng(44);
   std::size_t next_edge = 0;
   std::size_t shape = 0;
   cvsafe::nn::Workspace ws;  // shared: every shape resizes its buffers
   for (const Activation act : kActivations) {
+    SCOPED_TRACE(cvsafe::nn::activation_name(act));
+    expect_edge_inputs_match(act, edges, rng, ws);
     for (std::size_t w = 0; w < std::size(kFusedWidths); ++w) {
       for (std::size_t depth = 1; depth <= 4; ++depth, ++shape) {
         const std::size_t in = kFusedInputs[shape % std::size(kFusedInputs)];
@@ -422,10 +405,11 @@ TEST(FusedForward, SumsStartFromPositiveZero) {
   }
 }
 
-TEST(FusedForward, StaleCacheRunsPerLayerPathWithSameBits) {
-  // mutable_weights() leaves the W^T cache stale; forward_into then runs
-  // matmul_transposed_into on W and must agree with the reference built
-  // from the mutated W, and again once the cache is refreshed.
+TEST(FusedForward, StaleCacheIsAContractViolationUntilRefreshed) {
+  // mutable_weights() leaves the W^T cache stale; forward_into and
+  // predict_scalar then fail their contract instead of reading it, and
+  // once the cache is refreshed they agree with the reference built from
+  // the mutated W.
   int exact_ties = 0;
   const std::vector<double> edges = tanh_edge_inputs(&exact_ties);
   cvsafe::util::Rng rng(47);
@@ -443,13 +427,24 @@ TEST(FusedForward, StaleCacheRunsPerLayerPathWithSameBits) {
 
   for (auto& v : net.mutable_layer(1).mutable_weights().data()) v += 0.25;
   ASSERT_FALSE(net.layer(1).inference_cache_fresh());
-  Matrix want = reference_forward(net, x);
-  expect_same_bits(net.forward_into(x, ws), want);
-  expect_predict_scalar_matches(net, x, want, ws);
+  {
+    const cvsafe::util::ScopedContractMode mode(
+        cvsafe::util::ContractMode::kThrow);
+    EXPECT_THROW(net.forward_into(x, ws), cvsafe::util::ContractViolation);
+    const std::span<const double> row(x.data().data(), x.cols());
+    try {
+      net.predict_scalar(row, ws);
+      ADD_FAILURE() << "predict_scalar ran on a stale cache";
+    } catch (const cvsafe::util::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("refresh_inference_cache()"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 
   net.refresh_inference_cache();
   ASSERT_TRUE(net.layer(1).inference_cache_fresh());
-  want = reference_forward(net, x);
+  const Matrix want = reference_forward(net, x);
   expect_same_bits(net.forward_into(x, ws), want);
   expect_predict_scalar_matches(net, x, want, ws);
 }

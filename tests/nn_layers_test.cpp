@@ -8,10 +8,27 @@
 #include "cvsafe/nn/layer.hpp"
 #include "cvsafe/nn/loss.hpp"
 #include "cvsafe/nn/mlp.hpp"
+#include "cvsafe/nn/workspace.hpp"
 #include "support/train_reference.hpp"
 
 namespace cvsafe::nn {
 namespace {
+
+/// \p layer alone, through Mlp::forward_into.
+Matrix forward(const DenseLayer& layer, const Matrix& x) {
+  const Mlp net(std::vector<DenseLayer>{layer});
+  Workspace ws;
+  return net.forward_into(x, ws);
+}
+
+/// The activation of each entry of the 1 x n \p z, as the forward pass
+/// applies it: a one-input layer with a unit weight and a zero bias hands
+/// each row's input to the activation as it is (-0.0 as +0.0).
+Matrix activate(Activation act, const Matrix& z) {
+  const DenseLayer unit(Matrix(1, 1, {1.0}), Matrix(1, 1), act);
+  const Matrix y = forward(unit, Matrix(z.cols(), 1, z.data()));
+  return Matrix(1, z.cols(), y.data());
+}
 
 // The derivatives are those of the per-layer reference path
 // (support/train_reference.hpp), which the training step is held to bit for
@@ -19,7 +36,7 @@ namespace {
 
 TEST(Activation, ReluValuesAndDerivative) {
   const Matrix z(1, 4, {-2.0, -0.0, 0.5, 3.0});
-  const Matrix y = apply_activation(Activation::kRelu, z);
+  const Matrix y = activate(Activation::kRelu, z);
   EXPECT_EQ(y.data(), (std::vector<double>{0.0, 0.0, 0.5, 3.0}));
   const Matrix d = train_ref::activation_derivative(Activation::kRelu, z);
   EXPECT_EQ(d.data(), (std::vector<double>{0.0, 0.0, 1.0, 1.0}));
@@ -27,7 +44,7 @@ TEST(Activation, ReluValuesAndDerivative) {
 
 TEST(Activation, TanhBoundsAndDerivative) {
   const Matrix z(1, 3, {-10.0, 0.0, 10.0});
-  const Matrix y = apply_activation(Activation::kTanh, z);
+  const Matrix y = activate(Activation::kTanh, z);
   EXPECT_NEAR(y(0, 0), -1.0, 1e-6);
   EXPECT_EQ(y(0, 1), 0.0);
   EXPECT_NEAR(y(0, 2), 1.0, 1e-6);
@@ -38,7 +55,7 @@ TEST(Activation, TanhBoundsAndDerivative) {
 
 TEST(Activation, SigmoidRange) {
   const Matrix z(1, 3, {-10.0, 0.0, 10.0});
-  const Matrix y = apply_activation(Activation::kSigmoid, z);
+  const Matrix y = activate(Activation::kSigmoid, z);
   EXPECT_NEAR(y(0, 0), 0.0, 1e-4);
   EXPECT_NEAR(y(0, 1), 0.5, 1e-12);
   EXPECT_NEAR(y(0, 2), 1.0, 1e-4);
@@ -57,21 +74,21 @@ TEST(DenseLayer, ForwardKnownValues) {
   DenseLayer layer(Matrix(2, 3, {1, 0, 0, 0, 1, 0}),
                    Matrix::row_vector({10, 20}), Activation::kIdentity);
   const Matrix x(1, 3, {1, 2, 3});
-  const Matrix y = layer.infer(x);
+  const Matrix y = forward(layer, x);
   EXPECT_EQ(y(0, 0), 11.0);
   EXPECT_EQ(y(0, 1), 22.0);
 }
 
 TEST(DenseLayer, ForwardAndInferAgree) {
   // The reference's training forward pass (which caches x and z) and
-  // inference give the same bits.
+  // inference (Mlp::forward_into) give the same bits.
   util::Rng rng(1);
   DenseLayer layer(4, 3, Activation::kTanh, rng);
   Matrix x(5, 4);
   for (auto& v : x.data()) v = rng.uniform(-1, 1);
   train_ref::LayerCache cache;
   const Matrix a = train_ref::forward(layer, x, cache);
-  const Matrix b = layer.infer(x);
+  const Matrix b = forward(layer, x);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.data()[i], b.data()[i]);
@@ -87,17 +104,6 @@ TEST(Mlp, ShapesAndParameterCount) {
   EXPECT_EQ(net.layer_count(), 3u);
   EXPECT_EQ(net.parameter_count(),
             (4u * 8 + 8) + (8u * 8 + 8) + (8u * 1 + 1));
-}
-
-TEST(Mlp, PredictMatchesInfer) {
-  util::Rng rng(3);
-  Mlp net(MlpSpec{{3, 5, 2}, Activation::kRelu, Activation::kIdentity}, rng);
-  const std::vector<double> x{0.1, -0.2, 0.3};
-  const auto y = net.predict(x);
-  const Matrix ym = net.infer(Matrix::row_vector(x));
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_EQ(y[0], ym(0, 0));
-  EXPECT_EQ(y[1], ym(0, 1));
 }
 
 TEST(Loss, MseKnownValue) {

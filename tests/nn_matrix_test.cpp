@@ -64,10 +64,17 @@ TEST(Matrix, MatmulIdentity) {
 }
 
 TEST(Matrix, MatmulTransposedEqualsExplicit) {
+  // a b^T through transpose() and matmul, against the explicit sums.
   util::Rng rng(2);
   const Matrix a = random_matrix(5, 7, rng);
   const Matrix b = random_matrix(4, 7, rng);
-  expect_near(a.matmul_transposed(b), a.matmul(b.transpose()), 1e-12);
+  Matrix sums(5, 4);
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      for (std::size_t k = 0; k < 7; ++k) sums(i, j) += a(i, k) * b(j, k);
+    }
+  }
+  expect_near(a.matmul(b.transpose()), sums, 1e-12);
 }
 
 TEST(Matrix, TransposedMatmulEqualsExplicit) {
@@ -87,11 +94,12 @@ TEST(Matrix, AddSubScale) {
   expect_near(a * 2.0, Matrix(1, 3, {2, 4, 6}));
 }
 
-// Column sums and the Hadamard product are the per-layer training
-// reference's (support/train_reference.hpp); the training step fuses both.
+// The row broadcast, column sums and the Hadamard product are the
+// per-layer training reference's (support/train_reference.hpp); the
+// forward pass and the training step fuse them.
 TEST(Matrix, RowBroadcastAndColumnSums) {
   Matrix m(2, 3, {1, 2, 3, 4, 5, 6});
-  m.add_row_broadcast(Matrix::row_vector({10, 20, 30}));
+  train_ref::add_to_every_row(m, Matrix::row_vector({10, 20, 30}));
   expect_near(m, Matrix(2, 3, {11, 22, 33, 14, 25, 36}));
   expect_near(train_ref::column_sums(m), Matrix::row_vector({25, 47, 69}));
 }
@@ -118,15 +126,15 @@ TEST(Matrix, GlorotWithinLimit) {
 
 // --- Runtime-dispatched kernels, bit for bit --------------------------------
 //
-// matmul_into, matmul_transposed_into and transposed_matmul_into are
-// compiled for baseline x86-64 and for x86-64-v3, and the loader picks one
-// per host (src/nn/isa_dispatch.hpp). The references below are in-order
-// loops compiled into this test with the baseline flags, so on an AVX2 +
-// FMA host these tests hold the v3 clone to the baseline's exact bits.
+// matmul_into and transposed_matmul_into are compiled for baseline
+// x86-64 and for x86-64-v3, and the loader picks one per host
+// (src/nn/isa_dispatch.hpp). The references below are in-order loops
+// compiled into this test with the baseline flags, so on an AVX2 + FMA
+// host these tests hold the v3 clone to the baseline's exact bits.
 
 constexpr std::size_t kRowShapes[] = {1, 7, 64, 513};
-// Tail shapes around the 4-wide vectors and 8-column tiles; 257 takes the
-// transposed kernel's kk > 256 path.
+// Tail shapes around the 4-wide vectors and 8-column tiles, and one wider
+// than any tile.
 constexpr std::size_t kWidthShapes[] = {1, 4, 24, 25, 257};
 
 /// Bit equality. Two NaNs count as equal whatever their payloads: which
@@ -185,19 +193,6 @@ Matrix reference_matmul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-/// out(i, j) = sum over k ascending of a(i, k) * b(j, k), from 0.0.
-Matrix reference_matmul_transposed(const Matrix& a, const Matrix& b) {
-  Matrix out(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) s += a(i, k) * b(j, k);
-      out(i, j) = s;
-    }
-  }
-  return out;
-}
-
 /// out(i, j) = sum over k ascending of a(k, i) * b(k, j), from 0.0.
 Matrix reference_transposed_matmul(const Matrix& a, const Matrix& b) {
   Matrix out(a.cols(), b.cols());
@@ -231,23 +226,6 @@ TEST(MatrixKernels, MatmulIntoMatchesInOrderReferenceBitForBit) {
         const Matrix b = kernel_input(kk, n, rng);
         matmul_into(a, b, out);
         expect_same_bits(out, reference_matmul(a, b));
-      }
-    }
-  }
-}
-
-TEST(MatrixKernels, MatmulTransposedIntoMatchesInOrderReferenceBitForBit) {
-  util::Rng rng(102);
-  Matrix out;
-  for (const std::size_t m : kRowShapes) {
-    for (const std::size_t kk : kWidthShapes) {
-      for (const std::size_t n : kWidthShapes) {
-        SCOPED_TRACE(testing::Message() << m << "x" << kk << " * (" << n
-                                        << "x" << kk << ")^T");
-        const Matrix a = kernel_input(m, kk, rng);
-        const Matrix b = kernel_input(n, kk, rng);
-        matmul_transposed_into(a, b, out);
-        expect_same_bits(out, reference_matmul_transposed(a, b));
       }
     }
   }

@@ -123,7 +123,9 @@ TEST(Train, DeterministicGivenSeed) {
     config.epochs = 10;
     config.batch_size = 32;
     train(net, data, opt, config, rng);
-    return net.predict({0.3, -0.4})[0];
+    const std::vector<double> x{0.3, -0.4};
+    Workspace ws;
+    return net.predict_scalar(x, ws);
   };
   EXPECT_EQ(run(), run());
 }
@@ -149,9 +151,10 @@ TEST(Serialize, RoundTripIsBitExact) {
   save_mlp(net, ss);
   const Mlp loaded = load_mlp(ss);
   ASSERT_EQ(loaded.layer_count(), net.layer_count());
+  Workspace ws;
   for (double a : {-0.7, 0.0, 0.3, 1.2}) {
     const std::vector<double> x{a, -a, 0.5 * a, 1.0};
-    EXPECT_EQ(net.predict(x)[0], loaded.predict(x)[0]);
+    EXPECT_EQ(net.predict_scalar(x, ws), loaded.predict_scalar(x, ws));
   }
 }
 
@@ -195,7 +198,9 @@ TEST(Serialize, FileRoundTrip) {
   const std::string path = "/tmp/cvsafe_serialize_test.mlp";
   ASSERT_TRUE(save_mlp_file(net, path));
   const Mlp loaded = load_mlp_file(path);
-  EXPECT_EQ(net.predict({0.1, 0.2})[0], loaded.predict({0.1, 0.2})[0]);
+  const std::vector<double> x{0.1, 0.2};
+  Workspace ws;
+  EXPECT_EQ(net.predict_scalar(x, ws), loaded.predict_scalar(x, ws));
   std::remove(path.c_str());
   EXPECT_THROW(load_mlp_file("/nonexistent/dir/x.mlp"), std::runtime_error);
 }

@@ -131,6 +131,7 @@ TEST(Training, ImitationLearnsTheExpert) {
   // track the expert closely.
   const ExpertPolicy expert(scn, ExpertParams::conservative());
   const InputEncoding enc;
+  nn::Workspace ws;
   util::Rng rng(99);
   int agree = 0;
   const int n = 500;
@@ -140,7 +141,8 @@ TEST(Training, ImitationLearnsTheExpert) {
     const double lo = rng.uniform(0, 10);
     const util::Interval tau1{lo, lo + rng.uniform(0.5, 6.0)};
     const double label = expert.act(0.0, p0, v0, tau1);
-    const double pred = net.predict(enc.encode(0.0, p0, v0, tau1))[0];
+    const double pred =
+        net.predict_scalar(enc.encode(0.0, p0, v0, tau1), ws);
     // "Agreement": same accelerate-vs-brake decision or close value.
     if ((label > 1.0) == (pred > 1.0) || std::abs(label - pred) < 1.5) {
       ++agree;
@@ -263,7 +265,8 @@ TEST(Training, StylesProduceDifferentNetworks) {
   // A marginal state where the styles must disagree.
   const InputEncoding enc;
   const auto x = enc.encode(0.0, -30.0, 8.0, util::Interval{4.5, 8.0});
-  EXPECT_GT(aggr->predict(x)[0], cons->predict(x)[0]);
+  nn::Workspace ws;
+  EXPECT_GT(aggr->predict_scalar(x, ws), cons->predict_scalar(x, ws));
 }
 
 }  // namespace

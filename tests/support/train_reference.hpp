@@ -25,10 +25,10 @@
 /// reference side of the training-step tests, which require the step's
 /// gradients, updated weights and losses to equal this path's bit for bit.
 ///
-/// Do not route this file through nn::TrainStep: its value is that it
-/// does not share the code under test. It calls only the inference
-/// kernels (matmul_into, matmul_transposed_into, apply_activation), which
-/// nn_matrix_test and nn_fast_math_test hold to in-order references.
+/// Do not route this file through nn::TrainStep or Mlp::forward_into: its
+/// value is that it does not share the code under test. Its forward pass
+/// is in-order loops written here; its dL/dx calls Matrix::matmul
+/// (matmul_into), which nn_matrix_test holds to an in-order reference.
 
 namespace cvsafe::train_ref {
 
@@ -100,6 +100,25 @@ inline Matrix hadamard(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+/// Adds the 1 x cols \p row to every row of \p m (the bias broadcast).
+inline void add_to_every_row(Matrix& m, const Matrix& row) {
+  assert(row.rows() == 1 && row.cols() == m.cols());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) m(i, j) += row(0, j);
+  }
+}
+
+/// f(z).
+inline double activate(Activation act, double z) {
+  switch (act) {
+    case Activation::kIdentity: return z;
+    case Activation::kRelu: return z > 0.0 ? z : 0.0;
+    case Activation::kTanh: return nn::fast_tanh(z);
+    case Activation::kSigmoid: return 1.0 / (1.0 + std::exp(-z));
+  }
+  return z;
+}
+
 /// 1 x cols: each column's sum, rows ascending from 0.0.
 inline Matrix column_sums(const Matrix& m) {
   Matrix out(1, m.cols());
@@ -119,14 +138,25 @@ struct LayerCache {
   Matrix grad_bias;
 };
 
-/// DenseLayer::forward: y = f(x W^T + b), caching x and z.
+/// DenseLayer::forward: y = f(x W^T + b), caching x and z. Each z_ij
+/// starts from +0.0, adds x_ik * w_jk for k ascending, then b_j.
 inline Matrix forward(const DenseLayer& layer, const Matrix& x,
                       LayerCache& cache) {
   assert(x.cols() == layer.in_dim());
   cache.input = x;
-  cache.preact = x.matmul_transposed(layer.weights());
-  cache.preact.add_row_broadcast(layer.bias());
-  return nn::apply_activation(layer.activation(), cache.preact);
+  const Matrix& w = layer.weights();
+  cache.preact = Matrix(x.rows(), layer.out_dim());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < w.rows(); ++j) {
+      double s = 0.0;
+      for (std::size_t k = 0; k < x.cols(); ++k) s += x(i, k) * w(j, k);
+      cache.preact(i, j) = s;
+    }
+  }
+  add_to_every_row(cache.preact, layer.bias());
+  Matrix y = cache.preact;
+  for (auto& v : y.data()) v = activate(layer.activation(), v);
+  return y;
 }
 
 /// DenseLayer::backward: dL/dW and dL/db from dL/dy; returns dL/dx.
@@ -176,6 +206,14 @@ struct Backprop {
     return loss;
   }
 };
+
+/// nn::evaluate on this file's forward pass.
+inline double evaluate(const Mlp& net, const Dataset& data,
+                       double huber_delta) {
+  const Matrix pred = Backprop{}.forward(net, data.inputs);
+  return huber_delta > 0.0 ? nn::huber_loss(pred, data.targets, huber_delta)
+                           : nn::mse_loss(pred, data.targets);
+}
 
 /// The batch of samples idx[begin, end).
 inline Dataset gather(const Dataset& data, const std::vector<std::size_t>& idx,
@@ -237,7 +275,7 @@ inline nn::TrainResult train(Mlp& net, const Dataset& data,
 
     if (config.validation != nullptr && config.validation->size() > 0) {
       const double val =
-          nn::evaluate(net, *config.validation, config.huber_delta);
+          train_ref::evaluate(net, *config.validation, config.huber_delta);
       result.val_losses.push_back(val);
       if (val < best_val) {
         best_val = val;

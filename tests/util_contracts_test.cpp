@@ -175,9 +175,36 @@ TEST(ContractsChain, DynamicsAndPoolPreconditionsFire) {
   EXPECT_NO_THROW(vehicle::AccelProfile::random(10, 0.05, 14.0, cross, {},
                                                 rng));
 
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.submit(nullptr), ContractViolation);
   EXPECT_THROW(parallel_for(4, nullptr, 2), ContractViolation);
+}
+
+TEST(ContractsChain, WorkerThreadCountIsBounded) {
+  // An explicit worker count above kMaxWorkerThreads fails before any
+  // thread starts, even where n = 1 would clamp it to one worker.
+  ScopedContractMode mode(ContractMode::kThrow);
+  std::size_t calls = 0;
+  const auto body = [&calls](std::size_t) { ++calls; };
+  EXPECT_THROW(parallel_for(1, body, kMaxWorkerThreads + 1),
+               ContractViolation);
+  EXPECT_EQ(calls, 0u);
+  EXPECT_NO_THROW(parallel_for(1, body, kMaxWorkerThreads));
+  EXPECT_EQ(calls, 1u);
+
+  sim::LeftTurnSimConfig config = sim::LeftTurnSimConfig::paper_defaults();
+  config.horizon = 2.0;
+  sim::AgentBlueprint bp;
+  bp.name = "expert";
+  bp.scenario = config.make_scenario();
+  bp.sensor = config.sensor;
+  bp.config = sim::AgentConfig::basic_compound();
+  bp.config.use_expert_planner = true;
+  const sim::LeftTurnAdapter adapter(config, bp);
+  sim::FleetConfig fleet;
+  fleet.threads = kMaxWorkerThreads + 1;
+  EXPECT_THROW(sim::run_fleet_records(adapter, 1, 1, fleet),
+               ContractViolation);
+  fleet.threads = kMaxWorkerThreads;
+  EXPECT_EQ(sim::run_fleet_records(adapter, 1, 1, fleet).size(), 1u);
 }
 
 TEST(ContractsChain, TrafficStartSpeedRangesFire) {

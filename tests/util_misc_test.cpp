@@ -1,5 +1,5 @@
-// Tests for table rendering, CSV output, thread pool / parallel_for, and
-// environment configuration.
+// Tests for table rendering, CSV output, parallel_for, and environment
+// configuration.
 
 #include <gtest/gtest.h>
 
@@ -67,22 +67,6 @@ TEST(Csv, WritesQuotedCells) {
   EXPECT_EQ(line1, "plain,\"with,comma\",\"with\"\"quote\"");
   EXPECT_EQ(line2, "1.5,-2,3");
   std::filesystem::remove(path);
-}
-
-TEST(ThreadPool, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPool) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
 }
 
 TEST(ParallelFor, CoversAllIndicesOnce) {

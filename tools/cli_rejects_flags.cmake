@@ -62,9 +62,10 @@ expect_rejected("certify: unknown option --trace" certify --trace x)
 # Numeric flags: the whole token must be a number of the flag's kind, or
 # the CLI exits 2 naming the flag and the value before any work. A token
 # such as -3 is read as a value, so a negative number is rejected rather
-# than dropped. --threads is tried only with tokens that are not whole
-# numbers: a large count, were the check missing, would start that many
-# threads.
+# than dropped. --threads is at most 256; the counts above it are tried
+# with --sims 1, so that, were the check missing, the command would still
+# start at most one worker (the fleet clamps its workers to the episode
+# count).
 set(_count "expects a whole number of at least 1, got")
 set(_whole "expects a whole number, got")
 set(_real "expects a finite number, got")
@@ -80,6 +81,11 @@ expect_rejected("--pool ${_count} 0" batch --pool 0)
 expect_rejected("--threads ${_whole} abc"
                 batch --scenario lane-change --threads abc)
 expect_rejected("--threads ${_whole} 2.5" campaign --threads 2.5)
+set(_threads "expects a whole number of at most 256, got")
+expect_rejected("--threads ${_threads} 257"
+                batch --scenario intersection --sims 1 --threads 257)
+expect_rejected("--threads ${_threads} 257"
+                campaign --preset smoke --sims 1 --threads 257)
 expect_rejected("--points ${_count} 0" sweep --points 0)
 expect_rejected("--sims ${_count} 0" campaign --sims 0)
 expect_rejected("--budget ${_count} 0" attack --budget 0)

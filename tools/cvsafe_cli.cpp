@@ -18,10 +18,11 @@
 // only, --config left-turn or multi.
 // Every flag but --lost takes a value; one given without is rejected
 // the same way before any work, as is a numeric flag whose whole token
-// is not a number of its kind (see number_flags()): counts,
-// seeds and --threads are whole numbers (counts at least 1), --drop and
-// --stealth numbers in [0, 1], --delay a number > 0, --delta a number
-// >= 0. A token such as -3 is a value, not a flag, so a negative count is
+// is not a number of its kind (see number_flags()): counts, seeds and
+// --threads are whole numbers (counts at least 1, --threads at most
+// util::kMaxWorkerThreads = 256 worker threads), --drop and --stealth
+// numbers in [0, 1], --delay a number > 0, --delta a number >= 0.
+// A token such as -3 is a value, not a flag, so a negative count is
 // rejected rather than dropped. So is a word-valued flag (--scenario,
 // --variant, --style, --kind, --preset, --optimizer) whose value is not
 // one of its words (see word_flags()).
@@ -44,7 +45,7 @@
 //                            plausibility gate + degradation ladder
 //   --seed N                 first seed                  (default 1)
 //   --sims N                 batch size / training size scale
-//   --threads N              worker threads (0 = hardware)
+//   --threads N              worker threads, at most 256 (0 = hardware)
 //   --pool N                 (batch) fleet pool capacity  (default 8192)
 //   --trace FILE             (run) per-step trace: the episode's events
 //                            as JSONL in the flight-dump format when FILE
@@ -140,6 +141,7 @@
 #include "cvsafe/sim/trace.hpp"
 #include "cvsafe/util/csv.hpp"
 #include "cvsafe/util/table.hpp"
+#include "cvsafe/util/thread_pool.hpp"
 #include "cvsafe/planners/training.hpp"
 #include "cvsafe/verify/certify.hpp"
 #include "cvsafe/verify/sound.hpp"
@@ -1049,7 +1051,9 @@ int reject_unread_flags(const CommandSpec& command, const Args& args) {
 /// What a numeric flag's token must spell. The same flag means the same
 /// thing in every command.
 enum class Number {
-  kWhole,        ///< a whole number (seeds; --threads, where 0 = hardware)
+  kWhole,        ///< a whole number (seeds)
+  kThreads,      ///< a whole number of at most util::kMaxWorkerThreads
+                 ///< (--threads, where 0 = hardware)
   kCount,        ///< a whole number of at least 1
   kFraction,     ///< a finite number in [0, 1]
   kPositive,     ///< a finite number > 0
@@ -1059,7 +1063,7 @@ enum class Number {
 const std::vector<std::pair<const char*, Number>>& number_flags() {
   static const std::vector<std::pair<const char*, Number>> table = {
       {"seed", Number::kWhole},       {"eval-seed", Number::kWhole},
-      {"threads", Number::kWhole},
+      {"threads", Number::kThreads},
       {"sims", Number::kCount},       {"pool", Number::kCount},
       {"cars", Number::kCount},       {"points", Number::kCount},
       {"topk", Number::kCount},       {"budget", Number::kCount},
@@ -1072,8 +1076,15 @@ const std::vector<std::pair<const char*, Number>>& number_flags() {
 /// ...), or null when it is one. A real-valued kind names its range only
 /// once the token is a finite number.
 const char* number_error(Number kind, const std::string& text) {
-  if (kind == Number::kWhole) {
-    return parse_whole(text) ? nullptr : "a whole number";
+  if (kind == Number::kWhole || kind == Number::kThreads) {
+    const std::optional<std::uint64_t> value = parse_whole(text);
+    if (!value) return "a whole number";
+    if (kind == Number::kWhole || *value <= util::kMaxWorkerThreads) {
+      return nullptr;
+    }
+    static const std::string at_most =
+        "a whole number of at most " + std::to_string(util::kMaxWorkerThreads);
+    return at_most.c_str();
   }
   if (kind == Number::kCount) {
     const std::optional<std::uint64_t> value = parse_whole(text);
